@@ -23,50 +23,21 @@ def gap_of_bscc(chain, component, name):
     Counted as the number of states visited; 0 when every state carries
     the label, math.inf when the component has an a-free cycle.
     """
-    free = sorted(s for s in component if name not in chain.labels[s])
-    return _longest_free_run(chain, free, component)
+    free = {s for s in component if name not in chain.labels[s]}
+    return _longest_free_run(chain, free)
 
 
-def _longest_free_run(chain, free, region):
-    """Longest vertex-count path through `free` states, edges within `region`."""
-    free_set = set(free)
-    succ = {s: sorted(t for t in chain.successors(s)
-                      if t in free_set and t in region)
-            for s in free}
-    for s in free:
-        if s in succ[s]:
-            return math.inf
-    if free and any(len(c) > 1 and c <= free_set for c in markov._tarjan(
-            max(free) + 1,
-            [succ.get(s, []) for s in range(max(free) + 1)]).components):
+def _longest_free_run(chain, free):
+    """Longest vertex-count path through the set of `free` states,
+    math.inf when they hold a cycle."""
+    order = markov.dag_order(free, chain.successors)
+    if order is None:
         return math.inf
     longest = {}
-    for s in _dag_order(free, succ):
-        longest[s] = 1 + max((longest[t] for t in succ[s]), default=0)
+    for s in order:
+        longest[s] = 1 + max((longest[t] for t in chain.successors(s)
+                              if t in free), default=0)
     return max(longest.values(), default=0)
-
-
-def _dag_order(vertices, succ):
-    """Reverse topological order of an acyclic successor map."""
-    seen = set()
-    order = []
-    for root in vertices:
-        if root in seen:
-            continue
-        stack = [(root, 0)]
-        while stack:
-            v, i = stack[-1]
-            if i == 0:
-                seen.add(v)
-            if i < len(succ[v]):
-                stack[-1] = (v, i + 1)
-                w = succ[v][i]
-                if w not in seen:
-                    stack.append((w, 0))
-            else:
-                stack.pop()
-                order.append(v)
-    return order
 
 
 def accepting_bsccs(chain, name):
@@ -155,8 +126,8 @@ def min_val_as1_buchi(chain, name):
     reachable).
     """
     reachable = markov.reachable_states(chain)
-    free = sorted(s for s in reachable if name not in chain.labels[s])
-    run = _longest_free_run(chain, free, reachable)
+    free = {s for s in reachable if name not in chain.labels[s]}
+    run = _longest_free_run(chain, free)
     return None if run == math.inf else run
 
 

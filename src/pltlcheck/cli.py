@@ -19,10 +19,10 @@ from fractions import Fraction
 from . import buchi, diamond, fixtures, fx, oracle, reach
 from .formula import (
     FormulaError, FragmentClass, FragmentError, ParseError, classify,
-    parse_formula, substitute, to_nnf, variables,
+    genbuchi_pairs, parse_formula, substitute, to_nnf, variables,
 )
 from .markov import ChainError, parse_chain
-from .oracle import LassoWord
+from .oracle import LassoWord, OracleInputError
 from .valuation import MinimalSet, ValuationError, Valuation, parse_valuation
 
 EXIT_OK = 0
@@ -154,17 +154,40 @@ class Report:
             print("END-RESULT", file=out)
 
 
-def _genbuchi_pairs(phi):
-    from .formula import _genbuchi_conjuncts
-    return [(c.child.bound.name, c.child.child.name)
-            for c in _genbuchi_conjuncts(phi)]
-
-
 def _maybe_emit(args, checker):
     if getattr(args, "emit_automaton", None) and checker is not None:
         with open(args.emit_automaton, "w") as fh:
             fh.write(diamond.format_automaton(checker.g))
             fh.write(diamond.format_automaton(checker.u))
+
+
+def _read_query(args, rep):
+    """Read, classify and report a check, minset or member query.
+
+    Returns (chain, NNF formula, threshold kind, p, fragment, valuation);
+    the valuation is None except for member, where it must assign every
+    variable.  Only Reach answers ">=p".
+    """
+    chain = _read_chain(args)
+    phi = to_nnf(_read_formula(args))
+    kind, p = _parse_threshold(args.threshold)
+    fragment = classify(phi)
+    val = None
+    if args.command == "member":
+        val = parse_valuation(args.valuation)
+        missing = [x for x in variables(phi) if x not in val]
+        if missing:
+            raise UsageError("valuation misses variables: %s"
+                             % ", ".join(missing))
+    rep.add("fragment", fragment)
+    rep.add("threshold", args.threshold.strip())
+    if val is not None:
+        rep.add("valuation", val)
+    if kind == "geq" and fragment != FragmentClass.REACH:
+        raise FragmentError(
+            'threshold ">=p" is only supported for single reachability '
+            'formulas F[<=x] a; use ">0" or "=1" here')
+    return chain, phi, kind, p, fragment, val
 
 
 def _single_minimum(kind, chain, phi, fragment, p):
@@ -183,16 +206,7 @@ def _single_minimum(kind, chain, phi, fragment, p):
 
 
 def _run_check(args, rep):
-    chain = _read_chain(args)
-    phi = to_nnf(_read_formula(args))
-    kind, p = _parse_threshold(args.threshold)
-    fragment = classify(phi)
-    rep.add("fragment", fragment)
-    rep.add("threshold", args.threshold.strip())
-    if kind == "geq" and fragment != FragmentClass.REACH:
-        raise FragmentError(
-            'threshold ">=p" is only supported for single reachability '
-            'formulas F[<=x] a; use ">0" or "=1" here')
+    chain, phi, kind, p, fragment, _ = _read_query(args, rep)
     checker = None
     if fragment in (FragmentClass.REACH, FragmentClass.BUCHI):
         n0 = _single_minimum(kind, chain, phi, fragment, p)
@@ -200,20 +214,18 @@ def _run_check(args, rep):
         if not empty:
             rep.add("minimum", n0)
     elif fragment == FragmentClass.GENERALIZED_BUCHI:
-        pairs = _genbuchi_pairs(phi)
+        pairs = genbuchi_pairs(phi)
         if kind == "pos":
             empty = buchi.emptiness_pos_genbuchi(chain, [a for _, a in pairs])
         else:
-            names = variables(phi)
-            ms = buchi.min_set_as1_genbuchi(chain, pairs, names)
+            ms = buchi.min_set_as1_genbuchi(chain, pairs, variables(phi))
             empty = len(ms) == 0
             if not empty:
-                rep.add("minimum", str(ms.valuations()[0]))
+                rep.add("minimum", ms.valuations()[0])
     elif fragment == FragmentClass.FX and kind == "pos":
         empty, witness_val, path = fx.emptiness_pos_fx(chain, phi)
         if not empty:
-            rep.add("witness-valuation",
-                    str(Valuation(witness_val)))
+            rep.add("witness-valuation", Valuation(witness_val))
             if args.witness and path is not None:
                 rep.add("witness-path", " ".join(map(str, path)))
     else:
@@ -223,8 +235,7 @@ def _run_check(args, rep):
         else:
             empty = checker.emptiness_as1(chain)
         if not empty:
-            rep.add("witness-valuation",
-                    str(Valuation(checker._uniform(checker.vbar(chain)))))
+            rep.add("witness-valuation", Valuation(checker.witness(chain)))
         rep.add("product-nodes", checker.stats["product_nodes"])
     _maybe_emit(args, checker)
     rep.add("verdict", "empty" if empty else "nonempty")
@@ -232,16 +243,7 @@ def _run_check(args, rep):
 
 
 def _run_minset(args, rep):
-    chain = _read_chain(args)
-    phi = to_nnf(_read_formula(args))
-    kind, p = _parse_threshold(args.threshold)
-    fragment = classify(phi)
-    rep.add("fragment", fragment)
-    rep.add("threshold", args.threshold.strip())
-    if kind == "geq" and fragment != FragmentClass.REACH:
-        raise FragmentError(
-            'threshold ">=p" is only supported for single reachability '
-            'formulas F[<=x] a; use ">0" or "=1" here')
+    chain, phi, kind, p, fragment, _ = _read_query(args, rep)
     names = variables(phi)
     if not names:
         raise UsageError("formula has no parameter variables")
@@ -250,22 +252,19 @@ def _run_minset(args, rep):
         n0 = _single_minimum(kind, chain, phi, fragment, p)
         ms = MinimalSet(names) if n0 is None else MinimalSet(names, [(n0,)])
     elif fragment == FragmentClass.GENERALIZED_BUCHI and kind == "as1":
-        ms = buchi.min_set_as1_genbuchi(chain, _genbuchi_pairs(phi), names)
-    elif fragment == FragmentClass.GENERALIZED_BUCHI:
-        pairs = _genbuchi_pairs(phi)
-        checker = diamond.DiamondChecker(phi, args.max_product_nodes)
-
-        def point_oracle(point):
-            return checker.check_pos(chain, dict(zip(names, point)))
-
-        ms = buchi.min_set_pos_genbuchi(chain, pairs, point_oracle, names)
-    elif fragment == FragmentClass.FX:
-        checker = diamond.DiamondChecker(phi, args.max_product_nodes)
-        ms = fx.min_set_fx(chain, phi, kind, checker)
+        ms = buchi.min_set_as1_genbuchi(chain, genbuchi_pairs(phi), names)
     else:
         checker = diamond.DiamondChecker(phi, args.max_product_nodes)
-        ms = checker.min_set(chain, kind)
-    if checker is not None:
+        if fragment == FragmentClass.GENERALIZED_BUCHI:
+            def point_oracle(point):
+                return checker.check_pos(chain, dict(zip(names, point)))
+
+            ms = buchi.min_set_pos_genbuchi(chain, genbuchi_pairs(phi),
+                                            point_oracle, names)
+        elif fragment == FragmentClass.FX:
+            ms = fx.min_set_fx(chain, phi, kind, checker)
+        else:
+            ms = checker.min_set(chain, kind)
         rep.add("oracle-calls", checker.stats["queries"])
     _maybe_emit(args, checker)
     rep.add("cardinality", len(ms))
@@ -275,21 +274,7 @@ def _run_minset(args, rep):
 
 
 def _run_member(args, rep):
-    chain = _read_chain(args)
-    phi = to_nnf(_read_formula(args))
-    kind, p = _parse_threshold(args.threshold)
-    fragment = classify(phi)
-    val = parse_valuation(args.valuation)
-    missing = [x for x in variables(phi) if x not in val]
-    if missing:
-        raise UsageError("valuation misses variables: %s" % ", ".join(missing))
-    rep.add("fragment", fragment)
-    rep.add("threshold", args.threshold.strip())
-    rep.add("valuation", val)
-    if kind == "geq" and fragment != FragmentClass.REACH:
-        raise FragmentError(
-            'threshold ">=p" is only supported for single reachability '
-            'formulas F[<=x] a; use ">0" or "=1" here')
+    chain, phi, kind, p, fragment, val = _read_query(args, rep)
     checker = None
     if fragment == FragmentClass.REACH:
         prop = phi.child.name
@@ -409,7 +394,7 @@ def run(argv, out=sys.stdout, err=sys.stderr):
         print("fragment error: %s" % exc, file=err)
         return EXIT_FRAGMENT
     except (ParseError, FormulaError, ChainError, ValuationError,
-            ValueError) as exc:
+            OracleInputError) as exc:
         print("parse error: %s" % exc, file=err)
         return EXIT_PARSE
     except diamond.ResourceLimitError as exc:

@@ -16,9 +16,10 @@ the reachable part is ever materialized.
 from __future__ import annotations
 
 from .formula import (
-    And, Always, Atom, BoundedAlways, BoundedEventually, ConstBound,
-    Eventually, FragmentError, NegAtom, Next, Or, Release, Until, VarBound,
-    atoms, rename_apart, rewrite_constant_bounds, size, to_nnf, variables,
+    And, Always, Atom, BoundedAlways, BoundedEventually, Eventually,
+    FragmentError, NegAtom, Next, Not, Or, Release, Until, atoms, closure,
+    rename_apart, rewrite_constant_bounds, size, subformulas, to_nnf,
+    variables,
 )
 from . import markov
 from .valuation import MinimalSet, bisection_min_set
@@ -31,31 +32,6 @@ class ResourceLimitError(Exception):
 DEFAULT_MAX_PRODUCT_NODES = 10 ** 7
 
 
-def _closure_list(phi):
-    """Subformulas of phi in a deterministic order, literals first."""
-    seen = []
-
-    def walk(f):
-        if f in seen:
-            return
-        if isinstance(f, (Atom, NegAtom)):
-            seen.append(f)
-            return
-        if isinstance(f, (Next, Always, Eventually, BoundedEventually)):
-            walk(f.child)
-        elif isinstance(f, (And, Or, Until, Release)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, BoundedAlways):
-            raise FragmentError("constant always must be unfolded first")
-        else:
-            raise FragmentError("unsupported node %r" % (f,))
-        seen.append(f)
-
-    walk(phi)
-    return seen
-
-
 class GAutomaton:
     """Generalized automaton over consistent closure subsets.
 
@@ -66,7 +42,12 @@ class GAutomaton:
     """
 
     def __init__(self, phi):
-        subs = _closure_list(phi)
+        for f in subformulas(phi):
+            if isinstance(f, BoundedAlways):
+                raise FragmentError("constant always must be unfolded first")
+            if isinstance(f, Not):
+                raise FragmentError("unsupported node %r" % (f,))
+        subs = closure(phi)
         names = atoms(phi)
         nonlits = [f for f in subs if not isinstance(f, (Atom, NegAtom))]
         if len(names) + len(nonlits) > 22:
@@ -256,22 +237,14 @@ class DiamondChecker:
             bounds.append(assign[user])
         return bounds
 
-    def _start_counters(self, u0, bounds):
-        """Per-variable pending counters at a run's first state, or None.
+    def _step_counters(self, u2, counters, bounds):
+        """Per-variable pending counters after entering u2, or None.
 
         A counter is the length of the current marked-but-unsatisfied
         streak of its bounded eventuality; a run dies the moment a
-        streak would exceed the bound.
+        streak would exceed the bound.  A run's first state is entered
+        with every counter at zero.
         """
-        counters = []
-        for i, v in enumerate(bounds):
-            c = 0 if self.u.par[i][u0] else 1
-            if c > v:
-                return None
-            counters.append(c)
-        return tuple(counters)
-
-    def _step_counters(self, u2, counters, bounds):
         nxt = []
         for i, v in enumerate(bounds):
             c = 0 if self.u.par[i][u2] else counters[i] + 1
@@ -280,29 +253,67 @@ class DiamondChecker:
             nxt.append(c)
         return tuple(nxt)
 
-    def _initial_nodes(self, chain, bounds):
-        letter = frozenset(chain.labels[chain.init]) & self.atoms
-        nodes = []
-        for u0 in self.u.initial:
-            if self.u.letter[u0] != letter:
-                continue
-            counters = self._start_counters(u0, bounds)
-            if counters is not None:
-                nodes.append((chain.init, u0, counters))
-        return nodes
+    def _explore(self, initial, successors, what):
+        """Graph reachable from `initial` as (nodes, successor index lists).
 
-    def _node_successors(self, chain, node, bounds):
-        s, u, counters = node
-        out = []
-        for t in chain.successors(s):
-            letter = frozenset(chain.labels[t]) & self.atoms
-            for u2 in self.u.succ[u]:
-                if self.u.letter[u2] != letter:
+        Nodes are numbered in discovery order, the initial ones first.
+        Returns None as soon as `successors(node)` does; more than
+        max_product_nodes nodes raise ResourceLimitError naming `what`.
+        """
+        index = {n: i for i, n in enumerate(initial)}
+        nodes = list(initial)
+        succ = [None] * len(nodes)
+        stack = list(range(len(nodes)))
+        while stack:
+            i = stack.pop()
+            targets = successors(nodes[i])
+            if targets is None:
+                return None
+            row = []
+            for n in targets:
+                j = index.get(n)
+                if j is None:
+                    j = index[n] = len(nodes)
+                    nodes.append(n)
+                    succ.append(None)
+                    if len(nodes) > self.max_product_nodes:
+                        raise ResourceLimitError(
+                            "%s exceeds %d nodes"
+                            % (what, self.max_product_nodes))
+                    stack.append(j)
+                row.append(j)
+            succ[i] = row
+        return nodes, succ
+
+    def _runs(self, start, step, letters, bounds, what):
+        """Product of the counter automaton with a labelled graph.
+
+        The graph starts at position `start`, `step(p)` lists the
+        positions after p and `letters[p]` is p's letter restricted to
+        the formula's atoms.  Returns (nodes, succ, number of initial
+        nodes); a node is (position, automaton state, counters).
+        """
+        u_succ, u_letter = self.u.succ, self.u.letter
+
+        def moves(p, targets, counters):
+            out = []
+            for u2 in targets:
+                if u_letter[u2] != letters[p]:
                     continue
                 nxt = self._step_counters(u2, counters, bounds)
                 if nxt is not None:
-                    out.append((t, u2, nxt))
-        return out
+                    out.append((p, u2, nxt))
+            return out
+
+        initial = moves(start, self.u.initial, (0,) * len(bounds))
+
+        def successors(node):
+            p, u, counters = node
+            return [n for p2 in step(p)
+                    for n in moves(p2, u_succ[u], counters)]
+
+        nodes, succ = self._explore(initial, successors, what)
+        return nodes, succ, len(initial)
 
     def accepts_lasso(self, word, valuation):
         """Does the counter automaton accept stem + loop^omega at v?
@@ -311,100 +322,37 @@ class DiamondChecker:
         word is accepted iff a cycle through a Buchi configuration is
         reachable.
         """
-        bounds = self._bounds(valuation)
         letters = [frozenset(l) & self.atoms
                    for l in tuple(word.stem) + tuple(word.loop)]
         wrap = len(word.stem)
-        n = len(letters)
 
-        def succ_pos(p):
-            return p + 1 if p + 1 < n else wrap
+        def step(p):
+            return (p + 1 if p + 1 < len(letters) else wrap,)
 
-        start = []
-        for u0 in self.u.initial:
-            if self.u.letter[u0] != letters[0]:
-                continue
-            counters = self._start_counters(u0, bounds)
-            if counters is not None:
-                start.append((0, u0, counters))
-        index = {}
-        nodes = []
-        succ = []
-        for node in start:
-            index[node] = len(nodes)
-            nodes.append(node)
-        frontier = list(range(len(nodes)))
-        while frontier:
-            i = frontier.pop()
-            while len(succ) <= i:
-                succ.append(None)
-            p, u, counters = nodes[i]
-            p2 = succ_pos(p)
-            row = []
-            for u2 in self.u.succ[u]:
-                if self.u.letter[u2] != letters[p2]:
-                    continue
-                nxt = self._step_counters(u2, counters, bounds)
-                if nxt is None:
-                    continue
-                node = (p2, u2, nxt)
-                j = index.get(node)
-                if j is None:
-                    j = index[node] = len(nodes)
-                    nodes.append(node)
-                    if len(nodes) > self.max_product_nodes:
-                        raise ResourceLimitError(
-                            "lasso graph exceeds %d nodes"
-                            % self.max_product_nodes)
-                    frontier.append(j)
-                row.append(j)
-            succ[i] = row
-        while len(succ) < len(nodes):
-            succ.append([])
+        nodes, succ, _ = self._runs(0, step, letters, self._bounds(valuation),
+                                    "lasso graph")
         scc = markov._tarjan(len(nodes), succ)
-        for ci, comp in enumerate(scc.components):
-            if not scc.has_cycle[ci]:
-                continue
-            if any(self.u.is_buchi[nodes[i][1]] for i in comp):
-                return True
-        return False
+        return any(scc.has_cycle[ci]
+                   and any(self.u.is_buchi[nodes[i][1]] for i in comp)
+                   for ci, comp in enumerate(scc.components))
 
-    def _explore(self, chain, bounds):
-        """Reachable product graph as (nodes list, successor index lists)."""
-        init = self._initial_nodes(chain, bounds)
-        index = {}
-        nodes = []
-        for n in init:
-            index[n] = len(nodes)
-            nodes.append(n)
-        succ = []
-        frontier = list(range(len(nodes)))
-        while frontier:
-            i = frontier.pop()
-            while len(succ) <= i:
-                succ.append(None)
-            row = []
-            for n2 in self._node_successors(chain, nodes[i], bounds):
-                j = index.get(n2)
-                if j is None:
-                    j = index[n2] = len(nodes)
-                    nodes.append(n2)
-                    if len(nodes) > self.max_product_nodes:
-                        raise ResourceLimitError(
-                            "product exceeds %d nodes" % self.max_product_nodes)
-                    frontier.append(j)
-                row.append(j)
-            succ[i] = row
-        while len(succ) < len(nodes):
-            succ.append([])
-        self.stats["product_nodes"] += len(nodes)
-        return nodes, succ
+    def _product(self, chain, valuation):
+        """Reachable product with the chain: (nodes, succ, initial count)."""
+        letters = [frozenset(l) & self.atoms for l in chain.labels]
+        product = self._runs(chain.init, chain.successors, letters,
+                             self._bounds(valuation), "product")
+        self.stats["product_nodes"] += len(product[0])
+        return product
 
     def _good_nodes(self, chain, nodes, succ):
         """Indices of nodes inside some complete accepting product SCC."""
         scc = markov._tarjan(len(nodes), succ)
         good = set()
-        for comp in scc.components:
+        for ci, comp in enumerate(scc.components):
+            # An acyclic component is never complete: the chain always
+            # moves on, and the automaton cannot follow inside it.
+            if not scc.has_cycle[ci]:
+                continue
             if not any(self.u.is_buchi[nodes[i][1]] for i in comp):
                 continue
             if self._complete(chain, comp, nodes, succ):
@@ -418,38 +366,38 @@ class DiamondChecker:
         chain transition taking the joint image inside the component; the
         component is complete exactly when the empty image is unreachable.
         """
-        proj1 = {nodes[i][0] for i in comp}
         fiber = {}
-        edges = {}
         for i in comp:
-            s = nodes[i][0]
-            fiber.setdefault(s, set()).add(i)
-            edges[i] = [j for j in succ[i] if j in comp]
-        start = [(s, frozenset(fiber[s])) for s in sorted(proj1)]
-        seen = set(start)
-        stack = list(start)
-        while stack:
-            s, subset = stack.pop()
+            fiber.setdefault(nodes[i][0], set()).add(i)
+        start = [(s, frozenset(fiber[s])) for s in sorted(fiber)]
+        edges = {i: [j for j in succ[i] if j in comp] for i in comp}
+        return self._explore(start, self._images(chain, nodes, edges),
+                             "completeness graph") is not None
+
+    def _images(self, chain, nodes, edges):
+        """Successor function of a subset construction over the product.
+
+        A subset node (s, alive) pairs a chain state with product nodes
+        alive there; following the chain step s -> t gives (t, the
+        `edges` successors of alive at t).  An empty image returns None,
+        which stops the exploration.
+        """
+        def successors(node):
+            s, alive = node
+            out = []
             for t in chain.successors(s):
-                if t not in proj1:
-                    return False
-                image = frozenset(j for i in subset for j in edges[i]
+                image = frozenset(j for a in alive for j in edges[a]
                                   if nodes[j][0] == t)
                 if not image:
-                    return False
-                key = (t, image)
-                if key not in seen:
-                    seen.add(key)
-                    stack.append(key)
-        return True
+                    return None
+                out.append((t, image))
+            return out
+        return successors
 
     def check_pos(self, chain, valuation):
         """Is the satisfaction probability positive at this valuation?"""
         self.stats["queries"] += 1
-        bounds = self._bounds(valuation)
-        nodes, succ = self._explore(chain, bounds)
-        if not nodes:
-            return False
+        nodes, succ, _ = self._product(chain, valuation)
         return bool(self._good_nodes(chain, nodes, succ))
 
     def check_as1(self, chain, valuation):
@@ -462,62 +410,34 @@ class DiamondChecker:
         configuration inside a complete accepting product SCC.
         """
         self.stats["queries"] += 1
-        bounds = self._bounds(valuation)
-        nodes, succ = self._explore(chain, bounds)
-        if not nodes:
-            return False
+        nodes, succ, n_initial = self._product(chain, valuation)
         good = self._good_nodes(chain, nodes, succ)
-        index = {n: i for i, n in enumerate(nodes)}
-        start_alive = frozenset(index[n]
-                                for n in self._initial_nodes(chain, bounds))
-        d_nodes = [(chain.init, start_alive)]
-        d_index = {d_nodes[0]: 0}
-        d_succ = [None]
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            s, alive = d_nodes[i]
-            row = []
-            for t in chain.successors(s):
-                image = frozenset(j for a in alive for j in succ[a]
-                                  if nodes[j][0] == t)
-                if not image:
-                    return False
-                key = (t, image)
-                j = d_index.get(key)
-                if j is None:
-                    j = d_index[key] = len(d_nodes)
-                    d_nodes.append(key)
-                    d_succ.append(None)
-                    if len(d_nodes) > self.max_product_nodes:
-                        raise ResourceLimitError(
-                            "tracking graph exceeds %d nodes"
-                            % self.max_product_nodes)
-                    stack.append(j)
-                row.append(j)
-            d_succ[i] = row
-        scc = markov._tarjan(len(d_nodes), [r or [] for r in d_succ])
-        for ci in scc.bottom_components():
-            comp = scc.components[ci]
-            if not any(alive & good
-                       for (_, alive) in (d_nodes[i] for i in comp)):
-                return False
-        return True
+        tracking = self._explore([(chain.init, frozenset(range(n_initial)))],
+                                 self._images(chain, nodes, succ),
+                                 "tracking graph")
+        if tracking is None:
+            return False
+        d_nodes, d_succ = tracking
+        scc = markov._tarjan(len(d_nodes), d_succ)
+        return all(any(d_nodes[i][1] & good for i in scc.components[ci])
+                   for ci in scc.bottom_components())
 
     def vbar(self, chain):
         """Uniform witness bound m * |phi| * 2^|phi| for emptiness checks."""
         return chain.m * self.base_size * 2 ** self.base_size
 
-    def _uniform(self, value):
-        return {x: value for x in self.user_names}
+    def witness(self, chain):
+        """The uniform valuation at the witness bound: the valuation set
+        is nonempty iff it contains this point."""
+        return {x: self.vbar(chain) for x in self.user_names}
 
     def emptiness_pos(self, chain):
         """True iff V>0 is empty, decided at the uniform witness bound."""
-        return not self.check_pos(chain, self._uniform(self.vbar(chain)))
+        return not self.check_pos(chain, self.witness(chain))
 
     def emptiness_as1(self, chain):
         """True iff V=1 is empty, decided at the uniform witness bound."""
-        return not self.check_as1(chain, self._uniform(self.vbar(chain)))
+        return not self.check_as1(chain, self.witness(chain))
 
     def min_set(self, chain, threshold="pos", bound=None):
         """Minimal valuations of V>0 (or V=1) as an antichain.
@@ -538,25 +458,3 @@ class DiamondChecker:
 
         return bisection_min_set(oracle, (0,) * len(names),
                                  (n,) * len(names), names)
-
-
-def check_pos(chain, phi, valuation, max_product_nodes=DEFAULT_MAX_PRODUCT_NODES):
-    return DiamondChecker(phi, max_product_nodes).check_pos(chain, valuation)
-
-
-def check_as1(chain, phi, valuation, max_product_nodes=DEFAULT_MAX_PRODUCT_NODES):
-    return DiamondChecker(phi, max_product_nodes).check_as1(chain, valuation)
-
-
-def emptiness_pos_diamond(chain, phi, max_product_nodes=DEFAULT_MAX_PRODUCT_NODES):
-    return DiamondChecker(phi, max_product_nodes).emptiness_pos(chain)
-
-
-def emptiness_as1_diamond(chain, phi, max_product_nodes=DEFAULT_MAX_PRODUCT_NODES):
-    return DiamondChecker(phi, max_product_nodes).emptiness_as1(chain)
-
-
-def min_set_diamond(chain, phi, threshold="pos",
-                    max_product_nodes=DEFAULT_MAX_PRODUCT_NODES, bound=None):
-    checker = DiamondChecker(phi, max_product_nodes)
-    return checker.min_set(chain, threshold, bound)

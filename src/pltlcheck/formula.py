@@ -159,58 +159,95 @@ def _fmt(phi, parent_prec=0):
         return "G[<=%s] %s" % (phi.bound, _fmt(phi.child, 9))
     op = {And: "&", Or: "|", Until: "U", Release: "R"}[type(phi)]
     prec = _PREC[type(phi)]
-    s = "%s %s %s" % (_fmt(phi.left, prec + 1), op, _fmt(phi.right, prec))
+    # U and R group to the right.  A nested & or | of the same kind is
+    # bracketed on either side, so the text parses back to the same tree.
+    right_prec = prec + 1 if isinstance(phi, (And, Or)) else prec
+    s = "%s %s %s" % (_fmt(phi.left, prec + 1), op,
+                      _fmt(phi.right, right_prec))
     if prec < parent_prec:
         return "(" + s + ")"
     return s
 
 
+def children(f):
+    """The immediate subformulas of f, left to right."""
+    if isinstance(f, (Atom, NegAtom)):
+        return ()
+    if isinstance(f, (And, Or, Until, Release)):
+        return (f.left, f.right)
+    return (f.child,)
+
+
+def rebuild(f, kids):
+    """A node of f's type (and bound) over the given children."""
+    if not kids:
+        return f
+    if isinstance(f, (BoundedEventually, BoundedAlways)):
+        return type(f)(f.bound, *kids)
+    return type(f)(*kids)
+
+
+def subformulas(phi, postorder=False):
+    """Every node of phi, left to right, parents before their children
+    (preorder) or after them (postorder).  A subtree that occurs twice is
+    listed twice.  Iterative, so nesting depth is not limited by the
+    interpreter's recursion limit."""
+    out = []
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        out.append(f)
+        kids = children(f)
+        # Postorder is the reverse of a right-to-left preorder.
+        stack.extend(kids if postorder else reversed(kids))
+    return out[::-1] if postorder else out
+
+
+def _map(phi, fn):
+    """Rebuild phi top-down: each node f is replaced by fn(f), whose
+    children are then mapped in turn.  fn sees the nodes in preorder."""
+    done = []
+    stack = [(phi, False)]
+    while stack:
+        f, expanded = stack.pop()
+        if expanded:
+            k = len(children(f))
+            kids = done[len(done) - k:]
+            del done[len(done) - k:]
+            done.append(rebuild(f, kids))
+            continue
+        f = fn(f)
+        stack.append((f, True))
+        stack.extend((c, False) for c in reversed(children(f)))
+    return done[0]
+
+
+def _has_var_bound(f):
+    return isinstance(f, BoundedEventually) and isinstance(f.bound, VarBound)
+
+
 def size(phi):
     """Node count of the AST."""
-    if isinstance(phi, (Atom, NegAtom)):
-        return 1
-    if isinstance(phi, (Not, Next, Always, Eventually, BoundedEventually, BoundedAlways)):
-        return 1 + size(phi.child)
-    return 1 + size(phi.left) + size(phi.right)
+    return len(subformulas(phi))
 
 
 def variables(phi):
     """Parameter variable names occurring in phi, in syntactic order."""
-    out = []
-
-    def walk(f):
-        if isinstance(f, BoundedEventually) and isinstance(f.bound, VarBound):
-            if f.bound.name not in out:
-                out.append(f.bound.name)
-        if isinstance(f, (Not, Next, Always, Eventually, BoundedEventually, BoundedAlways)):
-            walk(f.child)
-        elif isinstance(f, (And, Or, Until, Release)):
-            walk(f.left)
-            walk(f.right)
-
-    walk(phi)
-    return out
+    return list(dict.fromkeys(f.bound.name for f in subformulas(phi)
+                              if _has_var_bound(f)))
 
 
 def atoms(phi):
     """Proposition names occurring in phi, sorted."""
-    out = set()
-
-    def walk(f):
-        if isinstance(f, (Atom, NegAtom)):
-            out.add(f.name)
-        elif isinstance(f, (Not, Next, Always, Eventually, BoundedEventually, BoundedAlways)):
-            walk(f.child)
-        elif isinstance(f, (And, Or, Until, Release)):
-            walk(f.left)
-            walk(f.right)
-
-    walk(phi)
-    return sorted(out)
+    return sorted({f.name for f in subformulas(phi)
+                   if isinstance(f, (Atom, NegAtom))})
 
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+_DIGITS = "0123456789"
 
 
 class _Lexer:
@@ -239,9 +276,9 @@ class _Lexer:
             while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
                 j += 1
             return ("ident", self.text[self.pos:j], start)
-        if c.isdigit():
+        if c in _DIGITS:
             j = self.pos
-            while j < len(self.text) and self.text[j].isdigit():
+            while j < len(self.text) and self.text[j] in _DIGITS:
                 j += 1
             return ("nat", self.text[self.pos:j], start)
         raise ParseError("unexpected character %r" % c, start)
@@ -313,10 +350,13 @@ def _parse_bound(lx, op, pos):
             raise ParseError("parametric bound on G is not supported", vpos)
         bound = VarBound(value)
     elif kind == "nat":
-        n = int(value)
-        if n > MAX_CONSTANT_BOUND:
-            raise ParseError("constant bound %d exceeds limit %d" % (n, MAX_CONSTANT_BOUND), vpos)
-        bound = ConstBound(n)
+        # Compare lengths first: int() refuses very long digit strings.
+        digits = value.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_CONSTANT_BOUND)) \
+                or int(digits) > MAX_CONSTANT_BOUND:
+            raise ParseError("constant bound %s exceeds limit %d"
+                             % (digits, MAX_CONSTANT_BOUND), vpos)
+        bound = ConstBound(int(digits))
     else:
         raise ParseError("expected variable or constant bound", vpos)
     lx.expect("]")
@@ -406,28 +446,22 @@ def _nnf(phi, neg):
 
 def rewrite_constant_bounds(phi):
     """Unfold F[<=c] / G[<=c] into nested X; output is constant-bound free."""
-    if isinstance(phi, (Atom, NegAtom)):
-        return phi
-    if isinstance(phi, BoundedEventually) and isinstance(phi.bound, ConstBound):
-        child = rewrite_constant_bounds(phi.child)
-        out = child
-        for _ in range(phi.bound.value):
-            out = Or(child, Next(out))
+    def unfold(f):
+        if isinstance(f, Not):
+            raise FragmentError("cannot rewrite bounds under %r" % f)
+        if not isinstance(f, (BoundedEventually, BoundedAlways)) \
+                or isinstance(f.bound, VarBound):
+            return f
+        if f.bound.value == 0:
+            # The result is not mapped again, only its children are.
+            return unfold(f.child)
+        op = Or if isinstance(f, BoundedEventually) else And
+        out = f.child
+        for _ in range(f.bound.value):
+            out = op(f.child, Next(out))
         return out
-    if isinstance(phi, BoundedAlways):
-        child = rewrite_constant_bounds(phi.child)
-        out = child
-        for _ in range(phi.bound.value):
-            out = And(child, Next(out))
-        return out
-    if isinstance(phi, BoundedEventually):
-        return BoundedEventually(phi.bound, rewrite_constant_bounds(phi.child))
-    if isinstance(phi, (Next, Always, Eventually)):
-        return type(phi)(rewrite_constant_bounds(phi.child))
-    if isinstance(phi, (And, Or, Until, Release)):
-        return type(phi)(rewrite_constant_bounds(phi.left),
-                         rewrite_constant_bounds(phi.right))
-    raise FragmentError("cannot rewrite bounds under %r" % phi)
+
+    return _map(phi, unfold)
 
 
 def rename_apart(phi):
@@ -438,41 +472,26 @@ def rename_apart(phi):
     are kept.
     """
     counts = {}
-
-    def count(f):
-        if isinstance(f, BoundedEventually) and isinstance(f.bound, VarBound):
+    for f in subformulas(phi):
+        if _has_var_bound(f):
             counts[f.bound.name] = counts.get(f.bound.name, 0) + 1
-        if isinstance(f, (Not, Next, Always, Eventually, BoundedEventually, BoundedAlways)):
-            count(f.child)
-        elif isinstance(f, (And, Or, Until, Release)):
-            count(f.left)
-            count(f.right)
-
-    count(phi)
     seen = {}
     mapping = {}
 
-    def walk(f):
-        if isinstance(f, BoundedEventually) and isinstance(f.bound, VarBound):
-            name = f.bound.name
-            if counts[name] == 1:
-                mapping[name] = name
-                return BoundedEventually(f.bound, walk(f.child))
-            k = seen.get(name, 0)
-            seen[name] = k + 1
-            fresh = "%s__%d" % (name, k)
-            mapping[fresh] = name
-            return BoundedEventually(VarBound(fresh), walk(f.child))
-        if isinstance(f, (Not, Next, Always, Eventually, BoundedAlways)):
-            return type(f)(walk(f.child)) if not isinstance(f, BoundedAlways) \
-                else BoundedAlways(f.bound, walk(f.child))
-        if isinstance(f, BoundedEventually):
-            return BoundedEventually(f.bound, walk(f.child))
-        if isinstance(f, (And, Or, Until, Release)):
-            return type(f)(walk(f.left), walk(f.right))
-        return f
+    def fresh(f):
+        if not _has_var_bound(f):
+            return f
+        name = f.bound.name
+        if counts[name] == 1:
+            mapping[name] = name
+            return f
+        k = seen.get(name, 0)
+        seen[name] = k + 1
+        new = "%s__%d" % (name, k)
+        mapping[new] = name
+        return BoundedEventually(VarBound(new), f.child)
 
-    return walk(phi), mapping
+    return _map(phi, fresh), mapping
 
 
 # ---------------------------------------------------------------------------
@@ -498,44 +517,20 @@ def _is_buchi(phi):
     return isinstance(phi, Always) and _is_reach(phi.child)
 
 
-def _genbuchi_conjuncts(phi):
-    """Conjunct list if phi is a conjunction of G F[<=x_i] a_i, else None."""
+def genbuchi_pairs(phi):
+    """(variable, proposition) per conjunct if phi is a conjunction of
+    G F[<=x_i] a_i, else None."""
     if isinstance(phi, And):
-        l = _genbuchi_conjuncts(phi.left)
-        r = _genbuchi_conjuncts(phi.right)
-        if l is None or r is None:
+        left, right = genbuchi_pairs(phi.left), genbuchi_pairs(phi.right)
+        if left is None or right is None:
             return None
-        return l + r
+        return left + right
     if _is_buchi(phi):
-        return [phi]
+        return [(phi.child.bound.name, phi.child.child.name)]
     return None
 
 
-def _is_fx(phi):
-    if isinstance(phi, (Atom, NegAtom)):
-        return True
-    if isinstance(phi, (Next, Eventually)):
-        return _is_fx(phi.child)
-    if isinstance(phi, BoundedEventually):
-        return _is_fx(phi.child)
-    if isinstance(phi, (And, Or)):
-        return _is_fx(phi.left) and _is_fx(phi.right)
-    return False
-
-
-def _is_diamond(phi):
-    if isinstance(phi, (Atom, NegAtom)):
-        return True
-    if isinstance(phi, (Next, Always, Eventually)):
-        return _is_diamond(phi.child)
-    if isinstance(phi, BoundedEventually):
-        return _is_diamond(phi.child)
-    if isinstance(phi, BoundedAlways):
-        # Constant bounds are grammar-sanctioned; they get unfolded later.
-        return _is_diamond(phi.child)
-    if isinstance(phi, (And, Or, Until, Release)):
-        return _is_diamond(phi.left) and _is_diamond(phi.right)
-    return False
+_FX_NODES = {Atom, NegAtom, Next, Eventually, BoundedEventually, And, Or}
 
 
 def classify(phi):
@@ -544,12 +539,15 @@ def classify(phi):
         return FragmentClass.REACH
     if _is_buchi(phi):
         return FragmentClass.BUCHI
-    conj = _genbuchi_conjuncts(phi)
-    if conj is not None and len(conj) >= 2:
+    pairs = genbuchi_pairs(phi)
+    if pairs is not None and len(pairs) >= 2:
         return FragmentClass.GENERALIZED_BUCHI
-    if _is_fx(phi):
+    kinds = {type(f) for f in subformulas(phi)}
+    if kinds <= _FX_NODES:
         return FragmentClass.FX
-    if _is_diamond(phi):
+    # Every node kind but Not; constant bounds are grammar-sanctioned
+    # and get unfolded later.
+    if Not not in kinds:
         return FragmentClass.DIAMOND
     return FragmentClass.FULL
 
@@ -566,53 +564,23 @@ def substitute(phi, val):
     """
     assign = val.assignment if hasattr(val, "assignment") else val
 
-    def walk(f):
-        if isinstance(f, BoundedEventually) and isinstance(f.bound, VarBound):
-            name = f.bound.name
-            if name not in assign:
-                raise FormulaError("valuation does not assign variable %r" % name)
-            return BoundedEventually(ConstBound(assign[name]), walk(f.child))
-        if isinstance(f, (Atom, NegAtom)):
+    def bind(f):
+        if not _has_var_bound(f):
             return f
-        if isinstance(f, BoundedEventually):
-            return BoundedEventually(f.bound, walk(f.child))
-        if isinstance(f, BoundedAlways):
-            return BoundedAlways(f.bound, walk(f.child))
-        if isinstance(f, (Not, Next, Always, Eventually)):
-            return type(f)(walk(f.child))
-        return type(f)(walk(f.left), walk(f.right))
+        if f.bound.name not in assign:
+            raise FormulaError("valuation does not assign variable %r"
+                               % f.bound.name)
+        return BoundedEventually(ConstBound(assign[f.bound.name]), f.child)
 
-    return walk(phi)
+    return _map(phi, bind)
 
 
 def closure(phi):
-    """All subformulas of phi, including phi itself."""
-    out = set()
-
-    def walk(f):
-        if f in out:
-            return
-        out.add(f)
-        if isinstance(f, (Not, Next, Always, Eventually, BoundedEventually, BoundedAlways)):
-            walk(f.child)
-        elif isinstance(f, (And, Or, Until, Release)):
-            walk(f.left)
-            walk(f.right)
-
-    walk(phi)
-    return out
+    """The distinct subformulas of phi, children before their parents
+    (so literals come first), in a deterministic order."""
+    return list(dict.fromkeys(subformulas(phi, postorder=True)))
 
 
 def strip_params(phi):
     """Replace every parametric bounded eventually by a plain eventually."""
-    if isinstance(phi, (Atom, NegAtom)):
-        return phi
-    if isinstance(phi, BoundedEventually) and isinstance(phi.bound, VarBound):
-        return Eventually(strip_params(phi.child))
-    if isinstance(phi, BoundedEventually):
-        return BoundedEventually(phi.bound, strip_params(phi.child))
-    if isinstance(phi, BoundedAlways):
-        return BoundedAlways(phi.bound, strip_params(phi.child))
-    if isinstance(phi, (Not, Next, Always, Eventually)):
-        return type(phi)(strip_params(phi.child))
-    return type(phi)(strip_params(phi.left), strip_params(phi.right))
+    return _map(phi, lambda f: Eventually(f.child) if _has_var_bound(f) else f)

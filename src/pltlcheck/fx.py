@@ -19,8 +19,7 @@ from .formula import (
     And, Atom, BoundedEventually, Eventually, FragmentError, NegAtom, Next,
     Or, rewrite_constant_bounds, size, strip_params, to_nnf, variables,
 )
-from . import diamond
-from .valuation import MinimalSet, bisection_min_set
+from . import diamond, markov
 
 
 class DbaShapeError(FragmentError):
@@ -70,51 +69,12 @@ class Dba:
                 return dst
         return None
 
-    def diameter(self):
-        """Longest simple initial-to-final path length, self-loops ignored."""
-        best = {self.final: 0}
-        order = self._reverse_topological()
-        for q in order:
-            if q in best:
-                continue
-            lengths = [best[dst] for _, _, dst in self.trans[q]
-                       if dst != q and dst in best]
-            if lengths:
-                best[q] = 1 + max(lengths)
-        return best.get(self.initial, 0)
-
-    def _reverse_topological(self):
-        seen = set()
-        order = []
-
-        def visit(q):
-            if q in seen:
-                return
-            seen.add(q)
-            for _, _, dst in self.trans[q]:
-                if dst != q:
-                    visit(dst)
-            order.append(q)
-
-        visit(self.initial)
-        return order
-
     def assert_partial_order(self):
         """No cycles besides self-loops; raises AssertionError otherwise."""
-        state = {}
-
-        def visit(q):
-            state[q] = "open"
-            for _, _, dst in self.trans[q]:
-                if dst == q:
-                    continue
-                if state.get(dst) == "open":
-                    raise AssertionError("automaton has a nontrivial cycle")
-                if dst not in state:
-                    visit(dst)
-            state[q] = "done"
-
-        visit(self.initial)
+        def moves(q):
+            return [dst for _, _, dst in self.trans[q] if dst != q]
+        if markov.dag_order(range(self.n), moves) is None:
+            raise AssertionError("automaton has a nontrivial cycle")
 
 
 def _literal_guard(lit):
@@ -311,15 +271,5 @@ def min_set_fx(chain, phi, threshold="pos", checker=None):
     """
     if checker is None:
         checker = diamond.DiamondChecker(phi)
-    names = variables(phi)
-    if not names:
-        raise FragmentError("formula has no parameter variables")
-    check = checker.check_pos if threshold == "pos" else checker.check_as1
-    n = _uniform_bound(chain, _prepare(phi))
-    if not check(chain, {x: n for x in names}):
-        return MinimalSet(names)
-
-    def oracle(point):
-        return check(chain, dict(zip(names, point)))
-
-    return bisection_min_set(oracle, (0,) * len(names), (n,) * len(names), names)
+    return checker.min_set(chain, threshold,
+                           _uniform_bound(chain, _prepare(phi)))

@@ -75,6 +75,16 @@ class MarkovChain:
         return names
 
 
+def _nat(text):
+    """The natural number spelled in ASCII digits by `text`, else None."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def parse_chain(text):
     """Parse the .dtmc text format into a MarkovChain.
 
@@ -96,9 +106,9 @@ def parse_chain(text):
         if kind == "states":
             if m is not None:
                 raise ChainParseError("duplicate states declaration", lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or _nat(parts[1]) is None:
                 raise ChainParseError("expected: states <m>", lineno)
-            m = int(parts[1])
+            m = _nat(parts[1])
             if m <= 0:
                 raise ChainParseError("state count must be positive", lineno)
             rows = [dict() for _ in range(m)]
@@ -109,26 +119,27 @@ def parse_chain(text):
         if kind == "init":
             if seen_init:
                 raise ChainParseError("duplicate init declaration", lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or _nat(parts[1]) is None:
                 raise ChainParseError("expected: init <id>", lineno)
-            init = int(parts[1])
+            init = _nat(parts[1])
             if init >= m:
                 raise ChainParseError("unknown state id %d" % init, lineno)
             seen_init = True
         elif kind == "label":
             if len(parts) < 3:
                 raise ChainParseError("expected: label <id> <name>...", lineno)
-            if not parts[1].isdigit() or int(parts[1]) >= m:
+            s = _nat(parts[1])
+            if s is None or s >= m:
                 raise ChainParseError("unknown state id %r" % parts[1], lineno)
-            labels[int(parts[1])].update(parts[2:])
+            labels[s].update(parts[2:])
         elif kind == "trans":
             if len(parts) != 4:
                 raise ChainParseError("expected: trans <from> <to> <p>", lineno)
-            if not parts[1].isdigit() or int(parts[1]) >= m:
+            src, dst = _nat(parts[1]), _nat(parts[2])
+            if src is None or src >= m:
                 raise ChainParseError("unknown state id %r" % parts[1], lineno)
-            if not parts[2].isdigit() or int(parts[2]) >= m:
+            if dst is None or dst >= m:
                 raise ChainParseError("unknown state id %r" % parts[2], lineno)
-            src, dst = int(parts[1]), int(parts[2])
             try:
                 p = Fraction(parts[3])
             except (ValueError, ZeroDivisionError):
@@ -164,10 +175,6 @@ class SccDecomposition:
 
     def is_bottom(self, i):
         return not self.condensation[i]
-
-    def is_trivial(self, i):
-        """A single state with no self-loop."""
-        return not self.has_cycle[i]
 
     def bottom_components(self):
         return [i for i in range(len(self.components)) if self.is_bottom(i)]
@@ -238,6 +245,40 @@ def _tarjan(n, succ):
             elif s == t:
                 has_cycle[component_of[s]] = True
     return SccDecomposition(components, component_of, condensation, has_cycle)
+
+
+def dag_order(vertices, successors):
+    """Reverse topological order of the subgraph induced by `vertices`.
+
+    `successors(v)` lists the targets of v's edges; those outside
+    `vertices` are ignored.  Every vertex comes after all of its
+    successors.  Returns None when the subgraph has a cycle (a self-loop
+    counts).
+    """
+    vertices = set(vertices)
+    on_path = {}  # vertex -> True while on the DFS path, False once done
+    order = []
+    for root in sorted(vertices):
+        if root in on_path:
+            continue
+        on_path[root] = True
+        stack = [(root, iter(successors(root)))]
+        while stack:
+            v, todo = stack[-1]
+            for w in todo:
+                if w not in vertices:
+                    continue
+                if w not in on_path:
+                    on_path[w] = True
+                    stack.append((w, iter(successors(w))))
+                    break
+                if on_path[w]:
+                    return None
+            else:
+                stack.pop()
+                on_path[v] = False
+                order.append(v)
+    return order
 
 
 def reachable_states(chain, source=None):

@@ -29,6 +29,10 @@ UNKNOWN = "unknown"
 MAX_LASSO_CONSTANT = 10 ** 5
 
 
+class OracleInputError(ValueError):
+    """Malformed input to an oracle: a lasso, a sampling horizon or a CNF."""
+
+
 @dataclass(frozen=True)
 class LassoWord:
     """The ultimately periodic word stem + loop repeated forever."""
@@ -37,7 +41,7 @@ class LassoWord:
 
     def __post_init__(self):
         if not self.loop:
-            raise ValueError("lasso loop must be nonempty")
+            raise OracleInputError("lasso loop must be nonempty")
 
 
 def _not3(v):
@@ -213,7 +217,7 @@ def sample_lower_bound(chain, phi, samples, horizon, seed):
     random.Random).
     """
     if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+        raise OracleInputError("horizon must be at least 1")
     rng = random.Random(seed)
     hits = 0
     for _ in range(samples):
@@ -271,13 +275,13 @@ def gen_3sat_fixture(clauses, n_vars):
     be seen within a parametric bound.
     """
     if n_vars < 1:
-        raise ValueError("need at least one variable")
+        raise OracleInputError("need at least one variable")
     if not clauses:
-        raise ValueError("need at least one clause")
+        raise OracleInputError("need at least one clause")
     for cl in clauses:
         for lit in cl:
             if lit == 0 or abs(lit) > n_vars:
-                raise ValueError("literal %d out of range" % lit)
+                raise OracleInputError("literal %d out of range" % lit)
     half = Fraction(1, 2)
     m = 3 * n_vars + 1
     pos = lambda i: n_vars + i          # state for t_i, 1-based i
@@ -329,11 +333,11 @@ def parse_dimacs(text):
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError("bad DIMACS header %r" % line)
-            n_vars = int(parts[2])
+                raise OracleInputError("bad DIMACS header %r" % line)
+            n_vars = _dimacs_int(parts[2])
             continue
         for tok in line.split():
-            lit = int(tok)
+            lit = _dimacs_int(tok)
             if lit == 0:
                 clauses.append(current)
                 current = []
@@ -342,5 +346,12 @@ def parse_dimacs(text):
     if current:
         clauses.append(current)
     if n_vars is None:
-        raise ValueError("missing DIMACS header")
+        raise OracleInputError("missing DIMACS header")
     return clauses, n_vars
+
+
+def _dimacs_int(tok):
+    try:
+        return int(tok)
+    except ValueError:
+        raise OracleInputError("bad DIMACS number %r" % tok)

@@ -52,47 +52,16 @@ def min_val_as1(chain, name):
             continue
         region.add(s)
         frontier.extend(chain.successors(s))
-    if _has_cycle(chain, region):
+    # Longest path through the region, stepping off into a target;
+    # none when the region has a cycle.
+    order = markov.dag_order(region, chain.successors)
+    if order is None:
         return None
-    # The region is a DAG; longest path, stepping off into a target.
-    order = _topological(chain, region)
     longest = {}
-    for s in reversed(order):
-        best = 0
-        for t in chain.successors(s):
-            best = max(best, 1 if t in targets else 1 + longest[t])
-        longest[s] = best
+    for s in order:
+        longest[s] = max(1 if t in targets else 1 + longest[t]
+                         for t in chain.successors(s))
     return longest[chain.init]
-
-
-def _has_cycle(chain, region):
-    for s in region:
-        if s in chain.successors(s):
-            return True
-    scc = markov._tarjan(
-        max(region) + 1,
-        [sorted(t for t in chain.successors(s) if t in region)
-         if s in region else [] for s in range(max(region) + 1)])
-    return any(len(c) > 1 and c <= region for c in scc.components)
-
-
-def _topological(chain, region):
-    indeg = {s: 0 for s in region}
-    for s in region:
-        for t in chain.successors(s):
-            if t in region:
-                indeg[t] += 1
-    order = []
-    ready = sorted(s for s in region if indeg[s] == 0)
-    while ready:
-        s = ready.pop()
-        order.append(s)
-        for t in chain.successors(s):
-            if t in region:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    ready.append(t)
-    return order
 
 
 def _eventually_constant(chain, targets):
@@ -106,9 +75,7 @@ def _eventually_constant(chain, targets):
     region = (relevant & reachable) - set(targets)
     if chain.init not in region and chain.init not in targets:
         return True
-    if not region:
-        return True
-    return not _has_cycle(chain, region)
+    return markov.dag_order(region, chain.successors) is not None
 
 
 def min_val_geq(chain, name, p):

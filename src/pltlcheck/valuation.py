@@ -68,11 +68,14 @@ def parse_valuation(text):
         value = value.strip()
         if not sep or not name or not value:
             raise ValuationError("bad valuation entry %r" % part)
-        if not value.isdigit():
+        if not (value.isascii() and value.isdigit()):
             raise ValuationError("value of %r must be a natural number" % name)
         if name in assignment:
             raise ValuationError("variable %r assigned twice" % name)
-        assignment[name] = int(value)
+        try:
+            assignment[name] = int(value)
+        except ValueError:  # more digits than int() converts
+            raise ValuationError("value of %r is too large" % name)
     return Valuation(assignment)
 
 

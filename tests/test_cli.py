@@ -151,3 +151,62 @@ def test_emit_automaton(coin, tmp_path):
     assert code == 0
     text = path.read_text()
     assert "g-automaton" in text and "u-automaton" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "lasso-eval", "--formula", "F[<=x] a", "--valuation", "x=1",
+     "--loop", ""],
+    ["oracle", "sample", "--chain", "{coin}", "--formula", "F[<=2] a",
+     "--horizon", "0"],
+    ["check", "--chain", "{coin}", "--formula", "F[<=²] a"],
+    ["check", "--chain", "{coin}", "--formula", "F[<=%s] a" % ("9" * 5000)],
+    ["prob", "--chain", "{coin}", "--formula", "F[<=x] a",
+     "--valuation", "x=²"],
+    ["prob", "--chain", "{coin}", "--formula", "F[<=x] a",
+     "--valuation", "x=%s" % ("9" * 5000)],
+], ids=["lasso-empty-loop", "sample-horizon-0", "formula-unicode-digit",
+        "formula-huge-constant", "valuation-unicode-digit",
+        "valuation-huge-value"])
+def test_exit_parse_error_inputs(argv, coin):
+    code, out, err = _run([a.replace("{coin}", coin) for a in argv])
+    assert code == 4, err
+    assert out == "" and err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("text", [
+    "p dnf 1 1\n1 0\n",
+    "1 0\n",
+    "p cnf 1 1\n2 0\n",
+    "p cnf 1 1\n1 x 0\n",
+    "p cnf one 1\n1 0\n",
+], ids=["bad-header", "missing-header", "literal-out-of-range",
+        "non-integer-token", "non-integer-header"])
+def test_exit_parse_error_gen3sat(text, tmp_path):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(text)
+    code, out, err = _run(["oracle", "gen3sat", "--cnf", str(cnf)])
+    assert code == 4, err
+    assert out == "" and err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("text", [
+    "states ²\ninit 0\n",
+    "states 2\ninit %s\n" % ("1" * 5000),
+    "states 2\ninit 0\ntrans 0 ¹ 1\n",
+], ids=["unicode-state-count", "huge-init", "unicode-state-id"])
+def test_exit_parse_error_chain(text, tmp_path):
+    path = tmp_path / "bad.dtmc"
+    path.write_text(text)
+    code, out, err = _run(["check", "--chain", str(path),
+                           "--formula", "F[<=x] a"])
+    assert code == 4, err
+    assert out == "" and err.startswith("parse error: ")
+
+
+def test_internal_value_error_propagates(coin, monkeypatch):
+    # An engine bug is not a parse error: it must not map to exit 4.
+    def broken(chain, name):
+        raise ValueError("engine bug")
+    monkeypatch.setattr(cli.reach, "min_val_pos", broken)
+    with pytest.raises(ValueError, match="engine bug"):
+        _run(["check", "--chain", coin, "--formula", "F[<=x] a"])

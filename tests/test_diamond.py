@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_chain, random_diamond_formula, random_letters
-from pltlcheck import diamond
 from pltlcheck.diamond import DiamondChecker, ResourceLimitError, format_automaton
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import (
@@ -30,9 +29,9 @@ def test_pending_bound_discharged_early():
     c = MarkovChain(2, 0,
                     [{1: Fraction(1)}, {0: Fraction(4, 7), 1: Fraction(3, 7)}],
                     [{"a", "b"}, {"a"}])
-    phi = parse_formula("F[<=x] b")
-    assert diamond.check_pos(c, phi, {"x": 0})
-    assert diamond.check_as1(c, phi, {"x": 0})
+    ck = DiamondChecker(parse_formula("F[<=x] b"))
+    assert ck.check_pos(c, {"x": 0})
+    assert ck.check_as1(c, {"x": 0})
 
 
 def test_accepts_lasso_discharged_early():
@@ -47,45 +46,45 @@ def test_accepts_lasso_discharged_early():
 
 def test_coin_chain_queries():
     c = coin_chain()
-    phi = parse_formula("F[<=x] a")
-    assert not diamond.check_pos(c, phi, {"x": 0})
-    assert diamond.check_pos(c, phi, {"x": 1})
-    assert not diamond.check_as1(c, phi, {"x": 50})
+    ck = DiamondChecker(parse_formula("F[<=x] a"))
+    assert not ck.check_pos(c, {"x": 0})
+    assert ck.check_pos(c, {"x": 1})
+    assert not ck.check_as1(c, {"x": 50})
 
 
 def test_min_set_and_emptiness():
     c = coin_chain()
-    phi = parse_formula("F[<=x] a")
-    assert list(diamond.min_set_diamond(c, phi)) == [(1,)]
-    assert not list(diamond.min_set_diamond(c, phi, threshold="as1"))
-    assert not diamond.emptiness_pos_diamond(c, phi)
-    assert diamond.emptiness_as1_diamond(c, phi)
+    ck = DiamondChecker(parse_formula("F[<=x] a"))
+    assert list(ck.min_set(c)) == [(1,)]
+    assert not list(ck.min_set(c, threshold="as1"))
+    assert not ck.emptiness_pos(c)
+    assert ck.emptiness_as1(c)
     line = _line([set(), {"a"}])
-    assert list(diamond.min_set_diamond(line, phi, threshold="as1")) == [(1,)]
+    assert list(ck.min_set(line, threshold="as1")) == [(1,)]
 
 
 def test_emptiness_unreachable():
     one = Fraction(1)
     c = MarkovChain(2, 0, [{0: one}, {1: one}], [set(), {"b"}])
-    assert diamond.emptiness_pos_diamond(c, parse_formula("F[<=x] b"))
+    assert DiamondChecker(parse_formula("F[<=x] b")).emptiness_pos(c)
 
 
 def test_shared_variable_bound():
     # Both conjuncts read the same variable; the bound must cover the
     # later of the two targets.
     c = _line([set(), {"a"}, set(), {"b"}])
-    phi = parse_formula("F[<=x] a & F[<=x] b")
-    assert not diamond.check_pos(c, phi, {"x": 2})
-    assert diamond.check_pos(c, phi, {"x": 3})
-    assert diamond.check_as1(c, phi, {"x": 3})
+    ck = DiamondChecker(parse_formula("F[<=x] a & F[<=x] b"))
+    assert not ck.check_pos(c, {"x": 2})
+    assert ck.check_pos(c, {"x": 3})
+    assert ck.check_as1(c, {"x": 3})
 
 
 def test_nested_bounds():
     c = _line([set(), {"a"}, set(), {"b"}])
-    phi = parse_formula("F[<=x] (a & F[<=y] b)")
-    assert diamond.check_pos(c, phi, {"x": 1, "y": 2})
-    assert not diamond.check_pos(c, phi, {"x": 1, "y": 1})
-    assert not diamond.check_pos(c, phi, {"x": 0, "y": 5})
+    ck = DiamondChecker(parse_formula("F[<=x] (a & F[<=y] b)"))
+    assert ck.check_pos(c, {"x": 1, "y": 2})
+    assert not ck.check_pos(c, {"x": 1, "y": 1})
+    assert not ck.check_pos(c, {"x": 0, "y": 5})
 
 
 def test_accepts_lasso_matches_eval_lasso():

@@ -1,0 +1,71 @@
+"""Seeded property tests of the AST rewrites against the lasso evaluator.
+
+Random NNF formulas over the atoms a, b and the variables x, y are
+checked on random ultimately periodic words with `oracle.eval_lasso`,
+which evaluates the semantics directly and shares no code with the
+rewrites.  `derandomize=True` makes every run draw the same examples.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pltlcheck.formula import (
+    Always, And, Atom, BoundedAlways, BoundedEventually, ConstBound,
+    Eventually, NegAtom, Next, Or, Release, Until, VarBound, parse_formula,
+    rename_apart, rewrite_constant_bounds, strip_params, substitute, to_nnf,
+)
+from pltlcheck.oracle import LassoWord, eval_lasso
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=150)
+
+
+def _extend(sub):
+    const = st.builds(ConstBound, st.integers(0, 3))
+    bound = const | st.builds(VarBound, st.sampled_from("xy"))
+    return (st.builds(Next, sub) | st.builds(Eventually, sub)
+            | st.builds(Always, sub)
+            | st.builds(BoundedEventually, bound, sub)
+            | st.builds(BoundedAlways, const, sub)
+            | st.builds(And, sub, sub) | st.builds(Or, sub, sub)
+            | st.builds(Until, sub, sub) | st.builds(Release, sub, sub))
+
+
+LITERALS = (st.builds(Atom, st.sampled_from("ab"))
+            | st.builds(NegAtom, st.sampled_from("ab")))
+FORMULAS = st.recursive(LITERALS, _extend, max_leaves=8)
+LETTER = st.frozensets(st.sampled_from("ab"))
+WORDS = st.builds(LassoWord, st.lists(LETTER, max_size=3).map(tuple),
+                  st.lists(LETTER, min_size=1, max_size=3).map(tuple))
+VALUATIONS = st.fixed_dictionaries({"x": st.integers(0, 4),
+                                    "y": st.integers(0, 4)})
+
+
+@PROPERTY
+@given(FORMULAS)
+def test_print_parse_round_trip(phi):
+    # The printer writes a negated atom as "!a", which parses to Not(a).
+    assert to_nnf(parse_formula(str(phi))) == phi
+
+
+@PROPERTY
+@given(FORMULAS, VALUATIONS, WORDS)
+def test_constant_unfolding_keeps_truth(phi, val, word):
+    ground = substitute(phi, val)
+    assert eval_lasso(word, rewrite_constant_bounds(ground)) == \
+        eval_lasso(word, ground)
+
+
+@PROPERTY
+@given(FORMULAS, VALUATIONS, WORDS)
+def test_stripped_formula_over_approximates(phi, val, word):
+    if eval_lasso(word, substitute(phi, val)):
+        assert eval_lasso(word, strip_params(phi))
+
+
+@PROPERTY
+@given(FORMULAS, VALUATIONS)
+def test_rename_apart_agrees_with_substitute(phi, val):
+    renamed, back = rename_apart(phi)
+    expanded = {fresh: val[user] for fresh, user in back.items()}
+    assert substitute(renamed, expanded) == substitute(phi, val)

@@ -8,7 +8,8 @@ from helpers import random_chain
 from pltlcheck.fixtures import chain_text, coin_chain, coin_chain_text
 from pltlcheck.markov import (
     ChainError, ChainParseError, MarkovChain, all_pairs_distance,
-    bounded_reach_prob, distances_from, ergodicity_coefficient, parse_chain,
+    bounded_reach_prob, dag_order, distances_from, ergodicity_coefficient,
+    parse_chain,
     reachable_states, scc_decompose, states_reaching, transient_matrix,
     unbounded_reach_prob,
 )
@@ -109,3 +110,14 @@ def test_transient_matrix_and_ergodicity():
     assert ergodicity_coefficient(q) == Fraction(1, 2)
     with pytest.raises(ChainError):
         ergodicity_coefficient([])
+
+
+def test_dag_order():
+    succ = {0: [1, 2], 1: [3], 2: [3], 3: [3]}.get
+    order = dag_order({0, 1, 2}, succ)
+    # Vertex 3 lies outside, so its self-loop does not count.
+    assert sorted(order) == [0, 1, 2]
+    assert order.index(0) > order.index(1) and order.index(0) > order.index(2)
+    assert dag_order({0, 1, 2, 3}, succ) is None
+    assert dag_order({1, 2}, {1: [2], 2: [1]}.get) is None
+    assert dag_order(set(), succ) == []
