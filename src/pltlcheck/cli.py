@@ -58,7 +58,7 @@ def _build_parser():
         common(sp)
         sp.add_argument("--threshold", default=">0",
                         help='one of ">0", "=1", ">=p" (p rational)')
-        sp.add_argument("--witness", action="store_true")
+    sub.choices["check"].add_argument("--witness", action="store_true")
 
     sp = sub.add_parser("member")
     common(sp)
@@ -223,10 +223,11 @@ def _run_check(args, rep):
             if not empty:
                 rep.add("minimum", ms.valuations()[0])
     elif fragment == FragmentClass.FX and kind == "pos":
-        empty, witness_val, path = fx.emptiness_pos_fx(chain, phi)
+        empty, witness_val, path = fx.emptiness_pos_fx(
+            chain, phi, args.max_product_nodes)
         if not empty:
             rep.add("witness-valuation", Valuation(witness_val))
-            if args.witness and path is not None:
+            if args.witness:
                 rep.add("witness-path", " ".join(map(str, path)))
     else:
         checker = diamond.DiamondChecker(phi, args.max_product_nodes)

@@ -18,8 +18,8 @@ from __future__ import annotations
 from .formula import (
     And, Always, Atom, BoundedAlways, BoundedEventually, Eventually,
     FragmentError, NegAtom, Next, Not, Or, Release, Until, atoms, closure,
-    rename_apart, rewrite_constant_bounds, size, subformulas, to_nnf,
-    variables,
+    nesting_depth, rename_apart, rewrite_constant_bounds, size, subformulas,
+    to_nnf, variables,
 )
 from . import markov
 from .valuation import MinimalSet, bisection_min_set
@@ -30,6 +30,7 @@ class ResourceLimitError(Exception):
 
 
 DEFAULT_MAX_PRODUCT_NODES = 10 ** 7
+MAX_CLOSURE = 22  # atoms plus non-literal closure members
 
 
 class GAutomaton:
@@ -47,10 +48,16 @@ class GAutomaton:
                 raise FragmentError("constant always must be unfolded first")
             if isinstance(f, Not):
                 raise FragmentError("unsupported node %r" % (f,))
+        # d nested operators are d distinct closure members; checked
+        # first, so closure() never hashes a deep unfolded formula.
+        operators = nesting_depth(phi) - 1
+        if operators > MAX_CLOSURE:
+            raise ResourceLimitError("closure too large: %d nested operators"
+                                     % operators)
         subs = closure(phi)
         names = atoms(phi)
         nonlits = [f for f in subs if not isinstance(f, (Atom, NegAtom))]
-        if len(names) + len(nonlits) > 22:
+        if len(names) + len(nonlits) > MAX_CLOSURE:
             raise ResourceLimitError("closure too large: %d atoms, %d operators"
                                      % (len(names), len(nonlits)))
         self.formula = phi

@@ -11,7 +11,8 @@ Identifiers match [a-z][a-zA-Z0-9_]*; the temporal operator letters X, F, G,
 U, R are uppercase and therefore never collide with proposition names.
 
 Only upper bounds are supported as subscripts.  Parametric bounds are
-admitted on F only; a parametric bound on G is rejected at parse time.
+admitted on F only; a parametric bound on G is rejected at parse time,
+and so is nesting deeper than MAX_FORMULA_DEPTH levels.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 
 MAX_CONSTANT_BOUND = 10**6
+MAX_FORMULA_DEPTH = 200
 
 
 class FormulaError(Exception):
@@ -231,6 +233,16 @@ def size(phi):
     return len(subformulas(phi))
 
 
+def nesting_depth(phi):
+    """Nodes on the longest root-to-leaf path (1 for a literal), counted
+    level by level without recursion."""
+    depth, level = 0, [phi]
+    while level:
+        depth += 1
+        level = [c for f in level for c in children(f)]
+    return depth
+
+
 def variables(phi):
     """Parameter variable names occurring in phi, in syntactic order."""
     return list(dict.fromkeys(f.bound.name for f in subformulas(phi)
@@ -301,39 +313,49 @@ def parse_formula(text):
     """Parse concrete syntax into a Formula AST.
 
     Raises ParseError with a position on malformed input; a parametric
-    bound on G (not expressible in the supported fragment) is also a
-    parse-time error.
+    bound on G (not expressible in the supported fragment) and nesting
+    deeper than MAX_FORMULA_DEPTH are also parse-time errors.
     """
     lx = _Lexer(text)
-    phi = _parse_or(lx)
+    phi = _parse_or(lx, 0)
     kind, value, pos = lx.peek()
     if kind != "eof":
         raise ParseError("trailing input %r" % value, pos)
     return phi
 
 
-def _parse_or(lx):
-    left = _parse_and(lx)
+def _deeper(depth, pos):
+    """One nesting level down: a parenthesis, !, X, F, G, the right side
+    of U or R, or a further link of an & or | chain.  Past
+    MAX_FORMULA_DEPTH a ParseError, before any recursion overflows."""
+    if depth >= MAX_FORMULA_DEPTH:
+        raise ParseError("formula nests deeper than %d levels"
+                         % MAX_FORMULA_DEPTH, pos)
+    return depth + 1
+
+
+def _parse_or(lx, depth):
+    left = _parse_and(lx, depth)
     while lx.peek()[0] == "|":
-        lx.next()
-        left = Or(left, _parse_and(lx))
+        depth = _deeper(depth, lx.next()[2])
+        left = Or(left, _parse_and(lx, depth))
     return left
 
 
-def _parse_and(lx):
-    left = _parse_ur(lx)
+def _parse_and(lx, depth):
+    left = _parse_ur(lx, depth)
     while lx.peek()[0] == "&":
-        lx.next()
-        left = And(left, _parse_ur(lx))
+        depth = _deeper(depth, lx.next()[2])
+        left = And(left, _parse_ur(lx, depth))
     return left
 
 
-def _parse_ur(lx):
-    left = _parse_unary(lx)
-    kind, value, _ = lx.peek()
+def _parse_ur(lx, depth):
+    left = _parse_unary(lx, depth)
+    kind, value, pos = lx.peek()
     if kind == "op" and value in ("U", "R"):
         lx.next()
-        right = _parse_ur(lx)
+        right = _parse_ur(lx, _deeper(depth, pos))
         return Until(left, right) if value == "U" else Release(left, right)
     return left
 
@@ -363,26 +385,26 @@ def _parse_bound(lx, op, pos):
     return bound
 
 
-def _parse_unary(lx):
+def _parse_unary(lx, depth):
     kind, value, pos = lx.next()
     if kind == "!":
-        return Not(_parse_unary(lx))
+        return Not(_parse_unary(lx, _deeper(depth, pos)))
     if kind == "(":
-        phi = _parse_or(lx)
+        phi = _parse_or(lx, _deeper(depth, pos))
         lx.expect(")")
         return phi
     if kind == "ident":
         return Atom(value)
     if kind == "op":
         if value == "X":
-            return Next(_parse_unary(lx))
+            return Next(_parse_unary(lx, _deeper(depth, pos)))
         if value == "F":
             bound = _parse_bound(lx, "F", pos)
-            child = _parse_unary(lx)
+            child = _parse_unary(lx, _deeper(depth, pos))
             return BoundedEventually(bound, child) if bound is not None else Eventually(child)
         if value == "G":
             bound = _parse_bound(lx, "G", pos)
-            child = _parse_unary(lx)
+            child = _parse_unary(lx, _deeper(depth, pos))
             return BoundedAlways(bound, child) if bound is not None else Always(child)
         raise ParseError("operator %r needs a left operand" % value, pos)
     raise ParseError("expected a formula, found %r" % (value if value else "end of input"), pos)
@@ -579,6 +601,21 @@ def closure(phi):
     """The distinct subformulas of phi, children before their parents
     (so literals come first), in a deterministic order."""
     return list(dict.fromkeys(subformulas(phi, postorder=True)))
+
+
+def unfolded_size(phi):
+    """size(rewrite_constant_bounds(phi)), counted without unfolding."""
+    sizes = []
+    for f in subformulas(phi, postorder=True):
+        k = len(children(f))
+        below = sum(sizes[len(sizes) - k:])
+        del sizes[len(sizes) - k:]
+        if isinstance(getattr(f, "bound", None), ConstBound):
+            # c unfoldings, each an operator, a next and a child copy.
+            sizes.append(f.bound.value * (below + 2) + below)
+        else:
+            sizes.append(below + 1)
+    return sizes[0]
 
 
 def strip_params(phi):

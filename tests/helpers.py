@@ -24,12 +24,7 @@ def random_chain(rng, max_states=6, props=("a", "b"), label_p=0.4):
 
 
 def random_fx_formula(rng, props=("a", "b"), depth=3, counter=None):
-    """Random formula in the next/eventually fragment.
-
-    Bounded-eventually arguments are kept within the shapes the
-    automaton builder covers: literals, plain eventualities, or one
-    literal conjoined with eventualities.
-    """
+    """Random formula in the next/eventually fragment."""
     if counter is None:
         counter = [0]
 
@@ -37,22 +32,16 @@ def random_fx_formula(rng, props=("a", "b"), depth=3, counter=None):
         name = rng.choice(props)
         return Atom(name) if rng.random() < 0.7 else NegAtom(name)
 
-    def covered_arg(d):
-        roll = rng.random()
-        if d <= 0 or roll < 0.4:
-            return lit()
-        if roll < 0.7:
-            return Eventually(covered_arg(d - 1))
-        return And(lit(), Eventually(covered_arg(d - 1)))
-
     def build(d):
         roll = rng.random()
         if d <= 0 or roll < 0.25:
             return lit()
+        if roll < 0.35:
+            return Eventually(build(d - 1))
         if roll < 0.45:
             counter[0] += 1
             return BoundedEventually(VarBound("x%d" % counter[0]),
-                                     covered_arg(d - 1))
+                                     build(d - 1))
         if roll < 0.6:
             return Next(build(d - 1))
         if roll < 0.8:

@@ -164,13 +164,58 @@ def test_emit_automaton(coin, tmp_path):
      "--valuation", "x=²"],
     ["prob", "--chain", "{coin}", "--formula", "F[<=x] a",
      "--valuation", "x=%s" % ("9" * 5000)],
+    ["check", "--chain", "{coin}", "--formula", "(" * 3000 + "a" + ")" * 3000],
+    ["check", "--chain", "{coin}", "--formula", "!" * 3001 + "a"],
+    ["check", "--chain", "{coin}", "--formula", "X " * 3000 + "a"],
+    ["check", "--chain", "{coin}", "--formula", " U ".join(["a"] * 3000)],
+    ["check", "--chain", "{coin}", "--formula", " & ".join(["a"] * 3000)],
+    ["check", "--chain", "{coin}", "--formula", " | ".join(["a"] * 3000)],
+    ["check", "--chain", "{coin}",
+     "--formula", "(" * 200 + "F[<=x] a" + ")" * 200],
 ], ids=["lasso-empty-loop", "sample-horizon-0", "formula-unicode-digit",
         "formula-huge-constant", "valuation-unicode-digit",
-        "valuation-huge-value"])
+        "valuation-huge-value", "formula-deep-parentheses", "formula-deep-not",
+        "formula-deep-next", "formula-long-until-chain",
+        "formula-long-and-chain", "formula-long-or-chain",
+        "formula-depth-201"])
 def test_exit_parse_error_inputs(argv, coin):
     code, out, err = _run([a.replace("{coin}", coin) for a in argv])
     assert code == 4, err
     assert out == "" and err.startswith("parse error: ")
+
+
+def test_formula_at_depth_limit(coin):
+    text = "(" * 199 + "F[<=x] a" + ")" * 199
+    code, out, err = _run(["check", "--chain", coin, "--formula", text])
+    assert code == 0, err
+    assert "minimum: 1" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--formula", "F[<=x] a & X G[<=2000] a"],
+    ["minset", "--formula", "F[<=5000] a & F[<=x] a"],
+], ids=["check-unfolded-always", "minset-unfolded-eventually"])
+def test_exit_unfolded_closure_too_large(argv, coin):
+    code, out, err = _run(argv + ["--chain", coin])
+    assert code == 3, err
+    assert out == "" and err.startswith("resource limit: closure too large")
+
+
+def test_fx_constant_bound_not_unfolded(coin):
+    code, out, err = _run(["check", "--chain", coin, "--witness",
+                           "--formula", "F[<=5000] a & F[<=x] a"])
+    assert code == 0, err
+    assert "fragment: FX" in out
+    assert "witness-valuation: x=30008" in out
+    assert "witness-path: 0 1" in out
+
+
+def test_minset_has_no_witness_option(coin, capsys):
+    code, _, _ = _run(["minset", "--chain", coin, "--formula", "F[<=x] a",
+                       "--witness"])
+    assert code == 2
+    # argparse reports usage errors on the process's own stderr.
+    assert "unrecognized arguments: --witness" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [

@@ -2,10 +2,10 @@ import pytest
 
 from pltlcheck.formula import (
     Always, And, Atom, BoundedAlways, BoundedEventually, ConstBound,
-    Eventually, FragmentClass, NegAtom, Next, Or, ParseError, Release, Until,
-    VarBound, atoms, classify, closure, parse_formula, rename_apart,
-    rewrite_constant_bounds, size, strip_params, substitute, to_nnf,
-    variables,
+    Eventually, FragmentClass, MAX_FORMULA_DEPTH, NegAtom, Next, Or,
+    ParseError, Release, Until, VarBound, atoms, classify, closure,
+    nesting_depth, parse_formula, rename_apart, rewrite_constant_bounds, size,
+    strip_params, substitute, to_nnf, variables,
 )
 
 
@@ -53,6 +53,17 @@ def test_parse_errors():
     for bad in ("", "a &", "(a", "F[<=] a", "G[<=x] a", "a b", "U a"):
         with pytest.raises(ParseError):
             parse_formula(bad)
+
+
+def test_nesting_depth_and_parse_limit():
+    assert nesting_depth(parse_formula("a")) == 1
+    assert nesting_depth(parse_formula("a & X (b | F c)")) == 5
+    assert nesting_depth(parse_formula("a & b & c")) == 3
+    for text in ("X " * MAX_FORMULA_DEPTH + "a",
+                 " & ".join(["a"] * (MAX_FORMULA_DEPTH + 1))):
+        parse_formula(text)
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_formula("(" + text + ")")
 
 
 def test_roundtrip_str():

@@ -3,7 +3,8 @@
 Random NNF formulas over the atoms a, b and the variables x, y are
 checked on random ultimately periodic words with `oracle.eval_lasso`,
 which evaluates the semantics directly and shares no code with the
-rewrites.  `derandomize=True` makes every run draw the same examples.
+rewrites.  `unfolded_size` is checked against the size of the unfolded
+formula.  `derandomize=True` makes every run draw the same examples.
 """
 
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from pltlcheck.formula import (
     Always, And, Atom, BoundedAlways, BoundedEventually, ConstBound,
     Eventually, NegAtom, Next, Or, Release, Until, VarBound, parse_formula,
-    rename_apart, rewrite_constant_bounds, strip_params, substitute, to_nnf,
+    rename_apart, rewrite_constant_bounds, size, strip_params, substitute,
+    to_nnf, unfolded_size,
 )
 from pltlcheck.oracle import LassoWord, eval_lasso
 
@@ -69,3 +71,9 @@ def test_rename_apart_agrees_with_substitute(phi, val):
     renamed, back = rename_apart(phi)
     expanded = {fresh: val[user] for fresh, user in back.items()}
     assert substitute(renamed, expanded) == substitute(phi, val)
+
+
+@PROPERTY
+@given(FORMULAS)
+def test_unfolded_size_counts_the_unfolding(phi):
+    assert unfolded_size(phi) == size(rewrite_constant_bounds(phi))
