@@ -9,17 +9,28 @@ positive probability needs a reachable complete accepting SCC, and
 probability one additionally needs every bottom behavior of the chain to
 be covered by one.
 
+The tableau is built from local constraints (Gerth, Peled, Vardi and
+Wolper, 1995), in time proportional to its states and edges: one
+children-first pass over the closure per atom mask yields the states,
+and one (mask, value) constraint on closure bits per state yields its
+successors, shared between states with equal constraints.  The
+round-robin automaton derives its successors from the tableau's when a
+product asks for them, filtered by the letter the chain reads next.
+
 Products are explored lazily from the initial configurations, so only
-the reachable part is ever materialized.
+the reachable part is ever materialized.  The closure cap is checked on
+the nesting depth before constant bounds are unfolded.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .formula import (
     And, Always, Atom, BoundedAlways, BoundedEventually, Eventually,
-    FragmentError, NegAtom, Next, Not, Or, Release, Until, atoms, closure,
-    nesting_depth, rename_apart, rewrite_constant_bounds, size, subformulas,
-    to_nnf, variables,
+    FragmentError, NegAtom, Next, Not, Or, Release, Until, atoms, children,
+    closure, nesting_depth, rename_apart, rewrite_constant_bounds, size,
+    subformulas, to_nnf, unfolded_depth, variables,
 )
 from . import markov
 from .valuation import MinimalSet, bisection_min_set
@@ -34,7 +45,27 @@ MAX_CLOSURE = 22  # atoms plus non-literal closure members
 
 
 class GAutomaton:
-    """Generalized automaton over consistent closure subsets.
+    """Generalized automaton over consistent closure subsets: a tableau.
+
+    A state holds one literal per atom and the closure members true
+    there.  As in Gerth, Peled, Vardi and Wolper (1995), states and
+    edges come from local constraints; no closure subset and no pair of
+    states is ever tested.
+
+    States: for each atom mask, one children-first pass over the
+    closure.  An And or Or member is fixed by its children; an Until,
+    Release, F or F[<=x] member is forced in when its discharge holds
+    (the right side; both sides; the child) and free otherwise; X and G
+    members are always free.  Each atom mask's states are sorted by
+    their operator bits, so states are ordered by (atom mask, operator
+    mask), and `start[a]` is the first state of atom mask a (bit i for
+    `names[i]`).
+
+    Edges: a state's temporal members fix some closure bits of every
+    successor: X its child, U/R/F/G themselves unless discharged here,
+    F[<=x] itself while pending.  They may also leave no successor at
+    all.  That is one (mask, value) pair per state, and states with
+    equal pairs share one successor list.
 
     `acc_b` holds one state set per until/release-like subformula;
     `acc_p` one per parameter variable, in the formula's variable order.
@@ -50,10 +81,7 @@ class GAutomaton:
                 raise FragmentError("unsupported node %r" % (f,))
         # d nested operators are d distinct closure members; checked
         # first, so closure() never hashes a deep unfolded formula.
-        operators = nesting_depth(phi) - 1
-        if operators > MAX_CLOSURE:
-            raise ResourceLimitError("closure too large: %d nested operators"
-                                     % operators)
+        _check_depth(nesting_depth(phi))
         subs = closure(phi)
         names = atoms(phi)
         nonlits = [f for f in subs if not isinstance(f, (Atom, NegAtom))]
@@ -61,94 +89,169 @@ class GAutomaton:
             raise ResourceLimitError("closure too large: %d atoms, %d operators"
                                      % (len(names), len(nonlits)))
         self.formula = phi
-        self.states = []
+        self.names = names
+        # Operators take the low bits, in closure order, so that sorting
+        # one atom mask's states sorts them by operator mask.
+        bit = {f: 1 << i for i, f in enumerate(nonlits)}
+        lits = [f for f in subs if isinstance(f, (Atom, NegAtom))]
+        bit.update((f, 1 << (len(nonlits) + i)) for i, f in enumerate(lits))
+        rules = [(bit[f],) + _local_rule(f, bit) for f in nonlits]
+        # States are unions of these sets, whose members keep their
+        # hashes: a formula's own hash walks its whole tree.
+        singles = [(bit[f], frozenset((f,))) for f in nonlits]
+        masks, self.states, self.letters, self.start = [], [], [], []
         for amask in range(2 ** len(names)):
-            literals = set()
-            for i, a in enumerate(names):
-                literals.add(Atom(a) if amask >> i & 1 else NegAtom(a))
-            for tmask in range(2 ** len(nonlits)):
-                h = set(literals)
-                h.update(f for i, f in enumerate(nonlits) if tmask >> i & 1)
-                if _consistent(h, subs):
-                    self.states.append(frozenset(h))
-        self.letters = [frozenset(f.name for f in h if isinstance(f, Atom))
-                        for h in self.states]
-        self.initial = [i for i, h in enumerate(self.states) if phi in h]
-        self.succ = [[j for j, h2 in enumerate(self.states)
-                      if _edge_ok(h, h2, subs)]
-                     for h in self.states]
+            true = {a for i, a in enumerate(names) if amask >> i & 1}
+            literals = frozenset(Atom(a) if a in true else NegAtom(a)
+                                 for a in names)
+            found = [sum(bit[f] for f in lits
+                         if (f.name in true) == isinstance(f, Atom))]
+            for b, need, forced, free in rules:
+                if forced is all:
+                    found = [h | b if h & need == need else h for h in found]
+                elif forced is any:
+                    found = [h | b if h & need else h for h in found]
+                if free:
+                    found += [h | b for h in found if not h & b]
+            found.sort()
+            letter = frozenset(true)
+            self.start.append(len(masks))
+            for h in found:
+                masks.append(h)
+                self.states.append(literals.union(
+                    *[f for b, f in singles if h & b]))
+                self.letters.append(letter)
+        self.start.append(len(masks))
+        self.initial = [i for i, h in enumerate(masks) if h & bit[phi]]
+        # A unary operator's child is both its first and its last.
+        steps = [(type(f), bit[f], bit[children(f)[0]], bit[children(f)[-1]])
+                 for f in nonlits if not isinstance(f, (And, Or))]
+        wants = [_successor_constraint(h, steps) for h in masks]
+        # States grouped by the bits that some constraint reads; a
+        # successor list is the union of the groups that match.
+        read = 0
+        for want in wants:
+            if want is not None:
+                read |= want[0]
+        groups = {}
+        for j, h in enumerate(masks):
+            groups.setdefault(h & read, []).append(j)
+        shared = {None: []}
+        for want in wants:
+            if want not in shared:
+                mask, value = want
+                targets = shared[want] = []
+                for key, members in groups.items():
+                    if key & mask == value:
+                        targets += members
+                targets.sort()
+        self.succ = [shared[want] for want in wants]
         self.acc_b = []
         for f in subs:
-            member = None
-            if isinstance(f, Until):
-                member = lambda h, f=f: f not in h or f.right in h
-            elif isinstance(f, Eventually):
-                member = lambda h, f=f: f not in h or f.child in h
-            elif isinstance(f, Release):
-                member = lambda h, f=f: f.right not in h or f in h
-            elif isinstance(f, Always):
-                member = lambda h, f=f: f.child not in h or f in h
-            if member is not None:
-                self.acc_b.append(
-                    (f, frozenset(i for i, h in enumerate(self.states)
-                                  if member(h))))
+            if isinstance(f, (Until, Eventually)):
+                pending, done = bit[f], bit[children(f)[-1]]
+            elif isinstance(f, (Release, Always)):
+                pending, done = bit[children(f)[-1]], bit[f]
+            else:
+                continue
+            self.acc_b.append((f, _member_set(masks, pending, done)))
         by_var = {f.bound.name: f for f in subs
                   if isinstance(f, BoundedEventually)}
-        self.acc_p = []
-        for x in variables(phi):
-            f = by_var[x]
-            self.acc_p.append(
-                (x, frozenset(i for i, h in enumerate(self.states)
-                              if f not in h or f.child in h)))
+        self.acc_p = [(x, _member_set(masks, bit[by_var[x]],
+                                      bit[by_var[x].child]))
+                      for x in variables(phi)]
+
+    def atom_mask(self, letter):
+        """The atom mask of a letter, a set of atom names."""
+        return sum(1 << i for i, a in enumerate(self.names) if a in letter)
 
 
-def _consistent(h, subs):
-    for f in subs:
-        if isinstance(f, And):
-            if (f in h) != (f.left in h and f.right in h):
-                return False
-        elif isinstance(f, Or):
-            if (f in h) != (f.left in h or f.right in h):
-                return False
-        elif isinstance(f, Until):
-            if f.right in h and f not in h:
-                return False
-        elif isinstance(f, Release):
-            if f.left in h and f.right in h and f not in h:
-                return False
-        elif isinstance(f, (Eventually, BoundedEventually)):
-            if f.child in h and f not in h:
-                return False
-    return True
+def _check_depth(depth):
+    operators = depth - 1
+    if operators > MAX_CLOSURE:
+        raise ResourceLimitError("closure too large: %d nested operators"
+                                 % operators)
 
 
-def _edge_ok(h, h2, subs):
-    for f in subs:
-        if isinstance(f, Next):
-            if (f in h) != (f.child in h2):
-                return False
-        elif isinstance(f, Until):
-            if (f in h) != (f.right in h or (f.left in h and f in h2)):
-                return False
-        elif isinstance(f, Release):
-            if (f in h) != (f.right in h and (f.left in h or f in h2)):
-                return False
-        elif isinstance(f, Eventually):
-            if (f in h) != (f.child in h or f in h2):
-                return False
-        elif isinstance(f, BoundedEventually):
-            # One-directional: a pending bound keeps propagating until
-            # it is discharged, and the product counters kill any streak
-            # that outlives the bound.  A marked successor never forces
-            # a mark here, so a run may leave the obligation unmarked;
-            # such runs only ever under-approximate, which is harmless
-            # because the formula is positive in its bounds.
-            if f in h and f.child not in h and f not in h2:
-                return False
-        elif isinstance(f, Always):
-            if (f in h) != (f.child in h and f in h2):
-                return False
-    return True
+def _local_rule(f, bit):
+    """How state search decides member f from its children's bits:
+    (need, forced, free).  `forced` is `all` or `any` when f is in as
+    soon as all or any of the `need` bits are, and None when it never
+    is; `free` says whether f may also be in otherwise."""
+    if isinstance(f, (And, Or)):
+        forced = all if isinstance(f, And) else any
+        return bit[f.left] | bit[f.right], forced, False
+    if isinstance(f, Until):
+        return bit[f.right], all, True
+    if isinstance(f, Release):
+        return bit[f.left] | bit[f.right], all, True
+    if isinstance(f, (Eventually, BoundedEventually)):
+        return bit[f.child], all, True
+    return 0, None, True
+
+
+def _successor_constraint(h, steps):
+    """The (mask, value) every successor of state h shows on its closure
+    bits, or None when h has no successor.
+
+    A discharged U, R or F is in h by the state rules and asks nothing
+    of the successor.
+    """
+    mask = value = 0
+    for kind, b, left, right in steps:
+        now = bool(h & b)
+        if kind is Next:
+            target, want = right, now
+        elif kind is Until:
+            if h & right:
+                continue
+            if not h & left:
+                if now:
+                    return None
+                continue
+            target, want = b, now
+        elif kind is Release:
+            if not h & right:
+                if now:
+                    return None
+                continue
+            if h & left:
+                continue
+            target, want = b, now
+        elif kind is Eventually:
+            if h & right:
+                continue
+            target, want = b, now
+        elif kind is Always:
+            if not h & right:
+                if now:
+                    return None
+                continue
+            target, want = b, now
+        else:
+            # F[<=x] is one-directional: a pending bound keeps
+            # propagating until it is discharged, and the product
+            # counters kill any streak that outlives the bound.  A
+            # successor may carry the mark unasked; such runs only ever
+            # under-approximate, which is harmless because the formula
+            # is positive in its bounds.
+            if not now or h & right:
+                continue
+            target, want = b, True
+        if mask & target:
+            if bool(value & target) != want:
+                return None
+        else:
+            mask |= target
+            if want:
+                value |= target
+    return mask, value
+
+
+def _member_set(masks, pending, done):
+    """States where the `pending` bit is off or the `done` bit is on."""
+    return frozenset(i for i, h in enumerate(masks)
+                     if not h & pending or h & done)
 
 
 class UAutomaton:
@@ -156,7 +259,9 @@ class UAutomaton:
 
     States are (g-state, index) pairs flattened to integers; the single
     Buchi set is the first generalized set at index 1.  Parametric sets
-    ignore the index.
+    ignore the index.  Successor lists are not stored: they are derived
+    from `g.succ` when asked for, all of them by `successors(u)` or only
+    those reading one atom mask by `reading(u, amask)`.
     """
 
     def __init__(self, g):
@@ -177,18 +282,39 @@ class UAutomaton:
         self.var_names = [x for x, _ in g.acc_p]
         self.par = [[(u // k) in fx for u in range(self.n)]
                     for _, fx in g.acc_p]
-        self.succ = []
-        for u in range(self.n):
-            q, i = divmod(u, k)
-            i2 = (i + 1) % k if in_f[q][i] else i
-            self.succ.append([q2 * k + i2 for q2 in g.succ[q]])
+        # The index a run moves to when it leaves u.
+        self.index_after = [(i + 1) % k if in_f[q][i] else i
+                             for q in range(n_g) for i in range(k)]
         self.initial = [q0 * k for q0 in g.initial]
+        self._rows = {}
+
+    def successors(self, u):
+        """All successors of u, in state order."""
+        k, i2 = self.k, self.index_after[u]
+        return [q2 * k + i2 for q2 in self.g.succ[u // k]]
+
+    def reading(self, u, amask):
+        """The successors of u whose letter has atom mask `amask`.  A
+        g-state's successors are in state order, so those of one atom
+        mask form one slice."""
+        k, i2, g = self.k, self.index_after[u], self.g
+        targets = g.succ[u // k]
+        lo = bisect_left(targets, g.start[amask])
+        hi = bisect_left(targets, g.start[amask + 1], lo)
+        return [q2 * k + i2 for q2 in targets[lo:hi]]
+
+    def row(self, amask):
+        """Cache of `reading(u, amask)` indexed by u; None where unfilled."""
+        row = self._rows.get(amask)
+        if row is None:
+            row = self._rows[amask] = [None] * self.n
+        return row
 
 
 def format_automaton(aut):
     """Plain-text adjacency dump of a G- or U-automaton."""
     lines = []
-    if isinstance(aut, GAutomaton):
+    if hasattr(aut, "states"):
         lines.append("g-automaton states=%d" % len(aut.states))
         lines.append("initial %s" % " ".join(map(str, aut.initial)))
         for label, f in aut.acc_b:
@@ -206,7 +332,7 @@ def format_automaton(aut):
             lines.append("parametric %s %s" % (x, " ".join(
                 str(u) for u in range(aut.n) if members[u])))
         letters = aut.letter
-        succ = aut.succ
+        succ = map(aut.successors, range(aut.n))
     for u, targets in enumerate(succ):
         for t in targets:
             lines.append("edge %d {%s} %d" % (u, ",".join(sorted(letters[u])), t))
@@ -225,6 +351,9 @@ class DiamondChecker:
     def __init__(self, phi, max_product_nodes=DEFAULT_MAX_PRODUCT_NODES):
         nnf = to_nnf(phi)
         self.base_size = size(nnf)
+        # Counted before unfolding: a bound up to 10^6 would otherwise
+        # be unfolded in full only to exceed the closure cap.
+        _check_depth(unfolded_depth(nnf))
         renamed, self.fresh_to_user = rename_apart(rewrite_constant_bounds(nnf))
         self.user_names = variables(phi)
         self.max_product_nodes = max_product_nodes
@@ -243,22 +372,6 @@ class DiamondChecker:
                 raise FragmentError("valuation misses variable %r" % user)
             bounds.append(assign[user])
         return bounds
-
-    def _step_counters(self, u2, counters, bounds):
-        """Per-variable pending counters after entering u2, or None.
-
-        A counter is the length of the current marked-but-unsatisfied
-        streak of its bounded eventuality; a run dies the moment a
-        streak would exceed the bound.  A run's first state is entered
-        with every counter at zero.
-        """
-        nxt = []
-        for i, v in enumerate(bounds):
-            c = 0 if self.u.par[i][u2] else counters[i] + 1
-            if c > v:
-                return None
-            nxt.append(c)
-        return tuple(nxt)
 
     def _explore(self, initial, successors, what):
         """Graph reachable from `initial` as (nodes, successor index lists).
@@ -299,25 +412,44 @@ class DiamondChecker:
         positions after p and `letters[p]` is p's letter restricted to
         the formula's atoms.  Returns (nodes, succ, number of initial
         nodes); a node is (position, automaton state, counters).
+
+        A counter is the length of the current marked-but-unsatisfied
+        streak of its bounded eventuality; a run dies the moment a
+        streak would exceed the bound.  A run's first state is entered
+        with every counter at zero.
         """
-        u_succ, u_letter = self.u.succ, self.u.letter
+        u_aut = self.u
+        par = u_aut.par
+        amasks = [self.g.atom_mask(l) for l in letters]
+        # rows[p][u]: the successors of u that read p's letter.
+        rows = [u_aut.row(a) for a in amasks]
 
         def moves(p, targets, counters):
             out = []
             for u2 in targets:
-                if u_letter[u2] != letters[p]:
-                    continue
-                nxt = self._step_counters(u2, counters, bounds)
-                if nxt is not None:
-                    out.append((p, u2, nxt))
+                nxt = []
+                for marks, c, v in zip(par, counters, bounds):
+                    c = 0 if marks[u2] else c + 1
+                    if c > v:
+                        break
+                    nxt.append(c)
+                else:
+                    out.append((p, u2, tuple(nxt)))
             return out
 
-        initial = moves(start, self.u.initial, (0,) * len(bounds))
+        initial = moves(start, [u for u in u_aut.initial
+                                if u_aut.letter[u] == letters[start]],
+                        (0,) * len(bounds))
 
         def successors(node):
             p, u, counters = node
-            return [n for p2 in step(p)
-                    for n in moves(p2, u_succ[u], counters)]
+            out = []
+            for p2 in step(p):
+                targets = rows[p2][u]
+                if targets is None:
+                    targets = rows[p2][u] = u_aut.reading(u, amasks[p2])
+                out += moves(p2, targets, counters)
+            return out
 
         nodes, succ = self._explore(initial, successors, what)
         return nodes, succ, len(initial)

@@ -618,6 +618,22 @@ def unfolded_size(phi):
     return sizes[0]
 
 
+def unfolded_depth(phi):
+    """nesting_depth(rewrite_constant_bounds(phi)), counted without
+    unfolding."""
+    depths = []
+    for f in subformulas(phi, postorder=True):
+        k = len(children(f))
+        below = max(depths[len(depths) - k:], default=0)
+        del depths[len(depths) - k:]
+        if isinstance(getattr(f, "bound", None), ConstBound):
+            # Each of the c unfoldings adds an operator over a next.
+            depths.append(below + 2 * f.bound.value)
+        else:
+            depths.append(below + 1)
+    return depths[0]
+
+
 def strip_params(phi):
     """Replace every parametric bounded eventually by a plain eventually."""
     return _map(phi, lambda f: Eventually(f.child) if _has_var_bound(f) else f)

@@ -1,10 +1,14 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and brute-force references shared by the
+test modules."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from pltlcheck.formula import (
-    And, Atom, BoundedEventually, Eventually, NegAtom, Next, Or, VarBound,
+    Always, And, Atom, BoundedAlways, BoundedEventually, ConstBound,
+    Eventually, NegAtom, Next, Or, Release, Until, VarBound, atoms, children,
+    closure, variables,
 )
 from pltlcheck.markov import MarkovChain
 
@@ -79,6 +83,159 @@ def random_diamond_formula(rng, props=("a", "b"), size_budget=4, counter=None):
     return build(size_budget)
 
 
+def nnf_formulas(max_leaves):
+    """Hypothesis strategy: NNF formulas over the atoms a, b with every
+    node kind, variable bounds x, y and constant bounds 0..3."""
+    # Imported here so that modules without property tests run
+    # without hypothesis installed.
+    from hypothesis import strategies as st
+
+    def extend(sub):
+        const = st.builds(ConstBound, st.integers(0, 3))
+        bound = const | st.builds(VarBound, st.sampled_from("xy"))
+        return (st.builds(Next, sub) | st.builds(Eventually, sub)
+                | st.builds(Always, sub)
+                | st.builds(BoundedEventually, bound, sub)
+                | st.builds(BoundedAlways, const, sub)
+                | st.builds(And, sub, sub) | st.builds(Or, sub, sub)
+                | st.builds(Until, sub, sub) | st.builds(Release, sub, sub))
+
+    literals = (st.builds(Atom, st.sampled_from("ab"))
+                | st.builds(NegAtom, st.sampled_from("ab")))
+    return st.recursive(literals, extend, max_leaves=max_leaves)
+
+
+def until_chain(k):
+    """F[<=x] (a U (b U ...)) with k until operators, as text."""
+    text = "abcdefghij"[k]
+    for p in reversed("abcdefghij"[:k]):
+        text = "(%s U %s)" % (p, text)
+    return "F[<=x] " + text
+
+
 def random_letters(rng, props, length):
     return tuple(frozenset(p for p in props if rng.random() < 0.5)
                  for _ in range(length))
+
+
+def reference_tableau(phi):
+    """The G- and U-automata of a constant-free NNF formula, by brute
+    force: every closure subset is tested for consistency and every
+    ordered pair of states for an edge.
+
+    Returns two namespaces with the attributes `format_automaton` reads;
+    the U one lists its successors in `succ` and `successors(u)`.  Only
+    small closures are practical.
+    """
+    subs = closure(phi)
+    names = atoms(phi)
+    nonlits = [f for f in subs if not isinstance(f, (Atom, NegAtom))]
+    states = []
+    for amask in range(2 ** len(names)):
+        literals = {Atom(a) if amask >> i & 1 else NegAtom(a)
+                    for i, a in enumerate(names)}
+        for tmask in range(2 ** len(nonlits)):
+            h = literals | {f for i, f in enumerate(nonlits)
+                            if tmask >> i & 1}
+            if _consistent(h, subs):
+                states.append(frozenset(h))
+    # Membership as positional flags: hashing a formula walks its tree.
+    pos = {f: i for i, f in enumerate(subs)}
+    flags = [tuple(f in h for f in subs) for h in states]
+    temporal = [(type(f), pos[f]) + tuple(pos[c] for c in children(f))
+                for f in nonlits if not isinstance(f, (And, Or))]
+    g = SimpleNamespace(
+        formula=phi, states=states,
+        letters=[frozenset(f.name for f in h if isinstance(f, Atom))
+                 for h in states],
+        initial=[i for i, h in enumerate(states) if phi in h],
+        succ=[[j for j, h2 in enumerate(flags) if _edge_ok(h, h2, temporal)]
+              for h in flags],
+        acc_b=[], acc_p=[])
+    for f in subs:
+        member = None
+        if isinstance(f, Until):
+            member = lambda h, f=f: f not in h or f.right in h
+        elif isinstance(f, Eventually):
+            member = lambda h, f=f: f not in h or f.child in h
+        elif isinstance(f, Release):
+            member = lambda h, f=f: f.right not in h or f in h
+        elif isinstance(f, Always):
+            member = lambda h, f=f: f.child not in h or f in h
+        if member is not None:
+            g.acc_b.append((f, frozenset(i for i, h in enumerate(states)
+                                         if member(h))))
+    by_var = {f.bound.name: f for f in subs
+              if isinstance(f, BoundedEventually)}
+    for x in variables(phi):
+        f = by_var[x]
+        g.acc_p.append((x, frozenset(i for i, h in enumerate(states)
+                                     if f not in h or f.child in h)))
+    return g, _reference_round_robin(g)
+
+
+def _consistent(h, subs):
+    for f in subs:
+        if isinstance(f, And):
+            if (f in h) != (f.left in h and f.right in h):
+                return False
+        elif isinstance(f, Or):
+            if (f in h) != (f.left in h or f.right in h):
+                return False
+        elif isinstance(f, Until):
+            if f.right in h and f not in h:
+                return False
+        elif isinstance(f, Release):
+            if f.left in h and f.right in h and f not in h:
+                return False
+        elif isinstance(f, (Eventually, BoundedEventually)):
+            if f.child in h and f not in h:
+                return False
+    return True
+
+
+def _edge_ok(h, h2, temporal):
+    """May a run step from state h to h2?  Both are positional flags;
+    `temporal` lists (kind, own position, child positions)."""
+    for kind, i, c, *r in temporal:
+        now, later = h[i], h2[i]
+        if kind is Next:
+            if now != h2[c]:
+                return False
+        elif kind is Until:
+            if now != (h[r[0]] or (h[c] and later)):
+                return False
+        elif kind is Release:
+            if now != (h[r[0]] and (h[c] or later)):
+                return False
+        elif kind is Eventually:
+            if now != (h[c] or later):
+                return False
+        elif kind is BoundedEventually:
+            # One-directional: a pending bound must stay marked until
+            # it is discharged.
+            if now and not h[c] and not later:
+                return False
+        elif kind is Always:
+            if now != (h[c] and later):
+                return False
+    return True
+
+
+def _reference_round_robin(g):
+    k = max(1, len(g.acc_b))
+    n_g = len(g.states)
+    n = n_g * k
+    sets = [f for _, f in g.acc_b] or [frozenset(range(n_g))]
+    succ = []
+    for u in range(n):
+        q, i = divmod(u, k)
+        i2 = (i + 1) % k if q in sets[i] else i
+        succ.append([q2 * k + i2 for q2 in g.succ[q]])
+    return SimpleNamespace(
+        n=n, k=k, initial=[q0 * k for q0 in g.initial],
+        letter=[g.letters[u // k] for u in range(n)],
+        is_buchi=[u % k == 0 and u // k in sets[0] for u in range(n)],
+        var_names=[x for x, _ in g.acc_p],
+        par=[[u // k in f for u in range(n)] for _, f in g.acc_p],
+        succ=succ, successors=succ.__getitem__)

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from helpers import until_chain
 from pltlcheck import cli
 
 COIN = "states 2\ninit 0\ntrans 0 0 1/2\ntrans 0 1 1/2\ntrans 1 1 1\nlabel 1 a\n"
@@ -194,11 +195,24 @@ def test_formula_at_depth_limit(coin):
 @pytest.mark.parametrize("argv", [
     ["check", "--formula", "F[<=x] a & X G[<=2000] a"],
     ["minset", "--formula", "F[<=5000] a & F[<=x] a"],
-], ids=["check-unfolded-always", "minset-unfolded-eventually"])
+    # The cap is checked before the bound is unfolded, so this exits at
+    # once instead of building two million nodes first.
+    ["minset", "--formula", "F[<=1000000] a & F[<=x] a"],
+], ids=["check-unfolded-always", "minset-unfolded-eventually",
+        "minset-unfolded-million"])
 def test_exit_unfolded_closure_too_large(argv, coin):
     code, out, err = _run(argv + ["--chain", coin])
     assert code == 3, err
     assert out == "" and err.startswith("resource limit: closure too large")
+
+
+def test_nine_untils_reach_the_node_cap(coin):
+    # 6144 automaton states and 6.8 million edges: the build finishes
+    # and the product stops on the cap.
+    code, out, err = _run(["check", "--chain", coin, "--formula",
+                           until_chain(9), "--max-product-nodes", "1000"])
+    assert code == 3, err
+    assert err.startswith("resource limit: product exceeds 1000 nodes")
 
 
 def test_fx_constant_bound_not_unfolded(coin):

@@ -2,12 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_chain, random_diamond_formula, random_letters
+from helpers import (
+    nnf_formulas, random_chain, random_diamond_formula, random_letters,
+    reference_tableau, until_chain,
+)
+from pltlcheck import diamond
 from pltlcheck.diamond import DiamondChecker, ResourceLimitError, format_automaton
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import (
-    parse_formula, size, strip_params, substitute, to_nnf, variables,
+    closure, parse_formula, size, strip_params, substitute, to_nnf, variables,
 )
 from pltlcheck.markov import MarkovChain
 from pltlcheck.oracle import (
@@ -189,3 +195,44 @@ def test_stats_accumulate():
     ck.check_pos(c, {"x": 2})
     assert ck.stats["queries"] == 2
     assert ck.stats["product_nodes"] > 0
+
+
+def _assert_matches_reference(ck):
+    g, u = reference_tableau(ck.g.formula)
+    for attr in ("states", "letters", "initial", "succ", "acc_b", "acc_p"):
+        assert getattr(ck.g, attr) == getattr(g, attr), attr
+    assert ck.u.n == u.n
+    assert [ck.u.successors(x) for x in range(ck.u.n)] == u.succ
+    assert format_automaton(ck.g) == format_automaton(g)
+    assert format_automaton(ck.u) == format_automaton(u)
+    letters = sorted(set(g.letters), key=ck.g.atom_mask)
+    if len(letters) * u.n <= 20000:
+        for x in range(u.n):
+            for letter in letters:
+                assert ck.u.reading(x, ck.g.atom_mask(letter)) == \
+                    [y for y in u.succ[x] if u.letter[y] == letter]
+
+
+@pytest.mark.parametrize("text", [
+    "G F[<=x] a & G F[<=y] b & G F[<=z] c & F[<=w] (a & X b)",
+] + [until_chain(k) for k in range(2, 7)])
+def test_tableau_matches_brute_force(text):
+    _assert_matches_reference(DiamondChecker(parse_formula(text)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(nnf_formulas(max_leaves=4))
+def test_tableau_matches_brute_force_on_random_formulas(phi):
+    ck = DiamondChecker(phi)
+    assume(len(closure(ck.g.formula)) <= 10)
+    _assert_matches_reference(ck)
+
+
+def test_closure_cap_checked_before_unfolding(monkeypatch):
+    # Unfolded, the bound would be 2 * 10^6 operators deep; the depth is
+    # counted without unfolding it.
+    def unfold(phi):
+        raise AssertionError("constant bound unfolded before the cap")
+    monkeypatch.setattr(diamond, "rewrite_constant_bounds", unfold)
+    with pytest.raises(ResourceLimitError, match="2000001 nested"):
+        DiamondChecker(parse_formula("F[<=1000000] a & F[<=x] a"))

@@ -3,18 +3,18 @@
 Random NNF formulas over the atoms a, b and the variables x, y are
 checked on random ultimately periodic words with `oracle.eval_lasso`,
 which evaluates the semantics directly and shares no code with the
-rewrites.  `unfolded_size` is checked against the size of the unfolded
-formula.  `derandomize=True` makes every run draw the same examples.
+rewrites.  `unfolded_size` and `unfolded_depth` are checked against the
+size and the nesting depth of the unfolded formula.  `derandomize=True`
+makes every run draw the same examples.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import nnf_formulas
 from pltlcheck.formula import (
-    Always, And, Atom, BoundedAlways, BoundedEventually, ConstBound,
-    Eventually, NegAtom, Next, Or, Release, Until, VarBound, parse_formula,
-    rename_apart, rewrite_constant_bounds, size, strip_params, substitute,
-    to_nnf, unfolded_size,
+    nesting_depth, parse_formula, rename_apart, rewrite_constant_bounds,
+    size, strip_params, substitute, to_nnf, unfolded_depth, unfolded_size,
 )
 from pltlcheck.oracle import LassoWord, eval_lasso
 
@@ -22,20 +22,7 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
 
 
-def _extend(sub):
-    const = st.builds(ConstBound, st.integers(0, 3))
-    bound = const | st.builds(VarBound, st.sampled_from("xy"))
-    return (st.builds(Next, sub) | st.builds(Eventually, sub)
-            | st.builds(Always, sub)
-            | st.builds(BoundedEventually, bound, sub)
-            | st.builds(BoundedAlways, const, sub)
-            | st.builds(And, sub, sub) | st.builds(Or, sub, sub)
-            | st.builds(Until, sub, sub) | st.builds(Release, sub, sub))
-
-
-LITERALS = (st.builds(Atom, st.sampled_from("ab"))
-            | st.builds(NegAtom, st.sampled_from("ab")))
-FORMULAS = st.recursive(LITERALS, _extend, max_leaves=8)
+FORMULAS = nnf_formulas(max_leaves=8)
 LETTER = st.frozensets(st.sampled_from("ab"))
 WORDS = st.builds(LassoWord, st.lists(LETTER, max_size=3).map(tuple),
                   st.lists(LETTER, min_size=1, max_size=3).map(tuple))
@@ -77,3 +64,9 @@ def test_rename_apart_agrees_with_substitute(phi, val):
 @given(FORMULAS)
 def test_unfolded_size_counts_the_unfolding(phi):
     assert unfolded_size(phi) == size(rewrite_constant_bounds(phi))
+
+
+@PROPERTY
+@given(FORMULAS)
+def test_unfolded_depth_counts_the_unfolding(phi):
+    assert unfolded_depth(phi) == nesting_depth(rewrite_constant_bounds(phi))
