@@ -238,6 +238,8 @@ def _run_check(args, rep):
         if not empty:
             rep.add("witness-valuation", Valuation(checker.witness(chain)))
         rep.add("product-nodes", checker.stats["product_nodes"])
+        if checker.shortcut:
+            rep.add("shortcut", checker.shortcut)
     _maybe_emit(args, checker)
     rep.add("verdict", "empty" if empty else "nonempty")
     rep.set_result(["empty" if empty else "nonempty"])

@@ -20,6 +20,14 @@ product asks for them, filtered by the letter the chain reads next.
 Products are explored lazily from the initial configurations, so only
 the reachable part is ever materialized.  The closure cap is checked on
 the nesting depth before constant bounds are unfolded.
+
+Emptiness is decided in two steps.  Parametric bounds occur only in
+F[<=x] of the NNF formula, which is monotone in them, so phi[v] implies
+`strip_params(phi)` for every valuation v (Kupferman, Piterman and
+Vardi, 2009).  A product with no counters first asks the stripped
+formula: probability zero proves V>0 empty, and probability below one
+proves V=1 empty.  Only when that does not decide does the product at
+the uniform witness bound run.  Both steps are exact.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .formula import (
     And, Always, Atom, BoundedAlways, BoundedEventually, Eventually,
     FragmentError, NegAtom, Next, Not, Or, Release, Until, atoms, children,
     closure, nesting_depth, rename_apart, rewrite_constant_bounds, size,
-    subformulas, to_nnf, unfolded_depth, variables,
+    strip_params, subformulas, to_nnf, unfolded_depth, variables,
 )
 from . import markov
 from .valuation import MinimalSet, bisection_min_set
@@ -346,6 +354,9 @@ class DiamondChecker:
     the chain lazily.  Valuations are given over the formula's original
     variable names; repeated names are renamed apart internally and the
     shared bound is applied to every occurrence.
+
+    `shortcut` names the step that decided the last emptiness query
+    before the witness-bound product ("counter-free"), or is None.
     """
 
     def __init__(self, phi, max_product_nodes=DEFAULT_MAX_PRODUCT_NODES):
@@ -356,11 +367,13 @@ class DiamondChecker:
         _check_depth(unfolded_depth(nnf))
         renamed, self.fresh_to_user = rename_apart(rewrite_constant_bounds(nnf))
         self.user_names = variables(phi)
+        self.nnf = nnf
         self.max_product_nodes = max_product_nodes
         self.g = GAutomaton(renamed)
         self.u = UAutomaton(self.g)
         self.atoms = frozenset(atoms(renamed))
         self.stats = {"product_nodes": 0, "queries": 0}
+        self.shortcut = None
 
     def _bounds(self, valuation):
         assign = valuation.assignment if hasattr(valuation, "assignment") \
@@ -570,13 +583,44 @@ class DiamondChecker:
         is nonempty iff it contains this point."""
         return {x: self.vbar(chain) for x in self.user_names}
 
+    def _counter_free_empty(self, chain, threshold):
+        """Does the stripped formula prove V>0 (or V=1) empty?
+
+        phi[v] implies `strip_params(phi)`, so a stripped formula that
+        fails `check_pos` (or `check_as1`) fails it at every valuation.
+        False when the formula has no parameter (stripping changes
+        nothing) or when the counter-free product passes the node cap;
+        the witness-bound query then decides.  Its product nodes are
+        counted in `stats`.
+        """
+        self.shortcut = None
+        if not self.user_names:
+            return False
+        free = DiamondChecker(strip_params(self.nnf), self.max_product_nodes)
+        check = free.check_pos if threshold == "pos" else free.check_as1
+        try:
+            empty = not check(chain, {})
+        except ResourceLimitError:
+            empty = False
+        finally:
+            self.stats["product_nodes"] += free.stats["product_nodes"]
+        if empty:
+            self.shortcut = "counter-free"
+        return empty
+
     def emptiness_pos(self, chain):
-        """True iff V>0 is empty, decided at the uniform witness bound."""
-        return not self.check_pos(chain, self.witness(chain))
+        """True iff V>0 is empty: decided by the counter-free product when
+        the stripped formula has probability zero, and otherwise at the
+        uniform witness bound."""
+        return (self._counter_free_empty(chain, "pos")
+                or not self.check_pos(chain, self.witness(chain)))
 
     def emptiness_as1(self, chain):
-        """True iff V=1 is empty, decided at the uniform witness bound."""
-        return not self.check_as1(chain, self.witness(chain))
+        """True iff V=1 is empty: decided by the counter-free product when
+        the stripped formula is not almost sure, and otherwise at the
+        uniform witness bound."""
+        return (self._counter_free_empty(chain, "as1")
+                or not self.check_as1(chain, self.witness(chain)))
 
     def min_set(self, chain, threshold="pos", bound=None):
         """Minimal valuations of V>0 (or V=1) as an antichain.

@@ -209,10 +209,21 @@ def test_exit_unfolded_closure_too_large(argv, coin):
 def test_nine_untils_reach_the_node_cap(coin):
     # 6144 automaton states and 6.8 million edges: the build finishes
     # and the product stops on the cap.
-    code, out, err = _run(["check", "--chain", coin, "--formula",
-                           until_chain(9), "--max-product-nodes", "1000"])
+    code, out, err = _run(["member", "--chain", coin, "--formula",
+                           until_chain(9), "--valuation", "x=1000",
+                           "--max-product-nodes", "1000"])
     assert code == 3, err
     assert err.startswith("resource limit: product exceeds 1000 nodes")
+
+
+def test_nine_untils_check_is_empty(coin):
+    # No state of the coin chain is labelled j, so the innermost until
+    # never holds: the product without counters proves emptiness before
+    # the witness bound of 9,437,184.
+    code, out, err = _run(["check", "--chain", coin, "--formula",
+                           until_chain(9), "--max-product-nodes", "1000"])
+    assert code == 0, err
+    assert "shortcut: counter-free\nverdict: empty\n" in out
 
 
 def test_fx_constant_bound_not_unfolded(coin):

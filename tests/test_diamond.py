@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    nnf_formulas, random_chain, random_diamond_formula, random_letters,
-    reference_tableau, until_chain,
+    nnf_formulas, random_chain, random_diamond_formula, random_fx_formula,
+    random_letters, reference_tableau, until_chain,
 )
 from pltlcheck import diamond
 from pltlcheck.diamond import DiamondChecker, ResourceLimitError, format_automaton
@@ -17,7 +17,8 @@ from pltlcheck.formula import (
 )
 from pltlcheck.markov import MarkovChain
 from pltlcheck.oracle import (
-    CERTAIN_FALSE, LassoWord, eval_lasso, eval_prefix, sample_lower_bound,
+    CERTAIN_FALSE, LassoWord, eval_lasso, eval_prefix, gen_3sat_fixture,
+    sample_lower_bound,
 )
 
 
@@ -236,3 +237,70 @@ def test_closure_cap_checked_before_unfolding(monkeypatch):
     monkeypatch.setattr(diamond, "rewrite_constant_bounds", unfold)
     with pytest.raises(ResourceLimitError, match="2000001 nested"):
         DiamondChecker(parse_formula("F[<=1000000] a & F[<=x] a"))
+
+
+def test_counter_free_step_decides_gf3():
+    # b never holds on the coin chain: G F b, and so the formula at
+    # every valuation, has probability zero.
+    ck = DiamondChecker(parse_formula("G F[<=x] a & G F[<=y] b & G F[<=z] !a"))
+    assert ck.emptiness_pos(coin_chain())
+    assert ck.shortcut == "counter-free"
+    assert ck.stats["queries"] == 0
+
+
+def test_counter_free_step_decides_unsat_fixture_as1():
+    chain, phi = gen_3sat_fixture([[1], [-1]], 1)
+    ck = DiamondChecker(phi)
+    assert ck.emptiness_as1(chain)
+    assert ck.shortcut == "counter-free"
+    assert ck.stats["queries"] == 0
+    assert ck.stats["product_nodes"] < 100
+
+
+def test_counter_free_step_falls_through():
+    c = coin_chain()
+    ck = DiamondChecker(parse_formula("F[<=x] a"))
+    assert not ck.emptiness_pos(c)
+    assert ck.shortcut is None and ck.stats["queries"] == 1
+    # F a holds almost surely, F[<=x] a at no valuation: the witness
+    # bound decides.
+    assert ck.emptiness_as1(c)
+    assert ck.shortcut is None and ck.stats["queries"] == 2
+    # Without parameters there is nothing to strip.
+    ck = DiamondChecker(parse_formula("G F b"))
+    assert ck.emptiness_pos(c)
+    assert ck.shortcut is None and ck.stats["queries"] == 1
+
+
+def test_counter_free_step_over_the_node_cap_falls_through():
+    # The stripped formula has one more Buchi set to cycle through, so
+    # its product (6 nodes) is larger than the witness product (3).
+    one = Fraction(1)
+    c = MarkovChain(2, 0, [{1: one}, {0: one}], [{"a", "b"}, {"a", "c"}])
+    ck = DiamondChecker(parse_formula("G (F[<=x] a & F b)"), max_product_nodes=4)
+    assert not ck.emptiness_pos(c)
+    assert ck.shortcut is None and ck.stats["product_nodes"] == 3
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_counter_free_step_agrees_with_witness_bound(seed, fx):
+    rng = random.Random(seed)
+    if fx:
+        phi = random_fx_formula(rng, depth=2)
+    else:
+        phi = random_diamond_formula(rng, size_budget=5)
+    # Without parameters the step is skipped.
+    assume(size(phi) <= 5 and variables(phi))
+    c = random_chain(rng, max_states=4)
+    # Two or three counters at the witness bound can take seconds; such
+    # examples are dropped at the cap.
+    ck = DiamondChecker(phi, max_product_nodes=5000)
+    witness = ck.witness(c)
+    try:
+        pos = ck.emptiness_pos(c), not ck.check_pos(c, witness)
+        as1 = ck.emptiness_as1(c), not ck.check_as1(c, witness)
+    except ResourceLimitError:
+        assume(False)
+    assert pos[0] == pos[1], (phi, c.rows)
+    assert as1[0] == as1[1], (phi, c.rows)
