@@ -4,8 +4,9 @@ For "G F[<=x] a" the analysis is purely graph-theoretic: per-BSCC
 longest a-free runs decide which bottom components can satisfy the
 formula, and a minimax path search over the a-states gives the minimal
 positive-probability valuation.  Conjunctions over several propositions
-(generalized queries) reduce to per-component checks plus a bisection
-search with the general product-automaton checker as oracle.
+(generalized queries) reduce to per-component checks; their minimal
+positive-probability valuations come from the general product-automaton
+checker's valuation search (`DiamondChecker.min_set`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import heapq
 import math
 
 from . import markov
-from .valuation import MinimalSet, bisection_min_set
+from .valuation import MinimalSet
 
 
 def gap_of_bscc(chain, component, name):
@@ -148,19 +149,17 @@ def emptiness_pos_genbuchi(chain, names):
     return True
 
 
-def min_set_pos_genbuchi(chain, conjuncts, oracle, names):
+def min_set_pos_genbuchi(chain, conjuncts, checker):
     """Minimal valuations of V>0 for a conjunction of G F[<=xi] ai.
 
-    `conjuncts` lists (variable, proposition) pairs; `names` the distinct
-    variables in the order the oracle expects its point tuple.  Bounds
-    live in {0, ..., m * d} per variable.
+    `conjuncts` lists (variable, proposition) pairs; `checker` is the
+    general engine's DiamondChecker for the conjunction.  Emptiness is
+    decided on the graph first; otherwise the checker searches
+    {0, ..., m * d}^k, with d the number of conjuncts.
     """
     if emptiness_pos_genbuchi(chain, [a for _, a in conjuncts]):
-        return MinimalSet(names)
-    bound = chain.m * len(conjuncts)
-    lo = (0,) * len(names)
-    hi = (bound,) * len(names)
-    return bisection_min_set(oracle, lo, hi, names)
+        return MinimalSet(checker.user_names)
+    return checker.min_set(chain, "pos", chain.m * len(conjuncts))
 
 
 def min_set_as1_genbuchi(chain, conjuncts, names):

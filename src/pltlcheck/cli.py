@@ -259,11 +259,8 @@ def _run_minset(args, rep):
     else:
         checker = diamond.DiamondChecker(phi, args.max_product_nodes)
         if fragment == FragmentClass.GENERALIZED_BUCHI:
-            def point_oracle(point):
-                return checker.check_pos(chain, dict(zip(names, point)))
-
             ms = buchi.min_set_pos_genbuchi(chain, genbuchi_pairs(phi),
-                                            point_oracle, names)
+                                            checker)
         elif fragment == FragmentClass.FX:
             ms = fx.min_set_fx(chain, phi, kind, checker)
         else:

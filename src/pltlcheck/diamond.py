@@ -41,7 +41,7 @@ from .formula import (
     strip_params, subformulas, to_nnf, unfolded_depth, variables,
 )
 from . import markov
-from .valuation import MinimalSet, bisection_min_set
+from .valuation import bisection_min_set
 
 
 class ResourceLimitError(Exception):
@@ -626,15 +626,16 @@ class DiamondChecker:
         """Minimal valuations of V>0 (or V=1) as an antichain.
 
         The search box is {0..N}^d with N the witness bound, shrinkable
-        through `bound` when a tighter enclosure is known.
+        through `bound` when a tighter enclosure is known.  The search
+        asks each valuation at most once and the box top first, so
+        `stats["queries"]` counts the distinct valuations asked, and a
+        false top ends the search after one query.
         """
         check = self.check_pos if threshold == "pos" else self.check_as1
         names = self.user_names
         if not names:
             raise FragmentError("formula has no parameter variables")
         n = self.vbar(chain) if bound is None else bound
-        if not check(chain, {x: n for x in names}):
-            return MinimalSet(names)
 
         def oracle(point):
             return check(chain, dict(zip(names, point)))

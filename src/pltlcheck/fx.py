@@ -5,8 +5,9 @@ satisfies the parameter-free formula, and then v(x) = m * |phi| (constant
 bounds unfolded) is a witness.  Emptiness is a breadth-first search over
 (chain state, pending obligations) pairs, stepped by formula progression
 (Bacchus and Kabanza, 2000); constant bounds count down inside the
-obligations instead of being unfolded.  Almost-sure emptiness and the
-minimal valuations use the general product checker at the same bound.
+obligations instead of being unfolded.  Almost-sure emptiness uses the
+general product checker at the same bound, and the minimal valuations
+come from its valuation search over {0..m*|phi|}^d.
 """
 
 from __future__ import annotations
@@ -120,10 +121,10 @@ def emptiness_as1_fx(chain, phi, checker=None):
 
 
 def min_set_fx(chain, phi, threshold="pos", checker=None):
-    """Minimal valuations over {0..m*|phi|}^d via bisection.
+    """Minimal valuations over {0..m*|phi|}^d.
 
-    The membership oracle is the general product checker; one automaton
-    is shared across all queries.
+    `DiamondChecker.min_set` searches that box with the general product
+    checker as membership oracle; one automaton serves every query.
     """
     if checker is None:
         checker = diamond.DiamondChecker(phi)

@@ -1,10 +1,11 @@
-"""Valuations, boxes, minimal antichains and the bisection search.
+"""Valuations, boxes, minimal antichains and the search for them.
 
 A valuation assigns a natural number to every parameter variable of a
 formula.  The satisfying valuations of a monotone query form an upward
 closed set, so it is fully described by its finitely many minimal
-elements.  `bisection_min_set` computes that antichain with a memoized
-oracle and a divide-and-conquer sweep over the search box.
+elements.  `bisection_min_set` computes that antichain inside a search
+box by joint generation of minimal true and maximal false points; its
+name is kept from the bisection search it replaced.
 """
 
 from __future__ import annotations
@@ -96,15 +97,6 @@ def iter_box(lo, hi):
         point[i] += 1
 
 
-def box_volume(lo, hi):
-    vol = 1
-    for l, h in zip(lo, hi):
-        if l > h:
-            return 0
-        vol *= h - l + 1
-    return vol
-
-
 class MinimalSet:
     """Antichain of pointwise-minimal tuples, kept in lexicographic order.
 
@@ -171,89 +163,71 @@ class MinimalSet:
         return "MinimalSet(%r, %r)" % (self.names, self.points)
 
 
-class _MaxFalseSet:
-    """Antichain of maximal known-false points of a monotone predicate.
-
-    Monotonicity makes every point below a false point false too, so
-    this is the mirror image of MinimalSet; it is kept by negating the
-    coordinates and reusing the minimal-antichain logic.
-    """
-
-    def __init__(self, dim):
-        self.inner = MinimalSet(("",) * dim)
-
-    def insert(self, point):
-        self.inner.insert(tuple(-c for c in point))
-
-    def covered(self, point):
-        return self.inner.member(tuple(-c for c in point))
 
 
-class _MemoOracle:
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.cache = {}
-        self.calls = 0
-
-    def __call__(self, point):
-        if point not in self.cache:
-            self.calls += 1
-            self.cache[point] = bool(self.oracle(point))
-        return self.cache[point]
-
-
-_BRUTE_FORCE_VOLUME = 64
+def _leq(p, q):
+    return all(a <= b for a, b in zip(p, q))
 
 
 def bisection_min_set(oracle, lo, hi, names):
     """Minimal elements of a monotone upward-closed set within [lo, hi].
 
     `oracle(point)` must be monotone: once true it stays true on every
-    pointwise larger argument.  The result is a MinimalSet over `names`;
-    oracle calls are memoized across the whole search.
+    pointwise larger argument.  The result is a MinimalSet over `names`.
+
+    Joint generation of minimal true and maximal false points (Fredman
+    and Khachiyan, 1996; Gunopulos, Khardon, Mannila and Toivonen, 1997).
+    The holes are the maximal points of the box above no found point.
+    Starting from `hi`, the unanswered hole with the smallest coordinate
+    sum is asked first, since larger bounds cost the oracle more.  A
+    false hole is a maximal false point.  A true hole is lowered one
+    coordinate at a time, by a galloping search up from `lo` and then a
+    binary search, to a new minimal point, and every hole above that
+    point is split just below it.  The search ends when every hole is
+    false.  No point is asked twice, nor one below a known false point.
     """
     lo = tuple(lo)
     hi = tuple(hi)
     if len(lo) != len(hi) or len(lo) != len(names):
         raise ValuationError("box dimensions disagree")
-    memo = _MemoOracle(oracle)
     found = MinimalSet(names)
-    refuted = _MaxFalseSet(len(lo))
-    _bisect_box(memo, lo, hi, found, refuted)
-    return found
-
-
-def _bisect_box(oracle, lo, hi, found, refuted):
     if any(l > h for l, h in zip(lo, hi)):
-        return
-    # Everything in this box is dominated by a known minimal point.
-    if found.member(lo):
-        return
-    # Everything in this box lies below a known false point.
-    if refuted.covered(hi):
-        return
-    if box_volume(lo, hi) <= _BRUTE_FORCE_VOLUME:
-        for point in iter_box(lo, hi):
-            if found.member(point) or refuted.covered(point):
-                continue
-            if oracle(point):
-                found.insert(point)
-            else:
-                refuted.insert(point)
-        return
-    mid = tuple((l + h) // 2 for l, h in zip(lo, hi))
-    mid_true = oracle(mid)
-    if mid_true:
-        found.insert(mid)
-    else:
-        refuted.insert(mid)
-    d = len(lo)
-    # Sub-boxes are indexed by which coordinates take the upper half.
-    for mask in range(2 ** d):
-        if mid_true and mask == 2 ** d - 1:
-            continue  # dominated by mid
-        if not mid_true and mask == 0:
-            continue  # below mid, all false by monotonicity
-        sub_lo = tuple(mid[i] + 1 if mask >> i & 1 else lo[i] for i in range(d))
-        sub_hi = tuple(hi[i] if mask >> i & 1 else mid[i] for i in range(d))
-        _bisect_box(oracle, sub_lo, sub_hi, found, refuted)
+        return found
+    memo = {}
+
+    def ask(point):
+        if point not in memo:
+            memo[point] = (not any(not v and _leq(point, q)
+                                   for q, v in memo.items())
+                           and bool(oracle(point)))
+        return memo[point]
+
+    holes = [hi]
+    while True:
+        # A hole in the memo is false: true answers all lie above found points.
+        open_holes = [h for h in holes if h not in memo]
+        if not open_holes:
+            return found
+        hole = min(open_holes, key=lambda h: (sum(h), h))
+        if not ask(hole):
+            continue
+        point = list(hole)
+        # Least true value per coordinate: steps of 1, 2, 4, ... up from
+        # lo until a true answer, then halving between false and true.
+        for i in range(len(point)):
+            no, yes, step = lo[i] - 1, point[i], 1
+            while yes - no > 1:
+                point[i] = no + step if 0 < step < yes - no else (no + yes) // 2
+                if ask(tuple(point)):
+                    yes, step = point[i], 0
+                else:
+                    no, step = point[i], 2 * step
+            point[i] = yes
+        low = tuple(point)
+        found.insert(low)
+        cut = {h[:i] + (c - 1,) + h[i + 1:]
+               for h in holes if _leq(low, h)
+               for i, c in enumerate(low) if c > lo[i]}
+        holes = [h for h in holes if not _leq(low, h)] + list(cut)
+        holes = [h for h in holes
+                 if not any(h != g and _leq(h, g) for g in holes)]

@@ -124,10 +124,12 @@ def test_genbuchi_min_set_pos():
     c = _ring([{"a"}, set(), {"b"}])
     phi = to_nnf(parse_formula("G F[<=x] a & G F[<=y] b"))
     ck = DiamondChecker(phi)
-
-    def oracle(point):
-        return ck.check_pos(c, dict(zip(("x", "y"), point)))
-
-    ms = buchi.min_set_pos_genbuchi(c, [("x", "a"), ("y", "b")], oracle,
-                                    ("x", "y"))
-    assert list(ms) == [(2, 2)]
+    ms = buchi.min_set_pos_genbuchi(c, [("x", "a"), ("y", "b")], ck)
+    assert list(ms) == [(2, 2)] and ms.names == ("x", "y")
+    assert ck.stats["queries"] > 0
+    # No BSCC sees b: the graph check decides without a product query.
+    c = _ring([{"a"}, set(), set()])
+    ck = DiamondChecker(phi)
+    ms = buchi.min_set_pos_genbuchi(c, [("x", "a"), ("y", "b")], ck)
+    assert len(ms) == 0 and ms.names == ("x", "y")
+    assert ck.stats["queries"] == 0

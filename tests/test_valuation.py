@@ -1,10 +1,13 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pltlcheck.valuation import (
-    MinimalSet, Valuation, ValuationError, bisection_min_set, box_volume,
-    iter_box, parse_valuation,
+    MinimalSet, Valuation, ValuationError, bisection_min_set, iter_box,
+    parse_valuation,
 )
 
 
@@ -34,8 +37,6 @@ def test_iter_box_lex_order():
     pts = list(iter_box((0, 0), (1, 2)))
     assert pts == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     assert list(iter_box((2,), (1,))) == []
-    assert box_volume((0, 0), (1, 2)) == 6
-    assert box_volume((3,), (2,)) == 0
 
 
 def test_minimal_set_insert_and_member():
@@ -91,3 +92,68 @@ def test_bisection_empty_and_everything():
     assert len(got) == 0
     got = bisection_min_set(lambda p: True, (0, 0), (9, 9), ("x", "y"))
     assert list(got) == [(0, 0)]
+
+
+def _up_closure(generators):
+    """Monotone predicate: is the point above one of the generators?"""
+    def member(p):
+        return any(all(a <= b for a, b in zip(g, p)) for g in generators)
+    return member
+
+
+def _counted(predicate, lo, hi):
+    """`predicate` as an oracle that checks its argument lies in [lo, hi]
+    and records every point it is asked."""
+    asked = []
+
+    def oracle(p):
+        assert all(l <= a <= h for l, a, h in zip(lo, p, hi)), (p, lo, hi)
+        asked.append(p)
+        return predicate(p)
+    return oracle, asked
+
+
+@st.composite
+def _monotone_queries(draw):
+    """(lo, hi, generators): a box, possibly empty or away from the origin,
+    and a union of 0-5 up-sets."""
+    d = draw(st.integers(1, 4))
+    lo = tuple(draw(st.integers(0, 3)) for _ in range(d))
+    hi = tuple(l + draw(st.integers(-1, 7 - d)) for l in lo)
+    generators = draw(st.lists(st.tuples(*[st.integers(0, 9)] * d),
+                               max_size=5))
+    return lo, hi, generators
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_monotone_queries())
+def test_search_matches_brute_force_and_asks_each_point_once(query):
+    lo, hi, generators = query
+    member = _up_closure(generators)
+    oracle, asked = _counted(member, lo, hi)
+    names = tuple("x%d" % i for i in range(len(lo)))
+    got = bisection_min_set(oracle, lo, hi, names)
+    assert list(got) == _reference_min_set(member, lo, hi)
+    assert len(asked) == len(set(asked))
+
+
+def test_search_calls_on_traffic_front():
+    # The antichain of the traffic r/b query in its witness box.
+    front = [(2, 10), (3, 9), (4, 8), (5, 7)]
+    hi = (315, 315)
+    oracle, asked = _counted(_up_closure(front), (0, 0), hi)
+    got = bisection_min_set(oracle, (0, 0), hi, ("x", "y"))
+    assert list(got) == front
+    assert len(asked) <= 60
+
+
+def test_search_calls_on_small_front_in_large_box():
+    # Small minimal values in W1's witness box {0..504}^3.
+    front = [(2, 9, 11), (3, 7, 12), (4, 8, 10), (5, 6, 9), (6, 10, 8)]
+    hi = (504, 504, 504)
+    oracle, asked = _counted(_up_closure(front), (0, 0, 0), hi)
+    start = time.perf_counter()
+    got = bisection_min_set(oracle, (0, 0, 0), hi, ("x", "y", "z"))
+    assert time.perf_counter() - start < 1.0
+    assert list(got) == sorted(front)
+    assert len(asked) <= 150
