@@ -13,6 +13,7 @@ Exit codes: 0 decided, 2 usage error, 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import decimal
 import sys
 from fractions import Fraction
 
@@ -130,6 +131,16 @@ def _parse_letters(text):
         return ()
     return tuple(frozenset(a for a in pos.split(",") if a)
                  for pos in text.split(";"))
+
+
+def _fraction_text(q):
+    """str(q) in full.  str() of an int refuses more than 4300 digits;
+    decimal converts without that limit and changes no interpreter
+    setting."""
+    num = str(decimal.Decimal(q.numerator))
+    if q.denominator == 1:
+        return num
+    return "%s/%s" % (num, decimal.Decimal(q.denominator))
 
 
 class Report:
@@ -318,10 +329,11 @@ def _run_prob(args, rep):
     from .markov import bounded_reach_prob
     prop = phi.child.name
     value = bounded_reach_prob(chain, chain.states_with(prop), val[name])
+    text = _fraction_text(value)
     rep.add("fragment", fragment)
     rep.add("valuation", val)
-    rep.add("probability", value)
-    rep.set_result([str(value)])
+    rep.add("probability", text)
+    rep.set_result([text])
 
 
 def _run_oracle_sample(args, rep):

@@ -1,9 +1,12 @@
 """Finite discrete-time Markov chains with exact rational arithmetic.
 
 Provides the chain data model, a line-oriented text parser, SCC/BSCC
-decomposition, graph distances, and reachability probabilities (bounded
-and unbounded) computed over `fractions.Fraction` so that qualitative
-comparisons (= 1, > 0, >= p) are exact.
+decomposition, graph distances, and exact reachability probabilities.
+Bounded ones step integer vectors against P scaled by the lcm D of its
+denominators, so Pr(reach within n) = y_n / D**n with no gcd per step;
+unbounded ones solve a sparse linear system by elimination on dict rows
+with Markowitz pivoting.  Every probability returned is a
+`fractions.Fraction`, so comparisons (= 1, > 0, >= p) are exact.
 """
 
 from __future__ import annotations
@@ -49,12 +52,14 @@ class MarkovChain:
                     raise ChainError("state %d: successor %d out of range" % (s, t))
                 p = Fraction(p)
                 if p < 0 or p > 1:
-                    raise ChainError("state %d: probability %s out of [0,1]" % (s, p))
+                    raise ChainError("state %d: probability %s out of [0,1]"
+                                     % (s, _brief(p)))
                 if p > 0:
                     clean[t] = p
-            if sum(clean.values(), Fraction(0)) != 1:
+            total = sum(clean.values(), Fraction(0))
+            if total != 1:
                 raise ChainError("state %d: row sums to %s, not 1"
-                                 % (s, sum(clean.values(), Fraction(0))))
+                                 % (s, _brief(total)))
             self.rows.append(clean)
         self.labels = [frozenset(l) for l in labels]
 
@@ -85,11 +90,53 @@ def _nat(text):
         return None
 
 
+# The most digits an exponent literal may add to a probability: the cap
+# CPython puts on the digits of an int read from text.  A literal such
+# as 1e-100000000 would otherwise build a hundred-million-digit int.
+_MAX_EXPONENT = 4300
+
+
+def _probability(text, lineno):
+    """The Fraction spelled by a probability literal of a trans line."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        huge = bool(e) and abs(int(exponent)) > _MAX_EXPONENT
+        value = None if huge else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ChainParseError("bad probability %s" % _quote(text), lineno)
+    if huge:
+        raise ChainParseError("probability exponent beyond %d in %s"
+                              % (_MAX_EXPONENT, _quote(text)), lineno)
+    return value
+
+
+def _quote(text, limit=40):
+    """repr(text), cut to about `limit` characters for a message."""
+    if len(text) > limit:
+        return repr(text[:limit]) + "..."
+    return repr(text)
+
+
+def _brief(q):
+    """The Fraction q as message text: exact when short, else to six
+    significant digits."""
+    if q.numerator.bit_length() + q.denominator.bit_length() <= 200:
+        return str(q)
+    # Imported here: only a malformed chain needs it, and every run of
+    # the program imports this module.
+    import decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 6
+        return "about %s" % (decimal.Decimal(q.numerator)
+                             / decimal.Decimal(q.denominator))
+
+
 def parse_chain(text):
     """Parse the .dtmc text format into a MarkovChain.
 
     Lines: `states <m>`, `init <id>`, `label <id> <name>...`,
-    `trans <from> <to> <p>` with <p> a "num/den" or decimal literal.
+    `trans <from> <to> <p>` with <p> a "num/den" or decimal literal;
+    a decimal may carry an exponent of at most 4300, as in 1e-3.
     '#' starts a comment.
     """
     m = None
@@ -130,26 +177,27 @@ def parse_chain(text):
                 raise ChainParseError("expected: label <id> <name>...", lineno)
             s = _nat(parts[1])
             if s is None or s >= m:
-                raise ChainParseError("unknown state id %r" % parts[1], lineno)
+                raise ChainParseError("unknown state id %s"
+                                      % _quote(parts[1]), lineno)
             labels[s].update(parts[2:])
         elif kind == "trans":
             if len(parts) != 4:
                 raise ChainParseError("expected: trans <from> <to> <p>", lineno)
             src, dst = _nat(parts[1]), _nat(parts[2])
             if src is None or src >= m:
-                raise ChainParseError("unknown state id %r" % parts[1], lineno)
+                raise ChainParseError("unknown state id %s"
+                                      % _quote(parts[1]), lineno)
             if dst is None or dst >= m:
-                raise ChainParseError("unknown state id %r" % parts[2], lineno)
-            try:
-                p = Fraction(parts[3])
-            except (ValueError, ZeroDivisionError):
-                raise ChainParseError("bad probability %r" % parts[3], lineno)
+                raise ChainParseError("unknown state id %s"
+                                      % _quote(parts[2]), lineno)
+            p = _probability(parts[3], lineno)
             if dst in rows[src]:
                 raise ChainParseError("duplicate transition %d -> %d" % (src, dst),
                                       lineno)
             rows[src][dst] = p
         else:
-            raise ChainParseError("unknown directive %r" % kind, lineno)
+            raise ChainParseError("unknown directive %s" % _quote(kind),
+                                  lineno)
     if m is None:
         raise ChainParseError("missing states declaration")
     if not seen_init:
@@ -281,14 +329,19 @@ def dag_order(vertices, successors):
     return order
 
 
-def reachable_states(chain, source=None):
-    """Forward-reachable set from `source` (default: the initial state)."""
+def reachable_states(chain, source=None, avoid=()):
+    """Forward-reachable set from `source` (default: the initial state).
+
+    Paths stop at states in `avoid`: those are reached but not left.
+    """
     if source is None:
         source = chain.init
     seen = {source}
     frontier = [source]
     while frontier:
         s = frontier.pop()
+        if s in avoid:
+            continue
         for t in chain.successors(s):
             if t not in seen:
                 seen.add(t)
@@ -334,74 +387,129 @@ def all_pairs_distance(chain):
     return [distances_from(chain, s) for s in range(chain.m)]
 
 
+def reach_steps(chain, targets, source=None):
+    """The bounded-reachability values for n = 0, 1, 2, ..., on integers.
+
+    Yields (y, d) with d = D**n, where D is the lcm of the denominators
+    in the rows stepped: Pr_s(reach `targets` within n steps) is
+    y[s] / d.  Stepping multiplies and adds integers only, so no step
+    normalises a fraction.  Without a `source` every state is stepped.
+    With one, only the states that `source` reaches before a target
+    are, since its probability depends on them alone; y is 0 at the
+    other non-target states.  Each y is a new list, never changed.
+    """
+    targets = set(targets)
+    if source is None:
+        free = [s for s in range(chain.m) if s not in targets]
+    else:
+        free = sorted(reachable_states(chain, source, targets) - targets)
+    scale = math.lcm(*(p.denominator for s in free
+                       for p in chain.rows[s].values()))
+    rows = [(s, [(t, p.numerator * (scale // p.denominator))
+                 for t, p in chain.rows[s].items()]) for s in free]
+    y = [1 if s in targets else 0 for s in range(chain.m)]
+    d = 1
+    while True:
+        yield y, d
+        d *= scale
+        nxt = [0] * chain.m
+        for t in targets:
+            nxt[t] = d
+        for s, row in rows:
+            nxt[s] = sum([w * y[t] for t, w in row])
+        y = nxt
+
+
 def bounded_reach_vector(chain, targets, n):
     """Per-state probabilities of reaching `targets` within n steps."""
-    targets = set(targets)
-    x = [Fraction(1) if s in targets else Fraction(0) for s in range(chain.m)]
-    for _ in range(n):
-        x = [Fraction(1) if s in targets
-             else sum((p * x[t] for t, p in chain.rows[s].items()), Fraction(0))
-             for s in range(chain.m)]
-    return x
+    y, d = _nth(reach_steps(chain, targets), n)
+    return [Fraction(v, d) for v in y]
+
 
 def bounded_reach_prob(chain, targets, n):
     """Exact mu_n = Pr(reach `targets` within n steps) from the initial state."""
     if n < 0:
         raise ChainError("step bound must be a natural number")
-    return bounded_reach_vector(chain, targets, n)[chain.init]
+    y, d = _nth(reach_steps(chain, targets, chain.init), n)
+    return Fraction(y[chain.init], d)
+
+
+def _nth(steps, n):
+    for _ in range(n):
+        next(steps)
+    return next(steps)
 
 
 def unbounded_reach_vector(chain, targets):
     """Per-state probabilities of eventually reaching `targets`.
 
-    States that cannot reach the target get 0; for the rest a linear
-    system is solved by exact Gaussian elimination.
+    States that cannot reach the target get 0; for the rest the sparse
+    system x_s - sum_t P(s,t) x_t = P(s, targets) is solved exactly.
     """
     targets = set(targets)
-    relevant = states_reaching(chain, targets)
-    unknowns = sorted(s for s in relevant if s not in targets)
-    col = {s: i for i, s in enumerate(unknowns)}
-    k = len(unknowns)
-    # Row for s: x_s - sum P(s,t) x_t = sum_{t in targets} P(s,t)
-    #            + 0 for unreachable successors.
-    matrix = []
-    for s in unknowns:
-        row = [Fraction(0)] * (k + 1)
-        row[col[s]] = Fraction(1)
+    unknowns = states_reaching(chain, targets) - targets
+    rows, rhs = {}, {}
+    for s in sorted(unknowns):
+        row = {s: Fraction(1)}
+        b = Fraction(0)
         for t, p in chain.rows[s].items():
             if t in targets:
-                row[k] += p
-            elif t in col:
-                row[col[t]] -= p
-        matrix.append(row)
-    solution = _solve(matrix, k)
+                b += p
+            elif t in unknowns:
+                row[t] = row.get(t, 0) - p
+        rows[s], rhs[s] = row, b
     result = [Fraction(0)] * chain.m
     for s in targets:
         result[s] = Fraction(1)
-    for s, i in col.items():
-        result[s] = solution[i]
+    for s, v in _solve(rows, rhs).items():
+        result[s] = v
     return result
+
 
 def unbounded_reach_prob(chain, targets):
     return unbounded_reach_vector(chain, targets)[chain.init]
 
 
-def _solve(matrix, k):
-    """Gaussian elimination with partial (first nonzero) pivoting.
+def _solve(rows, rhs):
+    """Solve sum_c rows[v][c] x_c = rhs[v] for every unknown v, exactly.
 
-    The reachability system is always uniquely solvable once 0-states are
-    removed, so a missing pivot is an internal error.
+    `rows` maps each unknown to its sparse row, which holds its own
+    diagonal entry.  Each step eliminates the unknown whose row and
+    column have the fewest other entries (Markowitz, 1957), pivoting on
+    the diagonal.  A reachability system with its 0-states removed is
+    a nonsingular M-matrix, and so is every Schur complement of it, so
+    no diagonal pivot vanishes.  Both arguments are consumed.
     """
-    for i in range(k):
-        pivot = next(r for r in range(i, k) if matrix[r][i] != 0)
-        matrix[i], matrix[pivot] = matrix[pivot], matrix[i]
-        inv = 1 / matrix[i][i]
-        matrix[i] = [v * inv for v in matrix[i]]
-        for r in range(k):
-            if r != i and matrix[r][i] != 0:
-                f = matrix[r][i]
-                matrix[r] = [a - f * b for a, b in zip(matrix[r], matrix[i])]
-    return [matrix[i][k] for i in range(k)]
+    cols = {v: set() for v in rows}
+    for v, row in rows.items():
+        for c in row:
+            cols[c].add(v)
+    eliminated = []
+    while rows:
+        v = min(rows, key=lambda u: (len(rows[u]) - 1) * (len(cols[u]) - 1))
+        row = rows.pop(v)
+        inv = 1 / row.pop(v)
+        row = {c: a * inv for c, a in row.items()}
+        b = rhs.pop(v) * inv
+        for c in row:
+            cols[c].discard(v)
+        for r in cols.pop(v) - {v}:
+            other = rows[r]
+            f = other.pop(v)
+            for c, a in row.items():
+                value = other.get(c, 0) - f * a
+                if value:
+                    other[c] = value
+                    cols[c].add(r)
+                else:
+                    other.pop(c, None)
+                    cols[c].discard(r)
+            rhs[r] -= f * b
+        eliminated.append((v, row, b))
+    x = {}
+    for v, row, b in reversed(eliminated):
+        x[v] = b - sum((a * x[c] for c, a in row.items()), Fraction(0))
+    return x
 
 
 def transient_matrix(chain, targets):

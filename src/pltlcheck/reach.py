@@ -44,14 +44,7 @@ def min_val_as1(chain, name):
     if chain.init in targets:
         return 0
     # Non-target states reachable without first entering a target.
-    region = set()
-    frontier = [chain.init]
-    while frontier:
-        s = frontier.pop()
-        if s in region or s in targets:
-            continue
-        region.add(s)
-        frontier.extend(chain.successors(s))
+    region = markov.reachable_states(chain, chain.init, targets) - targets
     # Longest path through the region, stepping off into a target;
     # none when the region has a cycle.
     order = markov.dag_order(region, chain.successors)
@@ -95,14 +88,11 @@ def min_val_geq(chain, name, p):
         return None
     if mu_inf == p and not _eventually_constant(chain, targets):
         return None
-    x = [Fraction(1) if s in targets else Fraction(0) for s in range(chain.m)]
-    n = 0
-    while x[chain.init] < p:
-        x = [Fraction(1) if s in targets
-             else sum((q * x[t] for t, q in chain.rows[s].items()), Fraction(0))
-             for s in range(chain.m)]
-        n += 1
-    return n
+    # mu_n = y[init] / d, so mu_n >= p compares two integers.
+    for n, (y, d) in enumerate(markov.reach_steps(chain, targets,
+                                                  chain.init)):
+        if y[chain.init] * p.denominator >= p.numerator * d:
+            return n
 
 
 def emptiness_geq(chain, name, p):

@@ -239,3 +239,84 @@ def _reference_round_robin(g):
         var_names=[x for x, _ in g.acc_p],
         par=[[u // k in f for u in range(n)] for _, f in g.acc_p],
         succ=succ, successors=succ.__getitem__)
+
+
+def reference_reach_steps(chain, targets):
+    """Yields Pr_s(reach `targets` within n steps) for n = 0, 1, 2, ...,
+    by the Fraction recurrence x_s = 1 on targets, sum_t P(s,t) x_t
+    elsewhere."""
+    targets = set(targets)
+    x = [Fraction(1) if s in targets else Fraction(0) for s in range(chain.m)]
+    while True:
+        yield x
+        x = [Fraction(1) if s in targets
+             else sum((p * x[t] for t, p in chain.rows[s].items()), Fraction(0))
+             for s in range(chain.m)]
+
+
+def reference_bounded_reach_vector(chain, targets, n):
+    for i, x in enumerate(reference_reach_steps(chain, targets)):
+        if i == n:
+            return x
+
+
+def reference_unbounded_reach_vector(chain, targets):
+    """Pr_s(eventually reach `targets`) by dense Gauss-Jordan elimination
+    over the states that reach the target."""
+    targets = set(targets)
+    reaching = set(targets)
+    changed = True
+    while changed:
+        changed = False
+        for s in range(chain.m):
+            if s not in reaching and any(t in reaching
+                                         for t in chain.rows[s]):
+                reaching.add(s)
+                changed = True
+    unknowns = sorted(reaching - targets)
+    col = {s: i for i, s in enumerate(unknowns)}
+    k = len(unknowns)
+    matrix = []
+    for s in unknowns:
+        row = [Fraction(0)] * (k + 1)
+        row[col[s]] = Fraction(1)
+        for t, p in chain.rows[s].items():
+            if t in targets:
+                row[k] += p
+            elif t in col:
+                row[col[t]] -= p
+        matrix.append(row)
+    for i in range(k):
+        pivot = next(r for r in range(i, k) if matrix[r][i] != 0)
+        matrix[i], matrix[pivot] = matrix[pivot], matrix[i]
+        inv = 1 / matrix[i][i]
+        matrix[i] = [v * inv for v in matrix[i]]
+        for r in range(k):
+            if r != i and matrix[r][i] != 0:
+                f = matrix[r][i]
+                matrix[r] = [a - f * b for a, b in zip(matrix[r], matrix[i])]
+    result = [Fraction(0)] * chain.m
+    for s in targets:
+        result[s] = Fraction(1)
+    for s, i in col.items():
+        result[s] = matrix[i][k]
+    return result
+
+
+def reference_min_val_geq(chain, name, p):
+    """Least n with Pr(F[<=n] name) >= p, or None, for 0 < p < 1.
+
+    Empty when the limit is below p, or equals p without being reached.
+    The limit is reached only when no reachable cycle of non-target
+    states can still reach the target; the paths into the target are
+    then acyclic, so mu_m = mu_infinity for m states."""
+    targets = chain.states_with(name)
+    mu_inf = reference_unbounded_reach_vector(chain, targets)[chain.init]
+    if mu_inf < p:
+        return None
+    if (mu_inf == p and reference_bounded_reach_vector(
+            chain, targets, chain.m)[chain.init] < p):
+        return None
+    for n, x in enumerate(reference_reach_steps(chain, targets)):
+        if x[chain.init] >= p:
+            return n

@@ -1,0 +1,92 @@
+"""Seeded fuzz of the .dtmc reader through the command line.
+
+Valid chain texts are mutated: lines dropped or duplicated, tokens
+swapped, probabilities respelled as num/den, decimal or exponent
+literals (some of them huge).  Each result runs as `prob` and as
+`check --threshold ">=1/2"`; every run must end in a documented exit
+code, never in an exception.  `derandomize=True` makes every run draw
+the same examples.
+"""
+
+import io
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_chain
+from pltlcheck import cli
+from pltlcheck.fixtures import chain_text
+from pltlcheck.markov import parse_chain
+
+EXIT_CODES = {0, 2, 3, 4, 5}
+
+BASES = [chain_text(random_chain(random.Random(seed), max_states=5,
+                                 props=("a",)))
+         for seed in range(8)]
+
+# Respellings of a probability, exact or not.
+SPELLINGS = st.one_of(
+    st.fractions(0, 1, max_denominator=12).map(str),
+    st.fractions(0, 1, max_denominator=12).map(
+        lambda q: "%se-%d" % (q.numerator * 10 ** 3 // q.denominator, 3)),
+    st.sampled_from(["0.5", ".25", "0.75", "1.0", "5e-1", "2.5E-1", "1e0",
+                     "1/0", "-1/2", "3/2", "0", "1e", "e", "nan", "inf",
+                     "1/2/3"]),
+    # Exact values too long to print or too large to build.
+    st.sampled_from(["1e-4000", "1e-5000", "1e-100000000", "1e100000000",
+                     "1/" + "3" * 4000]))
+
+
+@st.composite
+def mutated_chains(draw):
+    lines = draw(st.sampled_from(BASES)).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "respell"]))
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            a, b = lines[i].split(), lines[j].split()
+            if a and b:
+                k = draw(st.integers(0, len(a) - 1))
+                m = draw(st.integers(0, len(b) - 1))
+                if i == j:
+                    b = a
+                a[k], b[m] = b[m], a[k]
+                lines[i], lines[j] = " ".join(a), " ".join(b)
+        else:
+            tokens = lines[i].split()
+            if tokens and tokens[0] == "trans" and len(tokens) == 4:
+                tokens[3] = draw(SPELLINGS)
+                lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def chain_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "chain.dtmc"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(text=mutated_chains(), x=st.integers(0, 50))
+def test_mutated_chain_texts_exit_cleanly(chain_file, text, x):
+    chain_file.write_text(text)
+    for argv in (["prob", "--valuation", "x=%d" % x],
+                 ["check", "--threshold", ">=1/2"]):
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(argv + ["--chain", str(chain_file),
+                               "--formula", "F[<=x] a"], out=out, err=err)
+        assert code in EXIT_CODES, err.getvalue()
+
+
+def test_base_texts_are_valid_chains():
+    # The mutations start from chains that parse, one with an a-state.
+    chains = [parse_chain(text) for text in BASES]
+    assert any(c.states_with("a") for c in chains)

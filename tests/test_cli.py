@@ -1,4 +1,8 @@
 import io
+import sys
+import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -263,14 +267,56 @@ def test_exit_parse_error_gen3sat(text, tmp_path):
     "states ²\ninit 0\n",
     "states 2\ninit %s\n" % ("1" * 5000),
     "states 2\ninit 0\ntrans 0 ¹ 1\n",
-], ids=["unicode-state-count", "huge-init", "unicode-state-id"])
+    # The row sum has a 5001-digit denominator.
+    "states 1\ninit 0\ntrans 0 0 1e-5000\n",
+    # Read exactly, this would be a hundred-million-digit int.
+    "states 1\ninit 0\ntrans 0 0 1e-100000000\n",
+    "states 1\ninit 0\ntrans 0 0 1e-4000\n",
+    "states 1\ninit 0\ntrans 0 0 %s\n" % ("7" * 5000),
+    "states 1\ninit 0\ntrans %s 0 1\n" % ("7" * 5000),
+], ids=["unicode-state-count", "huge-init", "unicode-state-id",
+        "exponent-5000", "exponent-100000000", "long-row-sum",
+        "long-probability", "long-state-id"])
 def test_exit_parse_error_chain(text, tmp_path):
     path = tmp_path / "bad.dtmc"
     path.write_text(text)
+    start = time.perf_counter()
     code, out, err = _run(["check", "--chain", str(path),
                            "--formula", "F[<=x] a"])
     assert code == 4, err
     assert out == "" and err.startswith("parse error: ")
+    assert len(err) < 120 and time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("literals", [
+    ("1/2", "1/2"), ("0.25", "0.75"), (".5", "5e-1"), ("25E-2", "0.75"),
+])
+def test_probability_literals(literals, tmp_path):
+    path = tmp_path / "coin.dtmc"
+    path.write_text("states 2\ninit 0\ntrans 0 0 %s\ntrans 0 1 %s\n"
+                    "trans 1 1 1\nlabel 1 a\n" % literals)
+    code, out, err = _run(["prob", "--chain", str(path),
+                           "--formula", "F[<=x] a", "--valuation", "x=1"])
+    assert code == 0, err
+    assert "probability: %s\n" % (1 - Fraction(literals[0])) in out
+
+
+def test_prob_answer_beyond_int_digit_limit(tmp_path):
+    # The answer's numerator and denominator have 4772 digits each, more
+    # than str() converts; the limit must stay in force afterwards.
+    path = tmp_path / "thirds.dtmc"
+    path.write_text("states 2\ninit 0\ntrans 0 0 2/3\ntrans 0 1 1/3\n"
+                    "trans 1 1 1\nlabel 1 a\n")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = _run(["prob", "--chain", str(path), "--formula",
+                           "F[<=x] a", "--valuation", "x=10000",
+                           "--format", "machine"])
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    num, den = out.split("BEGIN-RESULT\n")[1].split("\n")[0].split("/")
+    # Decimal reads and int() converts a Decimal without the limit.
+    value = Fraction(int(Decimal(num)), int(Decimal(den)))
+    assert value == 1 - Fraction(2, 3) ** 10000
 
 
 def test_internal_value_error_propagates(coin, monkeypatch):

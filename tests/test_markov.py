@@ -3,15 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_chain
+from helpers import (
+    random_chain, reference_bounded_reach_vector, reference_min_val_geq,
+    reference_unbounded_reach_vector,
+)
+from pltlcheck import reach
 from pltlcheck.fixtures import chain_text, coin_chain, coin_chain_text
 from pltlcheck.markov import (
     ChainError, ChainParseError, MarkovChain, all_pairs_distance,
-    bounded_reach_prob, dag_order, distances_from, ergodicity_coefficient,
-    parse_chain,
-    reachable_states, scc_decompose, states_reaching, transient_matrix,
-    unbounded_reach_prob,
+    bounded_reach_prob, bounded_reach_vector, dag_order, distances_from,
+    ergodicity_coefficient, parse_chain, reachable_states, scc_decompose,
+    states_reaching, transient_matrix, unbounded_reach_prob,
+    unbounded_reach_vector,
 )
 
 
@@ -121,3 +127,65 @@ def test_dag_order():
     assert dag_order({0, 1, 2, 3}, succ) is None
     assert dag_order({1, 2}, {1: [2], 2: [1]}.get) is None
     assert dag_order(set(), succ) == []
+
+
+# Each row of a drawn chain has its own odd prime denominator, so the
+# denominators are pairwise coprime and none is a power of two: the
+# integer stepper's scale D is their product.
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@st.composite
+def coprime_chains(draw):
+    """Chains of 1-9 states; the states labelled a are the target set."""
+    m = draw(st.integers(1, 9))
+    primes = draw(st.permutations(ODD_PRIMES))
+    rows = []
+    for q in primes[:m]:
+        succ = draw(st.lists(st.integers(0, m - 1), min_size=1,
+                             max_size=min(3, m), unique=True))
+        cuts = sorted(draw(st.lists(st.integers(1, q - 1),
+                                    min_size=len(succ) - 1,
+                                    max_size=len(succ) - 1, unique=True)))
+        weights = [b - a for a, b in zip([0] + cuts, cuts + [q])]
+        rows.append({t: Fraction(w, q) for t, w in zip(succ, weights)})
+    targets = draw(st.sets(st.integers(0, m - 1)))
+    labels = [{"a"} if s in targets else set() for s in range(m)]
+    return MarkovChain(m, draw(st.integers(0, m - 1)), rows, labels)
+
+
+# A threshold is a fixed rational, or "limit"/"step" for mu_infinity or
+# mu_n of the drawn chain when that lies strictly between 0 and 1: the
+# cases where mu_n >= p holds with equality.
+THRESHOLDS = st.sampled_from(["limit", "step", Fraction(1, 2),
+                              Fraction(1, 3), Fraction(3, 4),
+                              Fraction(9, 10)])
+
+THIRDS = [{0: Fraction(2, 3), 1: Fraction(1, 3)}, {1: Fraction(1)}]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(coprime_chains(), st.integers(0, 40), THRESHOLDS)
+# No target state.
+@example(MarkovChain(2, 0, THIRDS, [set(), set()]), 7, "limit")
+# The initial state is a target.
+@example(MarkovChain(2, 1, THIRDS, [set(), {"a"}]), 0, Fraction(1, 2))
+# State 2 is unreachable from the initial state 0.
+@example(MarkovChain(3, 0, THIRDS + [{0: Fraction(3, 5), 2: Fraction(2, 5)}],
+                     [set(), {"a"}, set()]), 40, "step")
+def test_numerics_match_fraction_references(chain, n, threshold):
+    targets = chain.states_with("a")
+    bounded = bounded_reach_vector(chain, targets, n)
+    assert bounded == reference_bounded_reach_vector(chain, targets, n)
+    mu_n = bounded_reach_prob(chain, targets, n)
+    assert mu_n == bounded[chain.init]
+    unbounded = unbounded_reach_vector(chain, targets)
+    assert unbounded == reference_unbounded_reach_vector(chain, targets)
+    assert all(type(v) is Fraction for v in bounded + unbounded + [mu_n])
+    if threshold in ("limit", "step"):
+        vector = unbounded if threshold == "limit" else bounded
+        threshold = vector[chain.init]
+        if not 0 < threshold < 1:
+            return
+    assert (reach.min_val_geq(chain, "a", threshold)
+            == reference_min_val_geq(chain, "a", threshold))
