@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import sys
 from fractions import Fraction
 
@@ -37,13 +38,18 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and then reused: building
+    it costs milliseconds, as much as a small query.  Each command's
+    `handler` default is the function that runs it."""
     p = argparse.ArgumentParser(
         prog="pltlcheck",
         description="Parametric LTL model checking for finite Markov chains")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, chain=True):
+    def common(sp, handler, chain=True):
+        sp.set_defaults(handler=handler)
         if chain:
             sp.add_argument("--chain", required=True, help=".dtmc file")
         sp.add_argument("--formula", help="formula text")
@@ -54,40 +60,41 @@ def _build_parser():
                         default=diamond.DEFAULT_MAX_PRODUCT_NODES)
         sp.add_argument("--emit-automaton", metavar="PATH")
 
-    for name in ("check", "minset"):
+    for name, handler in (("check", _run_check), ("minset", _run_minset)):
         sp = sub.add_parser(name)
-        common(sp)
+        common(sp, handler)
         sp.add_argument("--threshold", default=">0",
                         help='one of ">0", "=1", ">=p" (p rational)')
     sub.choices["check"].add_argument("--witness", action="store_true")
 
     sp = sub.add_parser("member")
-    common(sp)
+    common(sp, _run_member)
     sp.add_argument("--threshold", default=">0")
     sp.add_argument("--valuation", required=True)
 
     sp = sub.add_parser("prob")
-    common(sp)
+    common(sp, _run_prob)
     sp.add_argument("--valuation", required=True)
 
     sp = sub.add_parser("oracle")
     osub = sp.add_subparsers(dest="oracle_command", required=True)
 
     sp = osub.add_parser("sample")
-    common(sp)
+    common(sp, _run_oracle_sample)
     sp.add_argument("--valuation", default="")
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--horizon", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = osub.add_parser("lasso-eval")
-    common(sp, chain=False)
+    common(sp, _run_oracle_lasso, chain=False)
     sp.add_argument("--valuation", default="")
     sp.add_argument("--stem", default="",
                     help="semicolon-separated positions of comma-separated atoms")
     sp.add_argument("--loop", required=True)
 
     sp = osub.add_parser("gen3sat")
+    sp.set_defaults(handler=_run_oracle_gen3sat)
     sp.add_argument("--cnf", required=True, help="DIMACS-like CNF file")
     sp.add_argument("--format", choices=("text", "machine"), default="text")
     return p
@@ -201,38 +208,50 @@ def _read_query(args, rep):
     return chain, phi, kind, p, fragment, val
 
 
-def _single_minimum(kind, chain, phi, fragment, p):
-    """Minimal bound for the one-variable Reach/Buchi fragments."""
+def _closed_form(kind, chain, phi, fragment, p):
+    """Minimal valuations for the pairs a graph or numeric algorithm
+    answers directly, or None for every other (fragment, threshold).
+
+    Reach at every threshold and Buchi at ">0" and "=1" have one
+    variable and at most one minimal bound; GeneralizedBuchi at "=1" has
+    at most one point, the per-conjunct almost-sure minima.
+    """
+    names = variables(phi)
     if fragment == FragmentClass.REACH:
         prop = phi.child.name
         if kind == "pos":
-            return reach.min_val_pos(chain, prop)
-        if kind == "as1":
-            return reach.min_val_as1(chain, prop)
-        return reach.min_val_geq(chain, prop, p)
-    prop = phi.child.child.name
-    if kind == "pos":
-        return buchi.min_val_pos_buchi(chain, prop)
-    return buchi.min_val_as1_buchi(chain, prop)
+            n0 = reach.min_val_pos(chain, prop)
+        elif kind == "as1":
+            n0 = reach.min_val_as1(chain, prop)
+        else:
+            n0 = reach.min_val_geq(chain, prop, p)
+    elif fragment == FragmentClass.BUCHI:
+        prop = phi.child.child.name
+        if kind == "pos":
+            n0 = buchi.min_val_pos_buchi(chain, prop)
+        else:
+            n0 = buchi.min_val_as1_buchi(chain, prop)
+    elif fragment == FragmentClass.GENERALIZED_BUCHI and kind == "as1":
+        return buchi.min_set_as1_genbuchi(chain, genbuchi_pairs(phi), names)
+    else:
+        return None
+    return MinimalSet(names, [] if n0 is None else [(n0,)])
 
 
 def _run_check(args, rep):
     chain, phi, kind, p, fragment, _ = _read_query(args, rep)
     checker = None
-    if fragment in (FragmentClass.REACH, FragmentClass.BUCHI):
-        n0 = _single_minimum(kind, chain, phi, fragment, p)
-        empty = n0 is None
+    ms = _closed_form(kind, chain, phi, fragment, p)
+    if ms is not None:
+        empty = len(ms) == 0
         if not empty:
-            rep.add("minimum", n0)
+            # Reach and Buchi print the bound alone.
+            rep.add("minimum", ms.valuations()[0]
+                    if fragment == FragmentClass.GENERALIZED_BUCHI
+                    else ms.points[0][0])
     elif fragment == FragmentClass.GENERALIZED_BUCHI:
-        pairs = genbuchi_pairs(phi)
-        if kind == "pos":
-            empty = buchi.emptiness_pos_genbuchi(chain, [a for _, a in pairs])
-        else:
-            ms = buchi.min_set_as1_genbuchi(chain, pairs, variables(phi))
-            empty = len(ms) == 0
-            if not empty:
-                rep.add("minimum", ms.valuations()[0])
+        empty = buchi.emptiness_pos_genbuchi(
+            chain, [a for _, a in genbuchi_pairs(phi)])
     elif fragment == FragmentClass.FX and kind == "pos":
         empty, witness_val, path = fx.emptiness_pos_fx(
             chain, phi, args.max_product_nodes)
@@ -258,16 +277,11 @@ def _run_check(args, rep):
 
 def _run_minset(args, rep):
     chain, phi, kind, p, fragment, _ = _read_query(args, rep)
-    names = variables(phi)
-    if not names:
+    if not variables(phi):
         raise UsageError("formula has no parameter variables")
     checker = None
-    if fragment in (FragmentClass.REACH, FragmentClass.BUCHI):
-        n0 = _single_minimum(kind, chain, phi, fragment, p)
-        ms = MinimalSet(names) if n0 is None else MinimalSet(names, [(n0,)])
-    elif fragment == FragmentClass.GENERALIZED_BUCHI and kind == "as1":
-        ms = buchi.min_set_as1_genbuchi(chain, genbuchi_pairs(phi), names)
-    else:
+    ms = _closed_form(kind, chain, phi, fragment, p)
+    if ms is None:
         checker = diamond.DiamondChecker(phi, args.max_product_nodes)
         if fragment == FragmentClass.GENERALIZED_BUCHI:
             ms = buchi.min_set_pos_genbuchi(chain, genbuchi_pairs(phi),
@@ -287,28 +301,21 @@ def _run_minset(args, rep):
 def _run_member(args, rep):
     chain, phi, kind, p, fragment, val = _read_query(args, rep)
     checker = None
-    if fragment == FragmentClass.REACH:
-        prop = phi.child.name
-        n = val[phi.bound.name]
-        if kind == "pos":
-            verdict = reach.check_pos(chain, prop, n)
-        elif kind == "as1":
-            verdict = reach.check_as1(chain, prop, n)
-        else:
-            verdict = reach.check_geq(chain, prop, p, n)
-    elif fragment == FragmentClass.BUCHI:
-        prop = phi.child.child.name
-        n = val[phi.child.bound.name]
-        if kind == "pos":
-            verdict = buchi.check_pos(chain, prop, n)
-        else:
-            verdict = buchi.check_as1(chain, prop, n)
+    if kind == "geq":
+        # n steps of the bounded probability; the minimum would also
+        # solve the unbounded system.
+        verdict = reach.check_geq(chain, phi.child.name, p,
+                                  val[phi.bound.name])
     else:
-        checker = diamond.DiamondChecker(phi, args.max_product_nodes)
-        if kind == "pos":
-            verdict = checker.check_pos(chain, val)
+        ms = _closed_form(kind, chain, phi, fragment, p)
+        if ms is not None:
+            verdict = ms.member([val[x] for x in ms.names])
         else:
-            verdict = checker.check_as1(chain, val)
+            checker = diamond.DiamondChecker(phi, args.max_product_nodes)
+            if kind == "pos":
+                verdict = checker.check_pos(chain, val)
+            else:
+                verdict = checker.check_as1(chain, val)
     _maybe_emit(args, checker)
     rep.add("member", "true" if verdict else "false")
     rep.set_result(["true" if verdict else "false"])
@@ -377,28 +384,13 @@ def _run_oracle_gen3sat(args, rep):
 
 
 def run(argv, out=sys.stdout, err=sys.stderr):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     rep = Report(args.format)
     try:
-        if args.command == "check":
-            _run_check(args, rep)
-        elif args.command == "minset":
-            _run_minset(args, rep)
-        elif args.command == "member":
-            _run_member(args, rep)
-        elif args.command == "prob":
-            _run_prob(args, rep)
-        elif args.command == "oracle":
-            if args.oracle_command == "sample":
-                _run_oracle_sample(args, rep)
-            elif args.oracle_command == "lasso-eval":
-                _run_oracle_lasso(args, rep)
-            else:
-                _run_oracle_gen3sat(args, rep)
+        args.handler(args, rep)
     except UsageError as exc:
         print("usage error: %s" % exc, file=err)
         return EXIT_USAGE

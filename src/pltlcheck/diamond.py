@@ -50,6 +50,9 @@ class ResourceLimitError(Exception):
 
 DEFAULT_MAX_PRODUCT_NODES = 10 ** 7
 MAX_CLOSURE = 22  # atoms plus non-literal closure members
+# Tableau states; every free X, G, U, R or F member can double them, and
+# the successor lists take time quadratic in their number.
+MAX_TABLEAU_STATES = 2 ** 14
 
 
 class GAutomaton:
@@ -121,6 +124,10 @@ class GAutomaton:
                     found = [h | b if h & need else h for h in found]
                 if free:
                     found += [h | b for h in found if not h & b]
+                    if len(masks) + len(found) > MAX_TABLEAU_STATES:
+                        raise ResourceLimitError(
+                            "tableau too large: more than %d states"
+                            % MAX_TABLEAU_STATES)
             found.sort()
             letter = frozenset(true)
             self.start.append(len(masks))

@@ -44,40 +44,35 @@ class MarkovChain:
             raise ChainError("rows/labels must cover all %d states" % m)
         self.m = m
         self.init = init
-        self.rows = []
-        for s, row in enumerate(rows):
-            clean = {}
-            for t, p in row.items():
-                if not 0 <= t < m:
-                    raise ChainError("state %d: successor %d out of range" % (s, t))
-                p = Fraction(p)
-                if p < 0 or p > 1:
-                    raise ChainError("state %d: probability %s out of [0,1]"
-                                     % (s, _brief(p)))
-                if p > 0:
-                    clean[t] = p
-            total = sum(clean.values(), Fraction(0))
-            if total != 1:
-                raise ChainError("state %d: row sums to %s, not 1"
-                                 % (s, _brief(total)))
-            self.rows.append(clean)
+        self.rows = [_check_row(s, row, m) for s, row in enumerate(rows)]
         self.labels = [frozenset(l) for l in labels]
 
     def successors(self, s):
         return self.rows[s].keys()
 
-    def prob(self, s, t):
-        return self.rows[s].get(t, Fraction(0))
-
     def states_with(self, name):
         """All states whose label set contains `name`."""
         return {s for s in range(self.m) if name in self.labels[s]}
 
-    def alphabet(self):
-        names = set()
-        for l in self.labels:
-            names |= l
-        return names
+
+def _check_row(s, row, m):
+    """State s's row with its zero entries dropped; ChainError unless it
+    is a distribution over 0..m-1."""
+    clean = {}
+    for t, p in row.items():
+        if not 0 <= t < m:
+            raise ChainError("state %d: successor %d out of range" % (s, t))
+        p = Fraction(p)
+        if p < 0 or p > 1:
+            raise ChainError("state %d: probability %s out of [0,1]"
+                             % (s, _brief(p)))
+        if p > 0:
+            clean[t] = p
+    total = sum(clean.values(), Fraction(0))
+    if total != 1:
+        raise ChainError("state %d: row sums to %s, not 1"
+                         % (s, _brief(total)))
+    return clean
 
 
 def _nat(text):
@@ -141,9 +136,10 @@ def parse_chain(text):
     """
     m = None
     init = None
-    rows = None
-    labels = None
-    seen_init = False
+    # Rows and labels of the states the text mentions only, so memory
+    # grows with the text, not with m.
+    rows = {}
+    labels = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,20 +154,17 @@ def parse_chain(text):
             m = _nat(parts[1])
             if m <= 0:
                 raise ChainParseError("state count must be positive", lineno)
-            rows = [dict() for _ in range(m)]
-            labels = [set() for _ in range(m)]
             continue
         if m is None:
             raise ChainParseError("states declaration must come first", lineno)
         if kind == "init":
-            if seen_init:
+            if init is not None:
                 raise ChainParseError("duplicate init declaration", lineno)
             if len(parts) != 2 or _nat(parts[1]) is None:
                 raise ChainParseError("expected: init <id>", lineno)
             init = _nat(parts[1])
             if init >= m:
                 raise ChainParseError("unknown state id %d" % init, lineno)
-            seen_init = True
         elif kind == "label":
             if len(parts) < 3:
                 raise ChainParseError("expected: label <id> <name>...", lineno)
@@ -179,7 +172,7 @@ def parse_chain(text):
             if s is None or s >= m:
                 raise ChainParseError("unknown state id %s"
                                       % _quote(parts[1]), lineno)
-            labels[s].update(parts[2:])
+            labels.setdefault(s, set()).update(parts[2:])
         elif kind == "trans":
             if len(parts) != 4:
                 raise ChainParseError("expected: trans <from> <to> <p>", lineno)
@@ -191,19 +184,28 @@ def parse_chain(text):
                 raise ChainParseError("unknown state id %s"
                                       % _quote(parts[2]), lineno)
             p = _probability(parts[3], lineno)
-            if dst in rows[src]:
+            row = rows.setdefault(src, {})
+            if dst in row:
                 raise ChainParseError("duplicate transition %d -> %d" % (src, dst),
                                       lineno)
-            rows[src][dst] = p
+            row[dst] = p
         else:
             raise ChainParseError("unknown directive %s" % _quote(kind),
                                   lineno)
     if m is None:
         raise ChainParseError("missing states declaration")
-    if not seen_init:
+    if init is None:
         raise ChainParseError("missing init declaration")
     try:
-        return MarkovChain(m, init, rows, labels)
+        if len(rows) < m:
+            # Some state has no transition: report the first bad row, as
+            # MarkovChain would, without a row per declared state.
+            gap = next(s for s in range(m) if s not in rows)
+            for s in range(gap):
+                _check_row(s, rows[s], m)
+            raise ChainError("state %d: row sums to 0, not 1" % gap)
+        return MarkovChain(m, init, [rows[s] for s in range(m)],
+                           [labels.get(s, ()) for s in range(m)])
     except ChainError as exc:
         raise ChainParseError(str(exc))
 

@@ -40,10 +40,6 @@ class Valuation:
     def __hash__(self):
         return hash(tuple(self.assignment.items()))
 
-    def key(self):
-        """Tuple of values in sorted name order, usable for lex comparisons."""
-        return tuple(self.assignment[n] for n in self.names)
-
     def leq(self, other):
         """Pointwise order; both valuations must share the same names."""
         if self.names != other.names:

@@ -1,6 +1,7 @@
 import io
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -228,6 +229,35 @@ def test_nine_untils_check_is_empty(coin):
                            until_chain(9), "--max-product-nodes", "1000"])
     assert code == 0, err
     assert "shortcut: counter-free\nverdict: empty\n" in out
+
+
+def test_exit_tableau_too_large(coin):
+    # 21 nested X admit 2^21 tableau states per atom mask, within the
+    # closure cap; the state cap stops the build before they exist.
+    start = time.perf_counter()
+    code, out, err = _run(["check", "--chain", coin, "--threshold", "=1",
+                           "--formula", "X " * 21 + "a"])
+    assert code == 3, err
+    assert out == ""
+    assert err == "resource limit: tableau too large: more than 16384 states\n"
+    assert time.perf_counter() - start < 2
+
+
+def test_chain_parse_memory_grows_with_the_text(tmp_path):
+    # One transition for 200,000 declared states: the first state with
+    # no row is reported without a row or label set per declared state.
+    path = tmp_path / "wide.dtmc"
+    path.write_text("states 200000\ninit 0\ntrans 0 0 1\n")
+    tracemalloc.start()
+    try:
+        code, out, err = _run(["prob", "--chain", str(path), "--formula",
+                               "F[<=x] a", "--valuation", "x=1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert err == "parse error: state 1: row sums to 0, not 1\n"
+    assert peak < 5 * 2 ** 20
 
 
 def test_fx_constant_bound_not_unfolded(coin):

@@ -38,6 +38,11 @@ def test_parse_errors():
         parse_chain("states 1\ninit 5\ntrans 0 0 1\n")
     with pytest.raises(ChainParseError):
         parse_chain("states 1\ninit 0\ntrans 0 0 2\n")
+    # A state with no row is not reported before an earlier bad row.
+    with pytest.raises(ChainParseError, match="^state 0: row sums to 1/2"):
+        parse_chain("states 3\ninit 0\ntrans 0 0 1/2\ntrans 2 2 1\n")
+    with pytest.raises(ChainParseError, match="^state 1: row sums to 0, not 1$"):
+        parse_chain("states 3\ninit 0\ntrans 0 0 1\ntrans 2 2 1\n")
 
 
 def test_row_sum_validation():
