@@ -13,6 +13,7 @@ Exit codes: 0 decided, 2 usage error, 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import decimal
 import functools
 import sys
@@ -281,6 +282,9 @@ def _run_minset(args, rep):
         raise UsageError("formula has no parameter variables")
     checker = None
     ms = _closed_form(kind, chain, phi, fragment, p)
+    if ms is None and fragment == FragmentClass.FX and kind == "pos":
+        # Label setting: no membership oracle, no automaton.
+        ms = fx.min_set_fx(chain, phi, kind, max_nodes=args.max_product_nodes)
     if ms is None:
         checker = diamond.DiamondChecker(phi, args.max_product_nodes)
         if fragment == FragmentClass.GENERALIZED_BUCHI:
@@ -383,9 +387,15 @@ def _run_oracle_gen3sat(args, rep):
         rep.lines.extend(text.splitlines())
 
 
-def run(argv, out=sys.stdout, err=sys.stderr):
+def run(argv, out=None, err=None):
+    """Run one command line; print its report on `out` and its errors
+    on `err` (the process's streams when None), argparse's usage
+    messages and --help included.  Returns the exit code."""
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
     try:
-        args = _build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     rep = Report(args.format)

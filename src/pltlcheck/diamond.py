@@ -92,7 +92,7 @@ class GAutomaton:
                 raise FragmentError("unsupported node %r" % (f,))
         # d nested operators are d distinct closure members; checked
         # first, so closure() never hashes a deep unfolded formula.
-        _check_depth(nesting_depth(phi))
+        check_depth(nesting_depth(phi))
         subs = closure(phi)
         names = atoms(phi)
         nonlits = [f for f in subs if not isinstance(f, (Atom, NegAtom))]
@@ -181,7 +181,8 @@ class GAutomaton:
         return sum(1 << i for i, a in enumerate(self.names) if a in letter)
 
 
-def _check_depth(depth):
+def check_depth(depth):
+    """Refuse a formula nested `depth` levels deep beyond the closure cap."""
     operators = depth - 1
     if operators > MAX_CLOSURE:
         raise ResourceLimitError("closure too large: %d nested operators"
@@ -371,7 +372,7 @@ class DiamondChecker:
         self.base_size = size(nnf)
         # Counted before unfolding: a bound up to 10^6 would otherwise
         # be unfolded in full only to exceed the closure cap.
-        _check_depth(unfolded_depth(nnf))
+        check_depth(unfolded_depth(nnf))
         renamed, self.fresh_to_user = rename_apart(rewrite_constant_bounds(nnf))
         self.user_names = variables(phi)
         self.nnf = nnf
@@ -637,6 +638,10 @@ class DiamondChecker:
         asks each valuation at most once and the box top first, so
         `stats["queries"]` counts the distinct valuations asked, and a
         false top ends the search after one query.
+
+        Its callers are the CLI's Diamond `minset` (both thresholds),
+        `fx.min_set_fx` at "as1" and `buchi.min_set_pos_genbuchi`; FX at
+        "pos" has a search of its own that asks no oracle.
         """
         check = self.check_pos if threshold == "pos" else self.check_as1
         names = self.user_names

@@ -1,69 +1,117 @@
 """Pipeline for the next/eventually fragment (literals, and, or, X, F).
 
-Its formulas are co-safe: V>0 is nonempty iff some finite chain path
-satisfies the parameter-free formula, and then v(x) = m * |phi| (constant
-bounds unfolded) is a witness.  Emptiness is a breadth-first search over
-(chain state, pending obligations) pairs, stepped by formula progression
-(Bacchus and Kabanza, 2000); constant bounds count down inside the
-obligations instead of being unfolded.  Almost-sure emptiness uses the
-general product checker at the same bound, and the minimal valuations
-come from its valuation search over {0..m*|phi|}^d.
+Its formulas are co-safe: a valuation v is in V>0 iff some finite chain
+path satisfies phi[v].  Both searches below run over (chain state,
+pending obligations) pairs, stepped by formula progression (Bacchus and
+Kabanza, 2000); constant bounds count down inside the obligations
+instead of being unfolded.
+
+- Emptiness of V>0 is a breadth-first search on the parameter-free
+  formula; when it is nonempty, v(x) = m * |phi| (constant bounds
+  unfolded) is a witness.
+- The minimal valuations of V>0 are the Pareto front of a
+  multi-criteria path search, found by label setting (Martins, 1984).
+  Each pending F[<=x] psi carries its age, the number of steps since
+  it had to hold; discharging it at age a needs x >= a.  Per pair, only
+  the Pareto-minimal (ages, needs) labels are kept.  Going round a
+  cycle only raises ages, so Dickson's lemma makes the search finite.
+
+Almost-sure emptiness and the minimal valuations of V=1 use the general
+product checker at the same bound.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 from .formula import (
     And, Atom, BoundedEventually, ConstBound, Eventually, FragmentError,
-    NegAtom, Next, Or, strip_params, to_nnf, unfolded_size, variables,
+    NegAtom, Next, Or, strip_params, to_nnf, unfolded_depth, unfolded_size,
+    variables,
 )
+from .valuation import MinimalSet
 from . import diamond
 
-_NOTHING = frozenset()
+# A way is (obligations, ages, needs): the set of formulas left for the
+# next position, the age there of each pending F[<=x] older than 0, and
+# the least value each variable needs.  Ways are never changed in place.
+_DONE = (frozenset(), {}, {})
 
 
-def _meet(f, letter):
-    """The ways f can hold at a position labelled `letter`: for each, the
-    set of obligations it leaves for the next position."""
+def _max_merge(a, b):
+    """The entries of both dicts, the larger value where both have one."""
+    if not b:
+        return a
+    out = dict(a)
+    for k, n in b.items():
+        out[k] = max(out.get(k, 0), n)
+    return out
+
+
+def _join(v, w):
+    """Both ways at once.  Two copies of one obligation merge into the
+    older: its deadline is the earlier."""
+    return v[0] | w[0], _max_merge(v[1], w[1]), _max_merge(v[2], w[2])
+
+
+def _meet(f, letter, age=0):
+    """The ways f can hold at a position labelled `letter`, `age` steps
+    after it had to hold.  Only a pending F[<=x] is ever older than 0:
+    every other obligation is due where it is met."""
     if isinstance(f, Atom):
-        return [_NOTHING] if f.name in letter else []
+        return [_DONE] if f.name in letter else []
     if isinstance(f, NegAtom):
-        return [] if f.name in letter else [_NOTHING]
+        return [] if f.name in letter else [_DONE]
     if isinstance(f, Or):
         return _meet(f.left, letter) + _meet(f.right, letter)
     if isinstance(f, And):
         right = _meet(f.right, letter)
-        return [a | b for a in _meet(f.left, letter) for b in right]
+        return [_join(a, b) for a in _meet(f.left, letter) for b in right]
     if isinstance(f, Next):
-        return [frozenset([f.child])]
+        return [(frozenset([f.child]), {}, {})]
     if isinstance(f, Eventually):
-        return _meet(f.child, letter) + [frozenset([f])]
+        return _meet(f.child, letter) + [(frozenset([f]), {}, {})]
     if isinstance(f, BoundedEventually) and isinstance(f.bound, ConstBound):
         c = f.bound.value
-        later = ([frozenset([BoundedEventually(ConstBound(c - 1), f.child)])]
-                 if c else [])
+        later = ([(frozenset([BoundedEventually(ConstBound(c - 1), f.child)]),
+                   {}, {})] if c else [])
         return _meet(f.child, letter) + later
+    if isinstance(f, BoundedEventually):
+        now = [(left, ages, _max_merge(need, {f.bound.name: age}))
+               for left, ages, need in _meet(f.child, letter)]
+        return now + [(frozenset([f]), {f: age + 1}, {})]
     raise FragmentError("formula is outside the next/eventually fragment")
 
 
-def _minimal(sets):
-    """The inclusion-minimal sets, smallest first, in a fixed order."""
-    out = []
-    for s in sorted(dict.fromkeys(sets), key=len):
-        if not any(t <= s for t in out):
-            out.append(s)
-    return out
+def _below(v, w):
+    """Does way v ask no more than way w: fewer obligations, none older,
+    and no larger need?"""
+    return (v[0] <= w[0]
+            and all(age <= w[1].get(f, 0) for f, age in v[1].items())
+            and all(n <= w[2].get(x, 0) for x, n in v[2].items()))
+
+
+def _step(letter, pending):
+    """The minimal ways to meet every (formula, age) of `pending` at a
+    position labelled `letter`, fewest obligations first, in an order
+    fixed by the order of `pending`."""
+    ways = [_DONE]
+    for f, age in pending:
+        joined = [_join(w, m) for w in ways for m in _meet(f, letter, age)]
+        ways = []
+        for w in sorted(joined, key=lambda w: len(w[0])):
+            if not any(_below(v, w) for v in ways):
+                ways.append(w)
+    return ways
 
 
 def _satisfying_path(chain, phi, max_nodes):
     """Shortest chain path from the initial state whose trace satisfies
     the parameter-free formula phi, or None."""
     def step(s, pending):
-        ways = [_NOTHING]
         # Sorted, so that the path found does not depend on hashing.
-        for f in sorted(pending, key=str):
-            ways = _minimal([w | m for w in ways
-                             for m in _meet(f, chain.labels[s])])
-        return ways
+        return [left for left, _, _ in _step(
+            chain.labels[s], ((f, 0) for f in sorted(pending, key=str)))]
 
     start = (chain.init, frozenset([phi]))
     parent = {start: None}
@@ -88,6 +136,56 @@ def _satisfying_path(chain, phi, max_nodes):
                                 "product exceeds %d nodes" % max_nodes)
         queue = nxt
     return None
+
+
+def _pareto_front(chain, phi, names, bound, max_nodes):
+    """Minimal valuations of V>0 within {0..bound}^d by label setting.
+
+    The labels of a node form an antichain over its pending formulas
+    (their ages) and then `names` (their needs).  A label that needs
+    more than `bound`, or holds an obligation older than `bound`, cannot
+    reach a point of the box, and one whose needs are above a found
+    point cannot reach a new minimal point: both are dropped.  More than
+    `max_nodes` labels raise diamond.ResourceLimitError.
+    """
+    found = MinimalSet(names)
+    labels = {}  # (chain state, pending formulas) -> MinimalSet of labels
+    queue = deque()
+    count = 0
+
+    def offer(s, left, ages, need):
+        nonlocal count
+        kept = labels.get((s, left))
+        if kept is None:
+            # Sorted, so that the labels do not depend on hashing.
+            kept = labels[s, left] = MinimalSet(
+                tuple(sorted(left, key=str)) + tuple(names))
+        label = tuple(ages.get(f, 0) for f in kept.names[:len(left)]) + need
+        if kept.insert(label):
+            count += 1
+            if count > max_nodes:
+                raise diamond.ResourceLimitError(
+                    "product exceeds %d nodes" % max_nodes)
+            queue.append((s, left, label))
+
+    offer(chain.init, frozenset([phi]), {}, (0,) * len(names))
+    while queue:
+        s, left, label = queue.popleft()
+        kept = labels[s, left]
+        need = label[len(left):]
+        if label not in kept.points or found.member(need):
+            continue  # replaced by a better label, or above a found point
+        pending = zip(kept.names, label[:len(left)])
+        for rest, older, more in _step(chain.labels[s], pending):
+            need2 = tuple(max(n, more.get(x, 0)) for x, n in zip(names, need))
+            if max(need2) > bound or found.member(need2):
+                continue
+            if not rest:
+                found.insert(need2)
+            elif max(older.values(), default=0) <= bound:
+                for t in sorted(chain.successors(s)):
+                    offer(t, rest, older, need2)
+    return found
 
 
 def _uniform_bound(chain, phi):
@@ -120,12 +218,26 @@ def emptiness_as1_fx(chain, phi, checker=None):
     return not checker.check_as1(chain, {x: vbar for x in variables(phi)})
 
 
-def min_set_fx(chain, phi, threshold="pos", checker=None):
+def min_set_fx(chain, phi, threshold="pos", checker=None,
+               max_nodes=diamond.DEFAULT_MAX_PRODUCT_NODES):
     """Minimal valuations over {0..m*|phi|}^d.
 
-    `DiamondChecker.min_set` searches that box with the general product
-    checker as membership oracle; one automaton serves every query.
+    For "pos" the label-setting search finds them without a membership
+    oracle; more than `max_nodes` labels raise
+    diamond.ResourceLimitError.  For "as1" `DiamondChecker.min_set`
+    searches the box with the general product checker as membership
+    oracle; one automaton serves every query.
     """
+    bound = _uniform_bound(chain, phi)
+    if threshold == "pos":
+        nnf = to_nnf(phi)
+        # Every countdown step of a constant bound is a node of its own,
+        # so the depth the general engine refuses is refused here too.
+        diamond.check_depth(unfolded_depth(nnf))
+        names = variables(nnf)
+        if not names:
+            raise FragmentError("formula has no parameter variables")
+        return _pareto_front(chain, nnf, names, bound, max_nodes)
     if checker is None:
         checker = diamond.DiamondChecker(phi)
-    return checker.min_set(chain, threshold, _uniform_bound(chain, phi))
+    return checker.min_set(chain, threshold, bound)

@@ -181,6 +181,9 @@ def bisection_min_set(oracle, lo, hi, names):
     binary search, to a new minimal point, and every hole above that
     point is split just below it.  The search ends when every hole is
     false.  No point is asked twice, nor one below a known false point.
+
+    Its one caller is `DiamondChecker.min_set`, which serves Diamond
+    formulas, FX at threshold "=1" and GeneralizedBuchi at ">0".
     """
     lo = tuple(lo)
     hi = tuple(hi)

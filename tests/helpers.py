@@ -105,6 +105,49 @@ def nnf_formulas(max_leaves):
     return st.recursive(literals, extend, max_leaves=max_leaves)
 
 
+def fx_formulas(depth):
+    """Hypothesis strategy: formulas of the next/eventually fragment over
+    the atoms a, b, nested up to `depth` operators, with variable bounds
+    x, y (shared between occurrences) and constant bounds 0..3."""
+    from hypothesis import strategies as st
+
+    literals = (st.builds(Atom, st.sampled_from("ab"))
+                | st.builds(NegAtom, st.sampled_from("ab")))
+    if depth == 0:
+        return literals
+    sub = fx_formulas(depth - 1)
+    bound = (st.builds(VarBound, st.sampled_from("xy"))
+             | st.builds(ConstBound, st.integers(0, 3)))
+    return (literals | st.builds(BoundedEventually, bound, sub)
+            | st.builds(Next, sub) | st.builds(Eventually, sub)
+            | st.builds(And, sub, sub) | st.builds(Or, sub, sub))
+
+
+def reference_first_hits(chain, props):
+    """Minimal vectors of first-hit times of `props` over the finite paths
+    from the initial state: the minimal valuations of
+    F[<=x1] props[0] & F[<=x2] props[1] & ... at threshold >0.
+
+    Brute force over (state, hit times so far) pairs, one path length at
+    a time.  Between two first hits a minimal vector's path repeats no
+    state, so no hit time of one exceeds len(props) * m.
+    """
+    def hit(s, t, hits):
+        return tuple(t if h is None and p in chain.labels[s] else h
+                     for h, p in zip(hits, props))
+
+    layer = {(chain.init, hit(chain.init, 0, (None,) * len(props)))}
+    complete = set()
+    for t in range(1, len(props) * chain.m + 1):
+        complete.update(h for _, h in layer if None not in h)
+        layer = {(u, hit(u, t, h)) for s, h in layer if None in h
+                 for u in chain.successors(s)}
+    complete.update(h for _, h in layer if None not in h)
+    return sorted(p for p in complete
+                  if not any(q != p and all(a <= b for a, b in zip(q, p))
+                             for q in complete))
+
+
 def until_chain(k):
     """F[<=x] (a U (b U ...)) with k until operators, as text."""
     text = "abcdefghij"[k]

@@ -269,12 +269,27 @@ def test_fx_constant_bound_not_unfolded(coin):
     assert "witness-path: 0 1" in out
 
 
-def test_minset_has_no_witness_option(coin, capsys):
-    code, _, _ = _run(["minset", "--chain", coin, "--formula", "F[<=x] a",
-                       "--witness"])
+def test_minset_has_no_witness_option(coin):
+    code, _, err = _run(["minset", "--chain", coin, "--formula", "F[<=x] a",
+                         "--witness"])
     assert code == 2
-    # argparse reports usage errors on the process's own stderr.
-    assert "unrecognized arguments: --witness" in capsys.readouterr().err
+    assert "unrecognized arguments: --witness" in err
+
+
+def test_argparse_messages_go_to_the_given_streams(capsys):
+    code, out, err = _run(["member", "--formula"])
+    assert code == 2 and out == ""
+    assert "argument --formula: expected one argument" in err
+    code, out, err = _run(["minset", "--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: pltlcheck minset")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_run_defaults_to_the_current_streams(capsys):
+    # Resolved at call time, so capsys's replacements receive the text.
+    assert cli.run(["member", "--formula"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [

@@ -1,13 +1,22 @@
 import io
 import random
+import time
 from fractions import Fraction
 
-from helpers import random_chain, random_fx_formula
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    fx_formulas, random_chain, random_fx_formula, reference_first_hits,
+)
 from pltlcheck import cli, fx
-from pltlcheck.diamond import DiamondChecker
-from pltlcheck.fixtures import chain_text, coin_chain
+from pltlcheck.diamond import (
+    DEFAULT_MAX_PRODUCT_NODES, DiamondChecker, ResourceLimitError,
+)
+from pltlcheck.fixtures import chain_text, coin_chain, traffic_chain
 from pltlcheck.formula import (
-    parse_formula, size, strip_params, substitute, to_nnf, variables,
+    And, BoundedEventually, Or, VarBound, parse_formula, size, strip_params,
+    to_nnf, unfolded_size, variables,
 )
 from pltlcheck.markov import MarkovChain
 from pltlcheck.oracle import CERTAIN_TRUE, eval_prefix
@@ -169,3 +178,103 @@ def test_emptiness_matches_diamond_engine():
         empty, _, _ = fx.emptiness_pos_fx(c, phi)
         assert empty == ck.emptiness_pos(c), (phi,)
         n += 1
+
+
+def _box_search(chain, phi, max_nodes=DEFAULT_MAX_PRODUCT_NODES):
+    """The general engine's minimal valuations over {0..m*|phi|}^d."""
+    bound = chain.m * unfolded_size(to_nnf(phi))
+    return DiamondChecker(phi, max_nodes).min_set(chain, "pos", bound)
+
+
+def _two_variables(op, left, right):
+    return op(BoundedEventually(VarBound("x"), left),
+              BoundedEventually(VarBound("y"), right))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(fx_formulas(3) | st.builds(_two_variables, st.sampled_from((And, Or)),
+                                  fx_formulas(2), fx_formulas(2)),
+       st.integers(0, 2 ** 32 - 1))
+def test_label_setting_matches_the_box_search(phi, seed):
+    if not variables(phi):
+        phi = BoundedEventually(VarBound("x"), phi)
+    chain = random_chain(random.Random(seed), max_states=5)
+    try:
+        expected = _box_search(chain, phi, max_nodes=2000)
+    except ResourceLimitError:
+        return  # too large a product to wait on
+    assert fx.min_set_fx(chain, phi, "pos") == expected
+
+
+def test_front_on_lines():
+    none, a = set(), {"a"}
+    # Two nested windows of one bound share the distance 5: 3 + 2.
+    assert list(fx.min_set_fx(_line([none] * 5 + [a]),
+                              parse_formula("F[<=y] F[<=y] a"))) == [(3,)]
+    # The copy due at position 0 is the older, so it sets the bound.
+    assert list(fx.min_set_fx(_line([none, none, a]), parse_formula(
+        "F[<=x] a & X F[<=x] a"))) == [(2,)]
+    # Either disjunct alone: its own variable at its distance, the other 0.
+    assert list(fx.min_set_fx(_line([none, {"b"}, a]), parse_formula(
+        "F[<=x] a | F[<=y] b"))) == [(0, 1), (2, 0)]
+
+
+def test_incomparable_labels_meet_at_one_node():
+    """Two routes of equal length reach state 7 with needs (a, b) at
+    (1, 3) and (3, 2); c then comes at 4 on both."""
+    half, one = Fraction(1, 2), Fraction(1)
+    rows = [{1: half, 4: half}, {2: one}, {3: one}, {7: one},
+            {5: one}, {6: one}, {7: one}, {7: one}]
+    labels = [set(), {"a"}, set(), {"b"}, set(), {"b"}, {"a"}, {"c"}]
+    chain = MarkovChain(8, 0, rows, labels)
+    ms = fx.min_set_fx(chain, parse_formula(
+        "F[<=z] c & F[<=x] a & F[<=y] b"))
+    assert ms.names == ("z", "x", "y")
+    assert list(ms) == [(4, 1, 3), (4, 3, 2)]
+    assert list(ms) == reference_first_hits(chain, ("c", "a", "b"))
+
+
+def _minset(path, formula, *extra):
+    """Exit code, report and wall time of `minset` on the chain file."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    code = cli.run(["minset", "--chain", str(path), "--formula", formula]
+                   + list(extra), out=out, err=err)
+    return code, out.getvalue() + err.getvalue(), time.perf_counter() - start
+
+
+def _points(report):
+    return [tuple(int(kv.partition("=")[2])
+                  for kv in line.partition(": ")[2].split(","))
+            for line in report.splitlines() if line.startswith("minimal: ")]
+
+
+def test_traffic_minset_asks_no_oracle(tmp_path):
+    chain = traffic_chain()
+    path = tmp_path / "traffic.dtmc"
+    path.write_text(chain_text(chain))
+    for first, second in (("r", "b"), ("b", "g"), ("r", "g")):
+        text = "F[<=x] %s & F[<=y] %s" % (first, second)
+        code, report, _ = _minset(path, text)
+        assert code == 0, report
+        assert "oracle-calls" not in report
+        assert _points(report) == list(_box_search(chain, parse_formula(text)))
+    code, report, took = _minset(path, "F[<=x1] r & F[<=x2] b & F[<=x3] g")
+    assert code == 0, report
+    assert "oracle-calls" not in report
+    assert took < 0.5
+    points = _points(report)
+    assert len(points) == 16
+    assert points == reference_first_hits(chain, ("r", "b", "g"))
+
+
+def test_minset_label_cap(tmp_path):
+    path = tmp_path / "coin.dtmc"
+    path.write_text(chain_text(coin_chain()))
+    text = "F[<=x] a & X F[<=y] a"
+    code, report, _ = _minset(path, text, "--max-product-nodes", "2")
+    assert code == 3
+    assert report == "resource limit: product exceeds 2 nodes\n"
+    code, report, _ = _minset(path, text, "--max-product-nodes", "100")
+    assert code == 0, report
+    assert _points(report) == [(1, 0)]
