@@ -12,9 +12,10 @@ instead of being unfolded.
 - The minimal valuations of V>0 are the Pareto front of a
   multi-criteria path search, found by label setting (Martins, 1984).
   Each pending F[<=x] psi carries its age, the number of steps since
-  it had to hold; discharging it at age a needs x >= a.  Per pair, only
-  the Pareto-minimal (ages, needs) labels are kept.  Going round a
-  cycle only raises ages, so Dickson's lemma makes the search finite.
+  it had to hold; discharging it at age a needs x >= a, and so does
+  keeping it pending until age a.  Per pair, only the Pareto-minimal
+  (ages, needs) labels are kept.  Going round a cycle only raises ages,
+  so Dickson's lemma makes the search finite.
 
 Almost-sure emptiness and the minimal valuations of V=1 use the general
 product checker at the same bound.
@@ -77,9 +78,12 @@ def _meet(f, letter, age=0):
                    {}, {})] if c else [])
         return _meet(f.child, letter) + later
     if isinstance(f, BoundedEventually):
-        now = [(left, ages, _max_merge(need, {f.bound.name: age}))
+        # Waiting commits x to at least the next age, so discharging now
+        # with nothing left is a way below waiting.
+        x = f.bound.name
+        now = [(left, ages, _max_merge(need, {x: age}))
                for left, ages, need in _meet(f.child, letter)]
-        return now + [(frozenset([f]), {f: age + 1}, {})]
+        return now + [(frozenset([f]), {f: age + 1}, {x: age + 1})]
     raise FragmentError("formula is outside the next/eventually fragment")
 
 
@@ -142,11 +146,11 @@ def _pareto_front(chain, phi, names, bound, max_nodes):
     """Minimal valuations of V>0 within {0..bound}^d by label setting.
 
     The labels of a node form an antichain over its pending formulas
-    (their ages) and then `names` (their needs).  A label that needs
-    more than `bound`, or holds an obligation older than `bound`, cannot
-    reach a point of the box, and one whose needs are above a found
-    point cannot reach a new minimal point: both are dropped.  More than
-    `max_nodes` labels raise diamond.ResourceLimitError.
+    (their ages) and then `names` (their needs; a pending F[<=x] of age
+    a already needs x >= a).  A label that needs more than `bound`
+    cannot reach a point of the box, and one whose needs are above a
+    found point cannot reach a new minimal point: both are dropped.
+    More than `max_nodes` labels raise diamond.ResourceLimitError.
     """
     found = MinimalSet(names)
     labels = {}  # (chain state, pending formulas) -> MinimalSet of labels
@@ -182,7 +186,7 @@ def _pareto_front(chain, phi, names, bound, max_nodes):
                 continue
             if not rest:
                 found.insert(need2)
-            elif max(older.values(), default=0) <= bound:
+            else:
                 for t in sorted(chain.successors(s)):
                     offer(t, rest, older, need2)
     return found
