@@ -209,13 +209,16 @@ def _read_query(args, rep):
     return chain, phi, kind, p, fragment, val
 
 
-def _closed_form(kind, chain, phi, fragment, p):
-    """Minimal valuations for the pairs a graph or numeric algorithm
-    answers directly, or None for every other (fragment, threshold).
+def _closed_form(kind, chain, phi, fragment, p, max_nodes):
+    """Minimal valuations for the pairs answered without the general
+    engine, or None for every other (fragment, threshold).
 
     Reach at every threshold and Buchi at ">0" and "=1" have one
     variable and at most one minimal bound; GeneralizedBuchi at "=1" has
-    at most one point, the per-conjunct almost-sure minima.
+    at most one point, the per-conjunct almost-sure minima.  FX at ">0"
+    gets the front of the label-setting search, which counts its labels
+    against `max_nodes`; with no variables that front is empty or the
+    one zero-dimensional point.
     """
     names = variables(phi)
     if fragment == FragmentClass.REACH:
@@ -234,6 +237,8 @@ def _closed_form(kind, chain, phi, fragment, p):
             n0 = buchi.min_val_as1_buchi(chain, prop)
     elif fragment == FragmentClass.GENERALIZED_BUCHI and kind == "as1":
         return buchi.min_set_as1_genbuchi(chain, genbuchi_pairs(phi), names)
+    elif fragment == FragmentClass.FX and kind == "pos":
+        return fx.min_set_fx(chain, phi, kind, max_nodes=max_nodes)
     else:
         return None
     return MinimalSet(names, [] if n0 is None else [(n0,)])
@@ -242,7 +247,9 @@ def _closed_form(kind, chain, phi, fragment, p):
 def _run_check(args, rep):
     chain, phi, kind, p, fragment, _ = _read_query(args, rep)
     checker = None
-    ms = _closed_form(kind, chain, phi, fragment, p)
+    # FX at ">0" needs only emptiness and a shortest path, not the front.
+    ms = (None if fragment == FragmentClass.FX else
+          _closed_form(kind, chain, phi, fragment, p, args.max_product_nodes))
     if ms is not None:
         empty = len(ms) == 0
         if not empty:
@@ -281,10 +288,7 @@ def _run_minset(args, rep):
     if not variables(phi):
         raise UsageError("formula has no parameter variables")
     checker = None
-    ms = _closed_form(kind, chain, phi, fragment, p)
-    if ms is None and fragment == FragmentClass.FX and kind == "pos":
-        # Label setting: no membership oracle, no automaton.
-        ms = fx.min_set_fx(chain, phi, kind, max_nodes=args.max_product_nodes)
+    ms = _closed_form(kind, chain, phi, fragment, p, args.max_product_nodes)
     if ms is None:
         checker = diamond.DiamondChecker(phi, args.max_product_nodes)
         if fragment == FragmentClass.GENERALIZED_BUCHI:
@@ -311,7 +315,8 @@ def _run_member(args, rep):
         verdict = reach.check_geq(chain, phi.child.name, p,
                                   val[phi.bound.name])
     else:
-        ms = _closed_form(kind, chain, phi, fragment, p)
+        ms = _closed_form(kind, chain, phi, fragment, p,
+                          args.max_product_nodes)
         if ms is not None:
             verdict = ms.member([val[x] for x in ms.names])
         else:

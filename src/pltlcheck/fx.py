@@ -1,21 +1,22 @@
 """Pipeline for the next/eventually fragment (literals, and, or, X, F).
 
 Its formulas are co-safe: a valuation v is in V>0 iff some finite chain
-path satisfies phi[v].  Both searches below run over (chain state,
-pending obligations) pairs, stepped by formula progression (Bacchus and
-Kabanza, 2000); constant bounds count down inside the obligations
-instead of being unfolded.
+path satisfies phi[v].  One search answers emptiness of V>0, its
+minimal valuations and membership of one valuation.  It runs over
+(chain state, pending obligations) pairs, stepped by formula
+progression (Bacchus and Kabanza, 2000); constant bounds count down
+inside the obligations instead of being unfolded.
 
-- Emptiness of V>0 is a breadth-first search on the parameter-free
-  formula; when it is nonempty, v(x) = m * |phi| (constant bounds
-  unfolded) is a witness.
-- The minimal valuations of V>0 are the Pareto front of a
-  multi-criteria path search, found by label setting (Martins, 1984).
-  Each pending F[<=x] psi carries its age, the number of steps since
-  it had to hold; discharging it at age a needs x >= a, and so does
-  keeping it pending until age a.  Per pair, only the Pareto-minimal
-  (ages, needs) labels are kept.  Going round a cycle only raises ages,
-  so Dickson's lemma makes the search finite.
+The minimal valuations of V>0 are the Pareto front of a multi-criteria
+path search, found by label setting (Martins, 1984).  Each pending
+F[<=x] psi carries its age, the number of steps since it had to hold;
+discharging it at age a needs x >= a, and so does keeping it pending
+until age a.  Per pair, only the Pareto-minimal (ages, needs) labels
+are kept.  Going round a cycle only raises ages, so Dickson's lemma
+makes the search finite.  Emptiness runs the search on the
+parameter-free formula with no variables, where it is breadth-first:
+the first path to finish is a shortest witness path, and
+v(x) = m * |phi| (constant bounds unfolded) is a witness valuation.
 
 Almost-sure emptiness and the minimal valuations of V=1 use the general
 product checker at the same bound.
@@ -109,87 +110,72 @@ def _step(letter, pending):
     return ways
 
 
-def _satisfying_path(chain, phi, max_nodes):
-    """Shortest chain path from the initial state whose trace satisfies
-    the parameter-free formula phi, or None."""
-    def step(s, pending):
-        # Sorted, so that the path found does not depend on hashing.
-        return [left for left, _, _ in _step(
-            chain.labels[s], ((f, 0) for f in sorted(pending, key=str)))]
-
-    start = (chain.init, frozenset([phi]))
-    parent = {start: None}
-    queue = [start]
-    while queue:
-        nxt = []
-        for node in queue:
-            for left in step(*node):
-                if not left:
-                    path = []
-                    while node is not None:
-                        path.append(node[0])
-                        node = parent[node]
-                    return path[::-1]
-                for t in sorted(chain.successors(node[0])):
-                    child = (t, left)
-                    if child not in parent:
-                        parent[child] = node
-                        nxt.append(child)
-                        if len(parent) > max_nodes:
-                            raise diamond.ResourceLimitError(
-                                "product exceeds %d nodes" % max_nodes)
-        queue = nxt
-    return None
-
-
 def _pareto_front(chain, phi, names, bound, max_nodes):
-    """Minimal valuations of V>0 within {0..bound}^d by label setting.
+    """Minimal valuations of V>0 within {0..bound}^d by label setting,
+    and the chain path of the first label to finish (None if none does).
 
     The labels of a node form an antichain over its pending formulas
     (their ages) and then `names` (their needs; a pending F[<=x] of age
     a already needs x >= a).  A label that needs more than `bound`
     cannot reach a point of the box, and one whose needs are above a
     found point cannot reach a new minimal point: both are dropped.
-    More than `max_nodes` labels raise diamond.ResourceLimitError.
+    Labels are expanded first in, first out, each entry linked to the
+    one it came from.  With no `names` every node holds one label, so
+    the search is breadth-first and the path is a shortest one.  More
+    than `max_nodes` labels raise diamond.ResourceLimitError.
     """
     found = MinimalSet(names)
     labels = {}  # (chain state, pending formulas) -> MinimalSet of labels
+    order = {}  # pending formulas -> them sorted by text
     queue = deque()
     count = 0
+    path = None
 
-    def offer(s, left, ages, need):
+    def offer(s, left, ages, need, back):
         nonlocal count
         kept = labels.get((s, left))
         if kept is None:
             # Sorted, so that the labels do not depend on hashing.
-            kept = labels[s, left] = MinimalSet(
-                tuple(sorted(left, key=str)) + tuple(names))
-        label = tuple(ages.get(f, 0) for f in kept.names[:len(left)]) + need
+            if left not in order:
+                order[left] = tuple(sorted(left, key=str))
+            kept = labels[s, left] = MinimalSet(order[left] + found.names)
+        label = (tuple(ages.get(f, 0) for f in kept.names[:len(left)])
+                 if ages else (0,) * len(left)) + need
         if kept.insert(label):
             count += 1
             if count > max_nodes:
                 raise diamond.ResourceLimitError(
                     "product exceeds %d nodes" % max_nodes)
-            queue.append((s, left, label))
+            queue.append((s, left, label, back))
 
-    offer(chain.init, frozenset([phi]), {}, (0,) * len(names))
+    offer(chain.init, frozenset([phi]), {}, (0,) * len(names), None)
     while queue:
-        s, left, label = queue.popleft()
+        entry = queue.popleft()
+        s, left, label, _ = entry
         kept = labels[s, left]
         need = label[len(left):]
         if label not in kept.points or found.member(need):
             continue  # replaced by a better label, or above a found point
         pending = zip(kept.names, label[:len(left)])
         for rest, older, more in _step(chain.labels[s], pending):
-            need2 = tuple(max(n, more.get(x, 0)) for x, n in zip(names, need))
-            if max(need2) > bound or found.member(need2):
+            need2 = (tuple(max(n, more.get(x, 0)) for x, n in zip(names, need))
+                     if more else need)
+            if max(need2, default=0) > bound or found.member(need2):
                 continue
-            if not rest:
-                found.insert(need2)
-            else:
+            if rest:
                 for t in sorted(chain.successors(s)):
-                    offer(t, rest, older, need2)
-    return found
+                    offer(t, rest, older, need2, entry)
+                continue
+            found.insert(need2)
+            if not any(need2):
+                queue.clear()  # the origin is below every other point
+            if path is None:
+                path, back = [], entry
+                while back is not None:
+                    path.append(back[0])
+                    back = back[3]
+                path.reverse()
+    return found, path
 
 
 def _uniform_bound(chain, phi):
@@ -207,7 +193,8 @@ def emptiness_pos_fx(chain, phi,
     m * |phi|.  More than `max_nodes` search nodes raise
     diamond.ResourceLimitError.
     """
-    path = _satisfying_path(chain, strip_params(to_nnf(phi)), max_nodes)
+    _, path = _pareto_front(chain, strip_params(to_nnf(phi)), (), 0,
+                            max_nodes)
     if path is None:
         return True, None, None
     vbar = _uniform_bound(chain, phi)
@@ -238,10 +225,7 @@ def min_set_fx(chain, phi, threshold="pos", checker=None,
         # Every countdown step of a constant bound is a node of its own,
         # so the depth the general engine refuses is refused here too.
         diamond.check_depth(unfolded_depth(nnf))
-        names = variables(nnf)
-        if not names:
-            raise FragmentError("formula has no parameter variables")
-        return _pareto_front(chain, nnf, names, bound, max_nodes)
+        return _pareto_front(chain, nnf, variables(nnf), bound, max_nodes)[0]
     if checker is None:
         checker = diamond.DiamondChecker(phi)
     return checker.min_set(chain, threshold, bound)

@@ -138,13 +138,11 @@ class MinimalSet:
     def member(self, point):
         """Is `point` in the upward closure of the antichain?
 
-        Points whose first coordinate exceeds point[0] are lexicographically
-        above (point[0] + 1, 0, ..., 0), so the scan stops there.
+        A point below `point` is also no larger lexicographically, so the
+        scan stops at the first point that is.
         """
         point = tuple(point)
-        cutoff = bisect.bisect_left(
-            self.points, (point[0] + 1,) + (0,) * (len(point) - 1))
-        for q in self.points[:cutoff]:
+        for q in self.points[:bisect.bisect_right(self.points, point)]:
             if all(a <= b for a, b in zip(q, point)):
                 return True
         return False

@@ -152,7 +152,7 @@ def test_emit_automaton(coin, tmp_path):
     path = tmp_path / "aut.txt"
     code, _, _ = _run(["member", "--chain", coin,
                        "--formula", "F[<=x] a & F[<=y] a",
-                       "--valuation", "x=1,y=1",
+                       "--threshold", "=1", "--valuation", "x=1,y=1",
                        "--emit-automaton", str(path)])
     assert code == 0
     text = path.read_text()

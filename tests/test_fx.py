@@ -20,6 +20,7 @@ from pltlcheck.formula import (
 )
 from pltlcheck.markov import MarkovChain
 from pltlcheck.oracle import CERTAIN_TRUE, eval_prefix
+from pltlcheck.valuation import Valuation
 
 
 def _line(word):
@@ -100,7 +101,15 @@ def test_witness_paths_satisfy_formula():
         assert path[0] == c.init
         assert all(t in c.successors(s) for s, t in zip(path, path[1:]))
         prefix = [c.labels[s] for s in path]
-        assert eval_prefix(prefix, to_nnf(strip_params(phi))) == CERTAIN_TRUE
+        ground = to_nnf(strip_params(phi))
+        assert eval_prefix(prefix, ground) == CERTAIN_TRUE
+        # No shorter path satisfies it: the search is breadth-first.
+        shorter = [[c.init]]
+        while len(shorter[0]) < len(path):
+            assert all(eval_prefix([c.labels[s] for s in p], ground)
+                       != CERTAIN_TRUE for p in shorter), (phi, path)
+            shorter = [p + [t] for p in shorter
+                       for t in c.successors(p[-1])]
     assert nonempty > 100
 
 
@@ -232,6 +241,50 @@ def test_incomparable_labels_meet_at_one_node():
     assert ms.names == ("z", "x", "y")
     assert list(ms) == [(4, 1, 3), (4, 3, 2)]
     assert list(ms) == reference_first_hits(chain, ("c", "a", "b"))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(fx_formulas(3) | st.builds(_two_variables, st.sampled_from((And, Or)),
+                                  fx_formulas(2), fx_formulas(2)),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_member_matches_the_general_engine(tmp_path_factory, phi, seed,
+                                           data):
+    chain = random_chain(random.Random(seed), max_states=4)
+    # Up to twice the box the front is searched in; small values, near
+    # the minimal points, are drawn more often.
+    top = 2 * chain.m * unfolded_size(to_nnf(phi))
+    val = {x: data.draw(st.integers(0, 3) | st.integers(0, top), label=x)
+           for x in variables(phi)}
+    try:
+        expected = DiamondChecker(phi, 2000).check_pos(chain, val)
+    except ResourceLimitError:
+        return  # too large a product to wait on
+    path = tmp_path_factory.getbasetemp() / "member.dtmc"
+    path.write_text(chain_text(chain))
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(["member", "--chain", str(path), "--formula", str(phi),
+                    "--valuation", str(Valuation(val))], out=out, err=err)
+    assert code == 0, err.getvalue()
+    assert out.getvalue().endswith(
+        "member: %s\n" % ("true" if expected else "false"))
+
+
+def test_traffic_member_reads_the_front(tmp_path):
+    path = tmp_path / "traffic.dtmc"
+    path.write_text(chain_text(traffic_chain()))
+    aut = tmp_path / "aut.txt"
+    out = io.StringIO()
+    start = time.perf_counter()
+    code = cli.run(["member", "--chain", str(path),
+                    "--formula", "F[<=x1] r & F[<=x2] b & F[<=x3] g",
+                    "--valuation", "x1=400,x2=400,x3=400",
+                    "--emit-automaton", str(aut)], out=out,
+                   err=io.StringIO())
+    took = time.perf_counter() - start
+    assert code == 0
+    assert out.getvalue().endswith("member: true\n")
+    assert took < 0.5
+    assert not aut.exists()
 
 
 def _minset(path, formula, *extra):

@@ -51,6 +51,9 @@ def test_minimal_set_insert_and_member():
     # A dominating insert evicts.
     assert ms.insert((0, 4))
     assert list(ms) == [(0, 4), (2, 3)]
+    # Zero variables: the empty set holds nothing, the origin everything.
+    assert not MinimalSet(()).member(())
+    assert MinimalSet((), [()]).member(())
 
 
 def _reference_min_set(oracle, lo, hi):
