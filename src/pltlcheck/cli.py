@@ -269,10 +269,7 @@ def _run_check(args, rep):
                 rep.add("witness-path", " ".join(map(str, path)))
     else:
         checker = diamond.DiamondChecker(phi, args.max_product_nodes)
-        if kind == "pos":
-            empty = checker.emptiness_pos(chain)
-        else:
-            empty = checker.emptiness_as1(chain)
+        empty = checker.emptiness(chain, kind)
         if not empty:
             rep.add("witness-valuation", Valuation(checker.witness(chain)))
         rep.add("product-nodes", checker.stats["product_nodes"])

@@ -21,11 +21,11 @@ Products are explored lazily from the initial configurations, so only
 the reachable part is ever materialized.  The closure cap is checked on
 the nesting depth before constant bounds are unfolded.
 
-Emptiness is decided in two steps.  Parametric bounds occur only in
-F[<=x] of the NNF formula, which is monotone in them, so phi[v] implies
-`strip_params(phi)` for every valuation v (Kupferman, Piterman and
-Vardi, 2009).  A product with no counters first asks the stripped
-formula: probability zero proves V>0 empty, and probability below one
+Emptiness is decided in two steps over one tableau.  The NNF formula
+is monotone in its bounds, so phi[v] implies phi with every F[<=x] read
+as F (Kupferman, Piterman and Vardi, 2009).  A product with no
+counters, whose Buchi sets are the tableau's `acc_b` and `acc_p`, asks
+that formula first: probability zero proves V>0 empty, and below one
 proves V=1 empty.  Only when that does not decide does the product at
 the uniform witness bound run.  Both steps are exact.
 """
@@ -38,7 +38,7 @@ from .formula import (
     And, Always, Atom, BoundedAlways, BoundedEventually, Eventually,
     FragmentError, NegAtom, Next, Not, Or, Release, Until, atoms, children,
     closure, nesting_depth, rename_apart, rewrite_constant_bounds, size,
-    strip_params, subformulas, to_nnf, unfolded_depth, variables,
+    subformulas, to_nnf, unfolded_depth, variables,
 )
 from . import markov
 from .valuation import bisection_min_set
@@ -273,6 +273,10 @@ def _member_set(masks, pending, done):
 class UAutomaton:
     """Round-robin degeneralization of a GAutomaton.
 
+    `buchi` and `par` are (label, g-state set) lists like the tableau's
+    `acc_b` and `acc_p`; the counter-free automaton passes `acc_b +
+    acc_p` and no parametric set.
+
     States are (g-state, index) pairs flattened to integers; the single
     Buchi set is the first generalized set at index 1.  Parametric sets
     ignore the index.  Successor lists are not stored: they are derived
@@ -280,24 +284,19 @@ class UAutomaton:
     those reading one atom mask by `reading(u, amask)`.
     """
 
-    def __init__(self, g):
+    def __init__(self, g, buchi, par):
         self.g = g
-        k = max(1, len(g.acc_b))
+        k = max(1, len(buchi))
         self.k = k
         n_g = len(g.states)
         self.n = n_g * k
-        if g.acc_b:
-            in_f = [[q in g.acc_b[i][1] for i in range(k)]
-                    for q in range(n_g)]
-            f1 = g.acc_b[0][1]
-        else:
-            in_f = [[True] for _ in range(n_g)]
-            f1 = frozenset(range(n_g))
+        sets = [f for _, f in buchi] or [range(n_g)]
+        in_f = [[q in f for f in sets] for q in range(n_g)]
+        f1 = sets[0]
         self.letter = [g.letters[u // k] for u in range(self.n)]
         self.is_buchi = [u % k == 0 and (u // k) in f1 for u in range(self.n)]
-        self.var_names = [x for x, _ in g.acc_p]
-        self.par = [[(u // k) in fx for u in range(self.n)]
-                    for _, fx in g.acc_p]
+        self.var_names = [x for x, _ in par]
+        self.par = [[(u // k) in fx for u in range(self.n)] for _, fx in par]
         # The index a run moves to when it leaves u.
         self.index_after = [(i + 1) % k if in_f[q][i] else i
                              for q in range(n_g) for i in range(k)]
@@ -375,10 +374,9 @@ class DiamondChecker:
         check_depth(unfolded_depth(nnf))
         renamed, self.fresh_to_user = rename_apart(rewrite_constant_bounds(nnf))
         self.user_names = variables(phi)
-        self.nnf = nnf
         self.max_product_nodes = max_product_nodes
         self.g = GAutomaton(renamed)
-        self.u = UAutomaton(self.g)
+        self.u = UAutomaton(self.g, self.g.acc_b, self.g.acc_p)
         self.atoms = frozenset(atoms(renamed))
         self.stats = {"product_nodes": 0, "queries": 0}
         self.shortcut = None
@@ -426,8 +424,8 @@ class DiamondChecker:
             succ[i] = row
         return nodes, succ
 
-    def _runs(self, start, step, letters, bounds, what):
-        """Product of the counter automaton with a labelled graph.
+    def _runs(self, u_aut, start, step, letters, bounds, what):
+        """Product of the counter automaton `u_aut` with a labelled graph.
 
         The graph starts at position `start`, `step(p)` lists the
         positions after p and `letters[p]` is p's letter restricted to
@@ -439,7 +437,6 @@ class DiamondChecker:
         streak would exceed the bound.  A run's first state is entered
         with every counter at zero.
         """
-        u_aut = self.u
         par = u_aut.par
         amasks = [self.g.atom_mask(l) for l in letters]
         # rows[p][u]: the successors of u that read p's letter.
@@ -489,22 +486,22 @@ class DiamondChecker:
         def step(p):
             return (p + 1 if p + 1 < len(letters) else wrap,)
 
-        nodes, succ, _ = self._runs(0, step, letters, self._bounds(valuation),
-                                    "lasso graph")
+        nodes, succ, _ = self._runs(self.u, 0, step, letters,
+                                    self._bounds(valuation), "lasso graph")
         scc = markov._tarjan(len(nodes), succ)
         return any(scc.has_cycle[ci]
                    and any(self.u.is_buchi[nodes[i][1]] for i in comp)
                    for ci, comp in enumerate(scc.components))
 
-    def _product(self, chain, valuation):
+    def _product(self, chain, u_aut, bounds):
         """Reachable product with the chain: (nodes, succ, initial count)."""
         letters = [frozenset(l) & self.atoms for l in chain.labels]
-        product = self._runs(chain.init, chain.successors, letters,
-                             self._bounds(valuation), "product")
+        product = self._runs(u_aut, chain.init, chain.successors, letters,
+                             bounds, "product")
         self.stats["product_nodes"] += len(product[0])
         return product
 
-    def _good_nodes(self, chain, nodes, succ):
+    def _good_nodes(self, chain, u_aut, nodes, succ):
         """Indices of nodes inside some complete accepting product SCC."""
         scc = markov._tarjan(len(nodes), succ)
         good = set()
@@ -513,7 +510,7 @@ class DiamondChecker:
             # moves on, and the automaton cannot follow inside it.
             if not scc.has_cycle[ci]:
                 continue
-            if not any(self.u.is_buchi[nodes[i][1]] for i in comp):
+            if not any(u_aut.is_buchi[nodes[i][1]] for i in comp):
                 continue
             if self._complete(chain, comp, nodes, succ):
                 good |= comp
@@ -557,21 +554,27 @@ class DiamondChecker:
     def check_pos(self, chain, valuation):
         """Is the satisfaction probability positive at this valuation?"""
         self.stats["queries"] += 1
-        nodes, succ, _ = self._product(chain, valuation)
-        return bool(self._good_nodes(chain, nodes, succ))
+        return self._holds(chain, "pos", self.u, self._bounds(valuation))
 
     def check_as1(self, chain, valuation):
-        """Is the satisfaction probability one at this valuation?
+        """Is the satisfaction probability one at this valuation?"""
+        self.stats["queries"] += 1
+        return self._holds(chain, "as1", self.u, self._bounds(valuation))
 
-        Tracks the set of automaton configurations alive along each
-        chain path: a path with no configuration left refutes almost-sure
-        satisfaction outright, and otherwise every recurrent behavior
-        (bottom component of the tracking graph) must offer a
+    def _holds(self, chain, threshold, u_aut, bounds):
+        """Does `u_aut` at `bounds` accept with probability > 0 ("pos")
+        or 1 ("as1")?
+
+        For "as1" it tracks the set of automaton configurations alive
+        along each chain path: a path with no configuration left refutes
+        almost-sure satisfaction outright, and otherwise every recurrent
+        behavior (bottom component of the tracking graph) must offer a
         configuration inside a complete accepting product SCC.
         """
-        self.stats["queries"] += 1
-        nodes, succ, n_initial = self._product(chain, valuation)
-        good = self._good_nodes(chain, nodes, succ)
+        nodes, succ, n_initial = self._product(chain, u_aut, bounds)
+        good = self._good_nodes(chain, u_aut, nodes, succ)
+        if threshold == "pos":
+            return bool(good)
         tracking = self._explore([(chain.init, frozenset(range(n_initial)))],
                                  self._images(chain, nodes, succ),
                                  "tracking graph")
@@ -592,43 +595,39 @@ class DiamondChecker:
         return {x: self.vbar(chain) for x in self.user_names}
 
     def _counter_free_empty(self, chain, threshold):
-        """Does the stripped formula prove V>0 (or V=1) empty?
+        """Does the counter-free automaton prove V>0 (or V=1) empty?
 
-        phi[v] implies `strip_params(phi)`, so a stripped formula that
-        fails `check_pos` (or `check_as1`) fails it at every valuation.
-        False when the formula has no parameter (stripping changes
-        nothing) or when the counter-free product passes the node cap;
-        the witness-bound query then decides.  Its product nodes are
-        counted in `stats`.
+        That automaton is the checker's tableau with `acc_b + acc_p` as
+        Buchi sets and no counters.  A counter counts a streak outside
+        its `acc_p` set, so a run the counter product accepts at v visits
+        each such set at least once every v(x) + 1 states and is
+        accepted here too: this language contains the one at every v,
+        and probability zero (below one) proves V>0 (V=1) empty.  It is
+        exactly phi with every F[<=x] read as F: a marked F[<=x] psi
+        stays marked until psi holds, which its Buchi set forces, and
+        the NNF formula is positive in an unmarked one.
+
+        False without parameters (the witness query asks the same) or
+        when its product passes the node cap.  Its nodes count in
+        `stats["product_nodes"]`, not in `stats["queries"]`.
         """
-        self.shortcut = None
-        if not self.user_names:
-            return False
-        free = DiamondChecker(strip_params(self.nnf), self.max_product_nodes)
-        check = free.check_pos if threshold == "pos" else free.check_as1
-        try:
-            empty = not check(chain, {})
-        except ResourceLimitError:
-            empty = False
-        finally:
-            self.stats["product_nodes"] += free.stats["product_nodes"]
-        if empty:
-            self.shortcut = "counter-free"
+        empty = False
+        if self.user_names:
+            free = UAutomaton(self.g, self.g.acc_b + self.g.acc_p, [])
+            try:
+                empty = not self._holds(chain, threshold, free, [])
+            except ResourceLimitError:
+                pass
+        self.shortcut = "counter-free" if empty else None
         return empty
 
-    def emptiness_pos(self, chain):
-        """True iff V>0 is empty: decided by the counter-free product when
-        the stripped formula has probability zero, and otherwise at the
+    def emptiness(self, chain, threshold):
+        """True iff V>0 ("pos") or V=1 ("as1") is empty: decided by the
+        counter-free product when it proves that, and otherwise at the
         uniform witness bound."""
-        return (self._counter_free_empty(chain, "pos")
-                or not self.check_pos(chain, self.witness(chain)))
-
-    def emptiness_as1(self, chain):
-        """True iff V=1 is empty: decided by the counter-free product when
-        the stripped formula is not almost sure, and otherwise at the
-        uniform witness bound."""
-        return (self._counter_free_empty(chain, "as1")
-                or not self.check_as1(chain, self.witness(chain)))
+        check = self.check_pos if threshold == "pos" else self.check_as1
+        return (self._counter_free_empty(chain, threshold)
+                or not check(chain, self.witness(chain)))
 
     def min_set(self, chain, threshold="pos", bound=None):
         """Minimal valuations of V>0 (or V=1) as an antichain.

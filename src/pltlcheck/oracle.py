@@ -218,6 +218,8 @@ def sample_lower_bound(chain, phi, samples, horizon, seed):
     """
     if horizon < 1:
         raise OracleInputError("horizon must be at least 1")
+    if samples < 1:
+        raise OracleInputError("samples must be at least 1")
     rng = random.Random(seed)
     hits = 0
     for _ in range(samples):

@@ -131,7 +131,7 @@ def test_criterion_06_witness_bound_property():
             empty, _, _ = fx.emptiness_pos_fx(c, phi)
             vbar = c.m * size(nnf)
         else:
-            empty = ck.emptiness_pos(c)
+            empty = ck.emptiness(c, "pos")
             vbar = ck.vbar(c)
         x = names[0]
         exists = any(ck.check_pos(c, {x: k}) for k in range(2 * vbar + 1))

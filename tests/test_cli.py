@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import until_chain
-from pltlcheck import cli
+from pltlcheck import cli, diamond
 
 COIN = "states 2\ninit 0\ntrans 0 0 1/2\ntrans 0 1 1/2\ntrans 1 1 1\nlabel 1 a\n"
 RING = ("states 3\ninit 0\ntrans 0 1 1\ntrans 1 2 1\ntrans 2 0 1\n"
@@ -164,6 +164,10 @@ def test_emit_automaton(coin, tmp_path):
      "--loop", ""],
     ["oracle", "sample", "--chain", "{coin}", "--formula", "F[<=2] a",
      "--horizon", "0"],
+    ["oracle", "sample", "--chain", "{coin}", "--formula", "F[<=2] a",
+     "--samples", "0"],
+    ["oracle", "sample", "--chain", "{coin}", "--formula", "F[<=2] a",
+     "--samples", "-3"],
     ["check", "--chain", "{coin}", "--formula", "F[<=²] a"],
     ["check", "--chain", "{coin}", "--formula", "F[<=%s] a" % ("9" * 5000)],
     ["prob", "--chain", "{coin}", "--formula", "F[<=x] a",
@@ -178,7 +182,8 @@ def test_emit_automaton(coin, tmp_path):
     ["check", "--chain", "{coin}", "--formula", " | ".join(["a"] * 3000)],
     ["check", "--chain", "{coin}",
      "--formula", "(" * 200 + "F[<=x] a" + ")" * 200],
-], ids=["lasso-empty-loop", "sample-horizon-0", "formula-unicode-digit",
+], ids=["lasso-empty-loop", "sample-horizon-0", "sample-samples-0",
+        "sample-samples-negative", "formula-unicode-digit",
         "formula-huge-constant", "valuation-unicode-digit",
         "valuation-huge-value", "formula-deep-parentheses", "formula-deep-not",
         "formula-deep-next", "formula-long-until-chain",
@@ -229,6 +234,27 @@ def test_nine_untils_check_is_empty(coin):
                            until_chain(9), "--max-product-nodes", "1000"])
     assert code == 0, err
     assert "shortcut: counter-free\nverdict: empty\n" in out
+
+
+@pytest.mark.parametrize("text, shortcut", [
+    ("F[<=x] G a", False),
+    ("G F[<=x] a & G F[<=y] b & G F[<=z] !a", True),
+], ids=["vbar", "gf3"])
+def test_check_builds_one_tableau(coin, monkeypatch, text, shortcut):
+    # The counter-free step runs on the checker's own tableau, whether it
+    # decides (gf3: b never holds) or the witness bound does.
+    built = []
+    real = diamond.GAutomaton
+
+    def counted(phi):
+        built.append(phi)
+        return real(phi)
+    monkeypatch.setattr(diamond, "GAutomaton", counted)
+    code, out, err = _run(["check", "--chain", coin, "--formula", text])
+    assert code == 0, err
+    assert "fragment: Diamond" in out
+    assert ("shortcut: counter-free" in out) == shortcut
+    assert len(built) == 1
 
 
 def test_exit_tableau_too_large(coin):

@@ -13,7 +13,8 @@ from pltlcheck import diamond
 from pltlcheck.diamond import DiamondChecker, ResourceLimitError, format_automaton
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import (
-    closure, parse_formula, size, strip_params, substitute, to_nnf, variables,
+    BoundedEventually, VarBound, closure, parse_formula, size, strip_params,
+    substitute, to_nnf, variables,
 )
 from pltlcheck.markov import MarkovChain
 from pltlcheck.oracle import (
@@ -64,8 +65,8 @@ def test_min_set_and_emptiness():
     ck = DiamondChecker(parse_formula("F[<=x] a"))
     assert list(ck.min_set(c)) == [(1,)]
     assert not list(ck.min_set(c, threshold="as1"))
-    assert not ck.emptiness_pos(c)
-    assert ck.emptiness_as1(c)
+    assert not ck.emptiness(c, "pos")
+    assert ck.emptiness(c, "as1")
     line = _line([set(), {"a"}])
     assert list(ck.min_set(line, threshold="as1")) == [(1,)]
 
@@ -73,7 +74,7 @@ def test_min_set_and_emptiness():
 def test_emptiness_unreachable():
     one = Fraction(1)
     c = MarkovChain(2, 0, [{0: one}, {1: one}], [set(), {"b"}])
-    assert DiamondChecker(parse_formula("F[<=x] b")).emptiness_pos(c)
+    assert DiamondChecker(parse_formula("F[<=x] b")).emptiness(c, "pos")
 
 
 def test_shared_variable_bound():
@@ -243,7 +244,7 @@ def test_counter_free_step_decides_gf3():
     # b never holds on the coin chain: G F b, and so the formula at
     # every valuation, has probability zero.
     ck = DiamondChecker(parse_formula("G F[<=x] a & G F[<=y] b & G F[<=z] !a"))
-    assert ck.emptiness_pos(coin_chain())
+    assert ck.emptiness(coin_chain(), "pos")
     assert ck.shortcut == "counter-free"
     assert ck.stats["queries"] == 0
 
@@ -251,7 +252,7 @@ def test_counter_free_step_decides_gf3():
 def test_counter_free_step_decides_unsat_fixture_as1():
     chain, phi = gen_3sat_fixture([[1], [-1]], 1)
     ck = DiamondChecker(phi)
-    assert ck.emptiness_as1(chain)
+    assert ck.emptiness(chain, "as1")
     assert ck.shortcut == "counter-free"
     assert ck.stats["queries"] == 0
     assert ck.stats["product_nodes"] < 100
@@ -260,25 +261,26 @@ def test_counter_free_step_decides_unsat_fixture_as1():
 def test_counter_free_step_falls_through():
     c = coin_chain()
     ck = DiamondChecker(parse_formula("F[<=x] a"))
-    assert not ck.emptiness_pos(c)
+    assert not ck.emptiness(c, "pos")
     assert ck.shortcut is None and ck.stats["queries"] == 1
     # F a holds almost surely, F[<=x] a at no valuation: the witness
     # bound decides.
-    assert ck.emptiness_as1(c)
+    assert ck.emptiness(c, "as1")
     assert ck.shortcut is None and ck.stats["queries"] == 2
     # Without parameters there is nothing to strip.
     ck = DiamondChecker(parse_formula("G F b"))
-    assert ck.emptiness_pos(c)
+    assert ck.emptiness(c, "pos")
     assert ck.shortcut is None and ck.stats["queries"] == 1
 
 
 def test_counter_free_step_over_the_node_cap_falls_through():
-    # The stripped formula has one more Buchi set to cycle through, so
-    # its product (6 nodes) is larger than the witness product (3).
+    # The counter-free automaton cycles through the parametric set as a
+    # Buchi set too, so its product (6 nodes) is larger than the witness
+    # product (3).
     one = Fraction(1)
     c = MarkovChain(2, 0, [{1: one}, {0: one}], [{"a", "b"}, {"a", "c"}])
     ck = DiamondChecker(parse_formula("G (F[<=x] a & F b)"), max_product_nodes=4)
-    assert not ck.emptiness_pos(c)
+    assert not ck.emptiness(c, "pos")
     assert ck.shortcut is None and ck.stats["product_nodes"] == 3
 
 
@@ -304,9 +306,35 @@ def test_counter_free_step_agrees_with_witness_bound(seed, fx):
     ck = DiamondChecker(phi, max_product_nodes=5000)
     witness = ck.witness(c)
     try:
-        pos = ck.emptiness_pos(c), not ck.check_pos(c, witness)
-        as1 = ck.emptiness_as1(c), not ck.check_as1(c, witness)
+        pos = ck.emptiness(c, "pos"), not ck.check_pos(c, witness)
+        as1 = ck.emptiness(c, "as1"), not ck.check_as1(c, witness)
     except ResourceLimitError:
         assume(False)
     assert pos[0] == pos[1], (phi, c.rows)
     assert as1[0] == as1[1], (phi, c.rows)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(nnf_formulas(max_leaves=6), st.integers(0, 2 ** 32 - 1))
+def test_counter_free_step_matches_stripped_formula(phi, seed):
+    # The step runs on the checker's own tableau.  The reference is the
+    # formula with every F[<=x] read as F, checked by a checker of its
+    # own.  The step's cap is ten times the reference's, so an example
+    # too large for the step (whose cap hit reads as "not empty") is
+    # dropped at the reference's cap first.  A formula without a
+    # variable (the step is then skipped) is put under F[<=x] rather
+    # than rejected, which would trip the too-much-filtering check.
+    if not variables(phi):
+        phi = BoundedEventually(VarBound("x"), phi)
+    nnf = to_nnf(phi)
+    c = random_chain(random.Random(seed), max_states=4)
+    try:
+        ck = DiamondChecker(nnf, max_product_nodes=20000)
+        ref = DiamondChecker(strip_params(nnf), max_product_nodes=2000)
+        for threshold, check in (("pos", ref.check_pos),
+                                 ("as1", ref.check_as1)):
+            expected = not check(c, {})
+            assert ck._counter_free_empty(c, threshold) == expected, \
+                (phi, threshold, c.rows)
+    except ResourceLimitError:
+        assume(False)

@@ -185,7 +185,7 @@ def test_emptiness_matches_diamond_engine():
             continue
         ck = DiamondChecker(phi)
         empty, _, _ = fx.emptiness_pos_fx(c, phi)
-        assert empty == ck.emptiness_pos(c), (phi,)
+        assert empty == ck.emptiness(c, "pos"), (phi,)
         n += 1
 
 

@@ -101,7 +101,7 @@ def test_gen_3sat_fixture_unsat():
     assert empty
     # The small unsatisfiable instance is also in reach of the general
     # engine at its witness bound.
-    assert diamond.DiamondChecker(phi).emptiness_pos(chain)
+    assert diamond.DiamondChecker(phi).emptiness(chain, "pos")
 
 
 def test_gen_3sat_validation():
