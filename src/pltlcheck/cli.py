@@ -244,6 +244,12 @@ def _closed_form(kind, chain, phi, fragment, p, max_nodes):
     return MinimalSet(names, [] if n0 is None else [(n0,)])
 
 
+def _add_bound(rep, checker):
+    """Report the witness bound or box top the general engine used."""
+    if checker.bound_used is not None:
+        rep.add("bound", checker.bound_used)
+
+
 def _run_check(args, rep):
     chain, phi, kind, p, fragment, _ = _read_query(args, rep)
     checker = None
@@ -272,6 +278,7 @@ def _run_check(args, rep):
         empty = checker.emptiness(chain, kind)
         if not empty:
             rep.add("witness-valuation", Valuation(checker.witness(chain)))
+        _add_bound(rep, checker)
         rep.add("product-nodes", checker.stats["product_nodes"])
         if checker.shortcut:
             rep.add("shortcut", checker.shortcut)
@@ -295,6 +302,7 @@ def _run_minset(args, rep):
             ms = fx.min_set_fx(chain, phi, kind, checker)
         else:
             ms = checker.min_set(chain, kind)
+        _add_bound(rep, checker)
         rep.add("oracle-calls", checker.stats["queries"])
     _maybe_emit(args, checker)
     rep.add("cardinality", len(ms))

@@ -27,7 +27,15 @@ as F (Kupferman, Piterman and Vardi, 2009).  A product with no
 counters, whose Buchi sets are the tableau's `acc_b` and `acc_p`, asks
 that formula first: probability zero proves V>0 empty, and below one
 proves V=1 empty.  Only when that does not decide does the product at
-the uniform witness bound run.  Both steps are exact.
+the witness bound run.  Both steps are exact.
+
+The witness bound, and the top of the valuation search's box, is
+min(vbar, N0).  vbar = m * |phi| * 2^|phi| is the paper's bound, a
+pigeonhole count over (chain state, automaton state) pairs; N0 counts
+only the pairs the chain can reach, in the product of the round-robin
+automaton with the chain with its counters dropped (`bound` gives the
+argument).  Products at N0 are far smaller than at vbar: 3 to 8 pairs
+against 640 for G (!a | F[<=x] b) on four-state chains.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ class ResourceLimitError(Exception):
 DEFAULT_MAX_PRODUCT_NODES = 10 ** 7
 MAX_CLOSURE = 22  # atoms plus non-literal closure members
 # Tableau states; every free X, G, U, R or F member can double them, and
-# the successor lists take time quadratic in their number.
+# every state's successor list can hold all of them.
 MAX_TABLEAU_STATES = 2 ** 14
 
 
@@ -142,8 +150,9 @@ class GAutomaton:
         steps = [(type(f), bit[f], bit[children(f)[0]], bit[children(f)[-1]])
                  for f in nonlits if not isinstance(f, (And, Or))]
         wants = [_successor_constraint(h, steps) for h in masks]
-        # States grouped by the bits that some constraint reads; a
-        # successor list is the union of the groups that match.
+        # States grouped by the bits that some constraint reads, and the
+        # group keys bucketed once per constrained mask by the bits it
+        # reads: a successor list joins the groups of one bucket.
         read = 0
         for want in wants:
             if want is not None:
@@ -151,14 +160,19 @@ class GAutomaton:
         groups = {}
         for j, h in enumerate(masks):
             groups.setdefault(h & read, []).append(j)
+        buckets = {}
         shared = {None: []}
         for want in wants:
             if want not in shared:
                 mask, value = want
+                by_value = buckets.get(mask)
+                if by_value is None:
+                    by_value = buckets[mask] = {}
+                    for key in groups:
+                        by_value.setdefault(key & mask, []).append(key)
                 targets = shared[want] = []
-                for key, members in groups.items():
-                    if key & mask == value:
-                        targets += members
+                for key in by_value.get(value, ()):
+                    targets += groups[key]
                 targets.sort()
         self.succ = [shared[want] for want in wants]
         self.acc_b = []
@@ -364,6 +378,8 @@ class DiamondChecker:
 
     `shortcut` names the step that decided the last emptiness query
     before the witness-bound product ("counter-free"), or is None.
+    `bound_used` is the witness bound or box top of the last emptiness
+    query or valuation search that asked a valuation, or None.
     """
 
     def __init__(self, phi, max_product_nodes=DEFAULT_MAX_PRODUCT_NODES):
@@ -380,6 +396,8 @@ class DiamondChecker:
         self.atoms = frozenset(atoms(renamed))
         self.stats = {"product_nodes": 0, "queries": 0}
         self.shortcut = None
+        self.bound_used = None
+        self._pairs = (None, None)
 
     def _bounds(self, valuation):
         assign = valuation.assignment if hasattr(valuation, "assignment") \
@@ -586,13 +604,82 @@ class DiamondChecker:
                    for ci in scc.bottom_components())
 
     def vbar(self, chain):
-        """Uniform witness bound m * |phi| * 2^|phi| for emptiness checks."""
+        """The paper's uniform witness bound m * |phi| * 2^|phi|."""
         return chain.m * self.base_size * 2 ** self.base_size
 
+    def pairs(self, chain):
+        """N0, the number of reachable (chain state, U-state) pairs, or
+        None when their product passes the node cap.
+
+        It is the product of `self.u` with the chain at no counters,
+        built once per chain; its nodes count in
+        `stats["product_nodes"]`, not in `stats["queries"]`.
+        """
+        if self._pairs[0] is not chain:
+            try:
+                n0 = len(self._product(chain, self.u, [])[0])
+            except ResourceLimitError:
+                n0 = None
+            self._pairs = (chain, n0)
+        return self._pairs[1]
+
+    def bound(self, chain):
+        """The witness bound min(vbar, N0), N0 = `pairs(chain)`; vbar
+        when the pair product passes the node cap.
+
+        Counters only kill runs, so every node (s, u, c) of a counter
+        product, at any valuation, lies on one of the N0 reachable pairs
+        (s, u), and N0 <= m * |U|.  V is upward closed, so the bound
+        holds when v in V implies min(v, N0) in V: then every minimal
+        valuation lies in {0..N0}^k, and V is nonempty iff it holds the
+        point at N0.  The argument is the paper's pigeonhole behind
+        vbar, over the pairs a run can meet instead of all of them.
+
+        Let v be in V and r a run that the product at v accepts on a
+        chain path w; every pair r meets is one of the N0.  A streak of
+        r for a variable x is a stretch of consecutive positions outside
+        x's parametric set (F[<=x] psi marked, psi not yet true).  A
+        streak longer than N0 meets some pair (s, u) twice, at i < j;
+        w[i..j] is then a cycle of the chain at s that r follows from u
+        back to u with the streak open throughout.
+        - Transient part.  Both thresholds are decided by complete
+          accepting product components that a finite chain path
+          reaches.  Cut w[i..j) from that path and r with it: the
+          shorter path has positive probability, the Markov property
+          keeps the law of its continuation, and the cut run passes the
+          same pairs.  Each cut shortens the finite path, so cutting any
+          streak longer than N0, of any variable, ends with none left.
+          For the witness point, every variable at N0, that is the whole
+          step.  For min(v, N0) with some v(y) < N0 it is not: a cut can
+          join two y-streaks into one longer than v(y), too short to
+          hold a repeated pair that would let it be cut again.
+        - Bottom component.  Inside a complete component the chain
+          takes the cycle w[i..j) any number of times with positive
+          probability, and completeness keeps a run alive over every
+          number of turns; a run held to the pair cycle dies after
+          v(x) / (j - i) turns, so live runs break the streak: psi holds
+          on the way, or the run never marked F[<=x] psi.  This step is
+          argued, not proved: a live run need not break the streak
+          within one turn of the cycle.
+        So the bound is also checked against vbar.
+        `tests/test_diamond.py::test_min_set_at_pair_bound_matches_vbar`
+        compares the two antichains on random formulas with two or more
+        variables, and `test_min_set_at_pair_bound_on_detour_chain` pins
+        a family where the join above happens: there the largest minimal
+        x is N0 - 2, more than the pairs any accepted run meets, and N0
+        holds only because it also counts tableau states with no
+        successor.
+        """
+        n0 = self.pairs(chain)
+        n = self.vbar(chain)
+        return n if n0 is None else min(n, n0)
+
     def witness(self, chain):
-        """The uniform valuation at the witness bound: the valuation set
-        is nonempty iff it contains this point."""
-        return {x: self.vbar(chain) for x in self.user_names}
+        """The uniform valuation at `bound(chain)`: the valuation set is
+        nonempty iff it contains this point."""
+        if not self.user_names:
+            return {}
+        return dict.fromkeys(self.user_names, self.bound(chain))
 
     def _counter_free_empty(self, chain, threshold):
         """Does the counter-free automaton prove V>0 (or V=1) empty?
@@ -624,16 +711,21 @@ class DiamondChecker:
     def emptiness(self, chain, threshold):
         """True iff V>0 ("pos") or V=1 ("as1") is empty: decided by the
         counter-free product when it proves that, and otherwise at the
-        uniform witness bound."""
+        witness bound min(vbar, N0) of `bound`."""
+        if self._counter_free_empty(chain, threshold):
+            return True
+        point = self.witness(chain)
+        if point:
+            self.bound_used = self.bound(chain)
         check = self.check_pos if threshold == "pos" else self.check_as1
-        return (self._counter_free_empty(chain, threshold)
-                or not check(chain, self.witness(chain)))
+        return not check(chain, point)
 
     def min_set(self, chain, threshold="pos", bound=None):
         """Minimal valuations of V>0 (or V=1) as an antichain.
 
-        The search box is {0..N}^d with N the witness bound, shrinkable
-        through `bound` when a tighter enclosure is known.  The search
+        The search box is {0..N}^d with N the witness bound of `bound`,
+        min(vbar, N0), lowered to the `bound` argument when a tighter
+        enclosure of the minimal valuations is known.  The search
         asks each valuation at most once and the box top first, so
         `stats["queries"]` counts the distinct valuations asked, and a
         false top ends the search after one query.
@@ -646,7 +738,10 @@ class DiamondChecker:
         names = self.user_names
         if not names:
             raise FragmentError("formula has no parameter variables")
-        n = self.vbar(chain) if bound is None else bound
+        n = self.bound(chain)
+        if bound is not None:
+            n = min(n, bound)
+        self.bound_used = n
 
         def oracle(point):
             return check(chain, dict(zip(names, point)))

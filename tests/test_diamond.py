@@ -13,8 +13,8 @@ from pltlcheck import diamond
 from pltlcheck.diamond import DiamondChecker, ResourceLimitError, format_automaton
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import (
-    BoundedEventually, VarBound, closure, parse_formula, size, strip_params,
-    substitute, to_nnf, variables,
+    Always, And, BoundedEventually, Eventually, Or, Release, Until, VarBound,
+    closure, parse_formula, size, strip_params, substitute, to_nnf, variables,
 )
 from pltlcheck.markov import MarkovChain
 from pltlcheck.oracle import (
@@ -276,12 +276,14 @@ def test_counter_free_step_falls_through():
 def test_counter_free_step_over_the_node_cap_falls_through():
     # The counter-free automaton cycles through the parametric set as a
     # Buchi set too, so its product (6 nodes) is larger than the witness
-    # product (3).
+    # product (3).  Only the pair product that gives the witness bound
+    # (3) and the witness product count.
     one = Fraction(1)
     c = MarkovChain(2, 0, [{1: one}, {0: one}], [{"a", "b"}, {"a", "c"}])
     ck = DiamondChecker(parse_formula("G (F[<=x] a & F b)"), max_product_nodes=4)
     assert not ck.emptiness(c, "pos")
-    assert ck.shortcut is None and ck.stats["product_nodes"] == 3
+    assert ck.pairs(c) == 3
+    assert ck.shortcut is None and ck.stats["product_nodes"] == 3 + 3
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -301,10 +303,11 @@ def test_counter_free_step_agrees_with_witness_bound(seed, fx):
         else:
             phi = random_diamond_formula(rng, size_budget=5)
     c = random_chain(rng, max_states=4)
-    # Two or three counters at the witness bound can take seconds; such
-    # examples are dropped at the cap.
+    # Two or three counters at vbar can take seconds; such examples are
+    # dropped at the cap.  vbar, not the witness bound, is the
+    # reference: the witness bound is computed by the checker under test.
     ck = DiamondChecker(phi, max_product_nodes=5000)
-    witness = ck.witness(c)
+    witness = {x: ck.vbar(c) for x in variables(phi)}
     try:
         pos = ck.emptiness(c, "pos"), not ck.check_pos(c, witness)
         as1 = ck.emptiness(c, "as1"), not ck.check_as1(c, witness)
@@ -338,3 +341,93 @@ def test_counter_free_step_matches_stripped_formula(phi, seed):
                 (phi, threshold, c.rows)
     except ResourceLimitError:
         assume(False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(nnf_formulas(max_leaves=2), nnf_formulas(max_leaves=2),
+       st.sampled_from([And, Or, Until, Release]),
+       st.sampled_from([None, Always, Eventually]), st.integers(0, 2 ** 32 - 1))
+def test_min_set_at_pair_bound_matches_vbar(left, right, op, outer, seed):
+    # Two variables or more: x and y bound the two sides, which may hold
+    # more of them.  The box top min(vbar, N0) of min_set is compared
+    # with the box top vbar.  A search at vbar with two counters can
+    # pass the cap; such examples are dropped.
+    phi = op(BoundedEventually(VarBound("x"), left),
+             BoundedEventually(VarBound("y"), right))
+    if outer is not None:
+        phi = outer(phi)
+    c = random_chain(random.Random(seed), max_states=4)
+    try:
+        for threshold in ("pos", "as1"):
+            ck = DiamondChecker(phi, max_product_nodes=3000)
+            got = ck.min_set(c, threshold)
+            assert ck.bound_used == min(ck.vbar(c), ck.pairs(c))
+            ref = DiamondChecker(phi, max_product_nodes=3000).min_set(
+                c, threshold, bound=ck.vbar(c))
+            assert got == ref, (phi, threshold, c.rows, c.labels, c.init)
+    except ResourceLimitError:
+        assume(False)
+
+
+def test_response_min_set_asks_nothing_above_the_pair_bound():
+    # G (!a | F[<=x] b) on a four-state chain where b follows a after two
+    # steps, or after any number of steps in state 2: V>0 = {x >= 2} and
+    # V=1 is empty.  vbar is 4 * 5 * 2^5 = 640; the search asks no
+    # valuation above N0.
+    half = Fraction(1, 2)
+    c = MarkovChain(4, 0, [{1: half, 2: half}, {3: Fraction(1)},
+                           {2: half, 3: half}, {3: Fraction(1)}],
+                    [{"a"}, set(), set(), {"b"}])
+    phi = parse_formula("G (!a | F[<=x] b)")
+    for threshold, expected in (("pos", [(2,)]), ("as1", [])):
+        ck = DiamondChecker(phi)
+        asked = []
+        check = ck.check_pos if threshold == "pos" else ck.check_as1
+
+        def spy(chain, valuation):
+            asked.append(valuation["x"])
+            return check(chain, valuation)
+        setattr(ck, "check_" + threshold, spy)
+        assert list(ck.min_set(c, threshold).points) == expected
+        n0 = ck.pairs(c)
+        assert asked and max(asked) <= n0 < ck.vbar(c) == 640
+        assert ck.bound_used == n0
+        assert ck.stats["queries"] == len(asked)
+        assert list(DiamondChecker(phi).min_set(c, threshold, bound=640)
+                    .points) == expected
+
+
+def _detour_chain(detours):
+    """Two unlabelled states, then a state s that steps on or takes the
+    detour s -> t -> s through an a-state t, each with probability 1/2,
+    `detours` times over; then two unlabelled states and an absorbing
+    state labelled a and b."""
+    half, one = Fraction(1, 2), Fraction(1)
+    rows, labels = [], []
+    for i in range(detours):
+        s = 4 * i + 2
+        rows += [{s - 1: one}, {s: one}, {s + 1: half, s + 2: half},
+                 {s: one}]
+        labels += [set(), set(), set(), {"a"}]
+    end = 4 * detours
+    rows += [{end + 1: one}, {end + 2: one}, {end + 2: one}]
+    labels += [set(), set(), {"a", "b"}]
+    return MarkovChain(len(rows), 0, rows, labels)
+
+
+def test_min_set_at_pair_bound_on_detour_chain():
+    # Each detour costs x two steps and splits an a-free stretch for y,
+    # so x trades against y.  The largest x, 17, comes within two of
+    # N0 = 19.  Cutting a detour joins two a-free stretches, the step of
+    # the bound argument that fails for two variables: an accepted run
+    # meets at most 15 pairs, one per state, and N0 also counts the four
+    # tableau states with G F[<=y] a but not F[<=y] a, which have no
+    # successor.
+    c = _detour_chain(3)
+    phi = parse_formula("F[<=x] b & G F[<=y] a")
+    ck = DiamondChecker(phi)
+    expected = [(11, 11), (13, 6), (17, 4)]
+    assert list(ck.min_set(c, "pos").points) == expected
+    assert ck.bound_used == ck.pairs(c) == 19
+    assert list(DiamondChecker(phi).min_set(c, "pos", bound=ck.vbar(c))
+                .points) == expected
