@@ -155,8 +155,7 @@ def min_set_pos_genbuchi(chain, conjuncts, checker):
     `conjuncts` lists (variable, proposition) pairs; `checker` is the
     general engine's DiamondChecker for the conjunction.  Emptiness is
     decided on the graph first; otherwise the checker searches
-    {0, ..., min(m * d, N0)}^k, with d the number of conjuncts and N0
-    the checker's pair count (`DiamondChecker.bound`).
+    {0, ..., m * d}^k, with d the number of conjuncts.
     """
     if emptiness_pos_genbuchi(chain, [a for _, a in conjuncts]):
         return MinimalSet(checker.user_names)

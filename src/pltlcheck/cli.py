@@ -244,12 +244,6 @@ def _closed_form(kind, chain, phi, fragment, p, max_nodes):
     return MinimalSet(names, [] if n0 is None else [(n0,)])
 
 
-def _add_bound(rep, checker):
-    """Report the witness bound or box top the general engine used."""
-    if checker.bound_used is not None:
-        rep.add("bound", checker.bound_used)
-
-
 def _run_check(args, rep):
     chain, phi, kind, p, fragment, _ = _read_query(args, rep)
     checker = None
@@ -277,8 +271,11 @@ def _run_check(args, rep):
         checker = diamond.DiamondChecker(phi, args.max_product_nodes)
         empty = checker.emptiness(chain, kind)
         if not empty:
-            rep.add("witness-valuation", Valuation(checker.witness(chain)))
-        _add_bound(rep, checker)
+            # The uniform point the emptiness query found in V.
+            rep.add("witness-valuation", Valuation(dict.fromkeys(
+                checker.user_names, checker.bound_used)))
+        if checker.bound_used is not None:
+            rep.add("bound", checker.bound_used)
         rep.add("product-nodes", checker.stats["product_nodes"])
         if checker.shortcut:
             rep.add("shortcut", checker.shortcut)
@@ -302,7 +299,8 @@ def _run_minset(args, rep):
             ms = fx.min_set_fx(chain, phi, kind, checker)
         else:
             ms = checker.min_set(chain, kind)
-        _add_bound(rep, checker)
+        if checker.bound_used is not None:
+            rep.add("bound", checker.bound_used)
         rep.add("oracle-calls", checker.stats["queries"])
     _maybe_emit(args, checker)
     rep.add("cardinality", len(ms))

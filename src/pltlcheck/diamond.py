@@ -29,13 +29,16 @@ that formula first: probability zero proves V>0 empty, and below one
 proves V=1 empty.  Only when that does not decide does the product at
 the witness bound run.  Both steps are exact.
 
-The witness bound, and the top of the valuation search's box, is
-min(vbar, N0).  vbar = m * |phi| * 2^|phi| is the paper's bound, a
-pigeonhole count over (chain state, automaton state) pairs; N0 counts
-only the pairs the chain can reach, in the product of the round-robin
-automaton with the chain with its counters dropped (`bound` gives the
-argument).  Products at N0 are far smaller than at vbar: 3 to 8 pairs
-against 640 for G (!a | F[<=x] b) on four-state chains.
+The witness bound, and the top of the valuation search's box, is the
+paper's vbar = m * |phi| * 2^|phi|, a pigeonhole count over (chain
+state, automaton state) pairs.  N0, the number of those pairs the
+chain can reach (`pairs`), is asked first where a true answer settles
+the query: V is upward closed, so the uniform point at N0 in V proves
+V nonempty, and with one variable it bounds the search box at N0.  A
+false answer at N0 proves nothing, since no proof yet shows that N0
+can replace vbar, and the query goes on at vbar.  Products at N0 are
+far smaller: 3 to 8 pairs against 640 for G (!a | F[<=x] b) on
+four-state chains.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .formula import (
     subformulas, to_nnf, unfolded_depth, variables,
 )
 from . import markov
-from .valuation import bisection_min_set
+from .valuation import MinimalSet, bisection_min_set
 
 
 class ResourceLimitError(Exception):
@@ -378,8 +381,9 @@ class DiamondChecker:
 
     `shortcut` names the step that decided the last emptiness query
     before the witness-bound product ("counter-free"), or is None.
-    `bound_used` is the witness bound or box top of the last emptiness
-    query or valuation search that asked a valuation, or None.
+    `bound_used` is the uniform bound at which the last emptiness query
+    was decided, or the box top of the last valuation search; None when
+    the counter-free step decided.
     """
 
     def __init__(self, phi, max_product_nodes=DEFAULT_MAX_PRODUCT_NODES):
@@ -397,7 +401,6 @@ class DiamondChecker:
         self.stats = {"product_nodes": 0, "queries": 0}
         self.shortcut = None
         self.bound_used = None
-        self._pairs = (None, None)
 
     def _bounds(self, valuation):
         assign = valuation.assignment if hasattr(valuation, "assignment") \
@@ -608,78 +611,25 @@ class DiamondChecker:
         return chain.m * self.base_size * 2 ** self.base_size
 
     def pairs(self, chain):
-        """N0, the number of reachable (chain state, U-state) pairs, or
-        None when their product passes the node cap.
+        """N0, the number of (chain state, U-state) pairs the chain can
+        reach, or None when their product passes the node cap.
 
-        It is the product of `self.u` with the chain at no counters,
-        built once per chain; its nodes count in
+        It is the product of `self.u` with the chain at no counters:
+        counters only kill runs, so every node (s, u, c) of a counter
+        product lies on one of these pairs.  Its nodes count in
         `stats["product_nodes"]`, not in `stats["queries"]`.
+
+        N0 is only ever asked where a true answer is exact.  Whether a
+        false one is, whether v in V implies min(v, N0) in V, is open.
+        Cutting a repeated pair out of a long streak works on a finite
+        path at a uniform bound; a streak inside a bottom component
+        cannot be cut, and with two variables at different bounds a cut
+        can join two short streaks into one too long.
         """
-        if self._pairs[0] is not chain:
-            try:
-                n0 = len(self._product(chain, self.u, [])[0])
-            except ResourceLimitError:
-                n0 = None
-            self._pairs = (chain, n0)
-        return self._pairs[1]
-
-    def bound(self, chain):
-        """The witness bound min(vbar, N0), N0 = `pairs(chain)`; vbar
-        when the pair product passes the node cap.
-
-        Counters only kill runs, so every node (s, u, c) of a counter
-        product, at any valuation, lies on one of the N0 reachable pairs
-        (s, u), and N0 <= m * |U|.  V is upward closed, so the bound
-        holds when v in V implies min(v, N0) in V: then every minimal
-        valuation lies in {0..N0}^k, and V is nonempty iff it holds the
-        point at N0.  The argument is the paper's pigeonhole behind
-        vbar, over the pairs a run can meet instead of all of them.
-
-        Let v be in V and r a run that the product at v accepts on a
-        chain path w; every pair r meets is one of the N0.  A streak of
-        r for a variable x is a stretch of consecutive positions outside
-        x's parametric set (F[<=x] psi marked, psi not yet true).  A
-        streak longer than N0 meets some pair (s, u) twice, at i < j;
-        w[i..j] is then a cycle of the chain at s that r follows from u
-        back to u with the streak open throughout.
-        - Transient part.  Both thresholds are decided by complete
-          accepting product components that a finite chain path
-          reaches.  Cut w[i..j) from that path and r with it: the
-          shorter path has positive probability, the Markov property
-          keeps the law of its continuation, and the cut run passes the
-          same pairs.  Each cut shortens the finite path, so cutting any
-          streak longer than N0, of any variable, ends with none left.
-          For the witness point, every variable at N0, that is the whole
-          step.  For min(v, N0) with some v(y) < N0 it is not: a cut can
-          join two y-streaks into one longer than v(y), too short to
-          hold a repeated pair that would let it be cut again.
-        - Bottom component.  Inside a complete component the chain
-          takes the cycle w[i..j) any number of times with positive
-          probability, and completeness keeps a run alive over every
-          number of turns; a run held to the pair cycle dies after
-          v(x) / (j - i) turns, so live runs break the streak: psi holds
-          on the way, or the run never marked F[<=x] psi.  This step is
-          argued, not proved: a live run need not break the streak
-          within one turn of the cycle.
-        So the bound is also checked against vbar.
-        `tests/test_diamond.py::test_min_set_at_pair_bound_matches_vbar`
-        compares the two antichains on random formulas with two or more
-        variables, and `test_min_set_at_pair_bound_on_detour_chain` pins
-        a family where the join above happens: there the largest minimal
-        x is N0 - 2, more than the pairs any accepted run meets, and N0
-        holds only because it also counts tableau states with no
-        successor.
-        """
-        n0 = self.pairs(chain)
-        n = self.vbar(chain)
-        return n if n0 is None else min(n, n0)
-
-    def witness(self, chain):
-        """The uniform valuation at `bound(chain)`: the valuation set is
-        nonempty iff it contains this point."""
-        if not self.user_names:
-            return {}
-        return dict.fromkeys(self.user_names, self.bound(chain))
+        try:
+            return len(self._product(chain, self.u, [])[0])
+        except ResourceLimitError:
+            return None
 
     def _counter_free_empty(self, chain, threshold):
         """Does the counter-free automaton prove V>0 (or V=1) empty?
@@ -709,26 +659,39 @@ class DiamondChecker:
         return empty
 
     def emptiness(self, chain, threshold):
-        """True iff V>0 ("pos") or V=1 ("as1") is empty: decided by the
-        counter-free product when it proves that, and otherwise at the
-        witness bound min(vbar, N0) of `bound`."""
+        """True iff V>0 ("pos") or V=1 ("as1") is empty.
+
+        The counter-free product decides when it proves that.  Otherwise
+        the uniform point at N0 is asked when N0 < vbar, and when it is
+        not in V the point at vbar, the witness bound: V is nonempty iff
+        it holds that point.  `bound_used` is the last bound asked.
+        """
+        self.bound_used = None
         if self._counter_free_empty(chain, threshold):
             return True
-        point = self.witness(chain)
-        if point:
-            self.bound_used = self.bound(chain)
         check = self.check_pos if threshold == "pos" else self.check_as1
-        return not check(chain, point)
+        names = self.user_names
+        n = self.vbar(chain)
+        n0 = self.pairs(chain) if names else None
+        if n0 is not None and n0 < n and check(chain, dict.fromkeys(names, n0)):
+            self.bound_used = n0
+            return False
+        if names:
+            self.bound_used = n
+        return not check(chain, dict.fromkeys(names, n))
 
     def min_set(self, chain, threshold="pos", bound=None):
         """Minimal valuations of V>0 (or V=1) as an antichain.
 
-        The search box is {0..N}^d with N the witness bound of `bound`,
-        min(vbar, N0), lowered to the `bound` argument when a tighter
-        enclosure of the minimal valuations is known.  The search
-        asks each valuation at most once and the box top first, so
-        `stats["queries"]` counts the distinct valuations asked, and a
-        false top ends the search after one query.
+        The counter-free product is asked first, as in `emptiness`.
+        The search box is {0..N}^d with N the witness bound vbar,
+        lowered to the `bound` argument when a tighter enclosure of the
+        minimal valuations is known.  With one variable the point N0 is
+        asked first when it is below N, and lowers N to N0 when it is in
+        V.  The search asks each valuation at most once and the box top
+        first, so `stats["queries"]` counts the distinct valuations
+        asked, and a false top ends the search after one query.
+        `bound_used` is the box top searched.
 
         Its callers are the CLI's Diamond `minset` (both thresholds),
         `fx.min_set_fx` at "as1" and `buchi.min_set_pos_genbuchi`; FX at
@@ -738,13 +701,21 @@ class DiamondChecker:
         names = self.user_names
         if not names:
             raise FragmentError("formula has no parameter variables")
-        n = self.bound(chain)
-        if bound is not None:
-            n = min(n, bound)
-        self.bound_used = n
+        self.bound_used = None
+        if self._counter_free_empty(chain, threshold):
+            return MinimalSet(names)
+        n = self.vbar(chain) if bound is None else bound
+        answers = {}
 
         def oracle(point):
-            return check(chain, dict(zip(names, point)))
+            if point not in answers:
+                answers[point] = check(chain, dict(zip(names, point)))
+            return answers[point]
 
+        if len(names) == 1:
+            n0 = self.pairs(chain)
+            if n0 is not None and n0 < n and oracle((n0,)):
+                n = n0
+        self.bound_used = n
         return bisection_min_set(oracle, (0,) * len(names),
                                  (n,) * len(names), names)

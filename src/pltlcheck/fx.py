@@ -19,8 +19,7 @@ the first path to finish is a shortest witness path, and
 v(x) = m * |phi| (constant bounds unfolded) is a witness valuation.
 
 Almost-sure emptiness and the minimal valuations of V=1 use the general
-product checker, whose box top is the smaller of m * |phi| and its pair
-count N0 (`DiamondChecker.bound`).
+product checker at the same bound.
 """
 
 from __future__ import annotations
@@ -217,9 +216,8 @@ def min_set_fx(chain, phi, threshold="pos", checker=None,
     For "pos" the label-setting search finds them without a membership
     oracle; more than `max_nodes` labels raise
     diamond.ResourceLimitError.  For "as1" `DiamondChecker.min_set`
-    searches the box, its top lowered to the checker's pair count N0
-    when that is smaller, with the general product checker as
-    membership oracle; one automaton serves every query.
+    searches the box with the general product checker as membership
+    oracle; one automaton serves every query.
     """
     bound = _uniform_bound(chain, phi)
     if threshold == "pos":

@@ -17,6 +17,7 @@ from pltlcheck.formula import (
     closure, parse_formula, size, strip_params, substitute, to_nnf, variables,
 )
 from pltlcheck.markov import MarkovChain
+from pltlcheck.valuation import bisection_min_set
 from pltlcheck.oracle import (
     CERTAIN_FALSE, LassoWord, eval_lasso, eval_prefix, gen_3sat_fixture,
     sample_lower_bound,
@@ -263,10 +264,10 @@ def test_counter_free_step_falls_through():
     ck = DiamondChecker(parse_formula("F[<=x] a"))
     assert not ck.emptiness(c, "pos")
     assert ck.shortcut is None and ck.stats["queries"] == 1
-    # F a holds almost surely, F[<=x] a at no valuation: the witness
-    # bound decides.
+    # F a holds almost surely, F[<=x] a at no valuation: the point at N0
+    # is not in V=1, and the witness bound decides.
     assert ck.emptiness(c, "as1")
-    assert ck.shortcut is None and ck.stats["queries"] == 2
+    assert ck.shortcut is None and ck.stats["queries"] == 3
     # Without parameters there is nothing to strip.
     ck = DiamondChecker(parse_formula("G F b"))
     assert ck.emptiness(c, "pos")
@@ -276,14 +277,14 @@ def test_counter_free_step_falls_through():
 def test_counter_free_step_over_the_node_cap_falls_through():
     # The counter-free automaton cycles through the parametric set as a
     # Buchi set too, so its product (6 nodes) is larger than the witness
-    # product (3).  Only the pair product that gives the witness bound
-    # (3) and the witness product count.
+    # product (3).  Only the pair product (3 pairs) and the product at
+    # N0 = 3, which is in V, count.
     one = Fraction(1)
     c = MarkovChain(2, 0, [{1: one}, {0: one}], [{"a", "b"}, {"a", "c"}])
     ck = DiamondChecker(parse_formula("G (F[<=x] a & F b)"), max_product_nodes=4)
     assert not ck.emptiness(c, "pos")
-    assert ck.pairs(c) == 3
     assert ck.shortcut is None and ck.stats["product_nodes"] == 3 + 3
+    assert ck.bound_used == ck.pairs(c) == 3
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -343,28 +344,33 @@ def test_counter_free_step_matches_stripped_formula(phi, seed):
         assume(False)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(nnf_formulas(max_leaves=2), nnf_formulas(max_leaves=2),
        st.sampled_from([And, Or, Until, Release]),
-       st.sampled_from([None, Always, Eventually]), st.integers(0, 2 ** 32 - 1))
-def test_min_set_at_pair_bound_matches_vbar(left, right, op, outer, seed):
-    # Two variables or more: x and y bound the two sides, which may hold
-    # more of them.  The box top min(vbar, N0) of min_set is compared
-    # with the box top vbar.  A search at vbar with two counters can
-    # pass the cap; such examples are dropped.
+       st.sampled_from([None, Always, Eventually]), st.sampled_from("xy"),
+       st.integers(0, 2 ** 32 - 1))
+def test_min_set_matches_search_at_vbar(left, right, op, outer, y, seed):
+    # The reference searches the box {0..vbar}^k with the bare oracle:
+    # no counter-free step and no point at N0 first.  x and y bound the
+    # two sides, which may hold more of them; y = x leaves one variable
+    # when the sides hold no other.  A search at vbar with two counters
+    # can pass the cap; such examples are dropped.
     phi = op(BoundedEventually(VarBound("x"), left),
-             BoundedEventually(VarBound("y"), right))
+             BoundedEventually(VarBound(y), right))
     if outer is not None:
         phi = outer(phi)
-    c = random_chain(random.Random(seed), max_states=4)
+    c = random_chain(random.Random(seed), max_states=3)
     try:
         for threshold in ("pos", "as1"):
-            ck = DiamondChecker(phi, max_product_nodes=3000)
+            ck = DiamondChecker(phi, max_product_nodes=2000)
             got = ck.min_set(c, threshold)
-            assert ck.bound_used == min(ck.vbar(c), ck.pairs(c))
-            ref = DiamondChecker(phi, max_product_nodes=3000).min_set(
-                c, threshold, bound=ck.vbar(c))
-            assert got == ref, (phi, threshold, c.rows, c.labels, c.init)
+            ref = DiamondChecker(phi, max_product_nodes=2000)
+            check = ref.check_pos if threshold == "pos" else ref.check_as1
+            names, top = ref.user_names, ref.vbar(c)
+            expected = bisection_min_set(
+                lambda point: check(c, dict(zip(names, point))),
+                (0,) * len(names), (top,) * len(names), names)
+            assert got == expected, (phi, threshold, c.rows, c.labels, c.init)
     except ResourceLimitError:
         assume(False)
 
@@ -372,14 +378,18 @@ def test_min_set_at_pair_bound_matches_vbar(left, right, op, outer, seed):
 def test_response_min_set_asks_nothing_above_the_pair_bound():
     # G (!a | F[<=x] b) on a four-state chain where b follows a after two
     # steps, or after any number of steps in state 2: V>0 = {x >= 2} and
-    # V=1 is empty.  vbar is 4 * 5 * 2^5 = 640; the search asks no
-    # valuation above N0.
+    # V=1 is empty.  vbar is 4 * 5 * 2^5 = 640.  At ">0" the point N0 is
+    # in V and caps the search there.  At "=1" F b holds almost surely,
+    # so the counter-free step does not decide, N0 is not in V, and the
+    # box top vbar is asked.
     half = Fraction(1, 2)
     c = MarkovChain(4, 0, [{1: half, 2: half}, {3: Fraction(1)},
                            {2: half, 3: half}, {3: Fraction(1)}],
                     [{"a"}, set(), set(), {"b"}])
     phi = parse_formula("G (!a | F[<=x] b)")
-    for threshold, expected in (("pos", [(2,)]), ("as1", [])):
+    n0 = DiamondChecker(phi).pairs(c)
+    assert n0 < 640
+    for threshold, expected, top in (("pos", [(2,)], n0), ("as1", [], 640)):
         ck = DiamondChecker(phi)
         asked = []
         check = ck.check_pos if threshold == "pos" else ck.check_as1
@@ -389,10 +399,8 @@ def test_response_min_set_asks_nothing_above_the_pair_bound():
             return check(chain, valuation)
         setattr(ck, "check_" + threshold, spy)
         assert list(ck.min_set(c, threshold).points) == expected
-        n0 = ck.pairs(c)
-        assert asked and max(asked) <= n0 < ck.vbar(c) == 640
-        assert ck.bound_used == n0
-        assert ck.stats["queries"] == len(asked)
+        assert asked[0] == n0 and max(asked) == top == ck.bound_used
+        assert ck.stats["queries"] == len(asked) == len(set(asked))
         assert list(DiamondChecker(phi).min_set(c, threshold, bound=640)
                     .points) == expected
 
@@ -415,19 +423,18 @@ def _detour_chain(detours):
     return MarkovChain(len(rows), 0, rows, labels)
 
 
-def test_min_set_at_pair_bound_on_detour_chain():
+@pytest.mark.parametrize("detours, expected", [
+    (1, [(5, 5), (7, 3)]),
+    (2, [(8, 8), (10, 6), (12, 4)]),
+    (3, [(11, 11), (13, 6), (17, 4)]),
+])
+def test_min_set_on_detour_chain(detours, expected):
     # Each detour costs x two steps and splits an a-free stretch for y,
-    # so x trades against y.  The largest x, 17, comes within two of
-    # N0 = 19.  Cutting a detour joins two a-free stretches, the step of
-    # the bound argument that fails for two variables: an accepted run
-    # meets at most 15 pairs, one per state, and N0 also counts the four
-    # tableau states with G F[<=y] a but not F[<=y] a, which have no
-    # successor.
-    c = _detour_chain(3)
-    phi = parse_formula("F[<=x] b & G F[<=y] a")
-    ck = DiamondChecker(phi)
-    expected = [(11, 11), (13, 6), (17, 4)]
+    # so x trades against y.  Cutting a detour out of a path joins two
+    # a-free stretches: the step of the pair argument that fails for two
+    # variables at different bounds.  With two variables the search box
+    # is vbar; the largest minimal x stays two below N0 (9, 14, 19) here.
+    c = _detour_chain(detours)
+    ck = DiamondChecker(parse_formula("F[<=x] b & G F[<=y] a"))
     assert list(ck.min_set(c, "pos").points) == expected
-    assert ck.bound_used == ck.pairs(c) == 19
-    assert list(DiamondChecker(phi).min_set(c, "pos", bound=ck.vbar(c))
-                .points) == expected
+    assert ck.bound_used == ck.vbar(c)
