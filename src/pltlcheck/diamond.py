@@ -27,7 +27,7 @@ as F (Kupferman, Piterman and Vardi, 2009).  A product with no
 counters, whose Buchi sets are the tableau's `acc_b` and `acc_p`, asks
 that formula first: probability zero proves V>0 empty, and below one
 proves V=1 empty.  Only when that does not decide does the product at
-the witness bound run.  Both steps are exact.
+the uniform witness bound run.  Both steps are exact.
 
 The witness bound, and the top of the valuation search's box, is the
 paper's vbar = m * |phi| * 2^|phi|, a pigeonhole count over (chain
@@ -673,7 +673,8 @@ class DiamondChecker:
         names = self.user_names
         n = self.vbar(chain)
         n0 = self.pairs(chain) if names else None
-        if n0 is not None and n0 < n and check(chain, dict.fromkeys(names, n0)):
+        if n0 is not None and n0 < n and check(
+                chain, dict.fromkeys(names, n0)):
             self.bound_used = n0
             return False
         if names:

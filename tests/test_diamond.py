@@ -375,7 +375,7 @@ def test_min_set_matches_search_at_vbar(left, right, op, outer, y, seed):
         assume(False)
 
 
-def test_response_min_set_asks_nothing_above_the_pair_bound():
+def test_response_min_set_asks_the_pair_count_first():
     # G (!a | F[<=x] b) on a four-state chain where b follows a after two
     # steps, or after any number of steps in state 2: V>0 = {x >= 2} and
     # V=1 is empty.  vbar is 4 * 5 * 2^5 = 640.  At ">0" the point N0 is
