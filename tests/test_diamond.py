@@ -17,11 +17,11 @@ from pltlcheck.formula import (
     closure, parse_formula, size, strip_params, substitute, to_nnf, variables,
 )
 from pltlcheck.markov import MarkovChain
-from pltlcheck.valuation import bisection_min_set
 from pltlcheck.oracle import (
     CERTAIN_FALSE, LassoWord, eval_lasso, eval_prefix, gen_3sat_fixture,
     sample_lower_bound,
 )
+from pltlcheck.valuation import bisection_min_set
 
 
 def _line(labels):
