@@ -39,6 +39,17 @@ class UsageError(Exception):
     pass
 
 
+def _node_cap(text):
+    """The value of --max-product-nodes: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, not %d" % value)
+    return value
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on first use and then reused: building
@@ -57,7 +68,7 @@ def _build_parser():
         sp.add_argument("--formula-file", help="file containing the formula")
         sp.add_argument("--format", choices=("text", "machine"),
                         default="text")
-        sp.add_argument("--max-product-nodes", type=int,
+        sp.add_argument("--max-product-nodes", type=_node_cap,
                         default=diamond.DEFAULT_MAX_PRODUCT_NODES)
         sp.add_argument("--emit-automaton", metavar="PATH")
 

@@ -21,6 +21,13 @@ Products are explored lazily from the initial configurations, so only
 the reachable part is ever materialized.  The closure cap is checked on
 the nesting depth before constant bounds are unfolded.
 
+Completeness of a product SCC and the almost-sure tracking are subset
+constructions over the product: a subset node is a chain state with
+the product nodes alive there, and it steps along each chain
+transition to the image of those nodes.  A set of nodes at one chain
+state is one int, a bitset over that state's nodes, and its image is
+the union of memoised byte-table entries ("Four Russians"; `_Subsets`).
+
 Emptiness is decided in two steps over one tableau.  The NNF formula
 is monotone in its bounds, so phi[v] implies phi with every F[<=x] read
 as F (Kupferman, Piterman and Vardi, 2009).  A product with no
@@ -43,6 +50,7 @@ four-state chains.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 
 from .formula import (
@@ -294,9 +302,12 @@ class UAutomaton:
     `acc_b` and `acc_p`; the counter-free automaton passes `acc_b +
     acc_p` and no parametric set.
 
-    States are (g-state, index) pairs flattened to integers; the single
-    Buchi set is the first generalized set at index 1.  Parametric sets
-    ignore the index.  Successor lists are not stored: they are derived
+    States are (g-state, index) pairs flattened to integers u = q * k +
+    i; the single Buchi set is the first generalized set at index 0.
+    Nothing is stored per U-state.  `letter(u)`, `is_buchi(u)` and the
+    index after u are read off q and i when asked for, and `par[q]`
+    holds g-state q's parametric flags, one per variable in `var_names`
+    (parametric sets ignore the index).  Successor lists are derived
     from `g.succ` when asked for, all of them by `successors(u)` or only
     those reading one atom mask by `reading(u, amask)`.
     """
@@ -307,36 +318,43 @@ class UAutomaton:
         self.k = k
         n_g = len(g.states)
         self.n = n_g * k
-        sets = [f for _, f in buchi] or [range(n_g)]
-        in_f = [[q in f for f in sets] for q in range(n_g)]
-        f1 = sets[0]
-        self.letter = [g.letters[u // k] for u in range(self.n)]
-        self.is_buchi = [u % k == 0 and (u // k) in f1 for u in range(self.n)]
+        self._sets = [f for _, f in buchi] or [range(n_g)]
         self.var_names = [x for x, _ in par]
-        self.par = [[(u // k) in fx for u in range(self.n)] for _, fx in par]
-        # The index a run moves to when it leaves u.
-        self.index_after = [(i + 1) % k if in_f[q][i] else i
-                             for q in range(n_g) for i in range(k)]
+        self.par = [tuple(q in fx for _, fx in par) for q in range(n_g)]
         self.initial = [q0 * k for q0 in g.initial]
         self._rows = {}
 
+    def letter(self, u):
+        """The letter u reads: its g-state's set of positive atoms."""
+        return self.g.letters[u // self.k]
+
+    def is_buchi(self, u):
+        """Is u in the single Buchi set?"""
+        return u % self.k == 0 and u // self.k in self._sets[0]
+
+    def _index_after(self, u):
+        """The index a run moves to when it leaves u."""
+        q, i = divmod(u, self.k)
+        return (i + 1) % self.k if q in self._sets[i] else i
+
     def successors(self, u):
         """All successors of u, in state order."""
-        k, i2 = self.k, self.index_after[u]
+        k, i2 = self.k, self._index_after(u)
         return [q2 * k + i2 for q2 in self.g.succ[u // k]]
 
     def reading(self, u, amask):
         """The successors of u whose letter has atom mask `amask`.  A
         g-state's successors are in state order, so those of one atom
         mask form one slice."""
-        k, i2, g = self.k, self.index_after[u], self.g
+        k, i2, g = self.k, self._index_after(u), self.g
         targets = g.succ[u // k]
         lo = bisect_left(targets, g.start[amask])
         hi = bisect_left(targets, g.start[amask + 1], lo)
         return [q2 * k + i2 for q2 in targets[lo:hi]]
 
     def row(self, amask):
-        """Cache of `reading(u, amask)` indexed by u; None where unfilled."""
+        """A cache for the successors of each u reading `amask`, indexed
+        by u; None where unfilled."""
         row = self._rows.get(amask)
         if row is None:
             row = self._rows[amask] = [None] * self.n
@@ -359,16 +377,182 @@ def format_automaton(aut):
         lines.append("u-automaton states=%d round-robin=%d" % (aut.n, aut.k))
         lines.append("initial %s" % " ".join(map(str, aut.initial)))
         lines.append("buchi %s" % " ".join(
-            str(u) for u in range(aut.n) if aut.is_buchi[u]))
-        for x, members in zip(aut.var_names, aut.par):
+            str(u) for u in range(aut.n) if aut.is_buchi(u)))
+        for i, x in enumerate(aut.var_names):
             lines.append("parametric %s %s" % (x, " ".join(
-                str(u) for u in range(aut.n) if members[u])))
-        letters = aut.letter
+                str(u) for u in range(aut.n) if aut.par[u // aut.k][i])))
+        letters = list(map(aut.letter, range(aut.n)))
         succ = map(aut.successors, range(aut.n))
     for u, targets in enumerate(succ):
         for t in targets:
             lines.append("edge %d {%s} %d" % (u, ",".join(sorted(letters[u])), t))
     return "\n".join(lines) + "\n"
+
+
+# Byte tables serve chain-state pairs whose sides both have at most this
+# many product nodes.  Past it, `_Subsets._wide_image` sets bits one
+# node at a time: OR-ing table entries as wide as the state costs more
+# than that, and they can fill memory.
+DENSE_NODES = 2 ** 12
+# The byte-table entries of one product are dropped once they hold more
+# than about this many bytes, and recomputed when next asked for.  The
+# rows of `_Subsets._wide_image` are not counted: they hold at most the
+# product's own edges.
+MEMO_BYTES = 2 ** 25
+# Eight or more zero bytes: the gaps a wide set's scan skips in C.
+_ZERO_GAPS = re.compile(b"\\x00{8,}")
+# The set bits of each byte value.
+_BITS = [tuple(b for b in range(8) if v >> b & 1) for v in range(256)]
+
+
+class _Subsets:
+    """Sets of one product's nodes as bitsets, with memoised images.
+
+    The nodes at each chain state are numbered locally, in product
+    order, so a set of nodes at chain state s is one int: bit k stands
+    for the k-th node at s.  The image of such a set at a chain
+    successor t, the union of its members' successors at t, is taken a
+    byte at a time as in the "Four Russians" method (Arlazarov, Dinic,
+    Kronrod and Faradzev, 1970): the set is split into its nonzero
+    bytes, and each (s, t, byte position, byte value) maps to the union
+    of that byte's successor rows, computed when first asked for and
+    kept.  Where s or t has more than DENSE_NODES nodes, `_wide_image`
+    keeps one row per node instead.  The local numbering is built on the
+    first `bitsets` call, so a product whose subsets are never asked for
+    pays nothing.
+    """
+
+    def __init__(self, chain, nodes, succ):
+        self.chain = chain
+        self.nodes = nodes
+        self.succ = succ
+        self._members = None
+        self._tables = {}
+        self._held = 0
+
+    def _index(self):
+        """Number the nodes locally: `_members[s]` lists the nodes at s,
+        and `_local[i]` is node i's place in its list."""
+        if self._members is None:
+            members = self._members = [[] for _ in range(self.chain.m)]
+            self._local = local = []
+            for node in self.nodes:
+                fiber = members[node[0]]
+                local.append(len(fiber))
+                fiber.append(len(local) - 1)
+
+    def bitsets(self, indices):
+        """The node indices `indices` as one bitset per chain state."""
+        self._index()
+        nodes, local = self.nodes, self._local
+        bits = {}
+        for i in indices:
+            bits.setdefault(nodes[i][0], []).append(local[i])
+        out = [0] * self.chain.m
+        for s, ks in bits.items():
+            out[s] = _bitset(ks)
+        return out
+
+    def successors(self, allowed):
+        """Successor function of the subset construction: a node (s,
+        alive) steps, for each chain successor t, to (t, the image of
+        alive at t ANDed with `allowed[t]`).  `allowed` is one bitset per
+        chain state, or None for no restriction.  An empty image returns
+        None, which stops the exploration."""
+        self._index()
+        steps = self.chain.successors
+        image = self._image
+
+        def successors(node):
+            s, alive = node
+            out = []
+            for t in steps(s):
+                found = image(s, alive, t)
+                if allowed is not None:
+                    found &= allowed[t]
+                if not found:
+                    return None
+                out.append((t, found))
+            return out
+        return successors
+
+    def _image(self, s, alive, t):
+        """The successors at t of the nodes of `alive`, a set at s."""
+        if self._held > MEMO_BYTES:
+            self._tables.clear()
+            self._held = 0
+        members = self._members
+        wide = max(len(members[s]), len(members[t])) > DENSE_NODES
+        table = self._tables.get((s, t))
+        if table is None:
+            table = self._tables[s, t] = [None] * len(members[s]) if wide \
+                else {}
+        data = alive.to_bytes((alive.bit_length() + 7) >> 3, "little")
+        if wide:
+            return self._wide_image(s, t, table, data)
+        out = 0
+        # key is 256 * (byte position) + byte value.
+        key = 0
+        for byte in data:
+            if byte:
+                found = table.get(key + byte)
+                if found is None:
+                    found = table[key + byte] = self._union(s, t, key >> 8,
+                                                            byte)
+                    self._held += 64 + (found.bit_length() >> 3)
+                out |= found
+            key += 256
+        return out
+
+    def _union(self, s, t, position, byte):
+        """The successors at t of the nodes in one byte of a set at s."""
+        nodes, succ, local = self.nodes, self.succ, self._local
+        fiber = self._members[s][8 * position:8 * position + 8]
+        return _bitset([local[j] for b, i in enumerate(fiber) if byte >> b & 1
+                        for j in succ[i] if nodes[j][0] == t])
+
+    def _wide_image(self, s, t, rows, data):
+        """`_image` where s or t has more than DENSE_NODES nodes.
+
+        There a byte-table entry, an int as wide as t, costs more to
+        build and OR than the few bits it sets.  The table `rows` keeps
+        one row per node at s instead, under its local number: the
+        node's successors at t as (byte index, byte value) pairs, OR-ed
+        into a bytearray.  Gaps of zero bytes in `data` are skipped in C.
+        """
+        nodes, succ, local = self.nodes, self.succ, self._local
+        fiber = self._members[s]
+        buf = bytearray((len(self._members[t]) + 7) >> 3)
+        pos = 0
+        # The trailing zeros end the last stretch with a gap.
+        for gap in _ZERO_GAPS.finditer(data + bytes(8)):
+            base = pos << 3
+            for byte in data[pos:gap.start()]:
+                for k in _BITS[byte]:
+                    row = rows[base + k]
+                    if row is None:
+                        pairs = {}
+                        for j in succ[fiber[base + k]]:
+                            if nodes[j][0] == t:
+                                j = local[j]
+                                pairs[j >> 3] = (pairs.get(j >> 3, 0)
+                                                 | 1 << (j & 7))
+                        row = rows[base + k] = tuple(pairs.items())
+                    for i, bits in row:
+                        buf[i] |= bits
+                base += 8
+            pos = gap.end()
+        return int.from_bytes(buf, "little")
+
+
+def _bitset(bits):
+    """The int with exactly the given bit positions set."""
+    if not bits:
+        return 0
+    buf = bytearray((max(bits) >> 3) + 1)
+    for k in bits:
+        buf[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(buf, "little")
 
 
 class DiamondChecker:
@@ -458,17 +642,21 @@ class DiamondChecker:
         streak would exceed the bound.  A run's first state is entered
         with every counter at zero.
         """
-        par = u_aut.par
+        par, k = u_aut.par, u_aut.k
         amasks = [self.g.atom_mask(l) for l in letters]
-        # rows[p][u]: the successors of u that read p's letter.
+        # rows[p][u]: the successors of u that read p's letter, each
+        # with its parametric flags.
         rows = [u_aut.row(a) for a in amasks]
+
+        def flagged(targets):
+            return [(u2, par[u2 // k]) for u2 in targets]
 
         def moves(p, targets, counters):
             out = []
-            for u2 in targets:
+            for u2, marks in targets:
                 nxt = []
-                for marks, c, v in zip(par, counters, bounds):
-                    c = 0 if marks[u2] else c + 1
+                for mark, c, v in zip(marks, counters, bounds):
+                    c = 0 if mark else c + 1
                     if c > v:
                         break
                     nxt.append(c)
@@ -476,8 +664,8 @@ class DiamondChecker:
                     out.append((p, u2, tuple(nxt)))
             return out
 
-        initial = moves(start, [u for u in u_aut.initial
-                                if u_aut.letter[u] == letters[start]],
+        initial = moves(start, flagged([u for u in u_aut.initial
+                                        if u_aut.letter(u) == letters[start]]),
                         (0,) * len(bounds))
 
         def successors(node):
@@ -486,7 +674,8 @@ class DiamondChecker:
             for p2 in step(p):
                 targets = rows[p2][u]
                 if targets is None:
-                    targets = rows[p2][u] = u_aut.reading(u, amasks[p2])
+                    targets = rows[p2][u] = flagged(
+                        u_aut.reading(u, amasks[p2]))
                 out += moves(p2, targets, counters)
             return out
 
@@ -511,7 +700,7 @@ class DiamondChecker:
                                     self._bounds(valuation), "lasso graph")
         scc = markov._tarjan(len(nodes), succ)
         return any(scc.has_cycle[ci]
-                   and any(self.u.is_buchi[nodes[i][1]] for i in comp)
+                   and any(self.u.is_buchi(nodes[i][1]) for i in comp)
                    for ci, comp in enumerate(scc.components))
 
     def _product(self, chain, u_aut, bounds):
@@ -522,55 +711,36 @@ class DiamondChecker:
         self.stats["product_nodes"] += len(product[0])
         return product
 
-    def _good_nodes(self, chain, u_aut, nodes, succ):
-        """Indices of nodes inside some complete accepting product SCC."""
-        scc = markov._tarjan(len(nodes), succ)
-        good = set()
+    def _good(self, chain, u_aut, subsets):
+        """Per chain state, the bitset of the nodes inside some complete
+        accepting product SCC."""
+        nodes = subsets.nodes
+        scc = markov._tarjan(len(nodes), subsets.succ)
+        good = [0] * chain.m
         for ci, comp in enumerate(scc.components):
             # An acyclic component is never complete: the chain always
             # moves on, and the automaton cannot follow inside it.
             if not scc.has_cycle[ci]:
                 continue
-            if not any(u_aut.is_buchi[nodes[i][1]] for i in comp):
+            if not any(u_aut.is_buchi(nodes[i][1]) for i in comp):
                 continue
-            if self._complete(chain, comp, nodes, succ):
-                good |= comp
+            masks = subsets.bitsets(comp)
+            if self._complete(subsets, masks):
+                good = [a | b for a, b in zip(good, masks)]
         return good
 
-    def _complete(self, chain, comp, nodes, succ):
+    def _complete(self, subsets, comp):
         """Can the chain escape the component faster than the automaton?
 
-        From each state's fiber of automaton configurations, follow every
-        chain transition taking the joint image inside the component; the
-        component is complete exactly when the empty image is unreachable.
+        `comp` holds the component's nodes as one bitset per chain
+        state.  From each state's set, follow every chain transition
+        taking the joint image inside the component (the image ANDed
+        with `comp` at the successor); the component is complete
+        exactly when the empty image is unreachable.
         """
-        fiber = {}
-        for i in comp:
-            fiber.setdefault(nodes[i][0], set()).add(i)
-        start = [(s, frozenset(fiber[s])) for s in sorted(fiber)]
-        edges = {i: [j for j in succ[i] if j in comp] for i in comp}
-        return self._explore(start, self._images(chain, nodes, edges),
+        start = [(s, alive) for s, alive in enumerate(comp) if alive]
+        return self._explore(start, subsets.successors(comp),
                              "completeness graph") is not None
-
-    def _images(self, chain, nodes, edges):
-        """Successor function of a subset construction over the product.
-
-        A subset node (s, alive) pairs a chain state with product nodes
-        alive there; following the chain step s -> t gives (t, the
-        `edges` successors of alive at t).  An empty image returns None,
-        which stops the exploration.
-        """
-        def successors(node):
-            s, alive = node
-            out = []
-            for t in chain.successors(s):
-                image = frozenset(j for a in alive for j in edges[a]
-                                  if nodes[j][0] == t)
-                if not image:
-                    return None
-                out.append((t, image))
-            return out
-        return successors
 
     def check_pos(self, chain, valuation):
         """Is the satisfaction probability positive at this valuation?"""
@@ -591,19 +761,26 @@ class DiamondChecker:
         almost-sure satisfaction outright, and otherwise every recurrent
         behavior (bottom component of the tracking graph) must offer a
         configuration inside a complete accepting product SCC.
+
+        Both subset constructions, the completeness graphs and the
+        tracking graph, hold their sets of product nodes as `_Subsets`
+        bitsets; `good` is one bitset per chain state, and a tracking
+        node (s, alive) meets it when `alive & good[s]` is nonzero.
         """
         nodes, succ, n_initial = self._product(chain, u_aut, bounds)
-        good = self._good_nodes(chain, u_aut, nodes, succ)
+        subsets = _Subsets(chain, nodes, succ)
+        good = self._good(chain, u_aut, subsets)
         if threshold == "pos":
-            return bool(good)
-        tracking = self._explore([(chain.init, frozenset(range(n_initial)))],
-                                 self._images(chain, nodes, succ),
-                                 "tracking graph")
+            return any(good)
+        start = subsets.bitsets(range(n_initial))[chain.init]
+        tracking = self._explore([(chain.init, start)],
+                                 subsets.successors(None), "tracking graph")
         if tracking is None:
             return False
         d_nodes, d_succ = tracking
         scc = markov._tarjan(len(d_nodes), d_succ)
-        return all(any(d_nodes[i][1] & good for i in scc.components[ci])
+        return all(any(d_nodes[i][1] & good[d_nodes[i][0]]
+                       for i in scc.components[ci])
                    for ci in scc.bottom_components())
 
     def vbar(self, chain):

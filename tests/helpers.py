@@ -10,7 +10,7 @@ from pltlcheck.formula import (
     Eventually, NegAtom, Next, Or, Release, Until, VarBound, atoms, children,
     closure, variables,
 )
-from pltlcheck.markov import MarkovChain
+from pltlcheck.markov import MarkovChain, _tarjan
 
 
 def random_chain(rng, max_states=6, props=("a", "b"), label_p=0.4):
@@ -83,16 +83,17 @@ def random_diamond_formula(rng, props=("a", "b"), size_budget=4, counter=None):
     return build(size_budget)
 
 
-def nnf_formulas(max_leaves):
+def nnf_formulas(max_leaves, names="xy"):
     """Hypothesis strategy: NNF formulas over the atoms a, b with every
-    node kind, variable bounds x, y and constant bounds 0..3."""
+    node kind, variable bounds named by the letters of `names` and
+    constant bounds 0..3."""
     # Imported here so that modules without property tests run
     # without hypothesis installed.
     from hypothesis import strategies as st
 
     def extend(sub):
         const = st.builds(ConstBound, st.integers(0, 3))
-        bound = const | st.builds(VarBound, st.sampled_from("xy"))
+        bound = const | st.builds(VarBound, st.sampled_from(names))
         return (st.builds(Next, sub) | st.builds(Eventually, sub)
                 | st.builds(Always, sub)
                 | st.builds(BoundedEventually, bound, sub)
@@ -167,7 +168,9 @@ def reference_tableau(phi):
     ordered pair of states for an edge.
 
     Returns two namespaces with the attributes `format_automaton` reads;
-    the U one lists its successors in `succ` and `successors(u)`.  Only
+    the U one lists its successors in `succ` and `successors(u)`, and
+    like `UAutomaton` answers `letter(u)` and `is_buchi(u)` by call and
+    holds one tuple of parametric flags per g-state in `par`.  Only
     small closures are practical.
     """
     subs = closure(phi)
@@ -277,10 +280,11 @@ def _reference_round_robin(g):
         succ.append([q2 * k + i2 for q2 in g.succ[q]])
     return SimpleNamespace(
         n=n, k=k, initial=[q0 * k for q0 in g.initial],
-        letter=[g.letters[u // k] for u in range(n)],
-        is_buchi=[u % k == 0 and u // k in sets[0] for u in range(n)],
+        letter=[g.letters[u // k] for u in range(n)].__getitem__,
+        is_buchi=[u % k == 0 and u // k in sets[0]
+                  for u in range(n)].__getitem__,
         var_names=[x for x, _ in g.acc_p],
-        par=[[u // k in f for u in range(n)] for _, f in g.acc_p],
+        par=[tuple(q in f for _, f in g.acc_p) for q in range(n_g)],
         succ=succ, successors=succ.__getitem__)
 
 
@@ -363,3 +367,72 @@ def reference_min_val_geq(chain, name, p):
     for n, x in enumerate(reference_reach_steps(chain, targets)):
         if x[chain.init] >= p:
             return n
+
+
+def reference_holds(checker, chain, threshold, u_aut, bounds):
+    """`DiamondChecker._holds` with its subset constructions over
+    frozensets of product nodes, as the checker built them before its
+    bitsets.
+
+    The product and its SCCs come from the checker.  Returns the verdict
+    and, per completeness graph in SCC order and then per tracking
+    graph, (what, its node count), with None for a count where an empty
+    image stopped the graph.
+    """
+    nodes, succ, n_initial = checker._product(chain, u_aut, bounds)
+    scc = _tarjan(len(nodes), succ)
+    graphs = []
+    good = set()
+    for ci, comp in enumerate(scc.components):
+        if not scc.has_cycle[ci]:
+            continue
+        if not any(u_aut.is_buchi(nodes[i][1]) for i in comp):
+            continue
+        fiber = {}
+        for i in comp:
+            fiber.setdefault(nodes[i][0], set()).add(i)
+        edges = {i: [j for j in succ[i] if j in comp] for i in comp}
+        found = _reference_subset_graph(
+            chain, nodes, edges,
+            [(s, frozenset(fiber[s])) for s in sorted(fiber)])
+        graphs.append(("completeness graph",
+                       None if found is None else len(found[0])))
+        if found is not None:
+            good |= comp
+    if threshold == "pos":
+        return bool(good), graphs
+    found = _reference_subset_graph(
+        chain, nodes, succ, [(chain.init, frozenset(range(n_initial)))])
+    graphs.append(("tracking graph",
+                   None if found is None else len(found[0])))
+    if found is None:
+        return False, graphs
+    d_nodes, d_succ = found
+    scc = _tarjan(len(d_nodes), d_succ)
+    return all(any(d_nodes[i][1] & good for i in scc.components[ci])
+               for ci in scc.bottom_components()), graphs
+
+
+def _reference_subset_graph(chain, nodes, edges, start):
+    """The subset graph reachable from `start`, as (nodes, successor
+    index lists), or None when some node has an empty image.
+
+    A node (s, alive) steps, for each chain successor t, to t and the
+    `edges` successors of alive at t.
+    """
+    index = {n: i for i, n in enumerate(start)}
+    found = list(start)
+    succ = []
+    for s, alive in found:
+        row = []
+        for t in chain.successors(s):
+            image = frozenset(j for a in alive for j in edges[a]
+                              if nodes[j][0] == t)
+            if not image:
+                return None
+            if (t, image) not in index:
+                index[t, image] = len(found)
+                found.append((t, image))
+            row.append(index[t, image])
+        succ.append(row)
+    return found, succ

@@ -139,6 +139,18 @@ def test_exit_usage_errors(coin, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("cap, message", [
+    ("0", "must be at least 1, not 0"),
+    ("-1", "must be at least 1, not -1"),
+    ("1e3", "invalid int value: '1e3'"),
+])
+def test_exit_usage_node_cap_below_one(coin, cap, message):
+    code, out, err = _run(["check", "--chain", coin, "--formula",
+                           "F[<=x] G a", "--max-product-nodes", cap])
+    assert code == 2 and out == ""
+    assert "argument --max-product-nodes: " + message in err
+
+
 def test_exit_resource_limit(coin):
     code, _, err = _run(["member", "--chain", coin,
                          "--formula", "F[<=x] a & F[<=y] a",

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     nnf_formulas, random_chain, random_diamond_formula, random_fx_formula,
-    random_letters, reference_tableau, until_chain,
+    random_letters, reference_holds, reference_tableau, until_chain,
 )
 from pltlcheck import diamond
-from pltlcheck.diamond import DiamondChecker, ResourceLimitError, format_automaton
+from pltlcheck.diamond import (
+    DiamondChecker, ResourceLimitError, UAutomaton, format_automaton,
+)
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import (
     Always, And, BoundedEventually, Eventually, Or, Release, Until, VarBound,
@@ -200,6 +203,105 @@ def test_stats_accumulate():
     assert ck.stats["product_nodes"] > 0
 
 
+def _subset_graphs(ck, chain, threshold, u_aut, bounds):
+    """`ck._holds` and the node counts of its subset graphs, in the
+    shape `reference_holds` returns."""
+    graphs = []
+
+    def explore(initial, successors, what):
+        found = DiamondChecker._explore(ck, initial, successors, what)
+        if what != "product":
+            graphs.append((what, None if found is None else len(found[0])))
+        return found
+    ck._explore = explore
+    try:
+        return ck._holds(chain, threshold, u_aut, bounds), graphs
+    finally:
+        del ck._explore
+
+
+def _assert_subsets_match_reference(ck, chain, u_aut, bounds):
+    for threshold in ("pos", "as1"):
+        got = _subset_graphs(ck, chain, threshold, u_aut, bounds)
+        expected = reference_holds(ck, chain, threshold, u_aut, bounds)
+        assert got == expected, (threshold, chain.rows, chain.labels)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(nnf_formulas(max_leaves=4, names="xyz"),
+       st.lists(st.tuples(st.sampled_from([And, Or, Until, Release]),
+                          nnf_formulas(max_leaves=2)), max_size=3),
+       st.fixed_dictionaries({x: st.integers(0, 3) for x in "xyz"}),
+       st.integers(0, 2 ** 32 - 1))
+def test_subset_bitsets_match_frozenset_reference(phi, sides, valuation,
+                                                  seed):
+    # Both thresholds, with the counter automaton at a small valuation
+    # and with the counter-free automaton: equal verdicts, and every
+    # completeness and tracking graph with as many nodes, or stopped by
+    # an empty image in both.  Each side adds F[<=x], F[<=y] or F[<=z]
+    # of its own formula, so that most examples have variables.
+    for x, (op, psi) in zip("xyz", sides):
+        phi = op(phi, BoundedEventually(VarBound(x), psi))
+    c = random_chain(random.Random(seed), max_states=4)
+    try:
+        ck = DiamondChecker(phi, max_product_nodes=1000)
+        free = UAutomaton(ck.g, ck.g.acc_b + ck.g.acc_p, [])
+        _assert_subsets_match_reference(ck, c, ck.u, ck._bounds(valuation))
+        _assert_subsets_match_reference(ck, c, free, [])
+        # Every chain state wider than two nodes takes the row-per-node
+        # images, and every image drops the memoised entries first.
+        with mock.patch.multiple(diamond, DENSE_NODES=2, MEMO_BYTES=-1):
+            _assert_subsets_match_reference(ck, c, ck.u,
+                                            ck._bounds(valuation))
+    except ResourceLimitError:
+        assume(False)
+
+
+def test_no_initial_product_node_refutes_as1():
+    # The chain starts outside a: no run starts, so the tracking graph
+    # starts from the empty set, whose image is empty.
+    c = _line([set(), {"a"}])
+    ck = DiamondChecker(parse_formula("a & F[<=x] a"))
+    for threshold, check in (("pos", ck.check_pos), ("as1", ck.check_as1)):
+        assert not check(c, {"x": 2})
+        got = _subset_graphs(ck, c, threshold, ck.u, [2])
+        assert got == (False, [] if threshold == "pos"
+                       else [("tracking graph", None)])
+        assert got == reference_holds(ck, c, threshold, ck.u, [2])
+
+
+def test_chain_state_without_product_node():
+    # G a has no run through state 1.  The loop at state 0 is a cyclic
+    # accepting component, but the chain leaves it for state 1, where
+    # the image is empty: it is not complete, and the tracking graph
+    # stops there too.
+    half = Fraction(1, 2)
+    c = MarkovChain(2, 0, [{0: half, 1: half}, {1: Fraction(1)}],
+                    [{"a"}, set()])
+    ck = DiamondChecker(parse_formula("G a"))
+    assert not ck.check_pos(c, {}) and not ck.check_as1(c, {})
+    for threshold in ("pos", "as1"):
+        got = _subset_graphs(ck, c, threshold, ck.u, [])
+        assert got[0] is False
+        assert got[1][0] == ("completeness graph", None)
+        assert got == reference_holds(ck, c, threshold, ck.u, [])
+
+
+def test_subset_images_span_several_bytes():
+    # At x = 40 the product holds dozens of nodes per chain state, so
+    # the subsets span several bytes of the bitsets.
+    half = Fraction(1, 2)
+    c = MarkovChain(4, 0, [{1: half, 2: half}, {3: Fraction(1)},
+                           {2: half, 3: half}, {3: Fraction(1)}],
+                    [{"a"}, set(), set(), {"b"}])
+    ck = DiamondChecker(parse_formula("G (!a | F[<=x] b)"))
+    nodes = ck._product(c, ck.u, [40])[0]
+    assert max(sum(n[0] == s for n in nodes) for s in range(4)) > 16
+    _assert_subsets_match_reference(ck, c, ck.u, [40])
+    with mock.patch.object(diamond, "DENSE_NODES", 16):
+        _assert_subsets_match_reference(ck, c, ck.u, [40])
+
+
 def _assert_matches_reference(ck):
     g, u = reference_tableau(ck.g.formula)
     for attr in ("states", "letters", "initial", "succ", "acc_b", "acc_p"):
@@ -213,7 +315,7 @@ def _assert_matches_reference(ck):
         for x in range(u.n):
             for letter in letters:
                 assert ck.u.reading(x, ck.g.atom_mask(letter)) == \
-                    [y for y in u.succ[x] if u.letter[y] == letter]
+                    [y for y in u.succ[x] if u.letter(y) == letter]
 
 
 @pytest.mark.parametrize("text", [
