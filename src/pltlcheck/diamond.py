@@ -432,7 +432,8 @@ class _Subsets:
 
     def _index(self):
         """Number the nodes locally: `_members[s]` lists the nodes at s,
-        and `_local[i]` is node i's place in its list."""
+        and `_local[i]` is node i's place in its list.  `_wide[s]` says
+        whether s has more than DENSE_NODES nodes."""
         if self._members is None:
             members = self._members = [[] for _ in range(self.chain.m)]
             self._local = local = []
@@ -440,6 +441,7 @@ class _Subsets:
                 fiber = members[node[0]]
                 local.append(len(fiber))
                 fiber.append(len(local) - 1)
+            self._wide = [len(fiber) > DENSE_NODES for fiber in members]
 
     def bitsets(self, indices):
         """The node indices `indices` as one bitset per chain state."""
@@ -481,19 +483,20 @@ class _Subsets:
         if self._held > MEMO_BYTES:
             self._tables.clear()
             self._held = 0
-        members = self._members
-        wide = max(len(members[s]), len(members[t])) > DENSE_NODES
+        wide = self._wide[s] or self._wide[t]
         table = self._tables.get((s, t))
         if table is None:
-            table = self._tables[s, t] = [None] * len(members[s]) if wide \
-                else {}
+            table = self._tables[s, t] = \
+                [None] * len(self._members[s]) if wide else {}
         data = alive.to_bytes((alive.bit_length() + 7) >> 3, "little")
         if wide:
             return self._wide_image(s, t, table, data)
+        # Leading zero bytes are skipped in C.  key is 256 * (byte
+        # position) + byte value.
+        rest = data.lstrip(b"\0")
+        key = (len(data) - len(rest)) << 8
         out = 0
-        # key is 256 * (byte position) + byte value.
-        key = 0
-        for byte in data:
+        for byte in rest:
             if byte:
                 found = table.get(key + byte)
                 if found is None:
@@ -507,9 +510,13 @@ class _Subsets:
     def _union(self, s, t, position, byte):
         """The successors at t of the nodes in one byte of a set at s."""
         nodes, succ, local = self.nodes, self.succ, self._local
-        fiber = self._members[s][8 * position:8 * position + 8]
-        return _bitset([local[j] for b, i in enumerate(fiber) if byte >> b & 1
-                        for j in succ[i] if nodes[j][0] == t])
+        fiber = self._members[s]
+        out = 0
+        for b in _BITS[byte]:
+            for j in succ[fiber[8 * position + b]]:
+                if nodes[j][0] == t:
+                    out |= 1 << local[j]
+        return out
 
     def _wide_image(self, s, t, rows, data):
         """`_image` where s or t has more than DENSE_NODES nodes.
