@@ -433,6 +433,9 @@ def run(argv, out=None, err=None):
     except diamond.ResourceLimitError as exc:
         print("resource limit: %s" % exc, file=err)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=err)
+        return EXIT_RESOURCE
     except OSError as exc:
         print("usage error: %s" % exc, file=err)
         return EXIT_USAGE

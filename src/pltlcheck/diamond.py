@@ -50,7 +50,6 @@ four-state chains.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 
 from .formula import (
@@ -389,22 +388,6 @@ def format_automaton(aut):
     return "\n".join(lines) + "\n"
 
 
-# Byte tables serve chain-state pairs whose sides both have at most this
-# many product nodes.  Past it, `_Subsets._wide_image` sets bits one
-# node at a time: OR-ing table entries as wide as the state costs more
-# than that, and they can fill memory.
-DENSE_NODES = 2 ** 12
-# The byte-table entries of one product are dropped once they hold more
-# than about this many bytes, and recomputed when next asked for.  The
-# rows of `_Subsets._wide_image` are not counted: they hold at most the
-# product's own edges.
-MEMO_BYTES = 2 ** 25
-# Eight or more zero bytes: the gaps a wide set's scan skips in C.
-_ZERO_GAPS = re.compile(b"\\x00{8,}")
-# The set bits of each byte value.
-_BITS = [tuple(b for b in range(8) if v >> b & 1) for v in range(256)]
-
-
 class _Subsets:
     """Sets of one product's nodes as bitsets, with memoised images.
 
@@ -416,10 +399,8 @@ class _Subsets:
     Kronrod and Faradzev, 1970): the set is split into its nonzero
     bytes, and each (s, t, byte position, byte value) maps to the union
     of that byte's successor rows, computed when first asked for and
-    kept.  Where s or t has more than DENSE_NODES nodes, `_wide_image`
-    keeps one row per node instead.  The local numbering is built on the
-    first `bitsets` call, so a product whose subsets are never asked for
-    pays nothing.
+    kept.  The local numbering is built on the first `bitsets` call, so
+    a product whose subsets are never asked for pays nothing.
     """
 
     def __init__(self, chain, nodes, succ):
@@ -428,12 +409,10 @@ class _Subsets:
         self.succ = succ
         self._members = None
         self._tables = {}
-        self._held = 0
 
     def _index(self):
         """Number the nodes locally: `_members[s]` lists the nodes at s,
-        and `_local[i]` is node i's place in its list.  `_wide[s]` says
-        whether s has more than DENSE_NODES nodes."""
+        and `_local[i]` is node i's place in its list."""
         if self._members is None:
             members = self._members = [[] for _ in range(self.chain.m)]
             self._local = local = []
@@ -441,7 +420,6 @@ class _Subsets:
                 fiber = members[node[0]]
                 local.append(len(fiber))
                 fiber.append(len(local) - 1)
-            self._wide = [len(fiber) > DENSE_NODES for fiber in members]
 
     def bitsets(self, indices):
         """The node indices `indices` as one bitset per chain state."""
@@ -480,17 +458,10 @@ class _Subsets:
 
     def _image(self, s, alive, t):
         """The successors at t of the nodes of `alive`, a set at s."""
-        if self._held > MEMO_BYTES:
-            self._tables.clear()
-            self._held = 0
-        wide = self._wide[s] or self._wide[t]
         table = self._tables.get((s, t))
         if table is None:
-            table = self._tables[s, t] = \
-                [None] * len(self._members[s]) if wide else {}
+            table = self._tables[s, t] = {}
         data = alive.to_bytes((alive.bit_length() + 7) >> 3, "little")
-        if wide:
-            return self._wide_image(s, t, table, data)
         # Leading zero bytes are skipped in C.  key is 256 * (byte
         # position) + byte value.
         rest = data.lstrip(b"\0")
@@ -502,7 +473,6 @@ class _Subsets:
                 if found is None:
                     found = table[key + byte] = self._union(s, t, key >> 8,
                                                             byte)
-                    self._held += 64 + (found.bit_length() >> 3)
                 out |= found
             key += 256
         return out
@@ -512,44 +482,12 @@ class _Subsets:
         nodes, succ, local = self.nodes, self.succ, self._local
         fiber = self._members[s]
         out = 0
-        for b in _BITS[byte]:
-            for j in succ[fiber[8 * position + b]]:
-                if nodes[j][0] == t:
-                    out |= 1 << local[j]
+        for b in range(8):
+            if byte >> b & 1:
+                for j in succ[fiber[8 * position + b]]:
+                    if nodes[j][0] == t:
+                        out |= 1 << local[j]
         return out
-
-    def _wide_image(self, s, t, rows, data):
-        """`_image` where s or t has more than DENSE_NODES nodes.
-
-        There a byte-table entry, an int as wide as t, costs more to
-        build and OR than the few bits it sets.  The table `rows` keeps
-        one row per node at s instead, under its local number: the
-        node's successors at t as (byte index, byte value) pairs, OR-ed
-        into a bytearray.  Gaps of zero bytes in `data` are skipped in C.
-        """
-        nodes, succ, local = self.nodes, self.succ, self._local
-        fiber = self._members[s]
-        buf = bytearray((len(self._members[t]) + 7) >> 3)
-        pos = 0
-        # The trailing zeros end the last stretch with a gap.
-        for gap in _ZERO_GAPS.finditer(data + bytes(8)):
-            base = pos << 3
-            for byte in data[pos:gap.start()]:
-                for k in _BITS[byte]:
-                    row = rows[base + k]
-                    if row is None:
-                        pairs = {}
-                        for j in succ[fiber[base + k]]:
-                            if nodes[j][0] == t:
-                                j = local[j]
-                                pairs[j >> 3] = (pairs.get(j >> 3, 0)
-                                                 | 1 << (j & 7))
-                        row = rows[base + k] = tuple(pairs.items())
-                    for i, bits in row:
-                        buf[i] |= bits
-                base += 8
-            pos = gap.end()
-        return int.from_bytes(buf, "little")
 
 
 def _bitset(bits):

@@ -160,6 +160,16 @@ def test_exit_resource_limit(coin):
     assert "resource limit" in err
 
 
+def test_exit_out_of_memory(coin, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr(diamond.DiamondChecker, "_holds", exhausted)
+    code, out, err = _run(["check", "--chain", coin, "--formula",
+                           "F[<=x] G a", "--threshold", "=1"])
+    assert code == 3 and out == ""
+    assert err == "resource limit: out of memory\n"
+
+
 def test_emit_automaton(coin, tmp_path):
     path = tmp_path / "aut.txt"
     code, _, _ = _run(["member", "--chain", coin,

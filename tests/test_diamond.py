@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -248,11 +247,6 @@ def test_subset_bitsets_match_frozenset_reference(phi, sides, valuation,
         free = UAutomaton(ck.g, ck.g.acc_b + ck.g.acc_p, [])
         _assert_subsets_match_reference(ck, c, ck.u, ck._bounds(valuation))
         _assert_subsets_match_reference(ck, c, free, [])
-        # Every chain state wider than two nodes takes the row-per-node
-        # images, and every image drops the memoised entries first.
-        with mock.patch.multiple(diamond, DENSE_NODES=2, MEMO_BYTES=-1):
-            _assert_subsets_match_reference(ck, c, ck.u,
-                                            ck._bounds(valuation))
     except ResourceLimitError:
         assume(False)
 
@@ -298,8 +292,6 @@ def test_subset_images_span_several_bytes():
     nodes = ck._product(c, ck.u, [40])[0]
     assert max(sum(n[0] == s for n in nodes) for s in range(4)) > 16
     _assert_subsets_match_reference(ck, c, ck.u, [40])
-    with mock.patch.object(diamond, "DENSE_NODES", 16):
-        _assert_subsets_match_reference(ck, c, ck.u, [40])
 
 
 def _assert_matches_reference(ck):
