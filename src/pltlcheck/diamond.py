@@ -408,12 +408,15 @@ class _Subsets:
         self.nodes = nodes
         self.succ = succ
         self._members = None
-        self._tables = {}
 
     def _index(self):
         """Number the nodes locally: `_members[s]` lists the nodes at s,
-        and `_local[i]` is node i's place in its list."""
+        and `_local[i]` is node i's place in its list.  `_tables[s]`
+        holds one empty image table per chain successor t of s."""
         if self._members is None:
+            steps = self.chain.successors
+            self._tables = [[(t, {}) for t in steps(s)]
+                            for s in range(self.chain.m)]
             members = self._members = [[] for _ in range(self.chain.m)]
             self._local = local = []
             for node in self.nodes:
@@ -438,16 +441,32 @@ class _Subsets:
         alive) steps, for each chain successor t, to (t, the image of
         alive at t ANDed with `allowed[t]`).  `allowed` is one bitset per
         chain state, or None for no restriction.  An empty image returns
-        None, which stops the exploration."""
+        None, which stops the exploration.
+
+        The image at t is the OR of one entry of t's table per nonzero
+        byte of alive, keyed by 256 * (byte position) + byte value.
+        """
         self._index()
-        steps = self.chain.successors
-        image = self._image
+        tables, union = self._tables, self._union
 
         def successors(node):
             s, alive = node
+            data = alive.to_bytes((alive.bit_length() + 7) >> 3, "little")
+            # Leading zero bytes are skipped in C.
+            rest = data.lstrip(b"\0")
+            first = (len(data) - len(rest)) << 8
             out = []
-            for t in steps(s):
-                found = image(s, alive, t)
+            for t, table in tables[s]:
+                found = 0
+                key = first
+                for byte in rest:
+                    if byte:
+                        entry = table.get(key + byte)
+                        if entry is None:
+                            entry = table[key + byte] = union(s, t, key >> 8,
+                                                              byte)
+                        found |= entry
+                    key += 256
                 if allowed is not None:
                     found &= allowed[t]
                 if not found:
@@ -456,37 +475,18 @@ class _Subsets:
             return out
         return successors
 
-    def _image(self, s, alive, t):
-        """The successors at t of the nodes of `alive`, a set at s."""
-        table = self._tables.get((s, t))
-        if table is None:
-            table = self._tables[s, t] = {}
-        data = alive.to_bytes((alive.bit_length() + 7) >> 3, "little")
-        # Leading zero bytes are skipped in C.  key is 256 * (byte
-        # position) + byte value.
-        rest = data.lstrip(b"\0")
-        key = (len(data) - len(rest)) << 8
-        out = 0
-        for byte in rest:
-            if byte:
-                found = table.get(key + byte)
-                if found is None:
-                    found = table[key + byte] = self._union(s, t, key >> 8,
-                                                            byte)
-                out |= found
-            key += 256
-        return out
-
     def _union(self, s, t, position, byte):
         """The successors at t of the nodes in one byte of a set at s."""
         nodes, succ, local = self.nodes, self.succ, self._local
         fiber = self._members[s]
+        base = 8 * position
         out = 0
-        for b in range(8):
-            if byte >> b & 1:
-                for j in succ[fiber[8 * position + b]]:
-                    if nodes[j][0] == t:
-                        out |= 1 << local[j]
+        while byte:
+            low = byte & -byte
+            byte ^= low
+            for j in succ[fiber[base + low.bit_length() - 1]]:
+                if nodes[j][0] == t:
+                    out |= 1 << local[j]
         return out
 
 
