@@ -56,6 +56,18 @@ def accepting_bsccs(chain, name):
     return result
 
 
+class _DistanceRows(dict):
+    """BFS distance rows of `chain` by source state, each computed when
+    first read."""
+
+    def __init__(self, chain):
+        self.chain = chain
+
+    def __missing__(self, source):
+        row = self[source] = markov.distances_from(self.chain, source)
+        return row
+
+
 def c_min(chain, name, component, dist=None):
     """Minimax-gap cost of reaching the component's a-states.
 
@@ -66,9 +78,10 @@ def c_min(chain, name, component, dist=None):
     and a path costs the maximum edge it uses.  A priority-queue
     relaxation F(v) := min(F(v), max(F(u), c(u, v))) pops vertices in
     cost order until an a-state of `component` comes off the queue.
+    Only the distance rows of popped vertices are read.
     """
     if dist is None:
-        dist = markov.all_pairs_distance(chain)
+        dist = _DistanceRows(chain)
     goal = {s for s in component if name in chain.labels[s]}
     vertices = sorted(chain.states_with(name) | {chain.init})
     best = {v: math.inf for v in vertices}
@@ -83,10 +96,11 @@ def c_min(chain, name, component, dist=None):
             return cost
         done.add(u)
         discount = 1 if name in chain.labels[u] else 0
+        row = dist[u]
         for v in vertices:
-            if v in done or dist[u][v] == math.inf:
+            if v in done or row[v] == math.inf:
                 continue
-            relaxed = max(cost, dist[u][v] - discount)
+            relaxed = max(cost, row[v] - discount)
             if relaxed < best[v]:
                 best[v] = relaxed
                 heapq.heappush(queue, (relaxed, v))
@@ -104,7 +118,7 @@ def min_val_pos_buchi(chain, name):
     accepting = accepting_bsccs(chain, name)
     if not accepting:
         return None
-    dist = markov.all_pairs_distance(chain)
+    dist = _DistanceRows(chain)
     best = None
     for comp, gap in accepting:
         d0 = min(dist[chain.init][s]

@@ -57,19 +57,23 @@ class MarkovChain:
 
 def _check_row(s, row, m):
     """State s's row with its zero entries dropped; ChainError unless it
-    is a distribution over 0..m-1."""
+    is a distribution over 0..m-1.  The sum is checked on integers: the
+    numerators scaled to the lcm of the denominators must add up to it."""
     clean = {}
     for t, p in row.items():
         if not 0 <= t < m:
             raise ChainError("state %d: successor %d out of range" % (s, t))
-        p = Fraction(p)
-        if p < 0 or p > 1:
+        if not isinstance(p, Fraction):
+            p = Fraction(p)
+        if not 0 <= p.numerator <= p.denominator:
             raise ChainError("state %d: probability %s out of [0,1]"
                              % (s, _brief(p)))
-        if p > 0:
+        if p.numerator:
             clean[t] = p
-    total = sum(clean.values(), Fraction(0))
-    if total != 1:
+    scale = math.lcm(*(p.denominator for p in clean.values()))
+    if sum(p.numerator * (scale // p.denominator)
+           for p in clean.values()) != scale:
+        total = sum(clean.values(), Fraction(0))
         raise ChainError("state %d: row sums to %s, not 1"
                          % (s, _brief(total)))
     return clean
@@ -136,15 +140,27 @@ def parse_chain(text):
     """
     m = None
     init = None
-    # Rows and labels of the states the text mentions only, so memory
-    # grows with the text, not with m.
+    # Only the states, id tokens and literals the text mentions get an
+    # entry, so memory grows with the text, not with m.
     rows = {}
     labels = {}
+    ids = {}
+    probs = {}
+
+    def state(token, lineno):
+        s = ids.get(token)
+        if s is None:
+            s = _nat(token)
+            if s is None or s >= m:
+                raise ChainParseError("unknown state id %s" % _quote(token),
+                                      lineno)
+            ids[token] = s
+        return s
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         kind = parts[0]
         if kind == "states":
             if m is not None:
@@ -168,22 +184,15 @@ def parse_chain(text):
         elif kind == "label":
             if len(parts) < 3:
                 raise ChainParseError("expected: label <id> <name>...", lineno)
-            s = _nat(parts[1])
-            if s is None or s >= m:
-                raise ChainParseError("unknown state id %s"
-                                      % _quote(parts[1]), lineno)
+            s = state(parts[1], lineno)
             labels.setdefault(s, set()).update(parts[2:])
         elif kind == "trans":
             if len(parts) != 4:
                 raise ChainParseError("expected: trans <from> <to> <p>", lineno)
-            src, dst = _nat(parts[1]), _nat(parts[2])
-            if src is None or src >= m:
-                raise ChainParseError("unknown state id %s"
-                                      % _quote(parts[1]), lineno)
-            if dst is None or dst >= m:
-                raise ChainParseError("unknown state id %s"
-                                      % _quote(parts[2]), lineno)
-            p = _probability(parts[3], lineno)
+            src, dst = state(parts[1], lineno), state(parts[2], lineno)
+            p = probs.get(parts[3])
+            if p is None:
+                p = probs[parts[3]] = _probability(parts[3], lineno)
             row = rows.setdefault(src, {})
             if dst in row:
                 raise ChainParseError("duplicate transition %d -> %d" % (src, dst),
@@ -376,7 +385,7 @@ def distances_from(chain, source):
     while frontier:
         nxt = []
         for s in frontier:
-            for t in sorted(chain.successors(s)):
+            for t in chain.successors(s):
                 if dist[t] > dist[s] + 1:
                     dist[t] = dist[s] + 1
                     nxt.append(t)
