@@ -57,25 +57,29 @@ class MarkovChain:
 
 def _check_row(s, row, m):
     """State s's row with its zero entries dropped; ChainError unless it
-    is a distribution over 0..m-1.  The sum is checked on integers: the
-    numerators scaled to the lcm of the denominators must add up to it."""
+    is a distribution over 0..m-1.  The sum is kept on integers, as a
+    numerator over the lcm of the denominators seen so far."""
     clean = {}
+    total, scale = 0, 1
     for t, p in row.items():
         if not 0 <= t < m:
             raise ChainError("state %d: successor %d out of range" % (s, t))
         if not isinstance(p, Fraction):
             p = Fraction(p)
-        if not 0 <= p.numerator <= p.denominator:
+        num, den = p.numerator, p.denominator
+        if not 0 <= num <= den:
             raise ChainError("state %d: probability %s out of [0,1]"
                              % (s, _brief(p)))
-        if p.numerator:
+        if num:
             clean[t] = p
-    scale = math.lcm(*(p.denominator for p in clean.values()))
-    if sum(p.numerator * (scale // p.denominator)
-           for p in clean.values()) != scale:
-        total = sum(clean.values(), Fraction(0))
+            if den != scale:
+                lcm = math.lcm(scale, den)
+                total *= lcm // scale
+                scale = lcm
+            total += num * (scale // den)
+    if total != scale:
         raise ChainError("state %d: row sums to %s, not 1"
-                         % (s, _brief(total)))
+                         % (s, _brief(Fraction(total, scale))))
     return clean
 
 
@@ -158,7 +162,7 @@ def parse_chain(text):
         return s
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
+        parts = raw.partition("#")[0].split()
         if not parts:
             continue
         kind = parts[0]
