@@ -74,8 +74,7 @@ def _check_row(s, row, m):
             clean[t] = p
             if den != scale:
                 lcm = math.lcm(scale, den)
-                total *= lcm // scale
-                scale = lcm
+                total, scale = total * (lcm // scale), lcm
             total += num * (scale // den)
     if total != scale:
         raise ChainError("state %d: row sums to %s, not 1"
@@ -142,14 +141,10 @@ def parse_chain(text):
     a decimal may carry an exponent of at most 4300, as in 1e-3.
     '#' starts a comment.
     """
-    m = None
-    init = None
-    # Only the states, id tokens and literals the text mentions get an
-    # entry, so memory grows with the text, not with m.
-    rows = {}
-    labels = {}
-    ids = {}
-    probs = {}
+    m = init = None
+    # Entries for the states, id tokens and literals the text mentions
+    # only, so memory grows with the text, not with m.
+    rows, labels, ids, probs = {}, {}, {}, {}
 
     def state(token, lineno):
         s = ids.get(token)
