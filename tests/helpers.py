@@ -10,7 +10,10 @@ from pltlcheck.formula import (
     Eventually, NegAtom, Next, Or, Release, Until, VarBound, atoms, children,
     closure, variables,
 )
-from pltlcheck.markov import MarkovChain, _tarjan
+from pltlcheck.markov import (
+    _MAX_EXPONENT, ChainParseError, MarkovChain, _brief, _nat, _quote,
+    _tarjan,
+)
 
 
 def random_chain(rng, max_states=6, props=("a", "b"), label_p=0.4):
@@ -83,23 +86,33 @@ def random_diamond_formula(rng, props=("a", "b"), size_budget=4, counter=None):
     return build(size_budget)
 
 
-def nnf_formulas(max_leaves, names="xy"):
+def nnf_formulas(max_leaves, names="xy", var_shapes=True):
     """Hypothesis strategy: NNF formulas over the atoms a, b with every
     node kind, variable bounds named by the letters of `names` and
-    constant bounds 0..3."""
+    constant bounds 0..3.  With `var_shapes` a variable bound is also
+    drawn over each binary shape, so that about half the formulas drawn
+    at max_leaves=5 carry one (without, about one in seven)."""
     # Imported here so that modules without property tests run
     # without hypothesis installed.
     from hypothesis import strategies as st
 
     def extend(sub):
         const = st.builds(ConstBound, st.integers(0, 3))
-        bound = const | st.builds(VarBound, st.sampled_from(names))
-        return (st.builds(Next, sub) | st.builds(Eventually, sub)
-                | st.builds(Always, sub)
-                | st.builds(BoundedEventually, bound, sub)
-                | st.builds(BoundedAlways, const, sub)
-                | st.builds(And, sub, sub) | st.builds(Or, sub, sub)
-                | st.builds(Until, sub, sub) | st.builds(Release, sub, sub))
+        var = st.builds(VarBound, st.sampled_from(names))
+        conj, disj, until = (st.builds(And, sub, sub), st.builds(Or, sub, sub),
+                             st.builds(Until, sub, sub))
+        plain = (st.builds(Next, sub) | st.builds(Eventually, sub)
+                 | st.builds(Always, sub)
+                 | st.builds(BoundedEventually, const | var, sub)
+                 | st.builds(BoundedAlways, const, sub)
+                 | conj | disj | until | st.builds(Release, sub, sub))
+        if not var_shapes:
+            return plain
+        # Hypothesis merges equal branches, so a repeated branch would
+        # not weight variables up; three distinct shapes do.
+        return (plain | st.builds(BoundedEventually, var, conj)
+                | st.builds(BoundedEventually, var, disj)
+                | st.builds(BoundedEventually, var, until))
 
     literals = (st.builds(Atom, st.sampled_from("ab"))
                 | st.builds(NegAtom, st.sampled_from("ab")))
@@ -436,3 +449,85 @@ def _reference_subset_graph(chain, nodes, edges, start):
             row.append(index[t, image])
         succ.append(row)
     return found, succ
+
+
+def reference_parse_chain(text):
+    """The .dtmc reader without memos: (m, init, rows, labels), with
+    `rows[s]` the positive entries of state s's row as Fractions and
+    `labels[s]` a frozenset, or ChainParseError with the reader's
+    message.  Every literal is read by `Fraction(text)` and every row
+    summed in Fractions; `_nat`, `_brief` and `_quote` read ids and
+    spell the values in the messages as the reader does."""
+    def fail(message, lineno=None):
+        raise ChainParseError(message, lineno)
+
+    def state(token, lineno):
+        s = _nat(token)
+        if s is None or s >= m:
+            fail("unknown state id %s" % _quote(token), lineno)
+        return s
+
+    m = init = None
+    rows, labels = {}, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kind, *args = line.split()
+        if kind == "states":
+            if m is not None:
+                fail("duplicate states declaration", lineno)
+            if len(args) != 1 or _nat(args[0]) is None:
+                fail("expected: states <m>", lineno)
+            m = _nat(args[0])
+            if m == 0:
+                fail("state count must be positive", lineno)
+        elif m is None:
+            fail("states declaration must come first", lineno)
+        elif kind == "init":
+            if init is not None:
+                fail("duplicate init declaration", lineno)
+            if len(args) != 1 or _nat(args[0]) is None:
+                fail("expected: init <id>", lineno)
+            init = _nat(args[0])
+            if init >= m:
+                fail("unknown state id %d" % init, lineno)
+        elif kind == "label":
+            if len(args) < 2:
+                fail("expected: label <id> <name>...", lineno)
+            labels.setdefault(state(args[0], lineno), set()).update(args[1:])
+        elif kind == "trans":
+            if len(args) != 3:
+                fail("expected: trans <from> <to> <p>", lineno)
+            src, dst = state(args[0], lineno), state(args[1], lineno)
+            literal = args[2]
+            _, e, exponent = literal.lower().partition("e")
+            try:
+                huge = bool(e) and abs(int(exponent)) > _MAX_EXPONENT
+                p = None if huge else Fraction(literal)
+            except (ValueError, ZeroDivisionError):
+                fail("bad probability %s" % _quote(literal), lineno)
+            if huge:
+                fail("probability exponent beyond %d in %s"
+                     % (_MAX_EXPONENT, _quote(literal)), lineno)
+            if dst in rows.setdefault(src, {}):
+                fail("duplicate transition %d -> %d" % (src, dst), lineno)
+            rows[src][dst] = p
+        else:
+            fail("unknown directive %s" % _quote(kind), lineno)
+    if m is None:
+        fail("missing states declaration")
+    if init is None:
+        fail("missing init declaration")
+    clean = []
+    for s in range(m):
+        row = rows.get(s, {})
+        for p in row.values():
+            if p < 0 or p > 1:
+                fail("state %d: probability %s out of [0,1]" % (s, _brief(p)))
+        total = sum(row.values(), Fraction(0))
+        if total != 1:
+            fail("state %d: row sums to %s, not 1" % (s, _brief(total)))
+        clean.append({t: p for t, p in row.items() if p > 0})
+    return (m, init, clean,
+            [frozenset(labels.get(s, ())) for s in range(m)])

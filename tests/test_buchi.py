@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 from helpers import random_chain
-from pltlcheck import buchi
+from pltlcheck import buchi, markov
 from pltlcheck.diamond import DiamondChecker
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import parse_formula, to_nnf
@@ -89,6 +89,54 @@ def test_c_min_matches_brute_force():
             got = buchi.c_min(c, "a", comp)
             assert got == _brute_c_min(c, "a", comp)
         n += 1
+
+
+def _min_val_pos_all_pairs(chain, name):
+    """min_val_pos_buchi on the whole distance matrix, with the
+    exhaustive c_min."""
+    dist = markov.all_pairs_distance(chain)
+    best = None
+    for comp, gap in buchi.accepting_bsccs(chain, name):
+        d0 = min(dist[chain.init][s]
+                 for s in comp if name in chain.labels[s])
+        n0 = max(gap, _brute_c_min(chain, name, comp)) if gap < d0 else gap
+        if best is None or n0 < best:
+            best = n0
+    return best
+
+
+def test_min_val_pos_reads_few_distance_rows(monkeypatch):
+    # Rows are computed for the initial state and the popped a-states
+    # only, through markov.distances_from.
+    sources = []
+    bfs = markov.distances_from
+
+    def counted(chain, source):
+        sources.append(source)
+        return bfs(chain, source)
+
+    monkeypatch.setattr(markov, "distances_from", counted)
+    rng = random.Random(23)
+    n = 0
+    while n < 200:
+        c = random_chain(rng, max_states=12, props=("a",), label_p=0.6)
+        sources.clear()
+        got = buchi.min_val_pos_buchi(c, "a")
+        assert len(sources) == len(set(sources))
+        assert len(sources) <= len(c.states_with("a")) + 1
+        assert got == _min_val_pos_all_pairs(c, "a"), (c.rows, c.labels)
+        n += got is not None
+    # A path of 150 states, an a-state every ten, into a ring of 50 with
+    # one a-state: the rows of the initial state and of the 14 a-states
+    # on the path, of the 200.
+    one = Fraction(1)
+    rows = [{s + 1: one} for s in range(199)] + [{150: one}]
+    labels = [{"a"} if s in range(10, 151, 10) else set()
+              for s in range(200)]
+    sources.clear()
+    assert buchi.min_val_pos_buchi(MarkovChain(200, 0, rows, labels),
+                                   "a") == 49
+    assert sorted(sources) == list(range(0, 150, 10))
 
 
 def test_minima_match_general_checker():

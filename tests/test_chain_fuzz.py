@@ -4,27 +4,52 @@ Valid chain texts are mutated: lines dropped or duplicated, tokens
 swapped, probabilities respelled as num/den, decimal or exponent
 literals (some of them huge).  Each result runs as `prob` and as
 `check --threshold ">=1/2"`; every run must end in a documented exit
-code, never in an exception.  `derandomize=True` makes every run draw
-the same examples.
+code, never in an exception.  Each result is also read by
+`parse_chain` and by a reference reader without memos, which must agree
+on the chain or on the error message.  `derandomize=True` makes every
+run draw the same examples.
 """
 
 import io
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_chain
+from helpers import random_chain, reference_parse_chain
 from pltlcheck import cli
 from pltlcheck.fixtures import chain_text
-from pltlcheck.markov import parse_chain
+from pltlcheck.markov import ChainParseError, parse_chain
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 
-BASES = [chain_text(random_chain(random.Random(seed), max_states=5,
-                                 props=("a",)))
-         for seed in range(8)]
+# No probability literal of this chain repeats, so every one is a memo
+# miss, and ids carry leading zeros, so one state has several tokens.
+DISTINCT = """\
+states 4
+init 00
+label 01 a
+label 3 a
+trans 0 01 1/3
+trans 00 2 0.25
+trans 000 3 5/12
+trans 01 1 1.0
+trans 2 0 3/4
+trans 2 003 2.5e-1
+trans 03 02 1/2
+trans 3 1 0.50
+"""
+
+
+def _base(seed, max_states):
+    return chain_text(random_chain(random.Random(seed), max_states=max_states,
+                                   props=("a",)))
+
+
+# Seed 19 at up to 12 states draws 11, so that ids run to two digits.
+BASES = [_base(seed, 5) for seed in range(8)] + [_base(19, 12), DISTINCT]
 
 # Respellings of a probability, exact or not.
 SPELLINGS = st.one_of(
@@ -86,7 +111,31 @@ def test_mutated_chain_texts_exit_cleanly(chain_file, text, x):
         assert code in EXIT_CODES, err.getvalue()
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(text=mutated_chains())
+def test_mutated_chain_texts_parse_as_reference(text):
+    try:
+        expected = reference_parse_chain(text)
+    except ChainParseError as exc:
+        with pytest.raises(ChainParseError) as got:
+            parse_chain(text)
+        assert str(got.value) == str(exc)
+        return
+    c = parse_chain(text)
+    assert (c.m, c.init, c.rows, c.labels) == expected
+
+
+def test_distinct_literals_chain():
+    c = parse_chain(DISTINCT)
+    assert (c.m, c.init) == (4, 0)
+    assert c.rows[0] == {1: Fraction(1, 3), 2: Fraction(1, 4),
+                         3: Fraction(5, 12)}
+    assert c.rows[3] == {2: Fraction(1, 2), 1: Fraction(1, 2)}
+    assert c.labels == [frozenset(), {"a"}, frozenset(), {"a"}]
+
+
 def test_base_texts_are_valid_chains():
     # The mutations start from chains that parse, one with an a-state.
     chains = [parse_chain(text) for text in BASES]
     assert any(c.states_with("a") for c in chains)
+    assert max(c.m for c in chains) > 10

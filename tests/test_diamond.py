@@ -439,7 +439,8 @@ def test_counter_free_step_matches_stripped_formula(phi, seed):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
-@given(nnf_formulas(max_leaves=2), nnf_formulas(max_leaves=2),
+@given(nnf_formulas(max_leaves=2, var_shapes=False),
+       nnf_formulas(max_leaves=2, var_shapes=False),
        st.sampled_from([And, Or, Until, Release]),
        st.sampled_from([None, Always, Eventually]), st.sampled_from("xy"),
        st.integers(0, 2 ** 32 - 1))
@@ -448,7 +449,10 @@ def test_min_set_matches_search_at_vbar(left, right, op, outer, y, seed):
     # no counter-free step and no point at N0 first.  x and y bound the
     # two sides, which may hold more of them; y = x leaves one variable
     # when the sides hold no other.  A search at vbar with two counters
-    # can pass the cap; such examples are dropped.
+    # can pass the cap; such examples are dropped.  Sides drawn with
+    # `var_shapes` pass it in about three draws of four, in the search
+    # or in `min_set`'s query at the box top, which fails hypothesis's
+    # filter health check; the sides keep the plain weighting.
     phi = op(BoundedEventually(VarBound("x"), left),
              BoundedEventually(VarBound(y), right))
     if outer is not None:
