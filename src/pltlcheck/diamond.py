@@ -10,12 +10,12 @@ probability one additionally needs every bottom behavior of the chain to
 be covered by one.
 
 The tableau is built from local constraints (Gerth, Peled, Vardi and
-Wolper, 1995), in time proportional to its states and edges: one
-children-first pass over the closure per atom mask yields the states,
-and one (mask, value) constraint on closure bits per state yields its
-successors, shared between states with equal constraints.  The
-round-robin automaton derives its successors from the tableau's when a
-product asks for them, filtered by the letter the chain reads next.
+Wolper, 1995), one atom mask at a time, the first time a product reads
+that mask: one children-first pass over the closure yields the mask's
+states, and one (mask, value) constraint on closure bits per state
+picks its successors in each mask.  The round-robin automaton derives
+its successors from those when a product asks for them, filtered by the
+letter the chain reads next, so a query pays for the letters it reads.
 
 Products are explored lazily from the initial configurations, so only
 the reachable part is ever materialized.  The closure cap is checked on
@@ -50,8 +50,6 @@ four-state chains.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .formula import (
     And, Always, Atom, BoundedAlways, BoundedEventually, Eventually,
     FragmentError, NegAtom, Next, Not, Or, Release, Until, atoms, children,
@@ -68,38 +66,41 @@ class ResourceLimitError(Exception):
 
 DEFAULT_MAX_PRODUCT_NODES = 10 ** 7
 MAX_CLOSURE = 22  # atoms plus non-literal closure members
-# Tableau states; every free X, G, U, R or F member can double them, and
-# every state's successor list can hold all of them.
+# Tableau states built for the letters the chains emit; every free X, G,
+# U, R or F member can double them per atom mask.
 MAX_TABLEAU_STATES = 2 ** 14
 
 
 class GAutomaton:
-    """Generalized automaton over consistent closure subsets: a tableau.
+    """Generalized automaton over consistent closure subsets: a tableau,
+    built one atom mask at a time.
 
     A state holds one literal per atom and the closure members true
     there.  As in Gerth, Peled, Vardi and Wolper (1995), states and
     edges come from local constraints; no closure subset and no pair of
-    states is ever tested.
+    states is ever tested.  `block(a)` builds the states of atom mask a
+    (bit i for `names[i]`) the first time a product asks for it, and
+    states are numbered in the order they are built.  `full()` builds
+    every mask in mask order, which orders states by (atom mask,
+    operator mask).
 
     States: for each atom mask, one children-first pass over the
     closure.  An And or Or member is fixed by its children; an Until,
     Release, F or F[<=x] member is forced in when its discharge holds
     (the right side; both sides; the child) and free otherwise; X and G
-    members are always free.  Each atom mask's states are sorted by
-    their operator bits, so states are ordered by (atom mask, operator
-    mask), and `start[a]` is the first state of atom mask a (bit i for
-    `names[i]`).
+    members are always free.  A mask's states are sorted by operator bits.
 
     Edges: a state's temporal members fix some closure bits of every
     successor: X its child, U/R/F/G themselves unless discharged here,
     F[<=x] itself while pending.  They may also leave no successor at
-    all.  That is one (mask, value) pair per state, and states with
-    equal pairs share one successor list.
+    all.  That is one (mask, value) pair per state, `wants[q]`;
+    `targets(want, a)` lists the states of mask a that meet it.
 
     `acc_b` holds one state set per until/release-like subformula;
-    `acc_p` one per parameter variable, in the formula's variable order.
-    The letter of a state is its set of positive atoms: every atom of
-    the formula is decided in every state.
+    `acc_p` one per parameter variable, in the formula's variable order,
+    and `par[q]` state q's flags in those.  They, `initial` and `succ`
+    cover the states built so far.  The letter of a state is its set of
+    positive atoms: every atom of the formula is decided in every state.
     """
 
     def __init__(self, phi):
@@ -124,81 +125,112 @@ class GAutomaton:
         bit = {f: 1 << i for i, f in enumerate(nonlits)}
         lits = [f for f in subs if isinstance(f, (Atom, NegAtom))]
         bit.update((f, 1 << (len(nonlits) + i)) for i, f in enumerate(lits))
-        rules = [(bit[f],) + _local_rule(f, bit) for f in nonlits]
+        self._bit = bit
+        self._rules = [(bit[f],) + _local_rule(f, bit) for f in nonlits]
         # States are unions of these sets, whose members keep their
         # hashes: a formula's own hash walks its whole tree.
-        singles = [(bit[f], frozenset((f,))) for f in nonlits]
-        masks, self.states, self.letters, self.start = [], [], [], []
-        for amask in range(2 ** len(names)):
-            true = {a for i, a in enumerate(names) if amask >> i & 1}
-            literals = frozenset(Atom(a) if a in true else NegAtom(a)
-                                 for a in names)
-            found = [sum(bit[f] for f in lits
-                         if (f.name in true) == isinstance(f, Atom))]
-            for b, need, forced, free in rules:
-                if forced is all:
-                    found = [h | b if h & need == need else h for h in found]
-                elif forced is any:
-                    found = [h | b if h & need else h for h in found]
-                if free:
-                    found += [h | b for h in found if not h & b]
-                    if len(masks) + len(found) > MAX_TABLEAU_STATES:
-                        raise ResourceLimitError(
-                            "tableau too large: more than %d states"
-                            % MAX_TABLEAU_STATES)
-            found.sort()
-            letter = frozenset(true)
-            self.start.append(len(masks))
-            for h in found:
-                masks.append(h)
-                self.states.append(literals.union(
-                    *[f for b, f in singles if h & b]))
-                self.letters.append(letter)
-        self.start.append(len(masks))
-        self.initial = [i for i, h in enumerate(masks) if h & bit[phi]]
+        self._singles = [(bit[f], frozenset((f,))) for f in nonlits]
         # A unary operator's child is both its first and its last.
-        steps = [(type(f), bit[f], bit[children(f)[0]], bit[children(f)[-1]])
-                 for f in nonlits if not isinstance(f, (And, Or))]
-        wants = [_successor_constraint(h, steps) for h in masks]
-        # States grouped by the bits that some constraint reads, and the
-        # group keys bucketed once per constrained mask by the bits it
-        # reads: a successor list joins the groups of one bucket.
-        read = 0
-        for want in wants:
-            if want is not None:
-                read |= want[0]
-        groups = {}
-        for j, h in enumerate(masks):
-            groups.setdefault(h & read, []).append(j)
-        buckets = {}
-        shared = {None: []}
-        for want in wants:
-            if want not in shared:
-                mask, value = want
-                by_value = buckets.get(mask)
-                if by_value is None:
-                    by_value = buckets[mask] = {}
-                    for key in groups:
-                        by_value.setdefault(key & mask, []).append(key)
-                targets = shared[want] = []
-                for key in by_value.get(value, ()):
-                    targets += groups[key]
-                targets.sort()
-        self.succ = [shared[want] for want in wants]
-        self.acc_b = []
+        self._steps = [(type(f), bit[f], bit[children(f)[0]],
+                        bit[children(f)[-1]])
+                       for f in nonlits if not isinstance(f, (And, Or))]
+        # An acceptance set holds the states whose `pending` bit is off
+        # or whose `done` bit is on: (pending, done, set) per set.
+        self.acc_b, self.acc_p, self._acc = [], [], []
         for f in subs:
             if isinstance(f, (Until, Eventually)):
-                pending, done = bit[f], bit[children(f)[-1]]
+                bits = bit[f], bit[children(f)[-1]]
             elif isinstance(f, (Release, Always)):
-                pending, done = bit[children(f)[-1]], bit[f]
+                bits = bit[children(f)[-1]], bit[f]
             else:
                 continue
-            self.acc_b.append((f, _member_set(masks, pending, done)))
+            self.acc_b.append((f, set()))
+            self._acc.append(bits + (self.acc_b[-1][1],))
         by_var = {f.bound.name: f for f in subs
                   if isinstance(f, BoundedEventually)}
-        self.acc_p = [(x, _member_set(masks, bit[by_var[x]],
-                                      bit[by_var[x].child]))
-                      for x in variables(phi)]
+        self.var_names = variables(phi)
+        for x in self.var_names:
+            self.acc_p.append((x, set()))
+            self._acc.append((bit[by_var[x]], bit[by_var[x].child],
+                              self.acc_p[-1][1]))
+        self.masks, self.states, self.letters, self.wants = [], [], [], []
+        self.par, self.initial = [], []
+        self._blocks = {}
+
+    def block(self, amask):
+        """Atom mask `amask`'s states as (ids, initial ids, buckets),
+        built the first time it is asked for.  `buckets` maps a
+        constraint mask to that mask's bits -> the states showing them."""
+        blk = self._blocks.get(amask)
+        if blk is not None:
+            return blk
+        bit = self._bit
+        true = {a for i, a in enumerate(self.names) if amask >> i & 1}
+        literals = [Atom(a) if a in true else NegAtom(a) for a in self.names]
+        found = [sum(bit[f] for f in literals if f in bit)]
+        literals = frozenset(literals)
+        for b, need, forced, free in self._rules:
+            if forced is all:
+                found = [h | b if h & need == need else h for h in found]
+            elif forced is any:
+                found = [h | b if h & need else h for h in found]
+            if free:
+                found += [h | b for h in found if not h & b]
+                if len(self.masks) + len(found) > MAX_TABLEAU_STATES:
+                    raise ResourceLimitError(
+                        "tableau too large: more than %d states"
+                        % MAX_TABLEAU_STATES)
+        found.sort()
+        letter = frozenset(true)
+        ids = range(len(self.masks), len(self.masks) + len(found))
+        for q, h in enumerate(found, len(self.masks)):
+            self.masks.append(h)
+            self.states.append(literals.union(
+                *[f for b, f in self._singles if h & b]))
+            self.letters.append(letter)
+            self.wants.append(_successor_constraint(h, self._steps))
+            for pending, done, members in self._acc:
+                if not h & pending or h & done:
+                    members.add(q)
+            self.par.append(tuple(q in f for _, f in self.acc_p))
+        initial = [q for q in ids if self.masks[q] & bit[self.formula]]
+        self.initial += initial
+        blk = self._blocks[amask] = ids, initial, {}
+        return blk
+
+    def full(self):
+        """This tableau with every atom mask built in mask order: itself
+        when it was built in that order so far, else a fresh one."""
+        g = self
+        if any(a != i for i, a in enumerate(self._blocks)):
+            g = GAutomaton(self.formula)
+        for amask in range(2 ** len(self.names)):
+            g.block(amask)
+        return g
+
+    def targets(self, want, amask):
+        """The states of atom mask `amask` meeting the successor
+        constraint `want`, in state order; a block's states are bucketed
+        once per constraint mask."""
+        if want is None:
+            return ()
+        mask, value = want
+        ids, _, buckets = self.block(amask)
+        by_value = buckets.get(mask)
+        if by_value is None:
+            by_value = buckets[mask] = {}
+            for q in ids:
+                by_value.setdefault(self.masks[q] & mask, []).append(q)
+        return by_value.get(value, ())
+
+    def successors(self, q):
+        """State q's successors among the states built so far."""
+        return sorted(t for a in self._blocks
+                      for t in self.targets(self.wants[q], a))
+
+    @property
+    def succ(self):
+        return [self.successors(q) for q in range(len(self.masks))]
 
     def atom_mask(self, letter):
         """The atom mask of a letter, a set of atom names."""
@@ -288,80 +320,87 @@ def _successor_constraint(h, steps):
     return mask, value
 
 
-def _member_set(masks, pending, done):
-    """States where the `pending` bit is off or the `done` bit is on."""
-    return frozenset(i for i, h in enumerate(masks)
-                     if not h & pending or h & done)
-
-
 class UAutomaton:
     """Round-robin degeneralization of a GAutomaton.
 
-    `buchi` and `par` are (label, g-state set) lists like the tableau's
-    `acc_b` and `acc_p`; the counter-free automaton passes `acc_b +
-    acc_p` and no parametric set.
+    With `counters`, the Buchi sets are the tableau's `acc_b` and the
+    parametric sets its `acc_p`; the counter-free automaton takes
+    `acc_b + acc_p` as Buchi sets and no parametric set.
 
     States are (g-state, index) pairs flattened to integers u = q * k +
     i; the single Buchi set is the first generalized set at index 0.
-    Nothing is stored per U-state.  `letter(u)`, `is_buchi(u)` and the
-    index after u are read off q and i when asked for, and `par[q]`
-    holds g-state q's parametric flags, one per variable in `var_names`
+    Nothing is stored per U-state, and the U-states are those of the
+    g-states built so far.  `letter(u)`, `is_buchi(u)` and the index
+    after u are read off q and i when asked for, and `par[q]` holds
+    g-state q's parametric flags, one per variable in `var_names`
     (parametric sets ignore the index).  Successor lists are derived
-    from `g.succ` when asked for, all of them by `successors(u)` or only
-    those reading one atom mask by `reading(u, amask)`.
+    from the tableau's constraints when asked for, all of them by
+    `successors(u)` or only those reading one atom mask by
+    `reading(u, amask)`, which builds that mask's block.
     """
 
-    def __init__(self, g, buchi, par):
+    def __init__(self, g, counters=True):
         self.g = g
-        k = max(1, len(buchi))
-        self.k = k
-        n_g = len(g.states)
-        self.n = n_g * k
-        self._sets = [f for _, f in buchi] or [range(n_g)]
-        self.var_names = [x for x, _ in par]
-        self.par = [tuple(q in fx for _, fx in par) for q in range(n_g)]
-        self.initial = [q0 * k for q0 in g.initial]
+        self.counters = counters
+        self.var_names = g.var_names if counters else []
+        self._sets = [f for _, f in (g.acc_b if counters
+                                     else g.acc_b + g.acc_p)]
+        self.k = max(1, len(self._sets))
+        self.par = g.par
         self._rows = {}
+
+    @property
+    def n(self):
+        return len(self.g.masks) * self.k
+
+    @property
+    def initial(self):
+        return [q0 * self.k for q0 in self.g.initial]
+
+    def full(self):
+        """This automaton over the tableau's `full()`."""
+        return UAutomaton(self.g.full(), self.counters)
 
     def letter(self, u):
         """The letter u reads: its g-state's set of positive atoms."""
         return self.g.letters[u // self.k]
 
     def is_buchi(self, u):
-        """Is u in the single Buchi set?"""
-        return u % self.k == 0 and u // self.k in self._sets[0]
+        """Is u in the single Buchi set?  With no Buchi set, every u at
+        index 0 is."""
+        q, i = divmod(u, self.k)
+        return i == 0 and (not self._sets or q in self._sets[0])
 
     def _index_after(self, u):
         """The index a run moves to when it leaves u."""
         q, i = divmod(u, self.k)
-        return (i + 1) % self.k if q in self._sets[i] else i
+        return (i + 1) % self.k if self._sets and q in self._sets[i] else i
 
     def successors(self, u):
-        """All successors of u, in state order."""
+        """All successors of u among the built states, in state order."""
         k, i2 = self.k, self._index_after(u)
-        return [q2 * k + i2 for q2 in self.g.succ[u // k]]
+        return [q2 * k + i2 for q2 in self.g.successors(u // k)]
 
     def reading(self, u, amask):
-        """The successors of u whose letter has atom mask `amask`.  A
-        g-state's successors are in state order, so those of one atom
-        mask form one slice."""
+        """The successors of u whose letter has atom mask `amask`, in
+        state order."""
         k, i2, g = self.k, self._index_after(u), self.g
-        targets = g.succ[u // k]
-        lo = bisect_left(targets, g.start[amask])
-        hi = bisect_left(targets, g.start[amask + 1], lo)
-        return [q2 * k + i2 for q2 in targets[lo:hi]]
+        return [q2 * k + i2 for q2 in g.targets(g.wants[u // k], amask)]
 
     def row(self, amask):
         """A cache for the successors of each u reading `amask`, indexed
-        by u; None where unfilled."""
-        row = self._rows.get(amask)
-        if row is None:
-            row = self._rows[amask] = [None] * self.n
+        by u and as long as `n`; None where unfilled."""
+        row = self._rows.setdefault(amask, [])
+        row += [None] * (self.n - len(row))
         return row
 
 
 def format_automaton(aut):
-    """Plain-text adjacency dump of a G- or U-automaton."""
+    """Plain-text adjacency dump of a G- or U-automaton.  An on-demand
+    automaton is dumped from its `full()`, so the text numbers states by
+    (atom mask, operator mask) whichever masks were built before."""
+    if hasattr(aut, "full"):
+        aut = aut.full()
     lines = []
     if hasattr(aut, "states"):
         lines.append("g-automaton states=%d" % len(aut.states))
@@ -503,8 +542,9 @@ def _bitset(bits):
 class DiamondChecker:
     """Qualitative membership checks for one formula across valuations.
 
-    The automaton is built once; each query explores the product with
-    the chain lazily.  Valuations are given over the formula's original
+    One tableau serves every query, and grows by the atom masks each
+    query's chain emits; each query explores the product with the chain
+    lazily.  Valuations are given over the formula's original
     variable names; repeated names are renamed apart internally and the
     shared bound is applied to every occurrence.
 
@@ -525,8 +565,7 @@ class DiamondChecker:
         self.user_names = variables(phi)
         self.max_product_nodes = max_product_nodes
         self.g = GAutomaton(renamed)
-        self.u = UAutomaton(self.g, self.g.acc_b, self.g.acc_p)
-        self.atoms = frozenset(atoms(renamed))
+        self.u = UAutomaton(self.g)
         self.stats = {"product_nodes": 0, "queries": 0}
         self.shortcut = None
         self.bound_used = None
@@ -578,19 +617,22 @@ class DiamondChecker:
         """Product of the counter automaton `u_aut` with a labelled graph.
 
         The graph starts at position `start`, `step(p)` lists the
-        positions after p and `letters[p]` is p's letter restricted to
-        the formula's atoms.  Returns (nodes, succ, number of initial
-        nodes); a node is (position, automaton state, counters).
+        positions after p and `letters[p]` is p's set of atoms; the
+        product builds the tableau's block of each letter's atom mask.
+        Returns (nodes, succ, number of initial nodes); a node is
+        (position, automaton state, counters).
 
         A counter is the length of the current marked-but-unsatisfied
         streak of its bounded eventuality; a run dies the moment a
         streak would exceed the bound.  A run's first state is entered
         with every counter at zero.
         """
-        par, k = u_aut.par, u_aut.k
-        amasks = [self.g.atom_mask(l) for l in letters]
-        # rows[p][u]: the successors of u that read p's letter, each
-        # with its parametric flags.
+        par, k, g = u_aut.par, u_aut.k, u_aut.g
+        amasks = [g.atom_mask(l) for l in letters]
+        # Every block is built before the rows are sized.  rows[p][u]:
+        # the successors of u that read p's letter, each with its
+        # parametric flags.
+        blocks = [g.block(a) for a in amasks]
         rows = [u_aut.row(a) for a in amasks]
 
         def flagged(targets):
@@ -609,8 +651,7 @@ class DiamondChecker:
                     out.append((p, u2, tuple(nxt)))
             return out
 
-        initial = moves(start, flagged([u for u in u_aut.initial
-                                        if u_aut.letter(u) == letters[start]]),
+        initial = moves(start, flagged([q * k for q in blocks[start][1]]),
                         (0,) * len(bounds))
 
         def successors(node):
@@ -634,8 +675,7 @@ class DiamondChecker:
         word is accepted iff a cycle through a Buchi configuration is
         reachable.
         """
-        letters = [frozenset(l) & self.atoms
-                   for l in tuple(word.stem) + tuple(word.loop)]
+        letters = tuple(word.stem) + tuple(word.loop)
         wrap = len(word.stem)
 
         def step(p):
@@ -650,9 +690,8 @@ class DiamondChecker:
 
     def _product(self, chain, u_aut, bounds):
         """Reachable product with the chain: (nodes, succ, initial count)."""
-        letters = [frozenset(l) & self.atoms for l in chain.labels]
-        product = self._runs(u_aut, chain.init, chain.successors, letters,
-                             bounds, "product")
+        product = self._runs(u_aut, chain.init, chain.successors,
+                             chain.labels, bounds, "product")
         self.stats["product_nodes"] += len(product[0])
         return product
 
@@ -772,7 +811,7 @@ class DiamondChecker:
         """
         empty = False
         if self.user_names:
-            free = UAutomaton(self.g, self.g.acc_b + self.g.acc_p, [])
+            free = UAutomaton(self.g, counters=False)
             try:
                 empty = not self._holds(chain, threshold, free, [])
             except ResourceLimitError:

@@ -120,12 +120,16 @@ def _pareto_front(chain, phi, names, bound, max_nodes):
     cannot reach a point of the box, and one whose needs are above a
     found point cannot reach a new minimal point: both are dropped.
     Labels are expanded first in, first out, each entry linked to the
-    one it came from.  With no `names` every node holds one label, so
-    the search is breadth-first and the path is a shortest one.  More
+    one it came from.  With no `names` (phi then has no variables, so
+    no ages) a node holds at most one label: a plain set of the nodes
+    offered replaces the antichains, the search is breadth-first, and
+    it ends at the first label to finish, on a shortest path.  More
     than `max_nodes` labels raise diamond.ResourceLimitError.
     """
     found = MinimalSet(names)
-    labels = {}  # (chain state, pending formulas) -> MinimalSet of labels
+    # (chain state, pending formulas) -> MinimalSet of labels; None
+    # with no names, where the key alone marks the node as seen.
+    labels = {}
     order = {}  # pending formulas -> them sorted by text
     queue = deque()
     count = 0
@@ -133,48 +137,54 @@ def _pareto_front(chain, phi, names, bound, max_nodes):
 
     def offer(s, left, ages, need, back):
         nonlocal count
-        kept = labels.get((s, left))
-        if kept is None:
+        if left not in order:
             # Sorted, so that the labels do not depend on hashing.
-            if left not in order:
-                order[left] = tuple(sorted(left, key=str))
-            kept = labels[s, left] = MinimalSet(order[left] + found.names)
-        label = (tuple(ages.get(f, 0) for f in kept.names[:len(left)])
+            order[left] = tuple(sorted(left, key=str))
+        label = (tuple(ages.get(f, 0) for f in order[left])
                  if ages else (0,) * len(left)) + need
-        if kept.insert(label):
-            count += 1
-            if count > max_nodes:
-                raise diamond.ResourceLimitError(
-                    "product exceeds %d nodes" % max_nodes)
-            queue.append((s, left, label, back))
+        if names:
+            kept = labels.get((s, left))
+            if kept is None:
+                kept = labels[s, left] = MinimalSet(order[left] + found.names)
+            if not kept.insert(label):
+                return
+        elif (s, left) in labels:
+            return
+        else:
+            labels[s, left] = None
+        count += 1
+        if count > max_nodes:
+            raise diamond.ResourceLimitError(
+                "product exceeds %d nodes" % max_nodes)
+        queue.append((s, left, label, back))
 
     offer(chain.init, frozenset([phi]), {}, (0,) * len(names), None)
     while queue:
         entry = queue.popleft()
         s, left, label, _ = entry
-        kept = labels[s, left]
         need = label[len(left):]
-        if label not in kept.points or found.member(need):
+        if names and (label not in labels[s, left].points
+                      or found.member(need)):
             continue  # replaced by a better label, or above a found point
-        pending = zip(kept.names, label[:len(left)])
+        pending = zip(order[left], label[:len(left)])
         for rest, older, more in _step(chain.labels[s], pending):
             need2 = (tuple(max(n, more.get(x, 0)) for x, n in zip(names, need))
                      if more else need)
-            if max(need2, default=0) > bound or found.member(need2):
+            if max(need2, default=0) > bound or names and found.member(need2):
                 continue
             if rest:
                 for t in sorted(chain.successors(s)):
                     offer(t, rest, older, need2, entry)
                 continue
             found.insert(need2)
-            if not any(need2):
-                queue.clear()  # the origin is below every other point
             if path is None:
                 path, back = [], entry
                 while back is not None:
                     path.append(back[0])
                     back = back[3]
                 path.reverse()
+            if not any(need2):
+                return found, path  # the origin is below every other point
     return found, path
 
 

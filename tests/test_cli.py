@@ -9,6 +9,7 @@ import pytest
 
 from helpers import until_chain
 from pltlcheck import cli, diamond
+from pltlcheck.formula import parse_formula
 
 COIN = "states 2\ninit 0\ntrans 0 0 1/2\ntrans 0 1 1/2\ntrans 1 1 1\nlabel 1 a\n"
 RING = ("states 3\ninit 0\ntrans 0 1 1\ntrans 1 2 1\ntrans 2 0 1\n"
@@ -239,8 +240,8 @@ def test_exit_unfolded_closure_too_large(argv, coin):
 
 
 def test_nine_untils_reach_the_node_cap(coin):
-    # 6144 automaton states and 6.8 million edges: the build finishes
-    # and the product stops on the cap.
+    # The tableau builds only the atom masks the coin chain emits, 22 of
+    # its 6,144 states; the product stops on the cap.
     code, out, err = _run(["member", "--chain", coin, "--formula",
                            until_chain(9), "--valuation", "x=1000",
                            "--max-product-nodes", "1000"])
@@ -277,6 +278,75 @@ def test_check_builds_one_tableau(coin, monkeypatch, text, shortcut):
     assert "fragment: Diamond" in out
     assert ("shortcut: counter-free" in out) == shortcut
     assert len(built) == 1
+
+
+def _capture_checkers(monkeypatch):
+    """The DiamondCheckers that `cli.run` makes from now on."""
+    made = []
+    real = diamond.DiamondChecker
+
+    def kept(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(diamond, "DiamondChecker", kept)
+    return made
+
+
+def test_nine_untils_check_builds_the_masks_the_chain_emits(coin, monkeypatch):
+    # The coin chain emits {} and {a}: only those two atom masks of the
+    # 1,024 get states, the ones a full build gives them.
+    made = _capture_checkers(monkeypatch)
+    code, out, err = _run(["check", "--chain", coin, "--formula",
+                           until_chain(9)])
+    assert code == 0, err
+    assert out.endswith("shortcut: counter-free\nverdict: empty\n")
+    g = made[0].g
+    emitted = {frozenset(), frozenset("a")}
+    assert set(g.letters) == emitted
+    full = diamond.GAutomaton(g.formula).full()
+    assert len(full.states) == 6144
+    assert g.states == [h for h, letter in zip(full.states, full.letters)
+                        if letter in emitted]
+    assert len(g.states) == 22
+
+
+def test_tableau_cap_counts_the_masks_the_chain_emits(coin, tmp_path):
+    # Two X over the nine untils: a full tableau passes 16,384 states,
+    # but the two masks the coin chain emits hold 88.  `--emit-automaton`
+    # needs every mask, and exits 3 before the file is written.
+    text = "X X " + until_chain(9)
+    argv = ["check", "--chain", coin, "--formula", text]
+    code, out, err = _run(argv)
+    assert code == 0, err
+    assert out == ("fragment: Diamond\nthreshold: >0\nproduct-nodes: 760\n"
+                   "shortcut: counter-free\nverdict: empty\n")
+    path = tmp_path / "aut.txt"
+    code, out, err = _run(argv + ["--emit-automaton", str(path)])
+    assert code == 3
+    assert out == ""
+    assert err == "resource limit: tableau too large: more than 16384 states\n"
+    assert not path.exists()
+
+
+def test_emit_automaton_numbers_every_mask_in_order(tmp_path, monkeypatch):
+    # The chain starts in a b-state, so the check builds atom mask 2
+    # ({b}) before mask 1 ({a}).  The emitted text is still the one of a
+    # fresh checker with every mask built in mask order.
+    chain = tmp_path / "chain.dtmc"
+    chain.write_text("states 2\ninit 0\ntrans 0 1 1\ntrans 1 0 1\n"
+                     "label 0 b\nlabel 1 a\n")
+    text = "F[<=x] a & G F b"
+    fresh = diamond.DiamondChecker(parse_formula(text))
+    expected = (diamond.format_automaton(fresh.g)
+                + diamond.format_automaton(fresh.u))
+    path = tmp_path / "aut.txt"
+    made = _capture_checkers(monkeypatch)
+    code, out, err = _run(["check", "--chain", str(chain), "--formula", text,
+                           "--emit-automaton", str(path)])
+    assert code == 0, err
+    assert "fragment: Diamond\n" in out
+    assert made[0].g.letters[0] == frozenset("b")
+    assert path.read_text() == expected
 
 
 def test_exit_tableau_too_large(coin):

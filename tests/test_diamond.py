@@ -244,7 +244,7 @@ def test_subset_bitsets_match_frozenset_reference(phi, sides, valuation,
     c = random_chain(random.Random(seed), max_states=4)
     try:
         ck = DiamondChecker(phi, max_product_nodes=1000)
-        free = UAutomaton(ck.g, ck.g.acc_b + ck.g.acc_p, [])
+        free = UAutomaton(ck.g, counters=False)
         _assert_subsets_match_reference(ck, c, ck.u, ck._bounds(valuation))
         _assert_subsets_match_reference(ck, c, free, [])
     except ResourceLimitError:
@@ -295,6 +295,9 @@ def test_subset_images_span_several_bytes():
 
 
 def _assert_matches_reference(ck):
+    # The checker builds no atom mask until a product asks for one;
+    # full() builds them all in mask order on its own tableau.
+    assert ck.g.states == [] and ck.g.full() is ck.g
     g, u = reference_tableau(ck.g.formula)
     for attr in ("states", "letters", "initial", "succ", "acc_b", "acc_p"):
         assert getattr(ck.g, attr) == getattr(g, attr), attr
@@ -323,6 +326,53 @@ def test_tableau_matches_brute_force_on_random_formulas(phi):
     ck = DiamondChecker(phi)
     assume(len(closure(ck.g.formula)) <= 10)
     _assert_matches_reference(ck)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(nnf_formulas(max_leaves=4), st.data())
+def test_blocks_built_on_demand_match_full_build(phi, data):
+    # Atom masks asked for in a random order, some twice: each mask's
+    # states, letters, initial and acceptance flags, and every reading
+    # between the masks built, are those of a full build in mask order
+    # and of the brute-force tableau, up to the numbering.
+    ck = DiamondChecker(phi)
+    g = ck.g
+    assume(len(closure(g.formula)) <= 10)
+    full = diamond.GAutomaton(g.formula).full()
+    ref, ref_u = reference_tableau(g.formula)
+    n_masks = 2 ** len(g.names)
+    asked = data.draw(st.lists(st.integers(0, n_masks - 1), min_size=1,
+                               max_size=n_masks + 2))
+    canonical = {}
+    for amask in asked:
+        ids = g.block(amask)[0]
+        full_ids = full.block(amask)[0]
+        ref_ids = [q for q, letter in enumerate(ref.letters)
+                   if g.atom_mask(letter) == amask]
+        assert list(full_ids) == ref_ids
+        canonical.update(zip(ids, ref_ids))
+        for mine, theirs in ((g, full), (g, ref)):
+            for attr in ("states", "letters"):
+                assert [getattr(mine, attr)[q] for q in ids] == \
+                    [getattr(theirs, attr)[q] for q in ref_ids], attr
+        assert [q in g.initial for q in ids] == \
+            [q in full.initial for q in ref_ids] == \
+            [q in ref.initial for q in ref_ids]
+        for attr in ("acc_b", "acc_p"):
+            for (x, mine), (_, theirs), (y, want) in zip(
+                    getattr(g, attr), getattr(full, attr), getattr(ref, attr)):
+                assert x == y
+                assert [q in mine for q in ids] == \
+                    [q in theirs for q in ref_ids] == \
+                    [q in want for q in ref_ids], (attr, x)
+    assert len(g.states) == len(canonical)
+    k = ck.u.k
+    for x in range(ck.u.n):
+        for amask in set(asked):
+            got = [canonical[y // k] * k + y % k
+                   for y in ck.u.reading(x, amask)]
+            assert got == [y for y in ref_u.succ[canonical[x // k] * k + x % k]
+                           if g.atom_mask(ref_u.letter(y)) == amask]
 
 
 def test_closure_cap_checked_before_unfolding(monkeypatch):
