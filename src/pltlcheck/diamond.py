@@ -24,9 +24,17 @@ the nesting depth before constant bounds are unfolded.
 Completeness of a product SCC and the almost-sure tracking are subset
 constructions over the product: a subset node is a chain state with
 the product nodes alive there, and it steps along each chain
-transition to the image of those nodes.  A set of nodes at one chain
-state is one int, a bitset over that state's nodes, and its image is
-the union of memoised byte-table entries ("Four Russians"; `_Subsets`).
+transition to the image of those nodes.  The completeness graph keeps
+only the least-counter nodes of each set: per U-state, those whose
+counters are Pareto-minimal.  That is exact (`_complete` proves it),
+holds a few nodes per U-state where a plain set at the witness bound
+holds every counter value, and takes images straight from the
+product's successor lists.  The tracking graph keeps plain sets: a set
+of nodes at one chain state is one int, a bitset over that state's
+nodes, and its image is the union of memoised byte-table entries
+("Four Russians"; `_Subsets`).  A probability-one query builds the
+tracking graph first, and checks completeness only when it does not
+die, and only for the accepting SCCs its bottom components meet.
 
 Emptiness is decided in two steps over one tableau.  The NNF formula
 is monotone in its bounds, so phi[v] implies phi with every F[<=x] read
@@ -57,11 +65,17 @@ from .formula import (
     subformulas, to_nnf, unfolded_depth, variables,
 )
 from . import markov
-from .valuation import MinimalSet, bisection_min_set
+from .valuation import MinimalSet, _leq, bisection_min_set
 
 
 class ResourceLimitError(Exception):
     """A configured state-count cap was exceeded; no verdict produced."""
+
+
+class TableauLimitError(ResourceLimitError):
+    """An atom mask's block passed `MAX_TABLEAU_STATES`.  Every product
+    reading that mask would build it again, so no caller falls through
+    on it."""
 
 
 DEFAULT_MAX_PRODUCT_NODES = 10 ** 7
@@ -177,7 +191,7 @@ class GAutomaton:
             if free:
                 found += [h | b for h in found if not h & b]
                 if len(self.masks) + len(found) > MAX_TABLEAU_STATES:
-                    raise ResourceLimitError(
+                    raise TableauLimitError(
                         "tableau too large: more than %d states"
                         % MAX_TABLEAU_STATES)
         found.sort()
@@ -428,7 +442,8 @@ def format_automaton(aut):
 
 
 class _Subsets:
-    """Sets of one product's nodes as bitsets, with memoised images.
+    """Sets of one product's nodes as bitsets, with memoised images, for
+    the almost-sure tracking graph.
 
     The nodes at each chain state are numbered locally, in product
     order, so a set of nodes at chain state s is one int: bit k stands
@@ -438,34 +453,27 @@ class _Subsets:
     Kronrod and Faradzev, 1970): the set is split into its nonzero
     bytes, and each (s, t, byte position, byte value) maps to the union
     of that byte's successor rows, computed when first asked for and
-    kept.  The local numbering is built on the first `bitsets` call, so
-    a product whose subsets are never asked for pays nothing.
+    kept.
     """
 
     def __init__(self, chain, nodes, succ):
-        self.chain = chain
-        self.nodes = nodes
-        self.succ = succ
-        self._members = None
-
-    def _index(self):
         """Number the nodes locally: `_members[s]` lists the nodes at s,
         and `_local[i]` is node i's place in its list.  `_tables[s]`
         holds one empty image table per chain successor t of s."""
-        if self._members is None:
-            steps = self.chain.successors
-            self._tables = [[(t, {}) for t in steps(s)]
-                            for s in range(self.chain.m)]
-            members = self._members = [[] for _ in range(self.chain.m)]
-            self._local = local = []
-            for node in self.nodes:
-                fiber = members[node[0]]
-                local.append(len(fiber))
-                fiber.append(len(local) - 1)
+        self.chain = chain
+        self.nodes = nodes
+        self.succ = succ
+        steps = chain.successors
+        self._tables = [[(t, {}) for t in steps(s)] for s in range(chain.m)]
+        members = self._members = [[] for _ in range(chain.m)]
+        self._local = local = []
+        for node in nodes:
+            fiber = members[node[0]]
+            local.append(len(fiber))
+            fiber.append(len(local) - 1)
 
     def bitsets(self, indices):
         """The node indices `indices` as one bitset per chain state."""
-        self._index()
         nodes, local = self.nodes, self._local
         bits = {}
         for i in indices:
@@ -475,44 +483,35 @@ class _Subsets:
             out[s] = _bitset(ks)
         return out
 
-    def successors(self, allowed):
-        """Successor function of the subset construction: a node (s,
-        alive) steps, for each chain successor t, to (t, the image of
-        alive at t ANDed with `allowed[t]`).  `allowed` is one bitset per
-        chain state, or None for no restriction.  An empty image returns
-        None, which stops the exploration.
+    def successors(self, node):
+        """Successors of a subset node (s, alive): for each chain
+        successor t, (t, the image of alive at t), or None when some
+        image is empty, which stops the exploration.
 
         The image at t is the OR of one entry of t's table per nonzero
         byte of alive, keyed by 256 * (byte position) + byte value.
         """
-        self._index()
-        tables, union = self._tables, self._union
-
-        def successors(node):
-            s, alive = node
-            data = alive.to_bytes((alive.bit_length() + 7) >> 3, "little")
-            # Leading zero bytes are skipped in C.
-            rest = data.lstrip(b"\0")
-            first = (len(data) - len(rest)) << 8
-            out = []
-            for t, table in tables[s]:
-                found = 0
-                key = first
-                for byte in rest:
-                    if byte:
-                        entry = table.get(key + byte)
-                        if entry is None:
-                            entry = table[key + byte] = union(s, t, key >> 8,
-                                                              byte)
-                        found |= entry
-                    key += 256
-                if allowed is not None:
-                    found &= allowed[t]
-                if not found:
-                    return None
-                out.append((t, found))
-            return out
-        return successors
+        s, alive = node
+        data = alive.to_bytes((alive.bit_length() + 7) >> 3, "little")
+        # Leading zero bytes are skipped in C.
+        rest = data.lstrip(b"\0")
+        first = (len(data) - len(rest)) << 8
+        out = []
+        for t, table in self._tables[s]:
+            found = 0
+            key = first
+            for byte in rest:
+                if byte:
+                    entry = table.get(key + byte)
+                    if entry is None:
+                        entry = table[key + byte] = self._union(
+                            s, t, key >> 8, byte)
+                    found |= entry
+                key += 256
+            if not found:
+                return None
+            out.append((t, found))
+        return out
 
     def _union(self, s, t, position, byte):
         """The successors at t of the nodes in one byte of a set at s."""
@@ -695,35 +694,75 @@ class DiamondChecker:
         self.stats["product_nodes"] += len(product[0])
         return product
 
-    def _good(self, chain, u_aut, subsets):
-        """Per chain state, the bitset of the nodes inside some complete
-        accepting product SCC."""
-        nodes = subsets.nodes
-        scc = markov._tarjan(len(nodes), subsets.succ)
-        good = [0] * chain.m
-        for ci, comp in enumerate(scc.components):
-            # An acyclic component is never complete: the chain always
-            # moves on, and the automaton cannot follow inside it.
-            if not scc.has_cycle[ci]:
-                continue
-            if not any(u_aut.is_buchi(nodes[i][1]) for i in comp):
-                continue
-            masks = subsets.bitsets(comp)
-            if self._complete(subsets, masks):
-                good = [a | b for a, b in zip(good, masks)]
-        return good
+    def _complete(self, chain, nodes, succ, comp):
+        """Can the chain escape the product SCC `comp` faster than the
+        automaton?
 
-    def _complete(self, subsets, comp):
-        """Can the chain escape the component faster than the automaton?
+        The subset construction starts, at each chain state s, from the
+        component's nodes at s, and follows every chain transition
+        taking the joint image inside the component; the component is
+        complete exactly when the empty image is unreachable.  Every set
+        X is kept as least(X): per U-state u, only the nodes (s, u, c)
+        of X whose counter vector c is Pareto-minimal among X's nodes
+        with that u.  At the witness bound a plain set holds every
+        counter value from 0 to the bound; a least one, a few nodes per
+        U-state.
 
-        `comp` holds the component's nodes as one bitset per chain
-        state.  From each state's set, follow every chain transition
-        taking the joint image inside the component (the image ANDed
-        with `comp` at the successor); the component is complete
-        exactly when the empty image is unreachable.
+        Why the reduction is exact, with D the component: a cycle that
+        returns to one product node resets every counter, since a
+        counter only grows between resets.  Take (s, u, c) and (s, u,
+        c') in D with c <= c'.  A D-run from c' along a chain word w is
+        shadowed by a run from c through the same U-states, whose
+        counters stay <= and so within the bounds.  Each node (t, u2,
+        d) of the shadow run lies in D: it is entered from D, and
+        following a D-cycle through the run's (t, u2, d') from it resets
+        every counter, so it lands on (t, u2, d') itself.  So every node
+        of img_w(X) has one of img_w(least X) at the same U-state below
+        it, least(img_w(least X)) = least(img_w(X)), and by induction
+        over w the reduced graph reaches the empty set exactly when the
+        plain one does.
         """
-        start = [(s, alive) for s, alive in enumerate(comp) if alive]
-        return self._explore(start, subsets.successors(comp),
+        steps = chain.successors
+        pareto = len(nodes[next(iter(comp))][2]) > 1
+
+        def least(found):
+            """least(X) of the node indices `found`, all at one chain
+            state, as a frozenset."""
+            fronts = {}
+            for j in found:
+                _, u, c = nodes[j]
+                front = fronts.get(u)
+                if front is None:
+                    fronts[u] = [j]
+                elif not pareto:
+                    # With at most one counter, tuples order pointwise.
+                    if c < nodes[front[0]][2]:
+                        front[0] = j
+                elif not any(_leq(nodes[k][2], c) for k in front):
+                    front[:] = [k for k in front
+                                if not _leq(c, nodes[k][2])] + [j]
+            return frozenset(j for front in fronts.values() for j in front)
+
+        def successors(node):
+            s, alive = node
+            images = {}
+            for i in alive:
+                for j in succ[i]:
+                    if j in comp:
+                        images.setdefault(nodes[j][0], []).append(j)
+            out = []
+            for t in steps(s):
+                found = images.get(t)
+                if found is None:
+                    return None
+                out.append((t, least(found)))
+            return out
+
+        fibers = {}
+        for i in comp:
+            fibers.setdefault(nodes[i][0], []).append(i)
+        start = [(s, least(fibers[s])) for s in sorted(fibers)]
+        return self._explore(start, successors,
                              "completeness graph") is not None
 
     def check_pos(self, chain, valuation):
@@ -740,32 +779,56 @@ class DiamondChecker:
         """Does `u_aut` at `bounds` accept with probability > 0 ("pos")
         or 1 ("as1")?
 
-        For "as1" it tracks the set of automaton configurations alive
-        along each chain path: a path with no configuration left refutes
-        almost-sure satisfaction outright, and otherwise every recurrent
-        behavior (bottom component of the tracking graph) must offer a
-        configuration inside a complete accepting product SCC.
-
-        Both subset constructions, the completeness graphs and the
-        tracking graph, hold their sets of product nodes as `_Subsets`
-        bitsets; `good` is one bitset per chain state, and a tracking
-        node (s, alive) meets it when `alive & good[s]` is nonzero.
+        "pos" asks whether some cyclic accepting product SCC is complete
+        (`_complete`).  "as1" first tracks the set of automaton
+        configurations alive along each chain path, as `_Subsets`
+        bitsets: a path with no configuration left refutes almost-sure
+        satisfaction outright, before any completeness check.  Otherwise
+        every recurrent behavior (bottom component of the tracking
+        graph) must offer a configuration inside a complete accepting
+        SCC.  Only the SCCs a bottom component's alive sets meet are
+        checked, each at most once, and the first complete one settles
+        that component.
         """
         nodes, succ, n_initial = self._product(chain, u_aut, bounds)
-        subsets = _Subsets(chain, nodes, succ)
-        good = self._good(chain, u_aut, subsets)
+        if threshold == "as1":
+            subsets = _Subsets(chain, nodes, succ)
+            start = subsets.bitsets(range(n_initial))[chain.init]
+            tracking = self._explore([(chain.init, start)], subsets.successors,
+                                     "tracking graph")
+            if tracking is None:
+                return False
+        scc = markov._tarjan(len(nodes), succ)
+        # An acyclic component is never complete: the chain always
+        # moves on, and the automaton cannot follow inside it.
+        accepting = [comp for ci, comp in enumerate(scc.components)
+                     if scc.has_cycle[ci]
+                     and any(u_aut.is_buchi(nodes[i][1]) for i in comp)]
         if threshold == "pos":
-            return any(good)
-        start = subsets.bitsets(range(n_initial))[chain.init]
-        tracking = self._explore([(chain.init, start)],
-                                 subsets.successors(None), "tracking graph")
-        if tracking is None:
-            return False
+            return any(self._complete(chain, nodes, succ, comp)
+                       for comp in accepting)
+        masks = [subsets.bitsets(comp) for comp in accepting]
+        complete = [None] * len(accepting)
+
+        def settles(k, met):
+            """Does accepting SCC k meet the sets `met`, one bitset per
+            chain state, and is it complete?"""
+            if not any(a & b for a, b in zip(met, masks[k])):
+                return False
+            if complete[k] is None:
+                complete[k] = self._complete(chain, nodes, succ, accepting[k])
+            return complete[k]
+
         d_nodes, d_succ = tracking
-        scc = markov._tarjan(len(d_nodes), d_succ)
-        return all(any(d_nodes[i][1] & good[d_nodes[i][0]]
-                       for i in scc.components[ci])
-                   for ci in scc.bottom_components())
+        d_scc = markov._tarjan(len(d_nodes), d_succ)
+        for ci in d_scc.bottom_components():
+            met = [0] * chain.m
+            for i in d_scc.components[ci]:
+                s, alive = d_nodes[i]
+                met[s] |= alive
+            if not any(settles(k, met) for k in range(len(accepting))):
+                return False
+        return True
 
     def vbar(self, chain):
         """The paper's uniform witness bound m * |phi| * 2^|phi|."""
@@ -789,6 +852,8 @@ class DiamondChecker:
         """
         try:
             return len(self._product(chain, self.u, [])[0])
+        except TableauLimitError:
+            raise
         except ResourceLimitError:
             return None
 
@@ -814,6 +879,8 @@ class DiamondChecker:
             free = UAutomaton(self.g, counters=False)
             try:
                 empty = not self._holds(chain, threshold, free, [])
+            except TableauLimitError:
+                raise
             except ResourceLimitError:
                 pass
         self.shortcut = "counter-free" if empty else None

@@ -21,18 +21,6 @@ def coin_chain():
     return MarkovChain(2, 0, rows, [set(), {"a"}])
 
 
-def coin_chain_text():
-    return (
-        "# coin flip until the absorbing a-state\n"
-        "states 2\n"
-        "init 0\n"
-        "label 1 a\n"
-        "trans 0 0 1/2\n"
-        "trans 0 1 1/2\n"
-        "trans 1 1 1\n"
-    )
-
-
 def traffic_chain():
     """Chain with four red and four blue routes of staggered lengths.
 

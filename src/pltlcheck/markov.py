@@ -541,24 +541,3 @@ def transient_matrix(chain, targets):
             else:
                 q[pos[s]][pos[t]] += p
     return states, q, r
-
-
-def ergodicity_coefficient(q):
-    """tau(Q) = 1 - min over row pairs of the sum of entrywise minima.
-
-    Q must be substochastic with no zero row; the minimum ranges over all
-    pairs including a row with itself, so tau <= 1 - min row sum.
-    """
-    n = len(q)
-    if n == 0:
-        raise ChainError("ergodicity coefficient of an empty matrix")
-    for row in q:
-        if all(v == 0 for v in row):
-            raise ChainError("ergodicity coefficient undefined for a zero row")
-    best = None
-    for i in range(n):
-        for j in range(i, n):
-            overlap = sum((min(a, b) for a, b in zip(q[i], q[j])), Fraction(0))
-            if best is None or overlap < best:
-                best = overlap
-    return 1 - best

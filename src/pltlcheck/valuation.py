@@ -40,12 +40,6 @@ class Valuation:
     def __hash__(self):
         return hash(tuple(self.assignment.items()))
 
-    def leq(self, other):
-        """Pointwise order; both valuations must share the same names."""
-        if self.names != other.names:
-            raise ValuationError("valuations range over different variables")
-        return all(self.assignment[n] <= other.assignment[n] for n in self.names)
-
     def __str__(self):
         return ",".join("%s=%d" % (n, self.assignment[n]) for n in self.names)
 

@@ -11,9 +11,51 @@ from pltlcheck.formula import (
     closure, variables,
 )
 from pltlcheck.markov import (
-    _MAX_EXPONENT, ChainParseError, MarkovChain, _brief, _nat, _quote,
-    _tarjan,
+    _MAX_EXPONENT, ChainError, ChainParseError, MarkovChain, _brief, _nat,
+    _quote, _tarjan,
 )
+from pltlcheck.valuation import ValuationError
+
+
+def coin_chain_text():
+    """`fixtures.coin_chain` in the .dtmc text format."""
+    return (
+        "# coin flip until the absorbing a-state\n"
+        "states 2\n"
+        "init 0\n"
+        "label 1 a\n"
+        "trans 0 0 1/2\n"
+        "trans 0 1 1/2\n"
+        "trans 1 1 1\n"
+    )
+
+
+def valuation_leq(a, b):
+    """Pointwise order of two Valuations over the same names."""
+    if a.names != b.names:
+        raise ValuationError("valuations range over different variables")
+    return all(a[n] <= b[n] for n in a.names)
+
+
+def ergodicity_coefficient(q):
+    """tau(Q) = 1 - min over row pairs of the sum of entrywise minima.
+
+    Q must be substochastic with no zero row; the minimum ranges over all
+    pairs including a row with itself, so tau <= 1 - min row sum.
+    """
+    n = len(q)
+    if n == 0:
+        raise ChainError("ergodicity coefficient of an empty matrix")
+    for row in q:
+        if all(v == 0 for v in row):
+            raise ChainError("ergodicity coefficient undefined for a zero row")
+    best = None
+    for i in range(n):
+        for j in range(i, n):
+            overlap = sum((min(a, b) for a, b in zip(q[i], q[j])), Fraction(0))
+            if best is None or overlap < best:
+                best = overlap
+    return 1 - best
 
 
 def random_chain(rng, max_states=6, props=("a", "b"), label_p=0.4):

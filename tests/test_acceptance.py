@@ -10,7 +10,10 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import random_chain, random_diamond_formula, random_letters
+from helpers import (
+    ergodicity_coefficient, random_chain, random_diamond_formula,
+    random_letters,
+)
 from pltlcheck import buchi, fx, reach
 from pltlcheck.diamond import DiamondChecker
 from pltlcheck.fixtures import coin_chain, traffic_chain
@@ -19,8 +22,8 @@ from pltlcheck.formula import (
     variables,
 )
 from pltlcheck.markov import (
-    ChainError, all_pairs_distance, bounded_reach_prob,
-    ergodicity_coefficient, scc_decompose, transient_matrix,
+    ChainError, all_pairs_distance, bounded_reach_prob, scc_decompose,
+    transient_matrix,
 )
 from pltlcheck.oracle import (
     LassoWord, brute_force_min_set, eval_lasso, gen_3sat_fixture,

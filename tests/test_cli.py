@@ -361,6 +361,30 @@ def test_exit_tableau_too_large(coin):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("threshold, text", [
+    ("=1", "F[<=x] (" + "X " * 20 + "a)"),
+    (">0", "G F[<=x] (" + "X " * 19 + "a)"),
+])
+def test_tableau_cap_builds_the_failing_block_once(coin, monkeypatch,
+                                                   threshold, text):
+    # The counter-free step is the first product to read a mask past the
+    # state cap; the pair count and the witness product do not build it
+    # again.
+    builds = []
+    real = diamond.GAutomaton.block
+
+    def block(g, amask):
+        if amask not in g._blocks:
+            builds.append(amask)
+        return real(g, amask)
+    monkeypatch.setattr(diamond.GAutomaton, "block", block)
+    code, out, err = _run(["check", "--chain", coin, "--threshold", threshold,
+                           "--formula", text])
+    assert code == 3 and out == ""
+    assert err == "resource limit: tableau too large: more than 16384 states\n"
+    assert len(builds) == 1
+
+
 def test_chain_parse_memory_grows_with_the_text(tmp_path):
     # One transition for 200,000 declared states: the first state with
     # no row is reported without a row or label set per declared state.

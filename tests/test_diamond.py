@@ -18,7 +18,7 @@ from pltlcheck.formula import (
     Always, And, BoundedEventually, Eventually, Or, Release, Until, VarBound,
     closure, parse_formula, size, strip_params, substitute, to_nnf, variables,
 )
-from pltlcheck.markov import MarkovChain
+from pltlcheck.markov import MarkovChain, _tarjan, parse_chain
 from pltlcheck.oracle import (
     CERTAIN_FALSE, LassoWord, eval_lasso, eval_prefix, gen_3sat_fixture,
     sample_lower_bound,
@@ -219,11 +219,37 @@ def _subset_graphs(ck, chain, threshold, u_aut, bounds):
         del ck._explore
 
 
+def _tracking(holds):
+    """A `_subset_graphs` or `reference_holds` result with only its
+    tracking graph kept: completeness graphs run on least-counter sets,
+    which the frozenset reference does not reduce."""
+    verdict, graphs = holds
+    return verdict, [g for g in graphs if g[0] == "tracking graph"]
+
+
+def _completeness(ck, chain, u_aut, bounds):
+    """Is each cyclic accepting product SCC complete?  In SCC order, as
+    `reference_holds` lists its completeness graphs."""
+    nodes, succ, _ = ck._product(chain, u_aut, bounds)
+    scc = _tarjan(len(nodes), succ)
+    return [ck._complete(chain, nodes, succ, comp)
+            for ci, comp in enumerate(scc.components)
+            if scc.has_cycle[ci]
+            and any(u_aut.is_buchi(nodes[i][1]) for i in comp)]
+
+
 def _assert_subsets_match_reference(ck, chain, u_aut, bounds):
+    # Equal verdicts and tracking graphs at both thresholds, and every
+    # accepting SCC complete exactly when the reference's completeness
+    # graph meets no empty image.
     for threshold in ("pos", "as1"):
         got = _subset_graphs(ck, chain, threshold, u_aut, bounds)
         expected = reference_holds(ck, chain, threshold, u_aut, bounds)
-        assert got == expected, (threshold, chain.rows, chain.labels)
+        assert _tracking(got) == _tracking(expected), (
+            threshold, chain.rows, chain.labels)
+    assert _completeness(ck, chain, u_aut, bounds) == [
+        n is not None for what, n in expected[1]
+        if what == "completeness graph"], (chain.rows, chain.labels)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -235,9 +261,9 @@ def _assert_subsets_match_reference(ck, chain, u_aut, bounds):
 def test_subset_bitsets_match_frozenset_reference(phi, sides, valuation,
                                                   seed):
     # Both thresholds, with the counter automaton at a small valuation
-    # and with the counter-free automaton: equal verdicts, and every
-    # completeness and tracking graph with as many nodes, or stopped by
-    # an empty image in both.  Each side adds F[<=x], F[<=y] or F[<=z]
+    # and with the counter-free automaton: equal verdicts, and the
+    # tracking graph with as many nodes, or stopped by an empty image in
+    # both.  Each side adds F[<=x], F[<=y] or F[<=z]
     # of its own formula, so that most examples have variables.
     for x, (op, psi) in zip("xyz", sides):
         phi = op(phi, BoundedEventually(VarBound(x), psi))
@@ -249,6 +275,70 @@ def test_subset_bitsets_match_frozenset_reference(phi, sides, valuation,
         _assert_subsets_match_reference(ck, c, free, [])
     except ResourceLimitError:
         assume(False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(nnf_formulas(max_leaves=3), st.sampled_from([And, Or, Until, Release]),
+       nnf_formulas(max_leaves=2),
+       st.fixed_dictionaries({x: st.integers(0, 40) for x in "xy"}),
+       st.integers(0, 2 ** 32 - 1))
+def test_least_counter_sets_match_reference_up_to_40(phi, op, psi, valuation,
+                                                     seed):
+    # At valuations up to 40 the plain completeness sets hold dozens of
+    # counter values per U-state and the least-counter ones a few: equal
+    # verdicts and tracking graphs at both thresholds.  The F[<=x] side
+    # gives every example a counter; y adds a second one in some.
+    phi = op(phi, BoundedEventually(VarBound("x"), psi))
+    c = random_chain(random.Random(seed), max_states=4)
+    try:
+        ck = DiamondChecker(phi, max_product_nodes=2000)
+        _assert_subsets_match_reference(ck, c, ck.u, ck._bounds(valuation))
+    except ResourceLimitError:
+        assume(False)
+
+
+# A 6-state chain on which `!a U F[<=x] (a U b)` has a complete accepting
+# SCC whose plain completeness sets hold every counter value up to x.
+SIX_STATES = """states 6
+init 4
+label 0 a
+label 1 b
+label 3 b
+label 5 b
+trans 0 0 1/3
+trans 0 1 1/6
+trans 0 2 1/2
+trans 1 1 1/3
+trans 1 4 1/3
+trans 1 5 1/3
+trans 2 4 1
+trans 3 0 1/5
+trans 3 4 4/5
+trans 4 0 1/2
+trans 4 4 1/2
+trans 5 0 1/3
+trans 5 2 2/3
+"""
+
+
+@pytest.mark.parametrize("text, small, large", [
+    ("!a U F[<=x] (a U b)", [15], {(28,): 87, (34,): 102}),
+    ("!a U (F[<=x] (a U b) & F[<=y] (a U b))", [8, 8], {(28, 20): 67}),
+])
+def test_least_counter_sets_on_six_state_chain(text, small, large):
+    # With one counter the plain completeness graph has 14,696 nodes at
+    # x = 15 and grows too fast to build at x = 28; on least-counter
+    # sets it grows by about one node per unit of x.  With two, each
+    # U-state keeps a Pareto front of counter vectors.
+    c = parse_chain(SIX_STATES)
+    ck = DiamondChecker(parse_formula(text))
+    for threshold in ("pos", "as1"):
+        assert _tracking(_subset_graphs(ck, c, threshold, ck.u, small)) \
+            == _tracking(reference_holds(ck, c, threshold, ck.u, small))
+    assert _completeness(ck, c, ck.u, small) == [True]
+    for bounds, nodes in large.items():
+        assert _subset_graphs(ck, c, "pos", ck.u, list(bounds)) == (
+            True, [("completeness graph", nodes)])
 
 
 def test_no_initial_product_node_refutes_as1():
@@ -267,18 +357,20 @@ def test_no_initial_product_node_refutes_as1():
 def test_chain_state_without_product_node():
     # G a has no run through state 1.  The loop at state 0 is a cyclic
     # accepting component, but the chain leaves it for state 1, where
-    # the image is empty: it is not complete, and the tracking graph
-    # stops there too.
+    # the image is empty: it is not complete.  At "as1" the tracking
+    # graph, built first, stops there too, and no completeness graph is
+    # built.
     half = Fraction(1, 2)
     c = MarkovChain(2, 0, [{0: half, 1: half}, {1: Fraction(1)}],
                     [{"a"}, set()])
     ck = DiamondChecker(parse_formula("G a"))
     assert not ck.check_pos(c, {}) and not ck.check_as1(c, {})
-    for threshold in ("pos", "as1"):
+    for threshold, graph in (("pos", "completeness graph"),
+                             ("as1", "tracking graph")):
         got = _subset_graphs(ck, c, threshold, ck.u, [])
-        assert got[0] is False
-        assert got[1][0] == ("completeness graph", None)
-        assert got == reference_holds(ck, c, threshold, ck.u, [])
+        assert got == (False, [(graph, None)])
+        assert _tracking(got) == _tracking(
+            reference_holds(ck, c, threshold, ck.u, []))
 
 
 def test_subset_images_span_several_bytes():

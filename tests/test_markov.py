@@ -7,17 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    random_chain, reference_bounded_reach_vector, reference_min_val_geq,
+    coin_chain_text, ergodicity_coefficient, random_chain,
+    reference_bounded_reach_vector, reference_min_val_geq,
     reference_unbounded_reach_vector,
 )
 from pltlcheck import reach
-from pltlcheck.fixtures import chain_text, coin_chain, coin_chain_text
+from pltlcheck.fixtures import chain_text, coin_chain
 from pltlcheck.markov import (
     ChainError, ChainParseError, MarkovChain, all_pairs_distance,
     bounded_reach_prob, bounded_reach_vector, dag_order, distances_from,
-    ergodicity_coefficient, parse_chain, reachable_states, scc_decompose,
-    states_reaching, transient_matrix, unbounded_reach_prob,
-    unbounded_reach_vector,
+    parse_chain, reachable_states, scc_decompose, states_reaching,
+    transient_matrix, unbounded_reach_prob, unbounded_reach_vector,
 )
 
 
