@@ -723,7 +723,6 @@ class DiamondChecker:
         plain one does.
         """
         steps = chain.successors
-        pareto = len(nodes[next(iter(comp))][2]) > 1
 
         def least(found):
             """least(X) of the node indices `found`, all at one chain
@@ -734,10 +733,6 @@ class DiamondChecker:
                 front = fronts.get(u)
                 if front is None:
                     fronts[u] = [j]
-                elif not pareto:
-                    # With at most one counter, tuples order pointwise.
-                    if c < nodes[front[0]][2]:
-                        front[0] = j
                 elif not any(_leq(nodes[k][2], c) for k in front):
                     front[:] = [k for k in front
                                 if not _leq(c, nodes[k][2])] + [j]

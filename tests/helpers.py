@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+from pltlcheck.diamond import ResourceLimitError
 from pltlcheck.formula import (
     Always, And, Atom, BoundedAlways, BoundedEventually, ConstBound,
     Eventually, NegAtom, Next, Or, Release, Until, VarBound, atoms, children,
@@ -424,7 +425,8 @@ def reference_min_val_geq(chain, name, p):
             return n
 
 
-def reference_holds(checker, chain, threshold, u_aut, bounds):
+def reference_holds(checker, chain, threshold, u_aut, bounds,
+                    max_nodes=None):
     """`DiamondChecker._holds` with its subset constructions over
     frozensets of product nodes, as the checker built them before its
     bitsets.
@@ -432,7 +434,8 @@ def reference_holds(checker, chain, threshold, u_aut, bounds):
     The product and its SCCs come from the checker.  Returns the verdict
     and, per completeness graph in SCC order and then per tracking
     graph, (what, its node count), with None for a count where an empty
-    image stopped the graph.
+    image stopped the graph.  A subset graph past `max_nodes` nodes
+    raises ResourceLimitError.
     """
     nodes, succ, n_initial = checker._product(chain, u_aut, bounds)
     scc = _tarjan(len(nodes), succ)
@@ -449,7 +452,7 @@ def reference_holds(checker, chain, threshold, u_aut, bounds):
         edges = {i: [j for j in succ[i] if j in comp] for i in comp}
         found = _reference_subset_graph(
             chain, nodes, edges,
-            [(s, frozenset(fiber[s])) for s in sorted(fiber)])
+            [(s, frozenset(fiber[s])) for s in sorted(fiber)], max_nodes)
         graphs.append(("completeness graph",
                        None if found is None else len(found[0])))
         if found is not None:
@@ -457,7 +460,8 @@ def reference_holds(checker, chain, threshold, u_aut, bounds):
     if threshold == "pos":
         return bool(good), graphs
     found = _reference_subset_graph(
-        chain, nodes, succ, [(chain.init, frozenset(range(n_initial)))])
+        chain, nodes, succ, [(chain.init, frozenset(range(n_initial)))],
+        max_nodes)
     graphs.append(("tracking graph",
                    None if found is None else len(found[0])))
     if found is None:
@@ -468,12 +472,13 @@ def reference_holds(checker, chain, threshold, u_aut, bounds):
                for ci in scc.bottom_components()), graphs
 
 
-def _reference_subset_graph(chain, nodes, edges, start):
+def _reference_subset_graph(chain, nodes, edges, start, max_nodes=None):
     """The subset graph reachable from `start`, as (nodes, successor
     index lists), or None when some node has an empty image.
 
     A node (s, alive) steps, for each chain successor t, to t and the
-    `edges` successors of alive at t.
+    `edges` successors of alive at t.  More than `max_nodes` nodes
+    raise ResourceLimitError.
     """
     index = {n: i for i, n in enumerate(start)}
     found = list(start)
@@ -486,6 +491,9 @@ def _reference_subset_graph(chain, nodes, edges, start):
             if not image:
                 return None
             if (t, image) not in index:
+                if max_nodes is not None and len(found) >= max_nodes:
+                    raise ResourceLimitError(
+                        "reference subset graph past %d nodes" % max_nodes)
                 index[t, image] = len(found)
                 found.append((t, image))
             row.append(index[t, image])
