@@ -17,14 +17,13 @@ import contextlib
 import decimal
 import functools
 import sys
-from fractions import Fraction
 
 from . import buchi, diamond, fixtures, fx, oracle, reach
 from .formula import (
     FormulaError, FragmentClass, FragmentError, ParseError, classify,
     genbuchi_pairs, parse_formula, substitute, to_nnf, variables,
 )
-from .markov import ChainError, parse_chain
+from .markov import _MAX_EXPONENT, ChainError, parse_chain, read_fraction
 from .oracle import LassoWord, OracleInputError
 from .valuation import MinimalSet, ValuationError, Valuation, parse_valuation
 
@@ -136,9 +135,12 @@ def _parse_threshold(text):
         return ("as1", None)
     if text.startswith(">="):
         try:
-            p = Fraction(text[2:])
+            p = read_fraction(text[2:])
         except (ValueError, ZeroDivisionError):
             raise UsageError("bad threshold probability %r" % text[2:])
+        if p is None:
+            raise UsageError("threshold exponent beyond %d in %r"
+                             % (_MAX_EXPONENT, text[2:]))
         if not 0 < p < 1:
             raise UsageError("threshold probability must satisfy 0 < p < 1")
         return ("geq", p)
@@ -421,6 +423,7 @@ def run(argv, out=None, err=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     rep = Report(args.format)
+    out_of_memory = False
     try:
         args.handler(args, rep)
     except UsageError as exc:
@@ -437,11 +440,15 @@ def run(argv, out=None, err=None):
         print("resource limit: %s" % exc, file=err)
         return EXIT_RESOURCE
     except MemoryError:
-        print("resource limit: out of memory", file=err)
-        return EXIT_RESOURCE
+        # The traceback keeps the frames that filled memory alive until
+        # this handler ends, and printing inside it can fail again.
+        out_of_memory = True
     except OSError as exc:
         print("usage error: %s" % exc, file=err)
         return EXIT_USAGE
+    if out_of_memory:
+        print("resource limit: out of memory", file=err)
+        return EXIT_RESOURCE
     rep.emit(out)
     return EXIT_OK
 

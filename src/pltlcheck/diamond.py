@@ -22,19 +22,19 @@ the reachable part is ever materialized.  The closure cap is checked on
 the nesting depth before constant bounds are unfolded.
 
 Completeness of a product SCC and the almost-sure tracking are subset
-constructions over the product: a subset node is a chain state with
-the product nodes alive there, and it steps along each chain
-transition to the image of those nodes.  The completeness graph keeps
-only the least-counter nodes of each set: per U-state, those whose
-counters are Pareto-minimal.  That is exact (`_complete` proves it),
-holds a few nodes per U-state where a plain set at the witness bound
-holds every counter value, and takes images straight from the
-product's successor lists.  The tracking graph keeps plain sets: a set
-of nodes at one chain state is one int, a bitset over that state's
-nodes, and its image is the union of memoised byte-table entries
-("Four Russians"; `_Subsets`).  A probability-one query builds the
-tracking graph first, and checks completeness only when it does not
-die, and only for the accepting SCCs its bottom components meet.
+constructions over the product, run by one routine (`_least_subsets`):
+a subset node is a chain state with the product nodes alive there, and
+it steps along each chain transition to the image of those nodes, taken
+from the product's successor lists.  Completeness restricts images to
+its SCC; tracking does not.  Both keep only the least-counter nodes of
+each set: per U-state, those whose counters are Pareto-minimal
+(counter subsumption; Abdulla, Chen, Holik, Mayr and Vojnar, 2010).  A
+plain set at the witness bound holds every counter value; a least one,
+a few nodes per U-state.  `_complete` and `_holds` prove the reduction
+exact.  A probability-one query builds the tracking graph first, and
+checks completeness only when it does not die, and only for the
+accepting SCCs with a node at or above a node of a bottom component's
+sets.
 
 Emptiness is decided in two steps over one tableau.  The NNF formula
 is monotone in its bounds, so phi[v] implies phi with every F[<=x] read
@@ -441,103 +441,6 @@ def format_automaton(aut):
     return "\n".join(lines) + "\n"
 
 
-class _Subsets:
-    """Sets of one product's nodes as bitsets, with memoised images, for
-    the almost-sure tracking graph.
-
-    The nodes at each chain state are numbered locally, in product
-    order, so a set of nodes at chain state s is one int: bit k stands
-    for the k-th node at s.  The image of such a set at a chain
-    successor t, the union of its members' successors at t, is taken a
-    byte at a time as in the "Four Russians" method (Arlazarov, Dinic,
-    Kronrod and Faradzev, 1970): the set is split into its nonzero
-    bytes, and each (s, t, byte position, byte value) maps to the union
-    of that byte's successor rows, computed when first asked for and
-    kept.
-    """
-
-    def __init__(self, chain, nodes, succ):
-        """Number the nodes locally: `_members[s]` lists the nodes at s,
-        and `_local[i]` is node i's place in its list.  `_tables[s]`
-        holds one empty image table per chain successor t of s."""
-        self.chain = chain
-        self.nodes = nodes
-        self.succ = succ
-        steps = chain.successors
-        self._tables = [[(t, {}) for t in steps(s)] for s in range(chain.m)]
-        members = self._members = [[] for _ in range(chain.m)]
-        self._local = local = []
-        for node in nodes:
-            fiber = members[node[0]]
-            local.append(len(fiber))
-            fiber.append(len(local) - 1)
-
-    def bitsets(self, indices):
-        """The node indices `indices` as one bitset per chain state."""
-        nodes, local = self.nodes, self._local
-        bits = {}
-        for i in indices:
-            bits.setdefault(nodes[i][0], []).append(local[i])
-        out = [0] * self.chain.m
-        for s, ks in bits.items():
-            out[s] = _bitset(ks)
-        return out
-
-    def successors(self, node):
-        """Successors of a subset node (s, alive): for each chain
-        successor t, (t, the image of alive at t), or None when some
-        image is empty, which stops the exploration.
-
-        The image at t is the OR of one entry of t's table per nonzero
-        byte of alive, keyed by 256 * (byte position) + byte value.
-        """
-        s, alive = node
-        data = alive.to_bytes((alive.bit_length() + 7) >> 3, "little")
-        # Leading zero bytes are skipped in C.
-        rest = data.lstrip(b"\0")
-        first = (len(data) - len(rest)) << 8
-        out = []
-        for t, table in self._tables[s]:
-            found = 0
-            key = first
-            for byte in rest:
-                if byte:
-                    entry = table.get(key + byte)
-                    if entry is None:
-                        entry = table[key + byte] = self._union(
-                            s, t, key >> 8, byte)
-                    found |= entry
-                key += 256
-            if not found:
-                return None
-            out.append((t, found))
-        return out
-
-    def _union(self, s, t, position, byte):
-        """The successors at t of the nodes in one byte of a set at s."""
-        nodes, succ, local = self.nodes, self.succ, self._local
-        fiber = self._members[s]
-        base = 8 * position
-        out = 0
-        while byte:
-            low = byte & -byte
-            byte ^= low
-            for j in succ[fiber[base + low.bit_length() - 1]]:
-                if nodes[j][0] == t:
-                    out |= 1 << local[j]
-        return out
-
-
-def _bitset(bits):
-    """The int with exactly the given bit positions set."""
-    if not bits:
-        return 0
-    buf = bytearray((max(bits) >> 3) + 1)
-    for k in bits:
-        buf[k >> 3] |= 1 << (k & 7)
-    return int.from_bytes(buf, "little")
-
-
 class DiamondChecker:
     """Qualitative membership checks for one formula across valuations.
 
@@ -694,33 +597,20 @@ class DiamondChecker:
         self.stats["product_nodes"] += len(product[0])
         return product
 
-    def _complete(self, chain, nodes, succ, comp):
-        """Can the chain escape the product SCC `comp` faster than the
-        automaton?
+    def _least_subsets(self, chain, nodes, succ, start, inside, what):
+        """The subset construction over the product, on least-counter
+        sets: the graph of subset nodes (chain state s, a set of node
+        indices at s) reachable from `start`, as `_explore` returns it,
+        or None when some image is empty.
 
-        The subset construction starts, at each chain state s, from the
-        component's nodes at s, and follows every chain transition
-        taking the joint image inside the component; the component is
-        complete exactly when the empty image is unreachable.  Every set
-        X is kept as least(X): per U-state u, only the nodes (s, u, c)
-        of X whose counter vector c is Pareto-minimal among X's nodes
+        A subset node (s, X) steps, for each chain successor t of s, to
+        (t, least(img_t(X))), where img_t(X) holds the successors at t
+        of X's nodes: only those in the set `inside`, unless it is
+        None.  least(Y) keeps, per U-state u, only the nodes (t, u, c)
+        of Y whose counter vector c is Pareto-minimal among Y's nodes
         with that u.  At the witness bound a plain set holds every
         counter value from 0 to the bound; a least one, a few nodes per
-        U-state.
-
-        Why the reduction is exact, with D the component: a cycle that
-        returns to one product node resets every counter, since a
-        counter only grows between resets.  Take (s, u, c) and (s, u,
-        c') in D with c <= c'.  A D-run from c' along a chain word w is
-        shadowed by a run from c through the same U-states, whose
-        counters stay <= and so within the bounds.  Each node (t, u2,
-        d) of the shadow run lies in D: it is entered from D, and
-        following a D-cycle through the run's (t, u2, d') from it resets
-        every counter, so it lands on (t, u2, d') itself.  So every node
-        of img_w(X) has one of img_w(least X) at the same U-state below
-        it, least(img_w(least X)) = least(img_w(X)), and by induction
-        over w the reduced graph reaches the empty set exactly when the
-        plain one does.
+        U-state.  The start sets are reduced too.
         """
         steps = chain.successors
 
@@ -740,11 +630,14 @@ class DiamondChecker:
 
         def successors(node):
             s, alive = node
-            images = {}
+            reached = set()
             for i in alive:
-                for j in succ[i]:
-                    if j in comp:
-                        images.setdefault(nodes[j][0], []).append(j)
+                reached.update(succ[i])
+            if inside is not None:
+                reached &= inside
+            images = {}
+            for j in reached:
+                images.setdefault(nodes[j][0], []).append(j)
             out = []
             for t in steps(s):
                 found = images.get(t)
@@ -753,12 +646,38 @@ class DiamondChecker:
                 out.append((t, least(found)))
             return out
 
+        return self._explore([(s, least(x)) for s, x in start], successors,
+                             what)
+
+    def _complete(self, chain, nodes, succ, comp):
+        """Can the chain escape the product SCC `comp` faster than the
+        automaton?
+
+        The subset construction (`_least_subsets`) starts, at each chain
+        state s, from the component's nodes at s, and takes every image
+        inside the component; the component is complete exactly when
+        the empty image is unreachable.
+
+        Why least-counter sets are exact here, with D the component: a
+        cycle that returns to one product node resets every counter,
+        since a counter only grows between resets.  Take (s, u, c) and
+        (s, u, c') in D with c <= c'.  A D-run from c' along a chain
+        word w is shadowed by a run from c through the same U-states
+        (the shadow step of `_holds`), whose counters stay <= and so
+        within the bounds.  Each node (t, u2, d) of the shadow run lies
+        in D: it is entered from D, and following a D-cycle through the
+        run's (t, u2, d') from it resets every counter, so it lands on
+        (t, u2, d') itself.  So every node of img_w(X) has one of
+        img_w(least X) at the same U-state below it, least(img_w(least
+        X)) = least(img_w(X)), and by induction over w the reduced
+        graph reaches the empty set exactly when the plain one does.
+        """
         fibers = {}
         for i in comp:
             fibers.setdefault(nodes[i][0], []).append(i)
-        start = [(s, least(fibers[s])) for s in sorted(fibers)]
-        return self._explore(start, successors,
-                             "completeness graph") is not None
+        start = [(s, fibers[s]) for s in sorted(fibers)]
+        return self._least_subsets(chain, nodes, succ, start, comp,
+                                   "completeness graph") is not None
 
     def check_pos(self, chain, valuation):
         """Is the satisfaction probability positive at this valuation?"""
@@ -775,22 +694,58 @@ class DiamondChecker:
         or 1 ("as1")?
 
         "pos" asks whether some cyclic accepting product SCC is complete
-        (`_complete`).  "as1" first tracks the set of automaton
-        configurations alive along each chain path, as `_Subsets`
-        bitsets: a path with no configuration left refutes almost-sure
-        satisfaction outright, before any completeness check.  Otherwise
-        every recurrent behavior (bottom component of the tracking
-        graph) must offer a configuration inside a complete accepting
-        SCC.  Only the SCCs a bottom component's alive sets meet are
-        checked, each at most once, and the first complete one settles
-        that component.
+        (`_complete`).  "as1" first tracks the product nodes alive along
+        each chain path, on least-counter sets (`_least_subsets`, with
+        images not restricted): a path with no node left refutes
+        almost-sure satisfaction outright, before any completeness
+        check.  Otherwise every recurrent behavior, a bottom component
+        of the tracking graph, must offer a node at or below a node of
+        a complete accepting SCC K: same chain state, same U-state and
+        counters <= pointwise.  Only those SCCs are checked, each at most
+        once and in SCC order, and the first complete one settles that
+        component.
+
+        Why this gives the verdicts of plain sets, where a bottom
+        component counts K when one of its sets meets K.  X is a set of
+        product nodes at one chain state, img_t the step to chain
+        successor t, and least as in `_least_subsets`.
+
+        - Shadow step.  Take product nodes (s, u, c) and (s, u, c') with
+          c <= c'.  For every edge (s, u, c') -> (t, u2, d') there is an
+          edge (s, u, c) -> (t, u2, d) with d <= d'.  Both moves read
+          the same letter and enter the same u2.  A counter resets where
+          u2's flag is set; otherwise c_i + 1 <= c'_i + 1 <= bound.
+        - Images commute with least.  By the shadow step every node of
+          img_t(X) has a node of img_t(least X) at its U-state below
+          it.  So least(img_t(least X)) = least(img_t(X)), and
+          img_t(least X) is empty exactly when img_t(X) is.  The
+          reduced tracking graph is therefore the image of the plain one
+          under X -> least(X), and it dies exactly when the plain one
+          dies.
+        - Bottom components correspond.  The map commutes with every
+          chain step.  So it maps each plain bottom component onto a
+          strongly connected set closed under steps, a reduced bottom
+          component.  And every reduced bottom component B is such an
+          image: a plain set that maps into B reaches a plain bottom
+          component, whose image B reaches and so equals.
+        - Same SCCs get checked.  If a plain set X meets K at n, then
+          least(X) holds some p <= n.  Conversely, let p be in least(X)
+          with p <= n in K.  Follow a K-cycle through n along chain word
+          w: a cycle resets every counter, so p's shadow lands exactly
+          on n.  Then n is in img_w(X), which is a set of the same plain
+          bottom component.
+        - Conclusion.  Each component checks the same accepting SCCs as
+          with plain sets, each at most once, so every verdict is
+          unchanged.
+
+        Plain membership is not enough: p lies below n, but need not lie
+        in K.
         """
         nodes, succ, n_initial = self._product(chain, u_aut, bounds)
         if threshold == "as1":
-            subsets = _Subsets(chain, nodes, succ)
-            start = subsets.bitsets(range(n_initial))[chain.init]
-            tracking = self._explore([(chain.init, start)], subsets.successors,
-                                     "tracking graph")
+            tracking = self._least_subsets(
+                chain, nodes, succ, [(chain.init, range(n_initial))], None,
+                "tracking graph")
             if tracking is None:
                 return False
         scc = markov._tarjan(len(nodes), succ)
@@ -802,26 +757,30 @@ class DiamondChecker:
         if threshold == "pos":
             return any(self._complete(chain, nodes, succ, comp)
                        for comp in accepting)
-        masks = [subsets.bitsets(comp) for comp in accepting]
-        complete = [None] * len(accepting)
-
-        def settles(k, met):
-            """Does accepting SCC k meet the sets `met`, one bitset per
-            chain state, and is it complete?"""
-            if not any(a & b for a, b in zip(met, masks[k])):
-                return False
-            if complete[k] is None:
-                complete[k] = self._complete(chain, nodes, succ, accepting[k])
-            return complete[k]
-
+        # tops[s, u]: (k, counters) of each node of accepting SCC k at
+        # chain state s and U-state u.
+        tops = {}
+        for k, comp in enumerate(accepting):
+            for i in comp:
+                s, u, c = nodes[i]
+                tops.setdefault((s, u), []).append((k, c))
+        complete = {}
         d_nodes, d_succ = tracking
         d_scc = markov._tarjan(len(d_nodes), d_succ)
         for ci in d_scc.bottom_components():
-            met = [0] * chain.m
-            for i in d_scc.components[ci]:
-                s, alive = d_nodes[i]
-                met[s] |= alive
-            if not any(settles(k, met) for k in range(len(accepting))):
+            below = set()
+            for j in set().union(*[d_nodes[i][1]
+                                   for i in d_scc.components[ci]]):
+                s, u, c = nodes[j]
+                below.update(k for k, top in tops.get((s, u), ())
+                             if k not in below and _leq(c, top))
+            for k in sorted(below):
+                if k not in complete:
+                    complete[k] = self._complete(chain, nodes, succ,
+                                                 accepting[k])
+                if complete[k]:
+                    break
+            else:
                 return False
         return True
 

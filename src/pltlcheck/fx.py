@@ -18,8 +18,16 @@ parameter-free formula with no variables, where it is breadth-first:
 the first path to finish is a shortest witness path, and
 v(x) = m * |phi| (constant bounds unfolded) is a witness valuation.
 
-Almost-sure emptiness and the minimal valuations of V=1 use the general
-product checker at the same bound.
+Almost-sure queries use the general product checker, but not at one
+bound.  Emptiness of V=1 (`check`) is `DiamondChecker.emptiness`: the
+counter-free product, then the uniform point at N0, then at vbar =
+m * |phi| * 2^|phi|.  The minimal valuations of V=1 (`min_set_fx`)
+are searched in the box {0..m * |phi|}^k, with the general engine as
+membership oracle.  That this box holds every minimal valuation of V=1
+is a claim no proof yet supports; random draws have not refuted it.
+`emptiness_as1_fx` asks the point at m * |phi|; nothing in this
+package calls it, and it stays only for the benchmark's tracer
+(`perfbench/spans.py`), which wraps it by name.
 """
 
 from __future__ import annotations

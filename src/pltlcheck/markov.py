@@ -98,15 +98,23 @@ def _nat(text):
 _MAX_EXPONENT = 4300
 
 
+def read_fraction(text):
+    """`Fraction(text)`, or None when the literal's exponent passes
+    `_MAX_EXPONENT`; ValueError or ZeroDivisionError when it is
+    malformed."""
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > _MAX_EXPONENT:
+        return None
+    return Fraction(text)
+
+
 def _probability(text, lineno):
     """The Fraction spelled by a probability literal of a trans line."""
-    _, e, exponent = text.lower().partition("e")
     try:
-        huge = bool(e) and abs(int(exponent)) > _MAX_EXPONENT
-        value = None if huge else Fraction(text)
+        value = read_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ChainParseError("bad probability %s" % _quote(text), lineno)
-    if huge:
+    if value is None:
         raise ChainParseError("probability exponent beyond %d in %s"
                               % (_MAX_EXPONENT, _quote(text)), lineno)
     return value

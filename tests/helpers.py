@@ -427,15 +427,16 @@ def reference_min_val_geq(chain, name, p):
 
 def reference_holds(checker, chain, threshold, u_aut, bounds,
                     max_nodes=None):
-    """`DiamondChecker._holds` with its subset constructions over
-    frozensets of product nodes, as the checker built them before its
-    bitsets.
+    """`DiamondChecker._holds` with its subset constructions over plain
+    frozensets of product nodes, which keep every node alive: no
+    least-counter reduction, and a bottom tracking component counts an
+    accepting SCC when one of its sets meets it.
 
     The product and its SCCs come from the checker.  Returns the verdict
     and, per completeness graph in SCC order and then per tracking
-    graph, (what, its node count), with None for a count where an empty
-    image stopped the graph.  A subset graph past `max_nodes` nodes
-    raises ResourceLimitError.
+    graph, (what, its subset nodes (s, alive)), with None for the nodes
+    where an empty image stopped the graph.  A subset graph past
+    `max_nodes` nodes raises ResourceLimitError.
     """
     nodes, succ, n_initial = checker._product(chain, u_aut, bounds)
     scc = _tarjan(len(nodes), succ)
@@ -454,7 +455,7 @@ def reference_holds(checker, chain, threshold, u_aut, bounds,
             chain, nodes, edges,
             [(s, frozenset(fiber[s])) for s in sorted(fiber)], max_nodes)
         graphs.append(("completeness graph",
-                       None if found is None else len(found[0])))
+                       None if found is None else found[0]))
         if found is not None:
             good |= comp
     if threshold == "pos":
@@ -462,14 +463,27 @@ def reference_holds(checker, chain, threshold, u_aut, bounds,
     found = _reference_subset_graph(
         chain, nodes, succ, [(chain.init, frozenset(range(n_initial)))],
         max_nodes)
-    graphs.append(("tracking graph",
-                   None if found is None else len(found[0])))
+    graphs.append(("tracking graph", None if found is None else found[0]))
     if found is None:
         return False, graphs
     d_nodes, d_succ = found
     scc = _tarjan(len(d_nodes), d_succ)
     return all(any(d_nodes[i][1] & good for i in scc.components[ci])
                for ci in scc.bottom_components()), graphs
+
+
+def reference_least(nodes, alive):
+    """The nodes (s, u, c) of `alive`, indices into the product's
+    `nodes`, with no other node of `alive` at the same U-state and
+    counters <= c pointwise."""
+    by_u = {}
+    for j in alive:
+        by_u.setdefault(nodes[j][1], []).append(nodes[j][2])
+    return frozenset(
+        j for j in alive
+        if not any(c != nodes[j][2]
+                   and all(a <= b for a, b in zip(c, nodes[j][2]))
+                   for c in by_u[nodes[j][1]]))
 
 
 def _reference_subset_graph(chain, nodes, edges, start, max_nodes=None):

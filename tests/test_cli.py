@@ -2,6 +2,7 @@ import io
 import sys
 import time
 import tracemalloc
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 
@@ -152,6 +153,20 @@ def test_exit_usage_node_cap_below_one(coin, cap, message):
     assert "argument --max-product-nodes: " + message in err
 
 
+def test_exit_usage_threshold_exponent_past_limit(coin):
+    # Read as Fraction, 1e-100000000 would build a hundred-million-digit
+    # int; the threshold is refused on its exponent, as the chain reader
+    # refuses a probability literal, and the limit itself still answers.
+    code, out, err = _run(["check", "--chain", coin, "--formula", "F[<=x] a",
+                           "--threshold", ">=1e-100000000"])
+    assert code == 2 and out == ""
+    assert err == ("usage error: threshold exponent beyond 4300 in "
+                   "'1e-100000000'\n")
+    code, out, _ = _run(["check", "--chain", coin, "--formula", "F[<=x] a",
+                         "--threshold", ">=1e-4300"])
+    assert code == 0 and "verdict: nonempty" in out
+
+
 def test_exit_resource_limit(coin):
     code, _, err = _run(["member", "--chain", coin,
                          "--formula", "F[<=x] a & F[<=y] a",
@@ -162,13 +177,31 @@ def test_exit_resource_limit(coin):
 
 
 def test_exit_out_of_memory(coin, monkeypatch):
+    # The message is printed once the frames that filled memory are
+    # released: while they live, printing can run out of memory again,
+    # which this stream stands in for.
+    filled = []
+
+    class Filled:
+        pass
+
     def exhausted(*args):
+        held = Filled()
+        filled.append(weakref.ref(held))
         raise MemoryError
+
+    class Stream(io.StringIO):
+        def write(self, text):
+            if filled[0]() is not None:
+                raise MemoryError
+            return super().write(text)
+
     monkeypatch.setattr(diamond.DiamondChecker, "_holds", exhausted)
-    code, out, err = _run(["check", "--chain", coin, "--formula",
-                           "F[<=x] G a", "--threshold", "=1"])
-    assert code == 3 and out == ""
-    assert err == "resource limit: out of memory\n"
+    out, err = io.StringIO(), Stream()
+    code = cli.run(["check", "--chain", coin, "--formula", "F[<=x] G a",
+                    "--threshold", "=1"], out, err)
+    assert code == 3 and out.getvalue() == ""
+    assert err.getvalue() == "resource limit: out of memory\n"
 
 
 def test_emit_automaton(coin, tmp_path):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     nnf_formulas, random_chain, random_diamond_formula, random_fx_formula,
-    random_letters, reference_holds, reference_tableau, until_chain,
+    random_letters, reference_holds, reference_least, reference_tableau,
+    until_chain,
 )
 from pltlcheck import diamond
 from pltlcheck.diamond import (
@@ -203,14 +204,14 @@ def test_stats_accumulate():
 
 
 def _subset_graphs(ck, chain, threshold, u_aut, bounds):
-    """`ck._holds` and the node counts of its subset graphs, in the
+    """`ck._holds` and the subset nodes of its subset graphs, in the
     shape `reference_holds` returns."""
     graphs = []
 
     def explore(initial, successors, what):
         found = DiamondChecker._explore(ck, initial, successors, what)
         if what != "product":
-            graphs.append((what, None if found is None else len(found[0])))
+            graphs.append((what, None if found is None else found[0]))
         return found
     ck._explore = explore
     try:
@@ -219,12 +220,29 @@ def _subset_graphs(ck, chain, threshold, u_aut, bounds):
         del ck._explore
 
 
-def _tracking(holds):
-    """A `_subset_graphs` or `reference_holds` result with only its
-    tracking graph kept: completeness graphs run on least-counter sets,
-    which the frozenset reference does not reduce."""
+def _counts(holds):
+    """A `_subset_graphs` or `reference_holds` result with each graph's
+    subset nodes replaced by their count."""
     verdict, graphs = holds
-    return verdict, [g for g in graphs if g[0] == "tracking graph"]
+    return verdict, [(what, None if found is None else len(found))
+                     for what, found in graphs]
+
+
+def _assert_tracking_matches(ck, chain, u_aut, bounds, got, expected):
+    """The checker's `_subset_graphs` result `got` against the plain
+    `reference_holds` result `expected`: equal verdicts, the tracking
+    graph stopped by an empty image in both or in neither, and its
+    subset nodes exactly {(s, least(X))} over the reference's (s, X)."""
+    assert got[0] == expected[0], (chain.rows, chain.labels)
+    tracking = [found for what, found in got[1] if what == "tracking graph"]
+    plain = [found for what, found in expected[1] if what == "tracking graph"]
+    assert len(tracking) == len(plain)
+    for found, ref in zip(tracking, plain):
+        assert (found is None) == (ref is None), (chain.rows, chain.labels)
+        if found is not None:
+            nodes = ck._product(chain, u_aut, bounds)[0]
+            assert set(found) == {(s, reference_least(nodes, alive))
+                                  for s, alive in ref}
 
 
 def _completeness(ck, chain, u_aut, bounds):
@@ -239,16 +257,16 @@ def _completeness(ck, chain, u_aut, bounds):
 
 
 def _assert_subsets_match_reference(ck, chain, u_aut, bounds, max_nodes=None):
-    # Equal verdicts and tracking graphs at both thresholds, and every
-    # accepting SCC complete exactly when the reference's completeness
-    # graph meets no empty image.  The reference's subset graphs are
-    # capped at `max_nodes`.
+    # At both thresholds equal verdicts, and a tracking graph that dies
+    # in both or in neither and is the image of the reference's plain
+    # one under least; and every accepting SCC complete exactly when
+    # the reference's completeness graph meets no empty image.  The
+    # reference's subset graphs are capped at `max_nodes`.
     for threshold in ("pos", "as1"):
         got = _subset_graphs(ck, chain, threshold, u_aut, bounds)
         expected = reference_holds(ck, chain, threshold, u_aut, bounds,
                                    max_nodes)
-        assert _tracking(got) == _tracking(expected), (
-            threshold, chain.rows, chain.labels)
+        _assert_tracking_matches(ck, chain, u_aut, bounds, got, expected)
     assert _completeness(ck, chain, u_aut, bounds) == [
         n is not None for what, n in expected[1]
         if what == "completeness graph"], (chain.rows, chain.labels)
@@ -264,8 +282,8 @@ def test_subset_bitsets_match_frozenset_reference(phi, sides, valuation,
                                                   seed):
     # Both thresholds, with the counter automaton at a small valuation
     # and with the counter-free automaton: equal verdicts, and the
-    # tracking graph with as many nodes, or stopped by an empty image in
-    # both.  Each side adds F[<=x], F[<=y] or F[<=z]
+    # tracking graph the least-counter image of the plain one, or
+    # stopped by an empty image in both.  Each side adds F[<=x], F[<=y] or F[<=z]
     # of its own formula, so that most examples have variables.
     for x, (op, psi) in zip("xyz", sides):
         phi = op(phi, BoundedEventually(VarBound(x), psi))
@@ -286,9 +304,10 @@ def test_subset_bitsets_match_frozenset_reference(phi, sides, valuation,
        st.integers(0, 2 ** 32 - 1))
 def test_least_counter_sets_match_reference_up_to_40(phi, op, psi, valuation,
                                                      seed):
-    # At valuations up to 40 the plain completeness sets hold dozens of
+    # At valuations up to 40 the plain subset sets hold dozens of
     # counter values per U-state and the least-counter ones a few: equal
-    # verdicts and tracking graphs at both thresholds.  The F[<=x] side
+    # verdicts, and tracking graphs equal up to least, at both
+    # thresholds.  The F[<=x] side
     # gives every example a counter; y adds a second one in some.  The
     # plain sets grow exponentially with the valuation, so the
     # reference's subset graphs are capped like the product, and an
@@ -339,11 +358,13 @@ def test_least_counter_sets_on_six_state_chain(text, small, large):
     c = parse_chain(SIX_STATES)
     ck = DiamondChecker(parse_formula(text))
     for threshold in ("pos", "as1"):
-        assert _tracking(_subset_graphs(ck, c, threshold, ck.u, small)) \
-            == _tracking(reference_holds(ck, c, threshold, ck.u, small))
+        _assert_tracking_matches(
+            ck, c, ck.u, small,
+            _subset_graphs(ck, c, threshold, ck.u, small),
+            reference_holds(ck, c, threshold, ck.u, small))
     assert _completeness(ck, c, ck.u, small) == [True]
     for bounds, nodes in large.items():
-        assert _subset_graphs(ck, c, "pos", ck.u, list(bounds)) == (
+        assert _counts(_subset_graphs(ck, c, "pos", ck.u, list(bounds))) == (
             True, [("completeness graph", nodes)])
 
 
@@ -375,13 +396,14 @@ def test_chain_state_without_product_node():
                              ("as1", "tracking graph")):
         got = _subset_graphs(ck, c, threshold, ck.u, [])
         assert got == (False, [(graph, None)])
-        assert _tracking(got) == _tracking(
-            reference_holds(ck, c, threshold, ck.u, []))
+        _assert_tracking_matches(
+            ck, c, ck.u, [], got, reference_holds(ck, c, threshold, ck.u, []))
 
 
 def test_subset_images_span_several_bytes():
     # At x = 40 the product holds dozens of nodes per chain state, so
-    # the subsets span several bytes of the bitsets.
+    # the plain subsets are wide and the least-counter ones hold a few
+    # nodes per U-state.
     half = Fraction(1, 2)
     c = MarkovChain(4, 0, [{1: half, 2: half}, {3: Fraction(1)},
                            {2: half, 3: half}, {3: Fraction(1)}],
