@@ -1,12 +1,13 @@
 """Parametric repeated reachability: thresholds on Pr(always eventually-within-x a).
 
 For "G F[<=x] a" the analysis is purely graph-theoretic: per-BSCC
-longest a-free runs decide which bottom components can satisfy the
-formula, and a minimax path search over the a-states gives the minimal
-positive-probability valuation.  Conjunctions over several propositions
-(generalized queries) reduce to per-component checks; their minimal
-positive-probability valuations come from the general product-automaton
-checker's valuation search (`DiamondChecker.min_set`).
+longest a-free runs (gaps) decide which bottom components can satisfy
+the formula, and one minimax search over a-free streaks between the
+a-states gives the minimal positive-probability valuation.
+Conjunctions over several propositions (generalized queries) reduce to
+per-component checks; their minimal positive-probability valuations
+come from the general product-automaton checker's valuation search
+(`DiamondChecker.min_set`).
 """
 
 from __future__ import annotations
@@ -56,79 +57,78 @@ def accepting_bsccs(chain, name):
     return result
 
 
-class _DistanceRows(dict):
-    """BFS distance rows of `chain` by source state, each computed when
-    first read."""
+def _streak_search(chain, name, goal):
+    """Yield (cost, v) for the initial state and the a-states in the
+    order a minimax (bottleneck) search pops them (Pollack, 1960).
 
-    def __init__(self, chain):
-        self.chain = chain
-
-    def __missing__(self, source):
-        row = self[source] = markov.distances_from(self.chain, source)
-        return row
-
-
-def c_min(chain, name, component, dist=None):
-    """Minimax-gap cost of reaching the component's a-states.
-
-    Vertices are the initial state plus every a-state of the chain; an
-    edge costs the shortest-path distance between its endpoints, less
-    one when the source itself carries the label (the position right
-    after an a-state is already one step closer to the next a-state),
-    and a path costs the maximum edge it uses.  A priority-queue
-    relaxation F(v) := min(F(v), max(F(u), c(u, v))) pops vertices in
-    cost order until an a-state of `component` comes off the queue.
-    Only the distance rows of popped vertices are read.
+    From a popped u, not in `goal`, walk breadth-first through a-free
+    states only; each branch ends at its first a-state v, whose streak
+    counts the a-free states passed, u too when it is a-free (only the
+    initial state can be).  v is relaxed to max(cost(u), streak).
+    Weighting u-v by full distances d(u, v), less one when u is an
+    a-state, gives the same costs.  Walks are paths, so none weighs
+    less; and if a shortest u-v path passes an a-state w, the segments
+    u-w and w-v each weigh less than u-v, so by induction on d(u, v)
+    a-free walks reach v at no higher bottleneck.
     """
-    if dist is None:
-        dist = _DistanceRows(chain)
-    goal = {s for s in component if name in chain.labels[s]}
-    vertices = sorted(chain.states_with(name) | {chain.init})
-    best = {v: math.inf for v in vertices}
-    best[chain.init] = 0
+    labels = chain.labels
+    best = {chain.init: 0}
     queue = [(0, chain.init)]
     done = set()
     while queue:
         cost, u = heapq.heappop(queue)
-        if u in done or cost > best[u]:
+        if u in done:
             continue
-        if u in goal:
-            return cost
         done.add(u)
-        discount = 1 if name in chain.labels[u] else 0
-        row = dist[u]
-        for v in vertices:
-            if v in done or row[v] == math.inf:
-                continue
-            relaxed = max(cost, row[v] - discount)
-            if relaxed < best[v]:
-                best[v] = relaxed
-                heapq.heappush(queue, (relaxed, v))
-    return math.inf
+        yield cost, u
+        if u in goal:
+            continue
+        streak = 0 if name in labels[u] else 1
+        seen = {u}
+        frontier = [u]
+        while frontier:
+            relaxed = max(cost, streak)
+            nxt = []
+            for s in frontier:
+                for t in chain.successors(s):
+                    if t in seen:
+                        continue
+                    seen.add(t)
+                    if name not in labels[t]:
+                        nxt.append(t)
+                    elif relaxed < best.get(t, math.inf):
+                        best[t] = relaxed
+                        heapq.heappush(queue, (relaxed, t))
+            frontier = nxt
+            streak += 1
+
+
+def c_min(chain, name, component):
+    """Least n such that a path from the initial state enters the
+    component's a-states with no n+1 consecutive a-free states."""
+    goal = {s for s in component if name in chain.labels[s]}
+    return next((cost for cost, v in _streak_search(chain, name, goal)
+                 if v in goal), math.inf)
 
 
 def min_val_pos_buchi(chain, name):
     """Least n with Pr(G F[<=n] a) > 0, or None when no valuation works.
 
-    Per accepting BSCC: if the initial state is at least gap-many steps
-    from the component's a-states, the in-component gap already covers
-    the approach and n0 is the gap alone; otherwise the approach cost
-    (minimax over routes through a-states) can dominate.
+    n0 = min over accepting BSCCs B of max(gap(B), c_min(B)).  One
+    `_streak_search` serves every B: the first popped a-state of B
+    carries c_min(B), and the search stops once a popped cost reaches
+    the best n0 so far, since no later B can do better.
     """
-    accepting = accepting_bsccs(chain, name)
-    if not accepting:
+    gap_of = {s: gap for comp, gap in accepting_bsccs(chain, name)
+              for s in comp if name in chain.labels[s]}
+    if not gap_of:
         return None
-    dist = _DistanceRows(chain)
-    best = None
-    for comp, gap in accepting:
-        d0 = min(dist[chain.init][s]
-                 for s in comp if name in chain.labels[s])
-        if gap < d0:
-            n0 = max(gap, c_min(chain, name, comp, dist))
-        else:
-            n0 = gap
-        if best is None or n0 < best:
-            best = n0
+    best = math.inf
+    for cost, v in _streak_search(chain, name, gap_of):
+        if cost >= best:
+            break
+        if v in gap_of:
+            best = min(best, max(cost, gap_of[v]))
     return best
 
 

@@ -88,11 +88,21 @@ def min_val_geq(chain, name, p):
         return None
     if mu_inf == p and not _eventually_constant(chain, targets):
         return None
-    # mu_n = y[init] / d, so mu_n >= p compares two integers.
+    return _first_step_geq(chain, targets, p)
+
+
+def _first_step_geq(chain, targets, p, last=None):
+    """Least n (at most `last`, when given) with mu_n >= p, or None.
+
+    Walks n upward; mu_n = y[init] / d, so each step compares two
+    integers.  Without `last` the caller must know that some n works.
+    """
     for n, (y, d) in enumerate(markov.reach_steps(chain, targets,
                                                   chain.init)):
         if y[chain.init] * p.denominator >= p.numerator * d:
             return n
+        if n == last:
+            return None
 
 
 def emptiness_geq(chain, name, p):
@@ -111,7 +121,14 @@ def check_as1(chain, name, n):
 
 
 def check_geq(chain, name, p, n):
+    """Pr(reach an a-state within n) >= p, for a natural n.
+
+    mu_n is nondecreasing in n, so the walk stops at the first step
+    that meets p; a false answer still steps all n times.
+    """
     p = Fraction(p)
     if not 0 < p < 1:
         raise ReachError("threshold must satisfy 0 < p < 1")
-    return markov.bounded_reach_prob(chain, chain.states_with(name), n) >= p
+    if n < 0:
+        raise markov.ChainError("step bound must be a natural number")
+    return _first_step_geq(chain, chain.states_with(name), p, n) is not None

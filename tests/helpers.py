@@ -1,6 +1,7 @@
 """Seeded random generators and brute-force references shared by the
 test modules."""
 
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -423,6 +424,69 @@ def reference_min_val_geq(chain, name, p):
     for n, x in enumerate(reference_reach_steps(chain, targets)):
         if x[chain.init] >= p:
             return n
+
+
+def _reach_sets(chain):
+    """reach[s]: the states s reaches in zero or more steps, by DFS."""
+    reach = []
+    for s in range(chain.m):
+        seen = {s}
+        stack = [s]
+        while stack:
+            for t in chain.rows[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        reach.append(seen)
+    return reach
+
+
+def _free_path_gap(chain, name, states):
+    """Longest simple path of a-free states inside `states`, counted in
+    states, by DFS from every a-free state; math.inf when a DFS closes
+    an a-free cycle."""
+    free = {s for s in states if name not in chain.labels[s]}
+
+    def longest(s, path):
+        best = len(path)
+        for t in chain.rows[s]:
+            if t in path:
+                return math.inf
+            if t in free:
+                best = max(best, longest(t, path | {t}))
+        return best
+
+    return max((longest(s, {s}) for s in free), default=0)
+
+
+def reference_min_val_pos_buchi(chain, name):
+    """Least n with Pr(G F[<=n] name) > 0, or None.
+
+    Bottom components by mutual reachability, gaps by DFS over a-free
+    paths; then, for n = 0, 1, ..., a breadth-first search over
+    (state, current a-free streak <= n) from the initial state for an
+    a-state of a reachable bottom component whose gap is at most n."""
+    reach = _reach_sets(chain)
+    goals = {}
+    for s in reach[chain.init]:
+        if name in chain.labels[s] and all(s in reach[t] for t in reach[s]):
+            goals[s] = _free_path_gap(chain, name, reach[s])
+    start = (chain.init, 0 if name in chain.labels[chain.init] else 1)
+    for n in range(chain.m + 1):
+        seen = {start} if start[1] <= n else set()
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for s, streak in frontier:
+                if goals.get(s, math.inf) <= n:
+                    return n
+                for t in chain.rows[s]:
+                    conf = (t, 0 if name in chain.labels[t] else streak + 1)
+                    if conf[1] <= n and conf not in seen:
+                        seen.add(conf)
+                        nxt.append(conf)
+            frontier = nxt
+    return None
 
 
 def reference_holds(checker, chain, threshold, u_aut, bounds,

@@ -2,7 +2,7 @@ import math
 import random
 from fractions import Fraction
 
-from helpers import random_chain
+from helpers import random_chain, reference_min_val_pos_buchi
 from pltlcheck import buchi, markov
 from pltlcheck.diamond import DiamondChecker
 from pltlcheck.fixtures import coin_chain
@@ -106,8 +106,8 @@ def _min_val_pos_all_pairs(chain, name):
 
 
 def test_min_val_pos_reads_few_distance_rows(monkeypatch):
-    # Rows are computed for the initial state and the popped a-states
-    # only, through markov.distances_from.
+    # The streak search computes no distance row, and it walks each
+    # a-free stretch from the a-state before it, not from every source.
     sources = []
     bfs = markov.distances_from
 
@@ -122,21 +122,71 @@ def test_min_val_pos_reads_few_distance_rows(monkeypatch):
         c = random_chain(rng, max_states=12, props=("a",), label_p=0.6)
         sources.clear()
         got = buchi.min_val_pos_buchi(c, "a")
-        assert len(sources) == len(set(sources))
-        assert len(sources) <= len(c.states_with("a")) + 1
+        assert sources == []
         assert got == _min_val_pos_all_pairs(c, "a"), (c.rows, c.labels)
         n += got is not None
     # A path of 150 states, an a-state every ten, into a ring of 50 with
-    # one a-state: the rows of the initial state and of the 14 a-states
-    # on the path, of the 200.
+    # one a-state.
     one = Fraction(1)
     rows = [{s + 1: one} for s in range(199)] + [{150: one}]
     labels = [{"a"} if s in range(10, 151, 10) else set()
               for s in range(200)]
+    chain = MarkovChain(200, 0, rows, labels)
+    reads = []
+    succ = chain.successors
+
+    def counted_successors(s):
+        reads.append(s)
+        return succ(s)
+
+    chain.successors = counted_successors
     sources.clear()
-    assert buchi.min_val_pos_buchi(MarkovChain(200, 0, rows, labels),
-                                   "a") == 49
-    assert sorted(sources) == list(range(0, 150, 10))
+    assert buchi.min_val_pos_buchi(chain, "a") == 49
+    assert sources == []
+    assert len(reads) <= 4 * chain.m
+
+
+def _banded_chain(rng, m, label_p):
+    """A transient band whose edges stay within three states of their
+    source, with rare jumps into three bottom components of 3-6 states
+    (the benchmark's recurrent chains, with one label)."""
+    sizes = [rng.randint(3, 6) for _ in range(3)]
+    n_trans = m - sum(sizes)
+    succ = [None] * m
+    labels = [set() for _ in range(m)]
+    base = n_trans
+    bottom = []
+    for size in sizes:
+        comp = list(range(base, base + size))
+        base += size
+        bottom.extend(comp)
+        for k, s in enumerate(comp):
+            succ[s] = {comp[(k + 1) % size], rng.choice(comp)}
+        if rng.random() < 0.8:
+            for s in rng.sample(comp, rng.randint(1, size)):
+                labels[s].add("a")
+    for s in range(n_trans):
+        succ[s] = {s + 1 if s < n_trans - 1 else rng.choice(bottom)}
+        for _ in range(rng.randint(1, 2)):
+            succ[s].add(rng.choice(bottom) if rng.random() < 0.05 else
+                        min(n_trans - 1, max(0, s + rng.randint(-3, 3))))
+        if rng.random() < label_p:
+            labels[s].add("a")
+    rows = [{t: Fraction(1, len(ts)) for t in ts} for ts in succ]
+    return MarkovChain(m, rng.randrange(n_trans), rows, labels)
+
+
+def test_min_val_pos_matches_reference_on_banded_chains():
+    rng = random.Random(24)
+    answers = set()
+    for _ in range(120):
+        c = _banded_chain(rng, rng.randint(20, 80),
+                          rng.choice([0.2, 0.4, 0.6]))
+        got = buchi.min_val_pos_buchi(c, "a")
+        assert got == reference_min_val_pos_buchi(c, "a"), (c.rows, c.labels)
+        answers.add(got)
+    # Empty answers and approach costs above every gap both occur.
+    assert None in answers and max(a for a in answers if a) > 6
 
 
 def test_minima_match_general_checker():

@@ -68,6 +68,8 @@ def test_check_wrappers():
     assert not reach.check_as1(c, "a", 50)
     assert reach.check_geq(c, "a", Fraction(1, 2), 1)
     assert not reach.check_geq(c, "a", Fraction(3, 4), 1)
+    # mu_1 already meets 1/2: the walk stops there, not after 10^8 steps.
+    assert reach.check_geq(c, "a", Fraction(1, 2), 10 ** 8)
 
 
 def _brute_min_pos(chain, name, cap=40):
@@ -111,7 +113,9 @@ def test_geq_matches_probability_scan():
         got = reach.min_val_geq(c, "a", p)
         ref = None
         for n in range(40):
-            if bounded_reach_prob(c, targets, n) >= p:
+            met = bounded_reach_prob(c, targets, n) >= p
+            assert reach.check_geq(c, "a", p, n) == met
+            if met:
                 ref = n
                 break
         if got is not None and got < 40:
