@@ -20,41 +20,30 @@ from .valuation import MinimalSet
 
 
 def gap_of_bscc(chain, component, name):
-    """Longest run of consecutive a-free states inside the BSCC.
+    """Longest run of consecutive a-free states inside the BSCC (or
+    any set of states).
 
     Counted as the number of states visited; 0 when every state carries
     the label, math.inf when the component has an a-free cycle.
     """
     free = {s for s in component if name not in chain.labels[s]}
-    return _longest_free_run(chain, free)
+    runs = markov.longest_runs(free, chain.successors)
+    return math.inf if runs is None else max(runs.values(), default=0)
 
 
-def _longest_free_run(chain, free):
-    """Longest vertex-count path through the set of `free` states,
-    math.inf when they hold a cycle."""
-    order = markov.dag_order(free, chain.successors)
-    if order is None:
-        return math.inf
-    longest = {}
-    for s in order:
-        longest[s] = 1 + max((longest[t] for t in chain.successors(s)
-                              if t in free), default=0)
-    return max(longest.values(), default=0)
+def _reachable_bsccs(chain):
+    """The bottom components the initial state reaches."""
+    reachable = markov.reachable_states(chain)
+    scc = markov.scc_decompose(chain)
+    return [scc.components[i] for i in scc.bottom_components()
+            if scc.components[i] & reachable]
 
 
 def accepting_bsccs(chain, name):
     """Reachable BSCCs whose every cycle contains an a-state, with gaps."""
-    reachable = markov.reachable_states(chain)
-    scc = markov.scc_decompose(chain)
-    result = []
-    for i in scc.bottom_components():
-        comp = scc.components[i]
-        if not comp & reachable:
-            continue
-        gap = gap_of_bscc(chain, comp, name)
-        if gap != math.inf:
-            result.append((comp, gap))
-    return result
+    gaps = [(comp, gap_of_bscc(chain, comp, name))
+            for comp in _reachable_bsccs(chain)]
+    return [(comp, gap) for comp, gap in gaps if gap != math.inf]
 
 
 def _streak_search(chain, name, goal):
@@ -137,12 +126,10 @@ def min_val_as1_buchi(chain, name):
 
     The probability is 1 exactly when no reachable path contains n+1
     consecutive a-free states, so the answer is the longest a-free run
-    over the whole reachable subgraph (None if an a-free cycle is
-    reachable).
+    over the whole reachable subgraph, counted as a BSCC gap is (None if
+    an a-free cycle is reachable).
     """
-    reachable = markov.reachable_states(chain)
-    free = {s for s in reachable if name not in chain.labels[s]}
-    run = _longest_free_run(chain, free)
+    run = gap_of_bscc(chain, markov.reachable_states(chain), name)
     return None if run == math.inf else run
 
 
@@ -152,15 +139,9 @@ def emptiness_pos_genbuchi(chain, names):
     Nonempty iff some reachable BSCC is accepting for every proposition
     at once.
     """
-    reachable = markov.reachable_states(chain)
-    scc = markov.scc_decompose(chain)
-    for i in scc.bottom_components():
-        comp = scc.components[i]
-        if not comp & reachable:
-            continue
-        if all(gap_of_bscc(chain, comp, a) != math.inf for a in names):
-            return False
-    return True
+    return not any(all(gap_of_bscc(chain, comp, a) != math.inf
+                       for a in names)
+                   for comp in _reachable_bsccs(chain))
 
 
 def min_set_pos_genbuchi(chain, conjuncts, checker):

@@ -17,9 +17,12 @@ picks its successors in each mask.  The round-robin automaton derives
 its successors from those when a product asks for them, filtered by the
 letter the chain reads next, so a query pays for the letters it reads.
 
-Products are explored lazily from the initial configurations, so only
-the reachable part is ever materialized.  The closure cap is checked on
-the nesting depth before constant bounds are unfolded.
+Every product is with a chain, built by one routine (`_product`) and
+explored lazily from the initial configurations, so only the reachable
+part is ever materialized.  A single word needs no path of its own: a
+lasso word is the chain with one successor per position, on which
+Pr(phi) > 0 exactly when the word satisfies phi.  The closure cap is
+checked on the nesting depth before constant bounds are unfolded.
 
 Completeness of a product SCC and the almost-sure tracking are subset
 constructions over the product, run by one routine (`_least_subsets`):
@@ -515,14 +518,12 @@ class DiamondChecker:
             succ[i] = row
         return nodes, succ
 
-    def _runs(self, u_aut, start, step, letters, bounds, what):
-        """Product of the counter automaton `u_aut` with a labelled graph.
-
-        The graph starts at position `start`, `step(p)` lists the
-        positions after p and `letters[p]` is p's set of atoms; the
-        product builds the tableau's block of each letter's atom mask.
-        Returns (nodes, succ, number of initial nodes); a node is
-        (position, automaton state, counters).
+    def _product(self, chain, u_aut, bounds):
+        """Reachable product of the counter automaton `u_aut` with the
+        chain, as (nodes, succ, number of initial nodes); a node is
+        (chain state, automaton state, counters).  The product builds
+        the tableau's block of each state's atom mask, and its nodes
+        count in `stats["product_nodes"]`.
 
         A counter is the length of the current marked-but-unsatisfied
         streak of its bounded eventuality; a run dies the moment a
@@ -530,9 +531,10 @@ class DiamondChecker:
         with every counter at zero.
         """
         par, k, g = u_aut.par, u_aut.k, u_aut.g
-        amasks = [g.atom_mask(l) for l in letters]
-        # Every block is built before the rows are sized.  rows[p][u]:
-        # the successors of u that read p's letter, each with its
+        steps = chain.successors
+        amasks = [g.atom_mask(l) for l in chain.labels]
+        # Every block is built before the rows are sized.  rows[s][u]:
+        # the successors of u that read s's letter, each with its
         # parametric flags.
         blocks = [g.block(a) for a in amasks]
         rows = [u_aut.row(a) for a in amasks]
@@ -540,7 +542,7 @@ class DiamondChecker:
         def flagged(targets):
             return [(u2, par[u2 // k]) for u2 in targets]
 
-        def moves(p, targets, counters):
+        def moves(s, targets, counters):
             out = []
             for u2, marks in targets:
                 nxt = []
@@ -550,52 +552,27 @@ class DiamondChecker:
                         break
                     nxt.append(c)
                 else:
-                    out.append((p, u2, tuple(nxt)))
+                    out.append((s, u2, tuple(nxt)))
             return out
 
-        initial = moves(start, flagged([q * k for q in blocks[start][1]]),
+        initial = moves(chain.init,
+                        flagged([q * k for q in blocks[chain.init][1]]),
                         (0,) * len(bounds))
 
         def successors(node):
-            p, u, counters = node
+            s, u, counters = node
             out = []
-            for p2 in step(p):
-                targets = rows[p2][u]
+            for t in steps(s):
+                targets = rows[t][u]
                 if targets is None:
-                    targets = rows[p2][u] = flagged(
-                        u_aut.reading(u, amasks[p2]))
-                out += moves(p2, targets, counters)
+                    targets = rows[t][u] = flagged(
+                        u_aut.reading(u, amasks[t]))
+                out += moves(t, targets, counters)
             return out
 
-        nodes, succ = self._explore(initial, successors, what)
+        nodes, succ = self._explore(initial, successors, "product")
+        self.stats["product_nodes"] += len(nodes)
         return nodes, succ, len(initial)
-
-    def accepts_lasso(self, word, valuation):
-        """Does the counter automaton accept stem + loop^omega at v?
-
-        Nodes pair a word position with an automaton configuration; the
-        word is accepted iff a cycle through a Buchi configuration is
-        reachable.
-        """
-        letters = tuple(word.stem) + tuple(word.loop)
-        wrap = len(word.stem)
-
-        def step(p):
-            return (p + 1 if p + 1 < len(letters) else wrap,)
-
-        nodes, succ, _ = self._runs(self.u, 0, step, letters,
-                                    self._bounds(valuation), "lasso graph")
-        scc = markov._tarjan(len(nodes), succ)
-        return any(scc.has_cycle[ci]
-                   and any(self.u.is_buchi(nodes[i][1]) for i in comp)
-                   for ci, comp in enumerate(scc.components))
-
-    def _product(self, chain, u_aut, bounds):
-        """Reachable product with the chain: (nodes, succ, initial count)."""
-        product = self._runs(u_aut, chain.init, chain.successors,
-                             chain.labels, bounds, "product")
-        self.stats["product_nodes"] += len(product[0])
-        return product
 
     def _least_subsets(self, chain, nodes, succ, start, inside, what):
         """The subset construction over the product, on least-counter

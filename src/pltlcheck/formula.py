@@ -13,6 +13,12 @@ U, R are uppercase and therefore never collide with proposition names.
 Only upper bounds are supported as subscripts.  Parametric bounds are
 admitted on F only; a parametric bound on G is rejected at parse time,
 and so is nesting deeper than MAX_FORMULA_DEPTH levels.
+
+Only the parser recurses, within that cap; every other pass is
+iterative, so a formula built in code may nest as deep as memory
+allows.  `subformulas` lists the nodes, `_map` rebuilds a formula
+top-down and keeps unchanged subtrees, and `to_nnf` is `_map` with one
+rule that moves a negation onto the dual operator.
 """
 
 from __future__ import annotations
@@ -140,35 +146,45 @@ _PREC = {
     Until: 3,
     Release: 3,
 }
+# Every other node binds at 9, tighter than any binary operator.
+_TEXT = {Or: "|", And: "&", Until: "U", Release: "R", Not: "!", Next: "X ",
+         Eventually: "F ", Always: "G ", BoundedEventually: "F",
+         BoundedAlways: "G", Atom: "", NegAtom: "!"}
 
 
-def _fmt(phi, parent_prec=0):
+def _fmt(phi):
+    """The text of phi, built children first: each finished node's text
+    is kept with its precedence, and a parent brackets a child that
+    binds looser than the parent asks."""
     if isinstance(phi, Atom):
         return phi.name
-    if isinstance(phi, NegAtom):
-        return "!" + phi.name
-    if isinstance(phi, Not):
-        return "!" + _fmt(phi.child, 9)
-    if isinstance(phi, Next):
-        return "X " + _fmt(phi.child, 9)
-    if isinstance(phi, Eventually):
-        return "F " + _fmt(phi.child, 9)
-    if isinstance(phi, Always):
-        return "G " + _fmt(phi.child, 9)
-    if isinstance(phi, BoundedEventually):
-        return "F[<=%s] %s" % (phi.bound, _fmt(phi.child, 9))
-    if isinstance(phi, BoundedAlways):
-        return "G[<=%s] %s" % (phi.bound, _fmt(phi.child, 9))
-    op = {And: "&", Or: "|", Until: "U", Release: "R"}[type(phi)]
-    prec = _PREC[type(phi)]
-    # U and R group to the right.  A nested & or | of the same kind is
-    # bracketed on either side, so the text parses back to the same tree.
-    right_prec = prec + 1 if isinstance(phi, (And, Or)) else prec
-    s = "%s %s %s" % (_fmt(phi.left, prec + 1), op,
-                      _fmt(phi.right, right_prec))
-    if prec < parent_prec:
-        return "(" + s + ")"
-    return s
+    done = []
+    for f in subformulas(phi, postorder=True):
+        kind = type(f)
+        if kind is Atom or kind is NegAtom:
+            done.append((_TEXT[kind] + f.name, 9))
+        elif kind in _PREC:
+            prec = _PREC[kind]
+            right, rp = done.pop()
+            left, lp = done.pop()
+            # U and R group to the right.  A nested & or | of the same
+            # kind is bracketed on either side, so the text parses back
+            # to the same tree.
+            if lp <= prec:
+                left = "(%s)" % left
+            if rp < prec or rp == prec and kind in (And, Or):
+                right = "(%s)" % right
+            done.append(("%s %s %s" % (left, _TEXT[kind], right), prec))
+        else:
+            child, cp = done.pop()
+            if cp < 9:
+                child = "(%s)" % child
+            if kind is BoundedEventually or kind is BoundedAlways:
+                child = "%s[<=%s] %s" % (_TEXT[kind], f.bound, child)
+            else:
+                child = _TEXT[kind] + child
+            done.append((child, 9))
+    return done[0][0]
 
 
 def children(f):
@@ -182,8 +198,6 @@ def children(f):
 
 def rebuild(f, kids):
     """A node of f's type (and bound) over the given children."""
-    if not kids:
-        return f
     if isinstance(f, (BoundedEventually, BoundedAlways)):
         return type(f)(f.bound, *kids)
     return type(f)(*kids)
@@ -194,33 +208,40 @@ def subformulas(phi, postorder=False):
     (preorder) or after them (postorder).  A subtree that occurs twice is
     listed twice.  Iterative, so nesting depth is not limited by the
     interpreter's recursion limit."""
-    out = []
-    stack = [phi]
+    out, stack = [], [phi]
     while stack:
         f = stack.pop()
         out.append(f)
-        kids = children(f)
         # Postorder is the reverse of a right-to-left preorder.
-        stack.extend(kids if postorder else reversed(kids))
+        stack += children(f) if postorder else children(f)[::-1]
     return out[::-1] if postorder else out
 
 
 def _map(phi, fn):
     """Rebuild phi top-down: each node f is replaced by fn(f), whose
-    children are then mapped in turn.  fn sees the nodes in preorder."""
-    done = []
-    stack = [(phi, False)]
+    children are then mapped in turn; fn sees the nodes in preorder.  A
+    node whose mapped children are its own is kept, so an unchanged
+    subtree is shared, not copied."""
+    order, stack = [], [phi]
     while stack:
-        f, expanded = stack.pop()
-        if expanded:
-            k = len(children(f))
-            kids = done[len(done) - k:]
-            del done[len(done) - k:]
-            done.append(rebuild(f, kids))
-            continue
-        f = fn(f)
-        stack.append((f, True))
-        stack.extend((c, False) for c in reversed(children(f)))
+        f = fn(stack.pop())
+        kids = children(f)
+        order.append((f, kids))
+        stack += kids[::-1]
+    # Reversed, the preorder lists every node after its subtrees, and a
+    # parent finds its mapped children on top of `done`, leftmost last.
+    done = []
+    for f, kids in reversed(order):
+        if not kids:
+            done.append(f)
+        elif len(kids) == 1:
+            c = done[-1]
+            done[-1] = f if c is kids[0] else rebuild(f, (c,))
+        else:
+            left = done.pop()
+            right = done[-1]
+            done[-1] = (f if left is kids[0] and right is kids[1]
+                        else rebuild(f, (left, right)))
     return done[0]
 
 
@@ -421,62 +442,50 @@ def to_nnf(phi):
     bound would be required (that combination leaves the supported
     fragment).
     """
-    return _nnf(phi, False)
+    return _map(phi, _push_not)
 
 
-def _nnf(phi, neg):
-    if isinstance(phi, Not):
-        return _nnf(phi.child, not neg)
-    if isinstance(phi, Atom):
-        return NegAtom(phi.name) if neg else phi
-    if isinstance(phi, NegAtom):
-        return Atom(phi.name) if neg else phi
-    if isinstance(phi, And):
-        l, r = _nnf(phi.left, neg), _nnf(phi.right, neg)
-        return Or(l, r) if neg else And(l, r)
-    if isinstance(phi, Or):
-        l, r = _nnf(phi.left, neg), _nnf(phi.right, neg)
-        return And(l, r) if neg else Or(l, r)
-    if isinstance(phi, Next):
-        return Next(_nnf(phi.child, neg))
-    if isinstance(phi, Until):
-        l, r = _nnf(phi.left, neg), _nnf(phi.right, neg)
-        return Release(l, r) if neg else Until(l, r)
-    if isinstance(phi, Release):
-        l, r = _nnf(phi.left, neg), _nnf(phi.right, neg)
-        return Until(l, r) if neg else Release(l, r)
-    if isinstance(phi, Eventually):
-        c = _nnf(phi.child, neg)
-        return Always(c) if neg else Eventually(c)
-    if isinstance(phi, Always):
-        c = _nnf(phi.child, neg)
-        return Eventually(c) if neg else Always(c)
-    if isinstance(phi, BoundedEventually):
-        if neg:
-            if isinstance(phi.bound, VarBound):
-                raise FragmentError(
-                    "negation of F[<=%s] %s is not expressible: the only "
-                    "parametrized operator available is a bounded eventually"
-                    % (phi.bound, phi.child))
-            return BoundedAlways(phi.bound, _nnf(phi.child, True))
-        return BoundedEventually(phi.bound, _nnf(phi.child, False))
-    if isinstance(phi, BoundedAlways):
-        c = _nnf(phi.child, neg)
-        return BoundedEventually(phi.bound, c) if neg else BoundedAlways(phi.bound, c)
-    raise TypeError("unknown node %r" % phi)
+_DUAL = {And: Or, Or: And, Until: Release, Release: Until,
+         Eventually: Always, Always: Eventually, Next: Next,
+         BoundedEventually: BoundedAlways, BoundedAlways: BoundedEventually,
+         Atom: NegAtom, NegAtom: Atom}
+
+
+def _push_not(f):
+    """f with a leading negation moved one level down: double negations
+    cancel, and !op(c...) becomes dual-op(!c...), whose children `_map`
+    then rewrites in turn."""
+    while isinstance(f, Not):
+        f = f.child
+        if isinstance(f, Not):
+            f = f.child
+            continue
+        if isinstance(f, (Atom, NegAtom)):
+            return _DUAL[type(f)](f.name)
+        if _has_var_bound(f):
+            raise FragmentError(
+                "negation of F[<=%s] %s is not expressible: the only "
+                "parametrized operator available is a bounded eventually"
+                % (f.bound, f.child))
+        dual, kids = _DUAL[type(f)], [Not(c) for c in children(f)]
+        if isinstance(f, (BoundedEventually, BoundedAlways)):
+            return dual(f.bound, *kids)
+        return dual(*kids)
+    return f
 
 
 def rewrite_constant_bounds(phi):
     """Unfold F[<=c] / G[<=c] into nested X; output is constant-bound free."""
     def unfold(f):
+        # A zero bound is its child.  The result is not mapped again,
+        # only its children are, so every zero bound is dropped here.
+        while isinstance(getattr(f, "bound", None), ConstBound) \
+                and f.bound.value == 0:
+            f = f.child
         if isinstance(f, Not):
             raise FragmentError("cannot rewrite bounds under %r" % f)
-        if not isinstance(f, (BoundedEventually, BoundedAlways)) \
-                or isinstance(f.bound, VarBound):
+        if not isinstance(getattr(f, "bound", None), ConstBound):
             return f
-        if f.bound.value == 0:
-            # The result is not mapped again, only its children are.
-            return unfold(f.child)
         op = Or if isinstance(f, BoundedEventually) else And
         out = f.child
         for _ in range(f.bound.value):
@@ -541,15 +550,18 @@ def _is_buchi(phi):
 
 def genbuchi_pairs(phi):
     """(variable, proposition) per conjunct if phi is a conjunction of
-    G F[<=x_i] a_i, else None."""
-    if isinstance(phi, And):
-        left, right = genbuchi_pairs(phi.left), genbuchi_pairs(phi.right)
-        if left is None or right is None:
+    G F[<=x_i] a_i, else None.  The And spine is walked left to right
+    on a stack."""
+    pairs, stack = [], [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack += (f.right, f.left)
+        elif _is_buchi(f):
+            pairs.append((f.child.bound.name, f.child.child.name))
+        else:
             return None
-        return left + right
-    if _is_buchi(phi):
-        return [(phi.child.bound.name, phi.child.child.name)]
-    return None
+    return pairs
 
 
 _FX_NODES = {Atom, NegAtom, Next, Eventually, BoundedEventually, And, Or}

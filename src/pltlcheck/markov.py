@@ -347,6 +347,20 @@ def dag_order(vertices, successors):
     return order
 
 
+def longest_runs(vertices, successors):
+    """Per vertex v of the set `vertices`, the most vertices on a path
+    from v inside the set, or None when the set holds a cycle (a
+    self-loop counts).  `successors` is as for `dag_order`."""
+    order = dag_order(vertices, successors)
+    if order is None:
+        return None
+    runs = {}
+    for v in order:
+        runs[v] = 1 + max((runs[w] for w in successors(v) if w in vertices),
+                          default=0)
+    return runs
+
+
 def reachable_states(chain, source=None, avoid=()):
     """Forward-reachable set from `source` (default: the initial state).
 

@@ -45,16 +45,11 @@ def min_val_as1(chain, name):
         return 0
     # Non-target states reachable without first entering a target.
     region = markov.reachable_states(chain, chain.init, targets) - targets
-    # Longest path through the region, stepping off into a target;
-    # none when the region has a cycle.
-    order = markov.dag_order(region, chain.successors)
-    if order is None:
-        return None
-    longest = {}
-    for s in order:
-        longest[s] = max(1 if t in targets else 1 + longest[t]
-                         for t in chain.successors(s))
-    return longest[chain.init]
+    # Every region state steps into the region or a target, so the
+    # answer is the most states on a path through the region from the
+    # initial state; none when the region has a cycle.
+    runs = markov.longest_runs(region, chain.successors)
+    return None if runs is None else runs[chain.init]
 
 
 def _eventually_constant(chain, targets):

@@ -219,6 +219,17 @@ def random_letters(rng, props, length):
                  for _ in range(length))
 
 
+def lasso_chain(word):
+    """The chain of the lasso word stem + loop^omega: one state per
+    position, labelled with its letter, and one successor each, the
+    last loop position stepping back to the first.  Its one path is the
+    word, so Pr(phi) > 0 on it exactly when the word satisfies phi."""
+    letters = tuple(word.stem) + tuple(word.loop)
+    m, wrap = len(letters), len(word.stem)
+    rows = [{p + 1 if p + 1 < m else wrap: Fraction(1)} for p in range(m)]
+    return MarkovChain(m, 0, rows, letters)
+
+
 def reference_tableau(phi):
     """The G- and U-automata of a constant-free NNF formula, by brute
     force: every closure subset is tested for consistency and every

@@ -11,6 +11,7 @@ import pytest
 from helpers import until_chain
 from pltlcheck import cli, diamond
 from pltlcheck.formula import parse_formula
+from pltlcheck.markov import parse_chain
 
 COIN = "states 2\ninit 0\ntrans 0 0 1/2\ntrans 0 1 1/2\ntrans 1 1 1\nlabel 1 a\n"
 RING = ("states 3\ninit 0\ntrans 0 1 1\ntrans 1 2 1\ntrans 2 0 1\n"
@@ -116,6 +117,57 @@ def test_oracle_gen3sat(tmp_path):
     assert code == 0
     assert "states 7" in out
     assert "F[<=y1] c1" in out
+
+
+def test_oracle_gen3sat_many_clauses(tmp_path):
+    # The formula is an And chain deeper than the recursion limit; the
+    # printer walks it without recursion.
+    cnf = tmp_path / "big.cnf"
+    cnf.write_text("p cnf 3 1500\n" + "1 -2 3 0\n" * 1500)
+    code, out, err = _run(["oracle", "gen3sat", "--cnf", str(cnf)])
+    assert (code, err) == (0, "")
+    assert "clauses: 1500" in out.splitlines()
+
+
+@pytest.mark.parametrize("formula, threshold, engine", [
+    ("F[<=x] G a", ">0", True),
+    ("F[<=x] G a", "=1", True),
+    ("G F[<=x] a & G F[<=y] a", ">0", True),
+    # GeneralizedBuchi at =1 has a closed form and no checker.
+    ("G F[<=x] a & G F[<=y] a", "=1", False),
+])
+def test_member_at_or_above_vbar_asks_vbar(coin, monkeypatch, formula,
+                                           threshold, engine):
+    asked = []
+    for name in ("check_pos", "check_as1"):
+        def record(self, chain, valuation, real=getattr(
+                diamond.DiamondChecker, name)):
+            asked.append({x: valuation[x] for x in self.user_names})
+            return real(self, chain, valuation)
+        monkeypatch.setattr(diamond.DiamondChecker, name, record)
+    checker = diamond.DiamondChecker(parse_formula(formula))
+    names = checker.user_names
+    n = checker.vbar(parse_chain(COIN))
+
+    def member(values):
+        del asked[:]
+        text = ",".join("%s=%d" % pair for pair in zip(names, values))
+        code, out, _ = _run(["member", "--chain", coin, "--formula", formula,
+                             "--threshold", threshold, "--valuation", text])
+        assert code == 0
+        return out.splitlines()[-1], list(asked)
+
+    top = dict.fromkeys(names, n)
+    verdict, at_top = member([n] * len(names))
+    assert at_top == ([top] if engine else [])
+    # Every value at or above vbar: the point at vbar is asked.
+    for values in ([10 ** 8] * len(names),
+                   [n] + [10 ** 8] * (len(names) - 1)):
+        assert member(values) == (verdict, at_top)
+    # A value below vbar is asked as it is.
+    low = [10 ** 8] * (len(names) - 1) + [n - 1]
+    _, at_low = member(low)
+    assert at_low == ([dict(zip(names, low))] if engine else [])
 
 
 def test_exit_parse_error(coin):

@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    nnf_formulas, random_chain, random_diamond_formula, random_fx_formula,
-    random_letters, reference_holds, reference_least, reference_tableau,
-    until_chain,
+    lasso_chain, nnf_formulas, random_chain, random_diamond_formula,
+    random_fx_formula, random_letters, reference_holds, reference_least,
+    reference_tableau, until_chain,
 )
 from pltlcheck import diamond
 from pltlcheck.diamond import (
@@ -51,9 +51,9 @@ def test_accepts_lasso_discharged_early():
         (frozenset({"b"}), frozenset(), frozenset(), frozenset(), frozenset({"b"})),
         (frozenset(),))
     ck = DiamondChecker(parse_formula("F[<=x] b"))
-    assert ck.accepts_lasso(word, {"x": 2})
+    assert ck.check_pos(lasso_chain(word), {"x": 2})
     word2 = LassoWord((frozenset(),), (frozenset(),))
-    assert not ck.accepts_lasso(word2, {"x": 5})
+    assert not ck.check_pos(lasso_chain(word2), {"x": 5})
 
 
 def test_coin_chain_queries():
@@ -113,7 +113,7 @@ def test_accepts_lasso_matches_eval_lasso():
         ck = DiamondChecker(phi)
         ground = to_nnf(substitute(phi, val))
         ref = eval_lasso(word, ground)
-        assert ck.accepts_lasso(word, val) == ref, (phi, word, val)
+        assert ck.check_pos(lasso_chain(word), val) == ref, (phi, word, val)
         n += 1
 
 

@@ -4,8 +4,9 @@ from pltlcheck.formula import (
     Always, And, Atom, BoundedAlways, BoundedEventually, ConstBound,
     Eventually, FragmentClass, MAX_FORMULA_DEPTH, NegAtom, Next, Or,
     ParseError, Release, Until, VarBound, atoms, classify, closure,
-    nesting_depth, parse_formula, rename_apart, rewrite_constant_bounds, size,
-    strip_params, substitute, to_nnf, variables,
+    genbuchi_pairs, nesting_depth, parse_formula, rename_apart,
+    rewrite_constant_bounds, size, strip_params, substitute, to_nnf,
+    variables,
 )
 
 
@@ -79,6 +80,35 @@ def test_to_nnf_pushes_negation():
     assert phi == BoundedAlways(ConstBound(2), NegAtom("a"))
     phi = to_nnf(parse_formula("!!a"))
     assert phi == Atom("a")
+
+
+def test_deep_formulas_are_walked_without_recursion():
+    # Formulas built in code are not held to the parser's depth cap;
+    # 5,000 levels are past the interpreter's recursion limit.
+    nots = Atom("a")
+    for _ in range(5000):
+        nots = Not_(nots)
+    assert to_nnf(nots) == Atom("a")
+    assert to_nnf(Not_(nots)) == NegAtom("a")
+    assert str(nots) == "!" * 5000 + "a"
+    assert classify(nots) == FragmentClass.FULL
+    conj = Always(BoundedEventually(VarBound("x0"), Atom("a0")))
+    for i in range(1, 5000):
+        conj = And(conj, Always(BoundedEventually(VarBound("x%d" % i),
+                                                  Atom("a%d" % i))))
+    # Nothing to rewrite: every subtree is kept, not copied.
+    assert to_nnf(conj) is conj
+    text = str(conj)
+    assert text.startswith("(" * 4998 + "G F[<=x0] a0 & G F[<=x1] a1) & ")
+    assert text.endswith(") & G F[<=x4999] a4999")
+    assert classify(conj) == FragmentClass.GENERALIZED_BUCHI
+    assert genbuchi_pairs(conj) == [("x%d" % i, "a%d" % i)
+                                    for i in range(5000)]
+    disj = Atom("a0")
+    for i in range(1, 5000):
+        disj = Or(disj, Atom("a%d" % i))
+    assert str(to_nnf(Not_(disj))) == str(disj).replace(
+        "a", "!a").replace("|", "&")
 
 
 def test_nnf_rejects_negated_parametric():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import nnf_formulas
 from pltlcheck.formula import (
-    nesting_depth, parse_formula, rename_apart, rewrite_constant_bounds,
+    Not, nesting_depth, parse_formula, rename_apart, rewrite_constant_bounds,
     size, strip_params, substitute, to_nnf, unfolded_depth, unfolded_size,
 )
 from pltlcheck.oracle import LassoWord, eval_lasso
@@ -43,6 +43,15 @@ def test_constant_unfolding_keeps_truth(phi, val, word):
     ground = substitute(phi, val)
     assert eval_lasso(word, rewrite_constant_bounds(ground)) == \
         eval_lasso(word, ground)
+
+
+@PROPERTY
+@given(FORMULAS, VALUATIONS, WORDS)
+def test_nnf_of_a_negation_negates(phi, val, word):
+    # Bounds are constants once substituted, so every dual of the
+    # negation table applies: And/Or, U/R, F/G, X, F[<=c]/G[<=c].
+    psi = substitute(phi, val)
+    assert eval_lasso(word, to_nnf(Not(psi))) == (not eval_lasso(word, psi))
 
 
 @PROPERTY
