@@ -380,6 +380,12 @@ def _run_oracle_sample(args, rep):
     phi = to_nnf(_read_formula(args))
     val = parse_valuation(args.valuation)
     ground = substitute(phi, val)
+    # A count below 1 is the sampler's parse error, not this cap's.
+    letters = max(args.samples, 0) * max(args.horizon, 0)
+    if letters > oracle.MAX_SAMPLE_LETTERS:
+        raise diamond.ResourceLimitError(
+            "samples x horizon = %d exceeds the sampling cap of %d letters"
+            % (letters, oracle.MAX_SAMPLE_LETTERS))
     frac = oracle.sample_lower_bound(chain, ground, args.samples,
                                      args.horizon, args.seed)
     rep.add("samples", args.samples)

@@ -39,13 +39,14 @@ checks completeness only when it does not die, and only for the
 accepting SCCs with a node at or above a node of a bottom component's
 sets.
 
-Emptiness is decided in two steps over one tableau.  The NNF formula
-is monotone in its bounds, so phi[v] implies phi with every F[<=x] read
-as F (Kupferman, Piterman and Vardi, 2009).  A product with no
-counters, whose Buchi sets are the tableau's `acc_b` and `acc_p`, asks
-that formula first: probability zero proves V>0 empty, and below one
-proves V=1 empty.  Only when that does not decide does the product at
-the uniform witness bound run.  Both steps are exact.
+Emptiness is decided in three steps over one tableau.  The NNF
+formula is monotone in its bounds, so phi[v] implies phi with every
+F[<=x] read as F (Kupferman, Piterman and Vardi, 2009).  A product with
+no counters, whose Buchi sets are the tableau's `acc_b` and `acc_p`,
+asks that formula first: probability zero proves V>0 empty, and below
+one proves V=1 empty.  When that does not decide, the pair product
+(below) looks for a pump certificate, and only without one does the
+product at the uniform witness bound run.  All three steps are exact.
 
 The witness bound, and the top of the valuation search's box, is the
 paper's vbar = m * |phi| * 2^|phi|, a pigeonhole count over (chain
@@ -54,8 +55,14 @@ chain can reach (`pairs`), is asked first where a true answer settles
 the query: V is upward closed, so the uniform point at N0 in V proves
 V nonempty, and with one variable it bounds the search box at N0.  A
 false answer at N0 proves nothing, since no proof yet shows that N0
-can replace vbar, and the query goes on at vbar.  Products at N0 are
-far smaller: 3 to 8 pairs against 640 for G (!a | F[<=x] b) on
+can replace vbar.  The query then asks the pump (`_pump`) on the same
+pair product: a loop of chain steps along which every run of the
+counter product, at every valuation, goes ever longer without
+resetting some counter, so the runs die and V is empty.  That is the
+limitedness question of distance automata (Hashiguchi, 1982), checked
+on single loops, the first level of a stabilisation (Kirsten, 2005).
+Only without a certificate does the query go on at vbar.  Products at
+N0 are far smaller: 3 to 8 pairs against 640 for G (!a | F[<=x] b) on
 four-state chains.
 """
 
@@ -86,6 +93,9 @@ MAX_CLOSURE = 22  # atoms plus non-literal closure members
 # Tableau states built for the letters the chains emit; every free X, G,
 # U, R or F member can double them per atom mask.
 MAX_TABLEAU_STATES = 2 ** 14
+# (subset node, transfer relation) states one query's pump search may
+# build, over every loop and fibre it tries.
+PUMP_BUDGET = 5000
 
 
 class GAutomaton:
@@ -337,6 +347,23 @@ def _successor_constraint(h, steps):
     return mask, value
 
 
+def _pumps(x, relation, full):
+    """Does no cyclic SCC of the graph on the nodes `x`, with an edge
+    a -> y per relation entry (a, y, m), have every bit of `full` in the
+    union of its edges' masks m?"""
+    index = {a: n for n, a in enumerate(x)}
+    edges = [[] for _ in index]
+    for a, y, _ in relation:
+        edges[index[a]].append(index[y])
+    scc = markov._tarjan(len(index), edges)
+    masks = {}
+    for a, y, m in relation:
+        c = scc.component_of[index[a]]
+        if c == scc.component_of[index[y]]:
+            masks[c] = masks.get(c, 0) | m
+    return full not in masks.values()
+
+
 class UAutomaton:
     """Round-robin degeneralization of a GAutomaton.
 
@@ -454,10 +481,13 @@ class DiamondChecker:
     shared bound is applied to every occurrence.
 
     `shortcut` names the step that decided the last emptiness query
-    before the witness-bound product ("counter-free"), or is None.
-    `bound_used` is the uniform bound at which the last emptiness query
-    was decided, or the box top of the last valuation search; None when
-    the counter-free step decided.
+    or valuation search without the witness-bound product: the
+    counter-free product ("counter-free") or a pump certificate
+    ("pump"), or is None.  `bound_used` is the uniform bound at which
+    the last emptiness query was decided, or the box top of the last
+    valuation search; None when one of those steps decided.
+    `certificate` holds the pump's chain walks when it decided (see
+    `_pump`), else None.
     """
 
     def __init__(self, phi, max_product_nodes=DEFAULT_MAX_PRODUCT_NODES):
@@ -474,6 +504,7 @@ class DiamondChecker:
         self.stats = {"product_nodes": 0, "queries": 0}
         self.shortcut = None
         self.bound_used = None
+        self.certificate = None
 
     def _bounds(self, valuation):
         assign = valuation.assignment if hasattr(valuation, "assignment") \
@@ -574,11 +605,13 @@ class DiamondChecker:
         self.stats["product_nodes"] += len(nodes)
         return nodes, succ, len(initial)
 
-    def _least_subsets(self, chain, nodes, succ, start, inside, what):
+    def _least_subsets(self, chain, nodes, succ, start, inside, what,
+                       empty=False):
         """The subset construction over the product, on least-counter
         sets: the graph of subset nodes (chain state s, a set of node
         indices at s) reachable from `start`, as `_explore` returns it,
-        or None when some image is empty.
+        or None when some image is empty.  With `empty`, an empty image
+        is a subset node like any other.
 
         A subset node (s, X) steps, for each chain successor t of s, to
         (t, least(img_t(X))), where img_t(X) holds the successors at t
@@ -619,7 +652,9 @@ class DiamondChecker:
             for t in steps(s):
                 found = images.get(t)
                 if found is None:
-                    return None
+                    if not empty:
+                        return None
+                    found = ()
                 out.append((t, least(found)))
             return out
 
@@ -779,14 +814,207 @@ class DiamondChecker:
         Cutting a repeated pair out of a long streak works on a finite
         path at a uniform bound; a streak inside a bottom component
         cannot be cut, and with two variables at different bounds a cut
-        can join two short streaks into one too long.
+        can join two short streaks into one too long.  Where the answer
+        at N0 is false, `emptiness` and `min_set` ask the pump
+        (`_pump`) on this same product before the witness bound.
         """
+        product = self._pair_product(chain)
+        return None if product is None else len(product[0])
+
+    def _pair_product(self, chain):
+        """The product `pairs` counts, or None past the node cap."""
         try:
-            return len(self._product(chain, self.u, [])[0])
+            return self._product(chain, self.u, [])
         except TableauLimitError:
             raise
         except ResourceLimitError:
             return None
+
+    def _pump(self, chain, threshold, product):
+        """Does a pump certificate prove V>0 ("pos") or V=1 ("as1")
+        empty at every valuation?  `product` is the pair product of
+        `pairs`.  On success `shortcut` is "pump" and `certificate`
+        lists the certificate's chain walks (pi, gamma), one for "as1"
+        and one per certified fibre for "pos".
+
+        P is the pair product: the counter product with no counters, so
+        every run of the counter product at any valuation v projects to
+        a P-path along the same chain word.  T is the subset
+        construction over P (`_least_subsets`, where least keeps every
+        node, P having no counters): a subset node (s, X) steps along
+        each chain edge s -> t to t and the P-successors of X at t.
+        Walks pi and gamma are chain words: pi leads through T from the
+        start node to a node tau = (s, X), and gamma from tau back to
+        tau.
+
+        A pump.  gamma's transfer relation R holds (x, y, m) for x, y in
+        X when a P-path from x along gamma ends in y, m being the union,
+        over all such paths, of the variables reset on the way (those
+        whose parametric flag is set at a node the path enters).  gamma
+        pumps when, in the graph with an edge x -> y per entry, no
+        cyclic SCC has every variable in the union of its edges' masks.
+
+        - A pump kills every run.  Fix v and let w be its largest value.
+          A counter run along pi gamma^n projects to a P-path, at some
+          x_0 in X after pi (X holds every P-node that pi reaches) and
+          at x_j in X after j rounds of gamma, with (x_{j-1}, x_j, m_j)
+          in R and the run's resets in round j within m_j.  The walk
+          x_0 ... x_n stays in an SCC of the graph while it takes edges
+          inside it and never returns to one it left, so for n >=
+          |X| (w + 2) it takes w + 1 consecutive edges inside one SCC C,
+          which is then cyclic.  Some variable i is in no mask of C's
+          edges: the run resets i in none of those w + 1 rounds, each at
+          least one step long, so counter i passes w >= v_i and the run
+          dies.  An empty subset node reached by pi (a graph that dies)
+          kills every run along pi outright.
+        - "as1".  T starts at (init, the initial pairs), so pi gamma^n
+          is a chain path of positive probability along which no run of
+          the counter product survives: its tracking graph (`_holds`)
+          dies at v, and V=1 misses every v.
+        - "pos".  A complete accepting SCC K of the counter product at v
+          projects into one cyclic accepting SCC D of P: its projection
+          is strongly connected and keeps its U-states.  The chain
+          states K visits are closed under chain steps, since K can
+          follow each of them (`_complete`), and strongly connected: a
+          bottom SCC B of the chain, all of whose states D visits, and K
+          has a node at every state of B.  For each such D and B, T is
+          built from one fibre (s, D's pairs at s), s in B, with images
+          kept in D.  K's runs project into D, so a pump there gives a
+          chain word from s that no run inside K follows from K's nodes
+          at s: K is not complete.  A certified fibre for every such B
+          of every D leaves no complete accepting SCC at any v, and V>0
+          is empty.
+
+        The unions per (x, y) lose nothing: the argument reads only the
+        union over each SCC's edges, and relations compose as R_gd(x, z)
+        = OR over y of R_g(x, y) | R_d(y, z).  Each T-node tau of a
+        cyclic SCC of T is tried, those with the smallest sets first,
+        by a breadth-first closure over (T-node, relation) from (tau,
+        identity) inside tau's SCC, which stops at the first pump.  The
+        whole query may build PUMP_BUDGET such states; a spent budget,
+        or a subset graph past the node cap, is no certificate.
+        """
+        nodes, succ, n_initial = product
+        k, par = self.u.k, self.u.par
+        resets = [sum(f << i for i, f in enumerate(par[u // k]))
+                  for _, u, _ in nodes]
+        budget = [PUMP_BUDGET]
+
+        def pump(start, inside):
+            try:
+                return self._pump_walks(chain, nodes, succ, resets, start,
+                                        inside, budget)
+            except TableauLimitError:
+                raise
+            except ResourceLimitError:
+                return None
+
+        if threshold == "as1":
+            found = [pump([(chain.init, range(n_initial))], None)]
+        else:
+            found = []
+            scc = markov._tarjan(len(nodes), succ)
+            chain_scc = markov.scc_decompose(chain)
+            bottoms = [sorted(chain_scc.components[ci])
+                       for ci in chain_scc.bottom_components()]
+            for ci, comp in enumerate(scc.components):
+                if not scc.has_cycle[ci] or not any(
+                        self.u.is_buchi(nodes[i][1]) for i in comp):
+                    continue
+                fibres = {}
+                for i in comp:
+                    fibres.setdefault(nodes[i][0], []).append(i)
+                for bottom in bottoms:
+                    if all(s in fibres for s in bottom):
+                        for s in bottom:
+                            walks = pump([(s, fibres[s])], comp)
+                            if walks is not None or budget[0] <= 0:
+                                break
+                        found.append(walks)
+        if None in found:
+            return False
+        self.shortcut = "pump"
+        self.certificate = found
+        return True
+
+    def _pump_walks(self, chain, nodes, succ, resets, start, inside,
+                    budget):
+        """The walks (pi, gamma) of a pump in the subset graph from the
+        one subset node `start`, with images kept in `inside` (None: not
+        restricted), or None.  gamma is () when pi reaches an empty
+        set.  `budget[0]` counts down the states the search builds."""
+        t_nodes, t_succ = self._least_subsets(chain, nodes, succ, start,
+                                              inside, "pump graph", True)
+        parent, order = {0: None}, [0]
+        for i in order:
+            for j in t_succ[i]:
+                if j not in parent:
+                    parent[j] = i
+                    order.append(j)
+
+        def pi(i):
+            out = []
+            while i is not None:
+                out.append(t_nodes[i][0])
+                i = parent[i]
+            return tuple(out[::-1])
+
+        for i in order:
+            if not t_nodes[i][1]:
+                return pi(i), ()
+        scc = markov._tarjan(len(t_nodes), t_succ)
+        taus = sorted((len(t_nodes[i][1]), i)
+                      for ci, comp in enumerate(scc.components)
+                      if scc.has_cycle[ci] for i in comp)
+        for _, tau in taus:
+            if budget[0] <= 0:
+                return None
+            gamma = self._pump_loop(t_nodes, t_succ, scc.component_of, tau,
+                                    succ, resets, budget)
+            if gamma is not None:
+                return pi(tau), gamma
+        return None
+
+    def _pump_loop(self, t_nodes, t_succ, component_of, tau, succ, resets,
+                   budget):
+        """The chain states after tau of a pumping closed walk of the
+        subset graph through subset node tau, or None: a breadth-first
+        closure over (subset node, transfer relation from tau's set),
+        inside tau's SCC.  A relation is a set of (x, y, reset mask)
+        with one entry per (x, y)."""
+        full = (1 << len(self.u.var_names)) - 1
+        x = t_nodes[tau][1]
+        here = component_of[tau]
+        start = tau, frozenset((a, a, 0) for a in x)
+        parent = {start: None}
+        queue = [start]
+        for state in queue:
+            i, rel = state
+            for j in t_succ[i]:
+                if component_of[j] != here:
+                    continue
+                target = t_nodes[j][1]
+                moved = {}
+                for a, y, m in rel:
+                    for y2 in succ[y]:
+                        if y2 in target:
+                            moved[a, y2] = moved.get((a, y2), 0) | m \
+                                | resets[y2]
+                nxt = j, frozenset((a, y, m) for (a, y), m in moved.items())
+                if j == tau and _pumps(x, nxt[1], full):
+                    gamma = [t_nodes[j][0]]
+                    while state is not start:
+                        gamma.append(t_nodes[state[0]][0])
+                        state = parent[state]
+                    return tuple(gamma[::-1])
+                if nxt in parent:
+                    continue
+                parent[nxt] = state
+                budget[0] -= 1
+                if budget[0] <= 0:
+                    return None
+                queue.append(nxt)
+        return None
 
     def _counter_free_empty(self, chain, threshold):
         """Does the counter-free automaton prove V>0 (or V=1) empty?
@@ -821,22 +1049,28 @@ class DiamondChecker:
         """True iff V>0 ("pos") or V=1 ("as1") is empty.
 
         The counter-free product decides when it proves that.  Otherwise
-        the uniform point at N0 is asked when N0 < vbar, and when it is
-        not in V the point at vbar, the witness bound: V is nonempty iff
-        it holds that point.  `bound_used` is the last bound asked.
+        the uniform point at N0 is asked when N0 < vbar; when it is not
+        in V, a pump certificate on the pair product proves V empty,
+        and without one the point at vbar, the witness bound, decides:
+        V is nonempty iff it holds that point.  `bound_used` is the last
+        bound asked, None when the counter-free step or the pump
+        decided.
         """
-        self.bound_used = None
+        self.bound_used = self.certificate = None
         if self._counter_free_empty(chain, threshold):
             return True
         check = self.check_pos if threshold == "pos" else self.check_as1
         names = self.user_names
         n = self.vbar(chain)
-        n0 = self.pairs(chain) if names else None
-        if n0 is not None and n0 < n and check(
-                chain, dict.fromkeys(names, n0)):
-            self.bound_used = n0
-            return False
         if names:
+            product = self._pair_product(chain)
+            n0 = None if product is None else len(product[0])
+            if n0 is not None and n0 < n:
+                if check(chain, dict.fromkeys(names, n0)):
+                    self.bound_used = n0
+                    return False
+                if self._pump(chain, threshold, product):
+                    return True
             self.bound_used = n
         return not check(chain, dict.fromkeys(names, n))
 
@@ -848,10 +1082,12 @@ class DiamondChecker:
         lowered to the `bound` argument when a tighter enclosure of the
         minimal valuations is known.  With one variable the point N0 is
         asked first when it is below N, and lowers N to N0 when it is in
-        V.  The search asks each valuation at most once and the box top
-        first, so `stats["queries"]` counts the distinct valuations
-        asked, and a false top ends the search after one query.
-        `bound_used` is the box top searched.
+        V; when it is not, a pump certificate (`_pump`) returns the
+        empty set before any search.  The search asks each valuation at
+        most once and the box top first, so `stats["queries"]` counts
+        the distinct valuations asked, and a false top ends the search
+        after one query.  `bound_used` is the box top searched, None
+        when no search ran.
 
         Its callers are the CLI's Diamond `minset` (both thresholds),
         `fx.min_set_fx` at "as1" and `buchi.min_set_pos_genbuchi`; FX at
@@ -861,7 +1097,7 @@ class DiamondChecker:
         names = self.user_names
         if not names:
             raise FragmentError("formula has no parameter variables")
-        self.bound_used = None
+        self.bound_used = self.certificate = None
         if self._counter_free_empty(chain, threshold):
             return MinimalSet(names)
         n = self.vbar(chain) if bound is None else bound
@@ -873,9 +1109,13 @@ class DiamondChecker:
             return answers[point]
 
         if len(names) == 1:
-            n0 = self.pairs(chain)
-            if n0 is not None and n0 < n and oracle((n0,)):
-                n = n0
+            product = self._pair_product(chain)
+            n0 = None if product is None else len(product[0])
+            if n0 is not None and n0 < n:
+                if oracle((n0,)):
+                    n = n0
+                elif self._pump(chain, threshold, product):
+                    return MinimalSet(names)
         self.bound_used = n
         return bisection_min_set(oracle, (0,) * len(names),
                                  (n,) * len(names), names)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .formula import (
     And, Atom, Always, BoundedAlways, BoundedEventually, ConstBound,
     Eventually, FormulaError, NegAtom, Next, Or, Release, Until, VarBound,
-    variables,
+    children, subformulas, variables,
 )
 from .markov import ChainError, MarkovChain
 from .valuation import MinimalSet
@@ -27,6 +27,9 @@ CERTAIN_FALSE = "certainly-false"
 UNKNOWN = "unknown"
 
 MAX_LASSO_CONSTANT = 10 ** 5
+# Letters one `sample` run may draw, samples times horizon: a run at the
+# cap takes a few seconds and holds one horizon-long prefix at a time.
+MAX_SAMPLE_LETTERS = 10 ** 6
 
 
 class OracleInputError(ValueError):
@@ -66,56 +69,79 @@ def eval_prefix(prefix, phi):
     """Three-valued verdict of a variable-free NNF formula on a prefix.
 
     certainly-true / certainly-false mean every / no infinite extension
-    of the prefix satisfies the formula.
+    of the prefix satisfies the formula.  Each subformula gets a table
+    of verdicts per position, children first, filled from the last
+    position back, so no call nests once per position; past the prefix
+    every verdict is unknown.
     """
     prefix = [frozenset(p) for p in prefix]
-    memo = {}
+    if not prefix:
+        return UNKNOWN
+    tables = {}
+    for f in subformulas(phi, postorder=True):
+        if id(f) not in tables:
+            tables[id(f)] = _prefix_table(f, prefix, tables)
+    return tables[id(phi)][0]
 
-    def ev(i, f):
-        key = (i, id(f))
-        if key in memo:
-            return memo[key]
-        memo[key] = r = _ev(i, f)
-        return r
 
-    def _ev(i, f):
-        if i >= len(prefix):
-            return UNKNOWN
-        if isinstance(f, Atom):
-            return CERTAIN_TRUE if f.name in prefix[i] else CERTAIN_FALSE
-        if isinstance(f, NegAtom):
-            return CERTAIN_FALSE if f.name in prefix[i] else CERTAIN_TRUE
-        if isinstance(f, And):
-            return _and3(ev(i, f.left), ev(i, f.right))
-        if isinstance(f, Or):
-            return _or3(ev(i, f.left), ev(i, f.right))
-        if isinstance(f, Next):
-            return ev(i + 1, f.child)
-        if isinstance(f, Until):
-            return _or3(ev(i, f.right),
-                        _and3(ev(i, f.left), ev(i + 1, f)))
-        if isinstance(f, Release):
-            return _and3(ev(i, f.right),
-                         _or3(ev(i, f.left), ev(i + 1, f)))
-        if isinstance(f, Eventually):
-            return _or3(ev(i, f.child), ev(i + 1, f))
-        if isinstance(f, Always):
-            return _and3(ev(i, f.child), ev(i + 1, f))
-        if isinstance(f, BoundedEventually):
-            c = _const(f)
-            out = CERTAIN_FALSE if i + c < len(prefix) else UNKNOWN
-            for j in range(i, min(i + c, len(prefix) - 1) + 1):
-                out = _or3(out, ev(j, f.child))
-            return out
-        if isinstance(f, BoundedAlways):
-            c = _const(f)
-            out = CERTAIN_TRUE if i + c < len(prefix) else UNKNOWN
-            for j in range(i, min(i + c, len(prefix) - 1) + 1):
-                out = _and3(out, ev(j, f.child))
-            return out
+def _prefix_table(f, prefix, tables):
+    """f's verdicts at positions 0..n of the prefix, the last one past
+    its end, from its children's tables."""
+    n = len(prefix)
+    if isinstance(f, (Atom, NegAtom)):
+        hit = CERTAIN_TRUE if isinstance(f, Atom) else CERTAIN_FALSE
+        miss = _not3(hit)
+        return [hit if f.name in p else miss for p in prefix] + [UNKNOWN]
+    kids = [tables[id(c)] for c in children(f)]
+    if isinstance(f, (And, Or)):
+        op = _and3 if isinstance(f, And) else _or3
+        return [op(a, b) for a, b in zip(*kids)]
+    if isinstance(f, Next):
+        return kids[0][1:] + [UNKNOWN]
+    if isinstance(f, (BoundedEventually, BoundedAlways)):
+        return _window(kids[0], _const(f),
+                       CERTAIN_TRUE if isinstance(f, BoundedEventually)
+                       else CERTAIN_FALSE)
+    # U, R, F and G unfold one step: f = now op1 (hold op2 f at i + 1).
+    if isinstance(f, Until):
+        hold, now, op1, op2 = kids[0], kids[1], _or3, _and3
+    elif isinstance(f, Release):
+        hold, now, op1, op2 = kids[0], kids[1], _and3, _or3
+    elif isinstance(f, Eventually):
+        hold, now, op1, op2 = None, kids[0], _or3, _and3
+    elif isinstance(f, Always):
+        hold, now, op1, op2 = None, kids[0], _and3, _or3
+    else:
         raise FormulaError("unsupported node %r" % (f,))
+    out = [UNKNOWN] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        later = out[i + 1] if hold is None else op2(hold[i], out[i + 1])
+        out[i] = op1(now[i], later)
+    return out
 
-    return ev(0, phi)
+
+def _window(child, c, decisive):
+    """F[<=c] (decisive certainly-true) or G[<=c] (certainly-false) of
+    a child's table: decisive when the child is somewhere in the window
+    i..i+c, unknown when some position there is unknown or the window
+    runs past the prefix, else the other verdict."""
+    n = len(child) - 1
+    other = _not3(decisive)
+    out = [UNKNOWN] * (n + 1)
+    next_hit = next_open = n + 1
+    for i in range(n - 1, -1, -1):
+        if child[i] == decisive:
+            next_hit = i
+        elif child[i] == UNKNOWN:
+            next_open = i
+        last = i + c
+        if next_hit <= min(last, n - 1):
+            out[i] = decisive
+        elif last >= n or next_open <= last:
+            out[i] = UNKNOWN
+        else:
+            out[i] = other
+    return out
 
 
 def _const(f):

@@ -547,6 +547,55 @@ def reference_holds(checker, chain, threshold, u_aut, bounds,
                for ci in scc.bottom_components()), graphs
 
 
+def reference_pump_kills(checker, chain, threshold, v):
+    """Replay `checker.certificate`, the chain walks (pi, gamma) of the
+    pump that settled its last query, on the counter product at the
+    uniform valuation v: True when the runs die as it claims.
+
+    The sets are plain sets of product nodes, stepped along pi gamma^n
+    for n = (N0 + 1) (v + 2) rounds, enough for any pump.  "as1": the
+    runs from the initial nodes die.  "pos": every cyclic accepting SCC
+    K is incomplete: K cannot follow some chain step out of the chain
+    states it visits, or some walk from one of those states kills every
+    run inside K from K's nodes there.
+    """
+    nodes, succ, n_initial = checker._product(
+        chain, checker.u, [v] * len(checker.u.var_names))
+    rounds = (checker.pairs(chain) + 1) * (v + 2)
+
+    def dies(alive, inside, pi, gamma):
+        word = list(pi) + list(gamma) * rounds
+        if gamma and gamma[-1] != pi[-1]:
+            raise AssertionError("gamma does not close at pi's end")
+        for s, t in zip(word, word[1:]):
+            if t not in chain.successors(s):
+                raise AssertionError("%d -> %d is no chain step" % (s, t))
+            alive = {j for i in alive for j in succ[i]
+                     if nodes[j][0] == t and j in inside}
+            if not alive:
+                return True
+        return not alive
+
+    walks = checker.certificate
+    if threshold == "as1":
+        (pi, gamma), = walks
+        return pi[0] == chain.init and dies(
+            set(range(n_initial)), range(len(nodes)), pi, gamma)
+    scc = _tarjan(len(nodes), succ)
+    for ci, comp in enumerate(scc.components):
+        if not scc.has_cycle[ci] or not any(
+                checker.u.is_buchi(nodes[i][1]) for i in comp):
+            continue
+        states = {nodes[i][0] for i in comp}
+        if any(t not in states for s in states for t in chain.successors(s)):
+            continue
+        if not any(pi[0] in states and dies(
+                {i for i in comp if nodes[i][0] == pi[0]}, comp, pi, gamma)
+                for pi, gamma in walks):
+            return False
+    return True
+
+
 def reference_least(nodes, alive):
     """The nodes (s, u, c) of `alive`, indices into the product's
     `nodes`, with no other node of `alive` at the same U-state and

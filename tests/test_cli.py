@@ -98,6 +98,27 @@ def test_oracle_sample_deterministic(coin):
     assert "positive-probability-certified: yes" in first[1]
 
 
+def test_oracle_sample_long_horizon(coin):
+    # The prefix evaluator fills its tables from the last position back;
+    # a call per position passed the recursion limit at 600.
+    code, out, err = _run(["oracle", "sample", "--chain", coin,
+                           "--formula", "G b", "--samples", "1",
+                           "--horizon", "5000"])
+    assert (code, err) == (0, "")
+    assert "certain-fraction: 0" in out.splitlines()
+
+
+def test_oracle_sample_cap(coin):
+    start = time.perf_counter()
+    code, out, err = _run(["oracle", "sample", "--chain", coin,
+                           "--formula", "F[<=x] a", "--valuation", "x=1",
+                           "--samples", "1", "--horizon", "100000000"])
+    assert (code, out) == (3, "")
+    assert err == ("resource limit: samples x horizon = 100000000 exceeds "
+                   "the sampling cap of 1000000 letters\n")
+    assert time.perf_counter() - start < 5
+
+
 def test_oracle_lasso_eval():
     code, out, _ = _run(["oracle", "lasso-eval", "--formula", "G F[<=x] a",
                          "--valuation", "x=1", "--stem", "b",

@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 from helpers import (
     lasso_chain, nnf_formulas, random_chain, random_diamond_formula,
     random_fx_formula, random_letters, reference_holds, reference_least,
-    reference_tableau, until_chain,
+    reference_pump_kills, reference_tableau, until_chain,
 )
 from pltlcheck import diamond
 from pltlcheck.diamond import (
-    DiamondChecker, ResourceLimitError, UAutomaton, format_automaton,
+    PUMP_BUDGET, DiamondChecker, ResourceLimitError, UAutomaton,
+    format_automaton,
 )
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import (
     Always, And, BoundedEventually, Eventually, Or, Release, Until, VarBound,
-    closure, parse_formula, size, strip_params, substitute, to_nnf, variables,
+    _map, closure, parse_formula, size, strip_params, substitute, to_nnf,
+    variables,
 )
 from pltlcheck.markov import MarkovChain, _tarjan, parse_chain
 from pltlcheck.oracle import (
@@ -529,9 +531,19 @@ def test_counter_free_step_falls_through():
     assert not ck.emptiness(c, "pos")
     assert ck.shortcut is None and ck.stats["queries"] == 1
     # F a holds almost surely, F[<=x] a at no valuation: the point at N0
-    # is not in V=1, and the witness bound decides.
+    # is not in V=1, and the pump on the coin's self-loop decides before
+    # the witness bound.
+    asked = []
+    check = ck.check_as1
+
+    def spy(chain, valuation):
+        asked.append(valuation["x"])
+        return check(chain, valuation)
+    ck.check_as1 = spy
     assert ck.emptiness(c, "as1")
-    assert ck.shortcut is None and ck.stats["queries"] == 3
+    assert asked == [ck.pairs(c)] and ck.stats["queries"] == 2
+    assert ck.shortcut == "pump" and ck.bound_used is None
+    assert ck.certificate == [((0,), (0,))]
     # Without parameters there is nothing to strip.
     ck = DiamondChecker(parse_formula("G F b"))
     assert ck.emptiness(c, "pos")
@@ -643,21 +655,32 @@ def test_min_set_matches_search_at_vbar(left, right, op, outer, y, seed):
         assume(False)
 
 
-def test_response_min_set_asks_the_pair_count_first():
+def _response_chain():
+    """Four states where b follows a after two steps, or after any
+    number of steps in state 2."""
+    half = Fraction(1, 2)
+    return MarkovChain(4, 0, [{1: half, 2: half}, {3: Fraction(1)},
+                              {2: half, 3: half}, {3: Fraction(1)}],
+                       [{"a"}, set(), set(), {"b"}])
+
+
+def test_response_min_set_asks_the_pair_count_first(monkeypatch):
     # G (!a | F[<=x] b) on a four-state chain where b follows a after two
     # steps, or after any number of steps in state 2: V>0 = {x >= 2} and
     # V=1 is empty.  vbar is 4 * 5 * 2^5 = 640.  At ">0" the point N0 is
     # in V and caps the search there.  At "=1" F b holds almost surely,
     # so the counter-free step does not decide, N0 is not in V, and the
-    # box top vbar is asked.
-    half = Fraction(1, 2)
-    c = MarkovChain(4, 0, [{1: half, 2: half}, {3: Fraction(1)},
-                           {2: half, 3: half}, {3: Fraction(1)}],
-                    [{"a"}, set(), set(), {"b"}])
+    # pump on state 2's self-loop settles the search before vbar.  With
+    # the pump's budget spent, the box top vbar is asked.
+    c = _response_chain()
     phi = parse_formula("G (!a | F[<=x] b)")
     n0 = DiamondChecker(phi).pairs(c)
     assert n0 < 640
-    for threshold, expected, top in (("pos", [(2,)], n0), ("as1", [], 640)):
+    cases = (("pos", [(2,)], n0, None, PUMP_BUDGET),
+             ("as1", [], None, "pump", PUMP_BUDGET),
+             ("as1", [], 640, None, 0))
+    for threshold, expected, top, shortcut, budget in cases:
+        monkeypatch.setattr(diamond, "PUMP_BUDGET", budget)
         ck = DiamondChecker(phi)
         asked = []
         check = ck.check_pos if threshold == "pos" else ck.check_as1
@@ -667,10 +690,124 @@ def test_response_min_set_asks_the_pair_count_first():
             return check(chain, valuation)
         setattr(ck, "check_" + threshold, spy)
         assert list(ck.min_set(c, threshold).points) == expected
-        assert asked[0] == n0 and max(asked) == top == ck.bound_used
+        assert asked[0] == n0 and ck.bound_used == top
+        assert ck.shortcut == shortcut
+        if top is None:
+            assert asked == [n0]
+        else:
+            assert max(asked) == top
         assert ck.stats["queries"] == len(asked) == len(set(asked))
         assert list(DiamondChecker(phi).min_set(c, threshold, bound=640)
                     .points) == expected
+
+
+def _pump_draw(rng, names):
+    """G l, l U r or l & G r over two random Diamond formulas, whose
+    bounds cycle through `names`; redrawn until every name occurs."""
+    while True:
+        counter = [0]
+        left = random_diamond_formula(rng, size_budget=3, counter=counter)
+        right = random_diamond_formula(rng, size_budget=3, counter=counter)
+        phi = rng.choice((Always(left), Until(left, right),
+                          And(left, Always(right))))
+        phi = _map(phi, lambda f: BoundedEventually(
+            VarBound(names[int(f.bound.name[1:]) % len(names)]), f.child)
+            if isinstance(f, BoundedEventually) else f)
+        if sorted(variables(phi)) == sorted(names):
+            return phi
+
+
+def test_pump_certificate_implies_empty_at_vbar():
+    # Seeded draws over both thresholds and one and two variables.  Each
+    # certificate is replayed on the counter product at v = 0..3 by a
+    # reference that shares no code with the subset constructions, and
+    # is checked against the verdict at vbar where that product stays
+    # under its cap.
+    rng = random.Random(7)
+    pumped = confirmed = 0
+    for draw in range(200):
+        phi = _pump_draw(rng, "xy"[:1 + draw % 2])
+        c = random_chain(rng, max_states=4)
+        for threshold in ("pos", "as1"):
+            ck = DiamondChecker(phi, max_product_nodes=20000)
+            try:
+                empty = ck.emptiness(c, threshold)
+            except ResourceLimitError:
+                continue
+            if ck.shortcut != "pump":
+                assert ck.certificate is None
+                continue
+            assert empty and ck.bound_used is None
+            pumped += 1
+            for v in range(4):
+                assert reference_pump_kills(ck, c, threshold, v), \
+                    (phi, threshold, v, c.rows, c.labels, c.init)
+            ref = DiamondChecker(phi, max_product_nodes=50000)
+            check = ref.check_pos if threshold == "pos" else ref.check_as1
+            try:
+                assert not check(c, dict.fromkeys(ref.user_names,
+                                                  ref.vbar(c))), \
+                    (phi, threshold, c.rows, c.labels, c.init)
+            except ResourceLimitError:
+                continue
+            confirmed += 1
+    assert pumped >= 30 and confirmed >= 15, (pumped, confirmed)
+
+
+@pytest.mark.parametrize("formula, threshold, chain", [
+    ("G (!a | F[<=x] b)", "pos", _response_chain()),
+    ("F[<=x] G a", "pos", coin_chain()),
+    ("G F[<=x] a", "as1", MarkovChain(
+        3, 0, [{1: Fraction(1)}, {2: Fraction(1)}, {0: Fraction(1)}],
+        [{"a"}, set(), set()])),
+    ("F[<=x] a & G F[<=y] a", "pos", coin_chain()),
+])
+def test_pump_never_runs_when_n0_is_in_v(monkeypatch, formula, threshold,
+                                         chain):
+    def pump(self, chain, threshold, product):
+        raise AssertionError("pump asked after a true answer at N0")
+    monkeypatch.setattr(DiamondChecker, "_pump", pump)
+    ck = DiamondChecker(parse_formula(formula))
+    assert not ck.emptiness(chain, threshold)
+    assert ck.bound_used == ck.pairs(chain) < ck.vbar(chain)
+    if len(ck.user_names) == 1:
+        assert len(ck.min_set(chain, threshold)) == 1
+        assert ck.bound_used == ck.pairs(chain)
+
+
+def test_spent_pump_budget_falls_through_to_vbar(monkeypatch):
+    # F[<=x] a at "=1" on the coin chain: N0 is not in V, and the pump
+    # settles the query unless its budget is spent before any loop.
+    c = coin_chain()
+    phi = parse_formula("F[<=x] a")
+    ck = DiamondChecker(phi)
+    assert ck.emptiness(c, "as1") and ck.shortcut == "pump"
+    monkeypatch.setattr(diamond, "PUMP_BUDGET", 0)
+    ck = DiamondChecker(phi)
+    assert ck.emptiness(c, "as1")
+    assert ck.shortcut is None and ck.certificate is None
+    assert ck.bound_used == ck.vbar(c) and ck.stats["queries"] == 2
+    assert len(ck.min_set(c, "as1")) == 0 and ck.bound_used == ck.vbar(c)
+
+
+def test_pump_certifies_dying_subset_graphs():
+    # G b fails in state 1, which every path reaches.  At "=1" the pair
+    # product's tracking graph dies one step after it (a tableau state
+    # with G b but not b is built, and has no successor), so the walk
+    # needs no loop.  At ">0" the accepting pair component stays in state 0,
+    # which holds no bottom component of the chain, so no fibre needs a
+    # certificate.  The pump is asked directly: the counter-free step
+    # decides both before it.
+    half = Fraction(1, 2)
+    c = MarkovChain(2, 0, [{0: half, 1: half}, {1: Fraction(1)}],
+                    [{"b"}, {"a"}])
+    ck = DiamondChecker(parse_formula("F[<=x] a & G b"))
+    product = ck._product(c, ck.u, [])
+    for threshold, walks in (("as1", [((0, 1, 1), ())]), ("pos", [])):
+        assert ck._pump(c, threshold, product)
+        assert ck.certificate == walks and ck.shortcut == "pump"
+        for v in range(4):
+            assert reference_pump_kills(ck, c, threshold, v)
 
 
 def _detour_chain(detours):

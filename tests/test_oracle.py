@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_chain, random_diamond_formula, random_letters
+from helpers import (
+    nnf_formulas, random_chain, random_diamond_formula, random_letters,
+)
 from pltlcheck import diamond, fx, oracle
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import (
@@ -61,6 +65,24 @@ def test_prefix_and_lasso_agree():
         if verdict != UNKNOWN:
             assert (verdict == CERTAIN_TRUE) == eval_lasso(word, ground)
         n += 1
+
+
+LETTERS = st.frozensets(st.sampled_from("ab"))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(nnf_formulas(max_leaves=5), st.lists(LETTERS, max_size=3),
+       st.lists(LETTERS, min_size=1, max_size=3), st.integers(0, 3),
+       st.integers(1, 10))
+def test_short_prefixes_agree_with_the_lasso(phi, stem, loop, v, length):
+    # Every node kind, on prefixes of any length: windows of F[<=c] and
+    # G[<=c] that run past the prefix, and U, R, F, G filled from the
+    # last position back.
+    ground = substitute(phi, dict.fromkeys(variables(phi), v))
+    word = LassoWord(tuple(stem), tuple(loop))
+    verdict = eval_prefix((stem + loop * length)[:length], ground)
+    if verdict != UNKNOWN:
+        assert (verdict == CERTAIN_TRUE) == eval_lasso(word, ground)
 
 
 def test_sample_lower_bound_deterministic():
