@@ -13,15 +13,18 @@ Exit codes: 0 decided, 2 usage error, 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import decimal
 import functools
 import sys
+import types
 
-from . import buchi, diamond, fixtures, fx, oracle, reach
+from . import buchi, diamond, fixtures, fx, markov, oracle, reach
 from .formula import (
     FormulaError, FragmentClass, FragmentError, ParseError, classify,
-    genbuchi_pairs, parse_formula, substitute, to_nnf, variables,
+    genbuchi_pairs, parse_formula, substitute, to_nnf, unfolded_size,
+    variables,
 )
 from .markov import _MAX_EXPONENT, ChainError, parse_chain, read_fraction
 from .oracle import LassoWord, OracleInputError
@@ -173,8 +176,9 @@ class Report:
     def add(self, key, value):
         self.lines.append("%s: %s" % (key, value))
 
-    def set_result(self, lines):
-        self.result = list(lines)
+    def answer(self, key, text):
+        self.add(key, text)
+        self.result = [text]
 
     def emit(self, out):
         for line in self.lines:
@@ -197,20 +201,21 @@ def _maybe_emit(args, checker):
 
 
 def _read_query(args, rep):
-    """Read, classify and report a check, minset or member query.
+    """Read, classify and report a check, minset or member query, and
+    find its route in `ROUTES`; only Reach answers ">=p".
 
-    Returns (chain, NNF formula, threshold kind, p, fragment, valuation);
-    the valuation is None except for member, where it must assign every
-    variable.  Only Reach answers ">=p".
+    Returns the query's fields.  `val` is None except for member, where
+    it must assign every variable; `checker` is None until `_engine`.
     """
     chain = _read_chain(args)
     phi = to_nnf(_read_formula(args))
     kind, p = _parse_threshold(args.threshold)
     fragment = classify(phi)
+    names = variables(phi)
     val = None
     if args.command == "member":
         val = parse_valuation(args.valuation)
-        missing = [x for x in variables(phi) if x not in val]
+        missing = [x for x in names if x not in val]
         if missing:
             raise UsageError("valuation misses variables: %s"
                              % ", ".join(missing))
@@ -218,139 +223,137 @@ def _read_query(args, rep):
     rep.add("threshold", args.threshold.strip())
     if val is not None:
         rep.add("valuation", val)
-    if kind == "geq" and fragment != FragmentClass.REACH:
+    if (fragment, kind) not in ROUTES:
         raise FragmentError(
             'threshold ">=p" is only supported for single reachability '
             'formulas F[<=x] a; use ">0" or "=1" here')
-    return chain, phi, kind, p, fragment, val
+    return types.SimpleNamespace(
+        args=args, rep=rep, chain=chain, phi=phi, kind=kind, p=p,
+        names=names, val=val, route=ROUTES[fragment, kind], checker=None)
 
 
-def _closed_form(kind, chain, phi, fragment, p, max_nodes):
-    """Minimal valuations for the pairs answered without the general
-    engine, or None for every other (fragment, threshold).
+def _engine(q):
+    """The general engine's checker for query q, built on first use."""
+    if q.checker is None:
+        q.checker = diamond.DiamondChecker(q.phi, q.args.max_product_nodes)
+    return q.checker
 
-    Reach at every threshold and Buchi at ">0" and "=1" have one
-    variable and at most one minimal bound; GeneralizedBuchi at "=1" has
-    at most one point, the per-conjunct almost-sure minima.  FX at ">0"
-    gets the front of the label-setting search, which counts its labels
-    against `max_nodes`; with no variables that front is empty or the
-    one zero-dimensional point.
-    """
-    names = variables(phi)
-    if fragment == FragmentClass.REACH:
-        prop = phi.child.name
-        if kind == "pos":
-            n0 = reach.min_val_pos(chain, prop)
-        elif kind == "as1":
-            n0 = reach.min_val_as1(chain, prop)
-        else:
-            n0 = reach.min_val_geq(chain, prop, p)
-    elif fragment == FragmentClass.BUCHI:
-        prop = phi.child.child.name
-        if kind == "pos":
-            n0 = buchi.min_val_pos_buchi(chain, prop)
-        else:
-            n0 = buchi.min_val_as1_buchi(chain, prop)
-    elif fragment == FragmentClass.GENERALIZED_BUCHI and kind == "as1":
-        return buchi.min_set_as1_genbuchi(chain, genbuchi_pairs(phi), names)
-    elif fragment == FragmentClass.FX and kind == "pos":
-        return fx.min_set_fx(chain, phi, kind, max_nodes=max_nodes)
-    else:
-        return None
-    return MinimalSet(names, [] if n0 is None else [(n0,)])
+
+def _one(q, n0):
+    """The minimal set of a one-variable closed form: n0, or none."""
+    return MinimalSet(q.names, [] if n0 is None else [(n0,)])
+
+
+def _minimum(q, bare=True):
+    """Emptiness read off the minimal set, printing its least point."""
+    ms = q.route.min_set(q)
+    if ms:
+        q.rep.add("minimum", ms.points[0][0] if bare else ms.valuations()[0])
+    return not ms
+
+
+def _fx_check(q):
+    empty, witness_val, path = fx.emptiness_pos_fx(
+        q.chain, q.phi, q.args.max_product_nodes)
+    if not empty:
+        q.rep.add("witness-valuation", Valuation(witness_val))
+        if q.args.witness:
+            q.rep.add("witness-path", " ".join(map(str, path)))
+    return empty
+
+
+def _engine_check(q):
+    checker = _engine(q)
+    empty = checker.emptiness(q.chain, q.kind)
+    if not empty:
+        # The uniform point the emptiness query found in V.
+        q.rep.add("witness-valuation", Valuation(dict.fromkeys(
+            checker.user_names, checker.bound_used)))
+    if checker.bound_used is not None:
+        q.rep.add("bound", checker.bound_used)
+    q.rep.add("product-nodes", checker.stats["product_nodes"])
+    if checker.shortcut:
+        q.rep.add("shortcut", checker.shortcut)
+    return empty
+
+
+Route = collections.namedtuple("Route", "min_set check member",
+                               defaults=(None, None))
+_GENERAL = Route(lambda q: _engine(q).min_set(q.chain, q.kind), _engine_check,
+                 lambda q: _engine(q).member(q.chain, q.kind, q.val))
+_F = FragmentClass
+
+# (fragment, threshold kind) -> Route: minimal valuations, check and
+# member of the query from `_read_query`.  A None check is `_minimum`; a
+# None member tests the valuation against the minimal set.  Engines are
+# looked up when a route runs, so a replaced module attribute is called.
+ROUTES = {
+    (_F.REACH, "pos"): Route(
+        lambda q: _one(q, reach.min_val_pos(q.chain, q.phi.child.name))),
+    (_F.REACH, "as1"): Route(
+        lambda q: _one(q, reach.min_val_as1(q.chain, q.phi.child.name))),
+    # member steps n times; the minimum would also solve for the limit.
+    (_F.REACH, "geq"): Route(
+        lambda q: _one(q, reach.min_val_geq(q.chain, q.phi.child.name, q.p)),
+        member=lambda q: reach.check_geq(q.chain, q.phi.child.name, q.p,
+                                         q.val[q.names[0]])),
+    (_F.BUCHI, "pos"): Route(lambda q: _one(q, buchi.min_val_pos_buchi(
+        q.chain, q.phi.child.child.name))),
+    (_F.BUCHI, "as1"): Route(lambda q: _one(q, buchi.min_val_as1_buchi(
+        q.chain, q.phi.child.child.name))),
+    (_F.GENERALIZED_BUCHI, "pos"): Route(
+        lambda q: buchi.min_set_pos_genbuchi(q.chain, genbuchi_pairs(q.phi),
+                                             _engine(q)),
+        lambda q: buchi.emptiness_pos_genbuchi(
+            q.chain, [a for _, a in genbuchi_pairs(q.phi)]),
+        _GENERAL.member),
+    (_F.GENERALIZED_BUCHI, "as1"): Route(
+        lambda q: buchi.min_set_as1_genbuchi(q.chain, genbuchi_pairs(q.phi),
+                                             q.names),
+        lambda q: _minimum(q, bare=False)),
+    # Check needs only emptiness and a shortest path, not the front.
+    (_F.FX, "pos"): Route(
+        lambda q: fx.min_set_fx(q.chain, q.phi, q.args.max_product_nodes),
+        _fx_check),
+    # The box m * |phi|, constant bounds unfolded (see `fx`).
+    (_F.FX, "as1"): _GENERAL._replace(min_set=lambda q: _engine(q).min_set(
+        q.chain, "as1", q.chain.m * unfolded_size(q.phi))),
+    (_F.DIAMOND, "pos"): _GENERAL,
+    (_F.DIAMOND, "as1"): _GENERAL,
+}
 
 
 def _run_check(args, rep):
-    chain, phi, kind, p, fragment, _ = _read_query(args, rep)
-    checker = None
-    # FX at ">0" needs only emptiness and a shortest path, not the front.
-    ms = (None if fragment == FragmentClass.FX else
-          _closed_form(kind, chain, phi, fragment, p, args.max_product_nodes))
-    if ms is not None:
-        empty = len(ms) == 0
-        if not empty:
-            # Reach and Buchi print the bound alone.
-            rep.add("minimum", ms.valuations()[0]
-                    if fragment == FragmentClass.GENERALIZED_BUCHI
-                    else ms.points[0][0])
-    elif fragment == FragmentClass.GENERALIZED_BUCHI:
-        empty = buchi.emptiness_pos_genbuchi(
-            chain, [a for _, a in genbuchi_pairs(phi)])
-    elif fragment == FragmentClass.FX and kind == "pos":
-        empty, witness_val, path = fx.emptiness_pos_fx(
-            chain, phi, args.max_product_nodes)
-        if not empty:
-            rep.add("witness-valuation", Valuation(witness_val))
-            if args.witness:
-                rep.add("witness-path", " ".join(map(str, path)))
-    else:
-        checker = diamond.DiamondChecker(phi, args.max_product_nodes)
-        empty = checker.emptiness(chain, kind)
-        if not empty:
-            # The uniform point the emptiness query found in V.
-            rep.add("witness-valuation", Valuation(dict.fromkeys(
-                checker.user_names, checker.bound_used)))
-        if checker.bound_used is not None:
-            rep.add("bound", checker.bound_used)
-        rep.add("product-nodes", checker.stats["product_nodes"])
-        if checker.shortcut:
-            rep.add("shortcut", checker.shortcut)
-    _maybe_emit(args, checker)
-    rep.add("verdict", "empty" if empty else "nonempty")
-    rep.set_result(["empty" if empty else "nonempty"])
+    q = _read_query(args, rep)
+    empty = (q.route.check or _minimum)(q)
+    _maybe_emit(args, q.checker)
+    rep.answer("verdict", "empty" if empty else "nonempty")
 
 
 def _run_minset(args, rep):
-    chain, phi, kind, p, fragment, _ = _read_query(args, rep)
-    if not variables(phi):
+    q = _read_query(args, rep)
+    if not q.names:
         raise UsageError("formula has no parameter variables")
-    checker = None
-    ms = _closed_form(kind, chain, phi, fragment, p, args.max_product_nodes)
-    if ms is None:
-        checker = diamond.DiamondChecker(phi, args.max_product_nodes)
-        if fragment == FragmentClass.GENERALIZED_BUCHI:
-            ms = buchi.min_set_pos_genbuchi(chain, genbuchi_pairs(phi),
-                                            checker)
-        elif fragment == FragmentClass.FX:
-            ms = fx.min_set_fx(chain, phi, kind, checker)
-        else:
-            ms = checker.min_set(chain, kind)
-        if checker.bound_used is not None:
-            rep.add("bound", checker.bound_used)
-        rep.add("oracle-calls", checker.stats["queries"])
-    _maybe_emit(args, checker)
+    ms = q.route.min_set(q)
+    if q.checker is not None:
+        if q.checker.bound_used is not None:
+            rep.add("bound", q.checker.bound_used)
+        rep.add("oracle-calls", q.checker.stats["queries"])
+    _maybe_emit(args, q.checker)
     rep.add("cardinality", len(ms))
     for v in ms.valuations():
         rep.add("minimal", v)
-    rep.set_result([str(v) for v in ms.valuations()])
+    rep.result = [str(v) for v in ms.valuations()]
 
 
 def _run_member(args, rep):
-    chain, phi, kind, p, fragment, val = _read_query(args, rep)
-    checker = None
-    if kind == "geq":
-        # n steps of the bounded probability; the minimum would also
-        # solve the unbounded system.
-        verdict = reach.check_geq(chain, phi.child.name, p,
-                                  val[phi.bound.name])
+    q = _read_query(args, rep)
+    if q.route.member:
+        verdict = q.route.member(q)
     else:
-        ms = _closed_form(kind, chain, phi, fragment, p,
-                          args.max_product_nodes)
-        if ms is not None:
-            verdict = ms.member([val[x] for x in ms.names])
-        else:
-            checker = diamond.DiamondChecker(phi, args.max_product_nodes)
-            n = checker.vbar(chain)
-            if all(val[x] >= n for x in checker.user_names):
-                # V is upward closed and nonempty iff it holds the
-                # uniform point at vbar, so a point at or above vbar
-                # answers as that one does, at a bounded cost.
-                val = dict.fromkeys(checker.user_names, n)
-            check = checker.check_pos if kind == "pos" else checker.check_as1
-            verdict = check(chain, val)
-    _maybe_emit(args, checker)
-    rep.add("member", "true" if verdict else "false")
-    rep.set_result(["true" if verdict else "false"])
+        verdict = q.route.min_set(q).member([q.val[x] for x in q.names])
+    _maybe_emit(args, q.checker)
+    rep.answer("member", "true" if verdict else "false")
 
 
 def _run_prob(args, rep):
@@ -365,14 +368,12 @@ def _run_prob(args, rep):
     name = phi.bound.name
     if name not in val:
         raise UsageError("valuation misses variable %r" % name)
-    from .markov import bounded_reach_prob
-    prop = phi.child.name
-    value = bounded_reach_prob(chain, chain.states_with(prop), val[name])
+    value = markov.bounded_reach_prob(chain, chain.states_with(phi.child.name),
+                                      val[name])
     text = _fraction_text(value)
     rep.add("fragment", fragment)
     rep.add("valuation", val)
-    rep.add("probability", text)
-    rep.set_result([text])
+    rep.answer("probability", text)
 
 
 def _run_oracle_sample(args, rep):
@@ -395,7 +396,7 @@ def _run_oracle_sample(args, rep):
     rep.add("certain-fraction", frac)
     rep.add("positive-probability-certified",
             "yes" if frac > 0 else "inconclusive")
-    rep.set_result([str(frac)])
+    rep.result = [str(frac)]
 
 
 def _run_oracle_lasso(args, rep):
@@ -404,8 +405,7 @@ def _run_oracle_lasso(args, rep):
     ground = substitute(phi, val)
     word = LassoWord(_parse_letters(args.stem), _parse_letters(args.loop))
     verdict = oracle.eval_lasso(word, ground)
-    rep.add("verdict", "true" if verdict else "false")
-    rep.set_result(["true" if verdict else "false"])
+    rep.answer("verdict", "true" if verdict else "false")
 
 
 def _run_oracle_gen3sat(args, rep):
@@ -416,7 +416,7 @@ def _run_oracle_gen3sat(args, rep):
     rep.add("clauses", len(clauses))
     rep.add("formula", phi)
     text = fixtures.chain_text(chain)
-    rep.set_result(text.splitlines())
+    rep.result = text.splitlines()
     if rep.fmt == "text":
         rep.lines.extend(text.splitlines())
 

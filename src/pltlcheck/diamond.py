@@ -75,11 +75,8 @@ from .formula import (
     subformulas, to_nnf, unfolded_depth, variables,
 )
 from . import markov
+from .markov import ResourceLimitError
 from .valuation import MinimalSet, _leq, bisection_min_set
-
-
-class ResourceLimitError(Exception):
-    """A configured state-count cap was exceeded; no verdict produced."""
 
 
 class TableauLimitError(ResourceLimitError):
@@ -485,7 +482,8 @@ class DiamondChecker:
     counter-free product ("counter-free") or a pump certificate
     ("pump"), or is None.  `bound_used` is the uniform bound at which
     the last emptiness query was decided, or the box top of the last
-    valuation search; None when one of those steps decided.
+    valuation search; None when one of those steps decided, and for a
+    formula without parameters.
     `certificate` holds the pump's chain walks when it decided (see
     `_pump`), else None.
     """
@@ -1045,77 +1043,85 @@ class DiamondChecker:
         self.shortcut = "counter-free" if empty else None
         return empty
 
-    def emptiness(self, chain, threshold):
-        """True iff V>0 ("pos") or V=1 ("as1") is empty.
+    def _witness_bound(self, chain, threshold, top, pairs):
+        """The step `emptiness` and `min_set` share: (n, oracle), with n
+        the uniform bound to ask V>0 ("pos") or V=1 ("as1") at, None when
+        V is proved empty, and oracle(point) asking each point once.
 
-        The counter-free product decides when it proves that.  Otherwise
-        the uniform point at N0 is asked when N0 < vbar; when it is not
-        in V, a pump certificate on the pair product proves V empty,
-        and without one the point at vbar, the witness bound, decides:
-        V is nonempty iff it holds that point.  `bound_used` is the last
-        bound asked, None when the counter-free step or the pump
-        decided.
+        The counter-free product is asked first.  Then, with `pairs`,
+        the point at N0 when N0 < `top`: in V, n is N0; not in V, a pump
+        certificate on the same pair product (`_pump`) proves V empty.
+        Otherwise n is `top`.  With parameters `bound_used` is n.
         """
         self.bound_used = self.certificate = None
-        if self._counter_free_empty(chain, threshold):
-            return True
         check = self.check_pos if threshold == "pos" else self.check_as1
-        names = self.user_names
-        n = self.vbar(chain)
-        if names:
-            product = self._pair_product(chain)
-            n0 = None if product is None else len(product[0])
-            if n0 is not None and n0 < n:
-                if check(chain, dict.fromkeys(names, n0)):
-                    self.bound_used = n0
-                    return False
-                if self._pump(chain, threshold, product):
-                    return True
-            self.bound_used = n
-        return not check(chain, dict.fromkeys(names, n))
-
-    def min_set(self, chain, threshold="pos", bound=None):
-        """Minimal valuations of V>0 (or V=1) as an antichain.
-
-        The counter-free product is asked first, as in `emptiness`.
-        The search box is {0..N}^d with N the witness bound vbar,
-        lowered to the `bound` argument when a tighter enclosure of the
-        minimal valuations is known.  With one variable the point N0 is
-        asked first when it is below N, and lowers N to N0 when it is in
-        V; when it is not, a pump certificate (`_pump`) returns the
-        empty set before any search.  The search asks each valuation at
-        most once and the box top first, so `stats["queries"]` counts
-        the distinct valuations asked, and a false top ends the search
-        after one query.  `bound_used` is the box top searched, None
-        when no search ran.
-
-        Its callers are the CLI's Diamond `minset` (both thresholds),
-        `fx.min_set_fx` at "as1" and `buchi.min_set_pos_genbuchi`; FX at
-        "pos" has a search of its own that asks no oracle.
-        """
-        check = self.check_pos if threshold == "pos" else self.check_as1
-        names = self.user_names
-        if not names:
-            raise FragmentError("formula has no parameter variables")
-        self.bound_used = self.certificate = None
-        if self._counter_free_empty(chain, threshold):
-            return MinimalSet(names)
-        n = self.vbar(chain) if bound is None else bound
         answers = {}
 
         def oracle(point):
             if point not in answers:
-                answers[point] = check(chain, dict(zip(names, point)))
+                answers[point] = check(chain,
+                                       dict(zip(self.user_names, point)))
             return answers[point]
 
-        if len(names) == 1:
+        n = top
+        if self._counter_free_empty(chain, threshold):
+            n = None
+        elif pairs:
             product = self._pair_product(chain)
             n0 = None if product is None else len(product[0])
-            if n0 is not None and n0 < n:
-                if oracle((n0,)):
+            if n0 is not None and n0 < top:
+                if oracle((n0,) * len(self.user_names)):
                     n = n0
                 elif self._pump(chain, threshold, product):
-                    return MinimalSet(names)
-        self.bound_used = n
+                    n = None
+        if self.user_names:
+            self.bound_used = n
+        return n, oracle
+
+    def emptiness(self, chain, threshold):
+        """True iff V>0 ("pos") or V=1 ("as1") is empty: with parameters,
+        `_witness_bound` asks the counter-free product, N0 and the pump;
+        when none decides, V is nonempty iff it holds the point at vbar,
+        the witness bound.  `bound_used` is None when no bound decided.
+        """
+        names = self.user_names
+        n, oracle = self._witness_bound(chain, threshold, self.vbar(chain),
+                                        bool(names))
+        return n is None or not oracle((n,) * len(names))
+
+    def min_set(self, chain, threshold="pos", bound=None):
+        """Minimal valuations of V>0 (or V=1) as an antichain, searched
+        in the box {0..N}^d: N is vbar, or the `bound` argument when a
+        tighter enclosure of the minimal valuations is known, lowered by
+        `_witness_bound`.  With one variable that step asks N0 and the
+        pump; with more, N0 is no box top, so neither is asked.  The
+        search asks each valuation at most once and the box top first,
+        so `stats["queries"]` counts the distinct valuations asked, and
+        a false top ends the search after one query.  `bound_used` is
+        the box top searched, None when no search ran.
+
+        Callers: the CLI's Diamond and FX "=1" `minset`, FX with the box
+        m * |phi|, and `buchi.min_set_pos_genbuchi`.  FX ">0" has a
+        search of its own that asks no oracle.
+        """
+        names = self.user_names
+        if not names:
+            raise FragmentError("formula has no parameter variables")
+        n, oracle = self._witness_bound(
+            chain, threshold, self.vbar(chain) if bound is None else bound,
+            len(names) == 1)
+        if n is None:
+            return MinimalSet(names)
         return bisection_min_set(oracle, (0,) * len(names),
                                  (n,) * len(names), names)
+
+    def member(self, chain, threshold, valuation):
+        """Is `valuation` in V>0 ("pos") or V=1 ("as1")?  V is upward
+        closed, and nonempty iff it holds the uniform point at vbar, so
+        a valuation at or above vbar in every variable asks that point
+        instead, at a bounded cost."""
+        n = self.vbar(chain)
+        if all(valuation[x] >= n for x in self.user_names):
+            valuation = dict.fromkeys(self.user_names, n)
+        check = self.check_pos if threshold == "pos" else self.check_as1
+        return check(chain, valuation)

@@ -20,14 +20,14 @@ v(x) = m * |phi| (constant bounds unfolded) is a witness valuation.
 
 Almost-sure queries use the general product checker, but not at one
 bound.  Emptiness of V=1 (`check`) is `DiamondChecker.emptiness`: the
-counter-free product, then the uniform point at N0, then at vbar =
-m * |phi| * 2^|phi|.  The minimal valuations of V=1 (`min_set_fx`)
-are searched in the box {0..m * |phi|}^k, with the general engine as
-membership oracle.  That this box holds every minimal valuation of V=1
-is a claim no proof yet supports; random draws have not refuted it.
-`emptiness_as1_fx` asks the point at m * |phi|; nothing in this
-package calls it, and it stays only for the benchmark's tracer
-(`perfbench/spans.py`), which wraps it by name.
+counter-free product, then the uniform point at N0, then a pump
+certificate, then the point at vbar = m * |phi| * 2^|phi|.  The
+minimal valuations of V=1 (`minset`) are `DiamondChecker.min_set` in
+the box {0..m * |phi|}^k; `min_set_fx` serves V>0 only.  That this box
+holds every minimal valuation of V=1 is a claim no proof yet supports;
+random draws have not refuted it.  `emptiness_as1_fx` asks the point at
+m * |phi|; nothing in this package calls it, and it stays only for the
+benchmark's tracer (`perfbench/spans.py`), which wraps it by name.
 """
 
 from __future__ import annotations
@@ -227,23 +227,13 @@ def emptiness_as1_fx(chain, phi, checker=None):
     return not checker.check_as1(chain, {x: vbar for x in variables(phi)})
 
 
-def min_set_fx(chain, phi, threshold="pos", checker=None,
-               max_nodes=diamond.DEFAULT_MAX_PRODUCT_NODES):
-    """Minimal valuations over {0..m*|phi|}^d.
-
-    For "pos" the label-setting search finds them without a membership
-    oracle; more than `max_nodes` labels raise
-    diamond.ResourceLimitError.  For "as1" `DiamondChecker.min_set`
-    searches the box with the general product checker as membership
-    oracle; one automaton serves every query.
-    """
+def min_set_fx(chain, phi, max_nodes=diamond.DEFAULT_MAX_PRODUCT_NODES):
+    """Minimal valuations of V>0 over {0..m*|phi|}^d, found by the
+    label-setting search without a membership oracle.  More than
+    `max_nodes` labels raise diamond.ResourceLimitError."""
+    nnf = to_nnf(phi)
+    # Every countdown step of a constant bound is a node of its own,
+    # so the depth the general engine refuses is refused here too.
+    diamond.check_depth(unfolded_depth(nnf))
     bound = _uniform_bound(chain, phi)
-    if threshold == "pos":
-        nnf = to_nnf(phi)
-        # Every countdown step of a constant bound is a node of its own,
-        # so the depth the general engine refuses is refused here too.
-        diamond.check_depth(unfolded_depth(nnf))
-        return _pareto_front(chain, nnf, variables(nnf), bound, max_nodes)[0]
-    if checker is None:
-        checker = diamond.DiamondChecker(phi)
-    return checker.min_set(chain, threshold, bound)
+    return _pareto_front(chain, nnf, variables(nnf), bound, max_nodes)[0]

@@ -19,6 +19,21 @@ class ChainError(ValueError):
     pass
 
 
+class ResourceLimitError(Exception):
+    """A configured cap on states or work was exceeded; no verdict
+    produced."""
+
+
+# The most work one walk of `reach_steps` may do.  Step n costs the
+# row entries stepped times the bits of the scale to the n, plus
+# STEP_OVERHEAD per row entry, stepped state and target, and once per
+# step.  So a walk to n costs about entries * n^2: either part alone
+# reaches the cap in two to four seconds on a 2-core x86 machine, and
+# n = 300 on a 200-state chain costs under a hundredth of it.
+MAX_STEP_WORK = 2 * 10 ** 10
+STEP_OVERHEAD = 4096
+
+
 class ChainParseError(ChainError):
     def __init__(self, message, line=None):
         if line is not None:
@@ -419,7 +434,14 @@ def all_pairs_distance(chain):
     return [distances_from(chain, s) for s in range(chain.m)]
 
 
-def reach_steps(chain, targets, source=None):
+def _step_work(n, work):
+    if work > MAX_STEP_WORK:
+        raise ResourceLimitError(
+            "exact stepping to n = %d exceeds the stepping cap of %d work "
+            "units" % (n, MAX_STEP_WORK))
+
+
+def reach_steps(chain, targets, source=None, steps=None):
     """The bounded-reachability values for n = 0, 1, 2, ..., on integers.
 
     Yields (y, d) with d = D**n, where D is the lcm of the denominators
@@ -429,6 +451,10 @@ def reach_steps(chain, targets, source=None):
     With one, only the states that `source` reaches before a target
     are, since its probability depends on them alone; y is 0 at the
     other non-target states.  Each y is a new list, never changed.
+
+    A walk past `MAX_STEP_WORK` raises ResourceLimitError at the step
+    that passes it; given the number of `steps` the caller will take,
+    before the first step when they would pass it.
     """
     targets = set(targets)
     if source is None:
@@ -439,10 +465,20 @@ def reach_steps(chain, targets, source=None):
                        for p in chain.rows[s].values()))
     rows = [(s, [(t, p.numerator * (scale // p.denominator))
                  for t, p in chain.rows[s].items()]) for s in free]
+    entries = sum(len(row) for _, row in rows)
+    fixed = STEP_OVERHEAD * (1 + len(targets) + len(rows) + entries)
+    # d = scale**n has at most n * (scale - 1).bit_length() + 1 bits.
+    grow = entries * (scale - 1).bit_length()
+    if steps is not None:
+        _step_work(steps, steps * fixed + grow * steps * (steps + 1) // 2)
     y = [1 if s in targets else 0 for s in range(chain.m)]
     d = 1
+    n = work = 0
     while True:
         yield y, d
+        n += 1
+        work += fixed + grow * n
+        _step_work(n, work)
         d *= scale
         nxt = [0] * chain.m
         for t in targets:
@@ -454,7 +490,7 @@ def reach_steps(chain, targets, source=None):
 
 def bounded_reach_vector(chain, targets, n):
     """Per-state probabilities of reaching `targets` within n steps."""
-    y, d = _nth(reach_steps(chain, targets), n)
+    y, d = _nth(reach_steps(chain, targets, steps=n), n)
     return [Fraction(v, d) for v in y]
 
 
@@ -462,7 +498,7 @@ def bounded_reach_prob(chain, targets, n):
     """Exact mu_n = Pr(reach `targets` within n steps) from the initial state."""
     if n < 0:
         raise ChainError("step bound must be a natural number")
-    y, d = _nth(reach_steps(chain, targets, chain.init), n)
+    y, d = _nth(reach_steps(chain, targets, chain.init, n), n)
     return Fraction(y[chain.init], d)
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import until_chain
-from pltlcheck import cli, diamond
+from pltlcheck import cli, diamond, markov
 from pltlcheck.formula import parse_formula
 from pltlcheck.markov import parse_chain
 
@@ -610,6 +610,34 @@ def test_prob_answer_beyond_int_digit_limit(tmp_path):
     # Decimal reads and int() converts a Decimal without the limit.
     value = Fraction(int(Decimal(num)), int(Decimal(den)))
     assert value == 1 - Fraction(2, 3) ** 10000
+
+
+STEPPING_CAP = ("exceeds the stepping cap of %d work units\n"
+                % markov.MAX_STEP_WORK)
+
+
+def test_prob_past_stepping_cap_exits_3_before_stepping(coin):
+    # The message names the n asked: the cap is checked before any step.
+    code, out, err = _run(["prob", "--chain", coin, "--formula", "F[<=x] a",
+                           "--valuation", "x=100000000"])
+    assert (code, out) == (3, "")
+    assert err == ("resource limit: exact stepping to n = 100000000 "
+                   + STEPPING_CAP)
+
+
+def test_false_geq_member_stops_at_stepping_cap(tmp_path):
+    # mu_n rises to 1/2, below 3/4: the walk never meets p, and stops at
+    # the step whose work passes the cap.
+    path = tmp_path / "half.dtmc"
+    path.write_text("states 3\ninit 0\ntrans 0 0 1/2\ntrans 0 1 1/4\n"
+                    "trans 0 2 1/4\ntrans 1 1 1\ntrans 2 2 1\nlabel 1 a\n")
+    code, out, err = _run(["member", "--chain", str(path), "--formula",
+                           "F[<=x] a", "--threshold", ">=3/4",
+                           "--valuation", "x=100000000"])
+    assert (code, out) == (3, "")
+    head = "resource limit: exact stepping to n = "
+    assert err.startswith(head) and err.endswith(" " + STEPPING_CAP)
+    assert 0 < int(err[len(head):].split()[0]) < 10 ** 8
 
 
 def test_internal_value_error_propagates(coin, monkeypatch):

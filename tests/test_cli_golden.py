@@ -88,6 +88,13 @@ def _cases():
                   ["member", "--chain", "{ring}", "--formula",
                    "F[<=x] (a U b) & F[<=y] (!a R X b)", "--valuation",
                    "x=1,y=2", "--emit-automaton", "{aut}"]))
+    # Parameter-free checks: the general engine asks its one point, so
+    # no bound line is printed.
+    for fragment, formula in (("Diamond", "F G a"), ("FX", "X a")):
+        for threshold in (">0", "=1"):
+            cases.append(("check-no-parameters-%s-%s" % (fragment, threshold),
+                          ["check", "--chain", "{coin}", "--formula", formula,
+                           "--threshold", threshold]))
     # Error rows: exit code and message.
     for command in ("check", "minset"):
         cases.append(("error-%s-geq-Buchi" % command,

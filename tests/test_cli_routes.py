@@ -4,11 +4,16 @@ GeneralizedBuchi "=1" `member` tests the valuation against the one
 closed-form minimal set that `check` and `minset` also read; the general
 engine's `check_as1`, which answered it before, stays the reference.
 
+Every route calls its engine through the module attribute (or the
+general engine's method) when it runs, so a replaced attribute is the
+one called.
+
 Formula text is fuzzed through `cli.run`: whatever the text, the run
 ends in a documented exit code, never in an exception.  `derandomize=
 True` makes every run draw the same examples.
 """
 
+import importlib
 import io
 import random
 
@@ -56,6 +61,77 @@ def test_genbuchi_as1_member_matches_general_engine(formula, tmp_path):
     # The closed form answers without the general engine.
     assert not aut.exists()
     assert True in answers and False in answers
+
+
+FOUR = ("states 4\ninit 0\ntrans 0 1 1/2\ntrans 0 2 1/2\n"
+        "trans 1 3 1\ntrans 2 2 1/2\ntrans 2 3 1/2\ntrans 3 0 1\n"
+        "label 1 a\nlabel 2 a\nlabel 3 b\n")
+
+# Fragment -> (formula, member valuation).
+FORMULAS = {
+    "Reach": ("F[<=x] a", "x=2"),
+    "Buchi": ("G F[<=x] a", "x=2"),
+    "GeneralizedBuchi": ("G F[<=x] a & G F[<=y] b", "x=2,y=3"),
+    "FX": ("F[<=x] a | X b", "x=1"),
+    "Diamond": ("F[<=x] G a", "x=3"),
+}
+
+# (fragment, threshold) -> the engine entry point of check, minset and
+# member; "DiamondChecker.f" is a method of the general engine.
+ENGINES = {
+    ("Reach", ">0"): ["reach.min_val_pos"] * 3,
+    ("Reach", "=1"): ["reach.min_val_as1"] * 3,
+    ("Reach", ">=1/2"): ["reach.min_val_geq"] * 2 + ["reach.check_geq"],
+    ("Buchi", ">0"): ["buchi.min_val_pos_buchi"] * 3,
+    ("Buchi", "=1"): ["buchi.min_val_as1_buchi"] * 3,
+    ("GeneralizedBuchi", ">0"): ["buchi.emptiness_pos_genbuchi",
+                                 "buchi.min_set_pos_genbuchi",
+                                 "DiamondChecker.member"],
+    ("GeneralizedBuchi", "=1"): ["buchi.min_set_as1_genbuchi"] * 3,
+    ("FX", ">0"): ["fx.emptiness_pos_fx"] + ["fx.min_set_fx"] * 2,
+    ("FX", "=1"): ["DiamondChecker.emptiness", "DiamondChecker.min_set",
+                   "DiamondChecker.member"],
+    ("Diamond", ">0"): ["DiamondChecker.emptiness", "DiamondChecker.min_set",
+                        "DiamondChecker.member"],
+    ("Diamond", "=1"): ["DiamondChecker.emptiness", "DiamondChecker.min_set",
+                        "DiamondChecker.member"],
+}
+
+
+class EngineCalled(Exception):
+    pass
+
+
+def test_engines_cover_every_route():
+    kind = {">0": "pos", "=1": "as1", ">=1/2": "geq"}
+    assert {(f, kind[t]) for f, t in ENGINES} == set(cli.ROUTES)
+
+
+@pytest.mark.parametrize("fragment,threshold,command,engine", [
+    (fragment, threshold, command, engine)
+    for (fragment, threshold), engines in ENGINES.items()
+    for command, engine in zip(("check", "minset", "member"), engines)])
+def test_route_calls_engine_through_module_attribute(
+        fragment, threshold, command, engine, tmp_path, monkeypatch):
+    # A route that kept the function object itself would miss the
+    # replaced attribute, and so would the benchmark's tracer.
+    owner, _, name = engine.partition(".")
+    owner = (DiamondChecker if owner == "DiamondChecker"
+             else importlib.import_module("pltlcheck." + owner))
+
+    def called(*args, **kwargs):
+        raise EngineCalled(engine)
+
+    monkeypatch.setattr(owner, name, called)
+    path = tmp_path / "four.dtmc"
+    path.write_text(FOUR)
+    formula, valuation = FORMULAS[fragment]
+    argv = [command, "--chain", str(path), "--formula", formula,
+            "--threshold", threshold]
+    if command == "member":
+        argv += ["--valuation", valuation]
+    with pytest.raises(EngineCalled):
+        _run(argv)
 
 
 # Formula tokens, valid and not, including nesting and huge constants.

@@ -212,7 +212,7 @@ def test_label_setting_matches_the_box_search(phi, seed):
         expected = _box_search(chain, phi, max_nodes=2000)
     except ResourceLimitError:
         return  # too large a product to wait on
-    assert fx.min_set_fx(chain, phi, "pos") == expected
+    assert fx.min_set_fx(chain, phi) == expected
 
 
 def test_front_on_lines():

@@ -1,6 +1,8 @@
 """The README's routing table and Quick start, checked against the CLI.
 
-For every row of the routing table and every command, `--emit-automaton`
+The table's (fragment, threshold) pairs must be the keys of
+`cli.ROUTES`, and ">=p" must exit 5 for every fragment but Reach.  For
+every row of the routing table and every command, `--emit-automaton`
 must write its file exactly when the cell names the general engine.  The
 Quick start commands must print what the README shows.
 """
@@ -64,6 +66,30 @@ def test_routing_table_covers_every_fragment():
     rows = _routing_rows()
     assert {fragment for fragment, _, _ in rows} == set(FORMULAS)
     assert len(rows) == 10
+
+
+def test_routing_table_is_cli_routes():
+    kind = {">0": "pos", "=1": "as1", ">=p": "geq"}
+    pairs = [(fragment, kind[threshold])
+             for fragment, thresholds, _ in _routing_rows()
+             for threshold in thresholds]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == set(cli.ROUTES)
+
+
+@pytest.mark.parametrize("fragment", sorted(set(FORMULAS) - {"Reach"}))
+@pytest.mark.parametrize("command", COMMANDS)
+def test_geq_threshold_exits_5_outside_reach(fragment, command, tmp_path):
+    chain = tmp_path / "chain.dtmc"
+    chain.write_text(CHAIN)
+    formula, valuation = FORMULAS[fragment]
+    argv = [command, "--chain", str(chain), "--formula", formula,
+            "--threshold", ">=1/2"]
+    if command == "member":
+        argv += ["--valuation", valuation]
+    code, out, err = _run(argv)
+    assert (code, out) == (5, "")
+    assert err.startswith('fragment error: threshold ">=p" is only supported')
 
 
 @pytest.mark.parametrize("fragment,threshold,command,cell", [
