@@ -54,9 +54,10 @@ def _node_cap(text):
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built on first use and then reused: building
-    it costs milliseconds, as much as a small query.  Each command's
-    `handler` default is the function that runs it."""
+    """The argument parser and its subparsers action, built on first
+    use and then reused: building them costs milliseconds, as much as a
+    small query.  Each command's `handler` default is the function that
+    runs it."""
     p = argparse.ArgumentParser(
         prog="pltlcheck",
         description="Parametric LTL model checking for finite Markov chains")
@@ -111,7 +112,26 @@ def _build_parser():
     sp.set_defaults(handler=_run_oracle_gen3sat)
     sp.add_argument("--cnf", required=True, help="DIMACS-like CNF file")
     sp.add_argument("--format", choices=("text", "machine"), default="text")
-    return p
+    return p, sub
+
+
+# Commands whose argv `_parse_argv` hands straight to their own parser.
+DIRECT_COMMANDS = ("check", "minset", "member", "prob")
+
+
+def _parse_argv(argv):
+    """`parse_args(argv)` of the full parser.  A command of
+    `DIRECT_COMMANDS` first is parsed by its own parser, as the
+    subparsers action would, without the top-level pass before it;
+    leftover arguments are the top-level parser's error, as there."""
+    parser, commands = _build_parser()
+    if not argv or argv[0] not in DIRECT_COMMANDS:
+        return parser.parse_args(argv)
+    args, rest = commands.choices[argv[0]].parse_known_args(argv[1:])
+    if rest:
+        parser.error("unrecognized arguments: %s" % " ".join(rest))
+    args.command = argv[0]
+    return args
 
 
 def _read_formula(args):
@@ -429,7 +449,7 @@ def run(argv, out=None, err=None):
     err = sys.stderr if err is None else err
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = _build_parser().parse_args(argv)
+            args = _parse_argv(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     rep = Report(args.format)

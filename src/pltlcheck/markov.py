@@ -7,6 +7,12 @@ denominators, so Pr(reach within n) = y_n / D**n with no gcd per step;
 unbounded ones solve a sparse linear system by elimination on dict rows
 with Markowitz pivoting.  Every probability returned is a
 `fractions.Fraction`, so comparisons (= 1, > 0, >= p) are exact.
+
+`_check_row` decides whether a row is a distribution.  `MarkovChain`
+runs it on every row it is given.  `parse_chain` runs it once per
+distinct row of the text, since rows that spell a distribution alike
+share the reader's Fraction objects, and builds the chain from the
+checked rows without a second check.
 """
 
 from __future__ import annotations
@@ -61,6 +67,14 @@ class MarkovChain:
         self.init = init
         self.rows = [_check_row(s, row, m) for s, row in enumerate(rows)]
         self.labels = [frozenset(l) for l in labels]
+
+    @classmethod
+    def _of_checked(cls, m, init, rows, labels):
+        """A chain from parts already checked: `rows[s]` as `_check_row`
+        returns it, `labels[s]` a frozenset."""
+        chain = cls.__new__(cls)
+        chain.m, chain.init, chain.rows, chain.labels = m, init, rows, labels
+        return chain
 
     def successors(self, s):
         return self.rows[s].keys()
@@ -162,12 +176,31 @@ def parse_chain(text):
     Lines: `states <m>`, `init <id>`, `label <id> <name>...`,
     `trans <from> <to> <p>` with <p> a "num/den" or decimal literal;
     a decimal may carry an exponent of at most 4300, as in 1e-3.
-    '#' starts a comment.
+    '#' starts a comment.  The first line that is not blank must
+    declare the states.
     """
-    m = init = None
-    # Entries for the states, id tokens and literals the text mentions
-    # only, so memory grows with the text, not with m.
-    rows, labels, ids, probs = {}, {}, {}, {}
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    first = next((i for i, line in enumerate(lines) if line.split()), None)
+    if first is None:
+        raise ChainParseError("missing states declaration")
+    parts = lines[first].split()
+    if parts[0] != "states":
+        raise ChainParseError("states declaration must come first", first + 1)
+    if len(parts) != 2 or _nat(parts[1]) is None:
+        raise ChainParseError("expected: states <m>", first + 1)
+    m = _nat(parts[1])
+    if m <= 0:
+        raise ChainParseError("state count must be positive", first + 1)
+    init = None
+    # Entries for the states and literals the text mentions only, so
+    # memory grows with the text, not with m.  Each literal is read
+    # once, so rows that spell a distribution alike share its Fraction
+    # objects.  `ids` starts with the plain spelling of the first ids,
+    # one per line at most.
+    rows, labels, probs = {}, {}, {}
+    ids = {str(s): s for s in range(min(m, len(lines)))}
 
     def state(token, lineno):
         s = ids.get(token)
@@ -179,23 +212,35 @@ def parse_chain(text):
             ids[token] = s
         return s
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.partition("#")[0].split()
+    for lineno, parts in enumerate(map(str.split, lines[first + 1:]),
+                                   start=first + 2):
+        if len(parts) == 4 and parts[0] == "trans":
+            src = ids.get(parts[1])
+            if src is None:
+                src = state(parts[1], lineno)
+            dst = ids.get(parts[2])
+            if dst is None:
+                dst = state(parts[2], lineno)
+            p = probs.get(parts[3])
+            if p is None:
+                p = probs[parts[3]] = _probability(parts[3], lineno)
+            row = rows.get(src)
+            if row is None:
+                row = rows[src] = {}
+            elif dst in row:
+                raise ChainParseError("duplicate transition %d -> %d"
+                                      % (src, dst), lineno)
+            row[dst] = p
+            continue
         if not parts:
             continue
         kind = parts[0]
-        if kind == "states":
-            if m is not None:
-                raise ChainParseError("duplicate states declaration", lineno)
-            if len(parts) != 2 or _nat(parts[1]) is None:
-                raise ChainParseError("expected: states <m>", lineno)
-            m = _nat(parts[1])
-            if m <= 0:
-                raise ChainParseError("state count must be positive", lineno)
-            continue
-        if m is None:
-            raise ChainParseError("states declaration must come first", lineno)
-        if kind == "init":
+        if kind == "label":
+            if len(parts) < 3:
+                raise ChainParseError("expected: label <id> <name>...", lineno)
+            s = state(parts[1], lineno)
+            labels.setdefault(s, set()).update(parts[2:])
+        elif kind == "init":
             if init is not None:
                 raise ChainParseError("duplicate init declaration", lineno)
             if len(parts) != 2 or _nat(parts[1]) is None:
@@ -203,42 +248,48 @@ def parse_chain(text):
             init = _nat(parts[1])
             if init >= m:
                 raise ChainParseError("unknown state id %d" % init, lineno)
-        elif kind == "label":
-            if len(parts) < 3:
-                raise ChainParseError("expected: label <id> <name>...", lineno)
-            s = state(parts[1], lineno)
-            labels.setdefault(s, set()).update(parts[2:])
         elif kind == "trans":
-            if len(parts) != 4:
-                raise ChainParseError("expected: trans <from> <to> <p>", lineno)
-            src, dst = state(parts[1], lineno), state(parts[2], lineno)
-            p = probs.get(parts[3])
-            if p is None:
-                p = probs[parts[3]] = _probability(parts[3], lineno)
-            row = rows.setdefault(src, {})
-            if dst in row:
-                raise ChainParseError("duplicate transition %d -> %d" % (src, dst),
-                                      lineno)
-            row[dst] = p
+            raise ChainParseError("expected: trans <from> <to> <p>", lineno)
+        elif kind == "states":
+            raise ChainParseError("duplicate states declaration", lineno)
         else:
             raise ChainParseError("unknown directive %s" % _quote(kind),
                                   lineno)
-    if m is None:
-        raise ChainParseError("missing states declaration")
     if init is None:
         raise ChainParseError("missing init declaration")
+    rows = _checked_rows(m, rows)
+    label_sets = [frozenset()] * m
+    for s, names in labels.items():
+        label_sets[s] = frozenset(names)
+    return MarkovChain._of_checked(m, init, rows, label_sets)
+
+
+def _checked_rows(m, rows):
+    """The rows of states 0..m-1, from the reader's entries; each
+    distinct row is checked once by `_check_row`, in state order, so
+    the first bad state is the one reported.  Two rows are alike when
+    they hold the same value objects in the same order: those live in
+    the reader's literal memo for the whole check."""
+    checked = set()
+    out = []
     try:
-        if len(rows) < m:
-            # Some state has no transition: report the first bad row, as
-            # MarkovChain would, without a row per declared state.
-            gap = next(s for s in range(m) if s not in rows)
-            for s in range(gap):
-                _check_row(s, rows[s], m)
-            raise ChainError("state %d: row sums to 0, not 1" % gap)
-        return MarkovChain(m, init, [rows[s] for s in range(m)],
-                           [labels.get(s, ()) for s in range(m)])
+        for s in range(m):
+            row = rows.get(s)
+            if row is None:
+                # Stops at the first state without a transition, so no
+                # list is built past the rows the text holds.
+                raise ChainError("state %d: row sums to 0, not 1" % s)
+            key = tuple(map(id, row.values()))
+            if key not in checked:
+                clean = _check_row(s, row, m)
+                if len(clean) < len(row):
+                    row = clean
+                else:
+                    checked.add(key)
+            out.append(row)
     except ChainError as exc:
         raise ChainParseError(str(exc))
+    return out
 
 
 class SccDecomposition:
@@ -495,11 +546,40 @@ def bounded_reach_vector(chain, targets, n):
 
 
 def bounded_reach_prob(chain, targets, n):
-    """Exact mu_n = Pr(reach `targets` within n steps) from the initial state."""
+    """Exact mu_n = Pr(reach `targets` within n steps) from the initial state.
+
+    A walk to n past `MAX_STEP_WORK` steps only to `settling_step`
+    when that is below n, since mu stays constant from there on.
+    """
     if n < 0:
         raise ChainError("step bound must be a natural number")
-    y, d = _nth(reach_steps(chain, targets, chain.init, n), n)
+    try:
+        y, d = _nth(reach_steps(chain, targets, chain.init, n), n)
+    except ResourceLimitError:
+        # Raised before the first step, so no work is lost.
+        last = settling_step(chain, targets, chain.init)
+        if last is None or last >= n:
+            raise
+        y, d = _nth(reach_steps(chain, targets, chain.init, last), last)
     return Fraction(y[chain.init], d)
+
+
+def settling_step(chain, targets, source):
+    """A step n from which Pr_source(reach `targets` within n) stays
+    constant, or None when none is known.  It is 0 when the source is a
+    target or reaches none; otherwise the most states on a path from
+    the source through the non-target states that reach a target, or
+    None when those states hold a cycle: a path into a target is never
+    longer than that."""
+    targets = set(targets)
+    if source in targets:
+        return 0
+    region = ((reachable_states(chain, source, targets) - targets)
+              & states_reaching(chain, targets))
+    if source not in region:
+        return 0
+    runs = longest_runs(region, chain.successors)
+    return None if runs is None else runs[source]
 
 
 def _nth(steps, n):

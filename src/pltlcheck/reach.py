@@ -52,20 +52,6 @@ def min_val_as1(chain, name):
     return None if runs is None else runs[chain.init]
 
 
-def _eventually_constant(chain, targets):
-    """Does the sequence mu_n reach its limit at some finite n?
-
-    True iff no cycle of non-target states that can still reach the
-    target is reachable from the initial state.
-    """
-    relevant = markov.states_reaching(chain, targets)
-    reachable = markov.reachable_states(chain)
-    region = (relevant & reachable) - set(targets)
-    if chain.init not in region and chain.init not in targets:
-        return True
-    return markov.dag_order(region, chain.successors) is not None
-
-
 def min_val_geq(chain, name, p):
     """Least n with Pr(reach an a-state within n) >= p, or None.
 
@@ -81,7 +67,8 @@ def min_val_geq(chain, name, p):
     mu_inf = markov.unbounded_reach_prob(chain, targets) if targets else Fraction(0)
     if mu_inf < p:
         return None
-    if mu_inf == p and not _eventually_constant(chain, targets):
+    if mu_inf == p and markov.settling_step(chain, targets,
+                                            chain.init) is None:
         return None
     return _first_step_geq(chain, targets, p)
 
@@ -91,9 +78,11 @@ def _first_step_geq(chain, targets, p, last=None):
 
     Walks n upward; mu_n = y[init] / d, so each step compares two
     integers.  Without `last` the caller must know that some n works.
+    With it, a walk to `last` past the stepping cap raises before the
+    first step.
     """
     for n, (y, d) in enumerate(markov.reach_steps(chain, targets,
-                                                  chain.init)):
+                                                  chain.init, last)):
         if y[chain.init] * p.denominator >= p.numerator * d:
             return n
         if n == last:
@@ -119,11 +108,18 @@ def check_geq(chain, name, p, n):
     """Pr(reach an a-state within n) >= p, for a natural n.
 
     mu_n is nondecreasing in n, so the walk stops at the first step
-    that meets p; a false answer still steps all n times.
+    that meets p; a false answer still steps all n times.  When the
+    walk to n would pass the stepping cap, the answer is read off
+    `min_val_geq`, which compares p with the limit before it walks.
     """
     p = Fraction(p)
     if not 0 < p < 1:
         raise ReachError("threshold must satisfy 0 < p < 1")
     if n < 0:
         raise markov.ChainError("step bound must be a natural number")
-    return _first_step_geq(chain, chain.states_with(name), p, n) is not None
+    try:
+        return _first_step_geq(chain, chain.states_with(name), p,
+                               n) is not None
+    except markov.ResourceLimitError:
+        n0 = min_val_geq(chain, name, p)
+        return n0 is not None and n0 <= n

@@ -42,6 +42,29 @@ trans 03 02 1/2
 trans 3 1 0.50
 """
 
+# Rows repeat three distributions, so most rows are checked once for
+# several states; one of them is also spelled 0.5 and 1/2, and some
+# lines carry comments.
+SHARED = """\
+# three distributions over seven states
+states 7
+init 0
+label 1 a  # the goal
+trans 0 1 1/2
+trans 0 2 1/2
+trans 1 1 1
+trans 2 3 1/4   # as state 5
+trans 2 4 3/4
+trans 3 4 0.5
+trans 3 6 1/2
+trans 4 4 1
+trans 5 0 1/4
+trans 5 1 3/4
+trans 6 1 1/2
+trans 6 0 1/2
+label 4 a
+"""
+
 
 def _base(seed, max_states):
     return chain_text(random_chain(random.Random(seed), max_states=max_states,
@@ -49,7 +72,8 @@ def _base(seed, max_states):
 
 
 # Seed 19 at up to 12 states draws 11, so that ids run to two digits.
-BASES = [_base(seed, 5) for seed in range(8)] + [_base(19, 12), DISTINCT]
+BASES = ([_base(seed, 5) for seed in range(8)]
+         + [_base(19, 12), DISTINCT, SHARED])
 
 # Respellings of a probability, exact or not.
 SPELLINGS = st.one_of(
@@ -132,6 +156,37 @@ def test_distinct_literals_chain():
                          3: Fraction(5, 12)}
     assert c.rows[3] == {2: Fraction(1, 2), 1: Fraction(1, 2)}
     assert c.labels == [frozenset(), {"a"}, frozenset(), {"a"}]
+
+
+def test_shared_rows_chain():
+    c = parse_chain(SHARED)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    assert c.rows[0] == {1: half, 2: half}
+    assert c.rows[3] == {4: half, 6: half}
+    assert c.rows[6] == {1: half, 0: half}
+    assert c.rows[2] == {3: quarter, 4: 1 - quarter}
+    assert c.rows[5] == {0: quarter, 1: 1 - quarter}
+    assert c.labels[1] == c.labels[4] == {"a"}
+
+
+def test_shared_bad_row_reports_the_lower_state():
+    # States 1 and 2 hold one distribution that sums to 3/4.
+    text = ("states 3\ninit 0\ntrans 0 0 1\ntrans 1 0 1/2\ntrans 1 2 1/4\n"
+            "trans 2 1 1/2\ntrans 2 0 1/4\n")
+    with pytest.raises(ChainParseError,
+                       match=r"^state 1: row sums to 3/4, not 1$"):
+        parse_chain(text)
+    with pytest.raises(ChainParseError,
+                       match=r"^state 1: row sums to 3/4, not 1$"):
+        reference_parse_chain(text)
+
+
+def test_shared_row_with_a_zero_entry_drops_it_for_each_state():
+    text = ("states 3\ninit 0\ntrans 0 1 0\ntrans 0 2 1\ntrans 1 0 0\n"
+            "trans 1 2 1\ntrans 2 2 1\n")
+    c = parse_chain(text)
+    assert c.rows == [{2: 1}, {2: 1}, {2: 1}]
+    assert (c.m, c.init, c.rows, c.labels) == reference_parse_chain(text)
 
 
 def test_base_texts_are_valid_chains():

@@ -625,19 +625,55 @@ def test_prob_past_stepping_cap_exits_3_before_stepping(coin):
                    + STEPPING_CAP)
 
 
-def test_false_geq_member_stops_at_stepping_cap(tmp_path):
-    # mu_n rises to 1/2, below 3/4: the walk never meets p, and stops at
-    # the step whose work passes the cap.
+# mu_n rises to 1/2 and never meets it.
+HALF = ("states 3\ninit 0\ntrans 0 0 1/2\ntrans 0 1 1/4\n"
+        "trans 0 2 1/4\ntrans 1 1 1\ntrans 2 2 1\nlabel 1 a\n")
+
+
+@pytest.mark.parametrize("threshold,verdict", [
+    (">=3/4", "false"),  # above the limit 1/2
+    (">=1/2", "false"),  # the limit, never reached
+    (">=1/3", "true"),   # met at step 2
+])
+def test_geq_member_past_stepping_cap_answers(tmp_path, threshold, verdict):
+    # The walk to x would pass the cap, so min_val_geq answers: it
+    # compares p with the limit mu_inf before it walks.
     path = tmp_path / "half.dtmc"
-    path.write_text("states 3\ninit 0\ntrans 0 0 1/2\ntrans 0 1 1/4\n"
-                    "trans 0 2 1/4\ntrans 1 1 1\ntrans 2 2 1\nlabel 1 a\n")
+    path.write_text(HALF)
+    start = time.perf_counter()
     code, out, err = _run(["member", "--chain", str(path), "--formula",
-                           "F[<=x] a", "--threshold", ">=3/4",
+                           "F[<=x] a", "--threshold", threshold,
                            "--valuation", "x=100000000"])
-    assert (code, out) == (3, "")
-    head = "resource limit: exact stepping to n = "
-    assert err.startswith(head) and err.endswith(" " + STEPPING_CAP)
-    assert 0 < int(err[len(head):].split()[0]) < 10 ** 8
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out.endswith("valuation: x=100000000\nmember: %s\n" % verdict)
+
+
+@pytest.mark.parametrize("text,answer", [
+    # The initial state is an a-state: mu_n = 1 for every n.
+    ("states 2\ninit 0\ntrans 0 0 1/2\ntrans 0 1 1/2\ntrans 1 1 1\n"
+     "label 0 a\n", "1"),
+    # No a-state at all, and one that the initial state never reaches:
+    # mu_n = 0.
+    ("states 2\ninit 0\ntrans 0 0 1/2\ntrans 0 1 1/2\ntrans 1 1 1\n",
+     "0"),
+    ("states 3\ninit 0\ntrans 0 0 1/2\ntrans 0 1 1/2\ntrans 1 1 1\n"
+     "trans 2 2 1\nlabel 2 a\n", "0"),
+    # The states that reach a form no cycle: mu_n is constant from the
+    # longest run through them, n = 2.
+    ("states 4\ninit 0\ntrans 0 1 1/2\ntrans 0 2 1/2\ntrans 1 3 1\n"
+     "trans 2 2 1\ntrans 3 3 1\nlabel 3 a\n", "1/2"),
+], ids=["init-is-target", "no-target", "target-unreachable", "acyclic"])
+def test_prob_past_stepping_cap_answers_when_mu_settles(tmp_path, text,
+                                                        answer):
+    path = tmp_path / "settled.dtmc"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = _run(["prob", "--chain", str(path), "--formula",
+                           "F[<=x] a", "--valuation", "x=100000000"])
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out.endswith("probability: %s\n" % answer)
 
 
 def test_internal_value_error_propagates(coin, monkeypatch):

@@ -16,8 +16,9 @@ from pltlcheck.fixtures import chain_text, coin_chain
 from pltlcheck.markov import (
     ChainError, ChainParseError, MarkovChain, all_pairs_distance,
     bounded_reach_prob, bounded_reach_vector, dag_order, distances_from,
-    parse_chain, reachable_states, scc_decompose, states_reaching,
-    transient_matrix, unbounded_reach_prob, unbounded_reach_vector,
+    parse_chain, reachable_states, scc_decompose, settling_step,
+    states_reaching, transient_matrix, unbounded_reach_prob,
+    unbounded_reach_vector,
 )
 
 
@@ -194,3 +195,30 @@ def test_numerics_match_fraction_references(chain, n, threshold):
             return
     assert (reach.min_val_geq(chain, "a", threshold)
             == reference_min_val_geq(chain, "a", threshold))
+
+
+def _forward_chain(rng, m):
+    """A random chain whose edges go to higher states, except that the
+    last state and a few others loop on themselves."""
+    rows = []
+    for s in range(m):
+        succs = sorted({rng.randrange(s, m) if rng.random() < 0.2 else
+                        rng.randrange(s + 1, m) if s + 1 < m else s
+                        for _ in range(rng.randint(1, 3))})
+        rows.append({t: Fraction(1, len(succs)) for t in succs})
+    labels = [{"a"} if rng.random() < 0.3 else set() for _ in range(m)]
+    return MarkovChain(m, 0, rows, labels)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_settling_step_is_where_mu_stops_changing(seed):
+    rng = random.Random(seed)
+    chain = (random_chain(rng, max_states=6) if seed % 2
+             else _forward_chain(rng, rng.randint(1, 7)))
+    targets = chain.states_with("a")
+    n = settling_step(chain, targets, chain.init)
+    if n is None:
+        return
+    limit = unbounded_reach_prob(chain, targets)
+    assert bounded_reach_prob(chain, targets, n) == limit
+    assert n == 0 or bounded_reach_prob(chain, targets, n - 1) < limit

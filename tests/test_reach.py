@@ -53,6 +53,18 @@ def test_boundary_threshold():
     assert reach.min_val_geq(coin_chain(), "a", Fraction(99, 100)) == 7
 
 
+def test_boundary_threshold_with_a_cycle_behind_the_target():
+    # mu_n = 1/2 from n = 1 on.  The cycle 3 <-> 4 reaches the target,
+    # but only through it, so it does not delay mu.
+    half, one = Fraction(1, 2), Fraction(1)
+    c = MarkovChain(5, 0,
+                    [{1: half, 2: half}, {3: one}, {2: one},
+                     {4: half, 1: half}, {3: one}],
+                    [set(), {"a"}, set(), set(), set()])
+    assert reach.min_val_geq(c, "a", half) == 1
+    assert reach.check_geq(c, "a", half, 1)
+
+
 def test_geq_input_validation():
     c = coin_chain()
     with pytest.raises(reach.ReachError):
