@@ -39,13 +39,14 @@ checks completeness only when it does not die, and only for the
 accepting SCCs with a node at or above a node of a bottom component's
 sets.
 
-Emptiness is decided in three steps over one tableau.  The NNF
-formula is monotone in its bounds, so phi[v] implies phi with every
-F[<=x] read as F (Kupferman, Piterman and Vardi, 2009).  A product with
-no counters, whose Buchi sets are the tableau's `acc_b` and `acc_p`,
-asks that formula first: probability zero proves V>0 empty, and below
-one proves V=1 empty.  When that does not decide, the pair product
-(below) looks for a pump certificate, and only without one does the
+Emptiness is decided in three steps over one automaton and one product
+without counters, the pair product.  The NNF formula is monotone in its
+bounds, so phi[v] implies phi with every F[<=x] read as F (Kupferman,
+Piterman and Vardi, 2009).  The pair product asks that formula first,
+with each variable's parametric set as one more condition on its
+accepting SCCs: probability zero proves V>0 empty, and below one proves
+V=1 empty.  When that does not decide, the same product counts N0 and
+looks for a pump certificate (below), and only without one does the
 product at the uniform witness bound run.  All three steps are exact.
 
 The witness bound, and the top of the valuation search's box, is the
@@ -344,6 +345,18 @@ def _successor_constraint(h, steps):
     return mask, value
 
 
+def _within_cap(fn, *args):
+    """fn(*args), or None when a graph it builds passes its node cap.  A
+    tableau past its cap is raised: every later product would build it
+    again."""
+    try:
+        return fn(*args)
+    except TableauLimitError:
+        raise
+    except ResourceLimitError:
+        return None
+
+
 def _pumps(x, relation, full):
     """Does no cyclic SCC of the graph on the nodes `x`, with an edge
     a -> y per relation entry (a, y, m), have every bit of `full` in the
@@ -362,30 +375,24 @@ def _pumps(x, relation, full):
 
 
 class UAutomaton:
-    """Round-robin degeneralization of a GAutomaton.
-
-    With `counters`, the Buchi sets are the tableau's `acc_b` and the
-    parametric sets its `acc_p`; the counter-free automaton takes
-    `acc_b + acc_p` as Buchi sets and no parametric set.
+    """Round-robin degeneralization of a GAutomaton's Buchi sets `acc_b`;
+    its parametric sets `acc_p` ignore the index.
 
     States are (g-state, index) pairs flattened to integers u = q * k +
     i; the single Buchi set is the first generalized set at index 0.
     Nothing is stored per U-state, and the U-states are those of the
     g-states built so far.  `letter(u)`, `is_buchi(u)` and the index
     after u are read off q and i when asked for, and `par[q]` holds
-    g-state q's parametric flags, one per variable in `var_names`
-    (parametric sets ignore the index).  Successor lists are derived
-    from the tableau's constraints when asked for, all of them by
-    `successors(u)` or only those reading one atom mask by
-    `reading(u, amask)`, which builds that mask's block.
+    g-state q's parametric flags, one per variable in `var_names`.
+    Successor lists are derived from the tableau's constraints when
+    asked for, all of them by `successors(u)` or only those reading one
+    atom mask by `reading(u, amask)`, which builds that mask's block.
     """
 
-    def __init__(self, g, counters=True):
+    def __init__(self, g):
         self.g = g
-        self.counters = counters
-        self.var_names = g.var_names if counters else []
-        self._sets = [f for _, f in (g.acc_b if counters
-                                     else g.acc_b + g.acc_p)]
+        self.var_names = g.var_names
+        self._sets = [f for _, f in g.acc_b]
         self.k = max(1, len(self._sets))
         self.par = g.par
         self._rows = {}
@@ -400,7 +407,7 @@ class UAutomaton:
 
     def full(self):
         """This automaton over the tableau's `full()`."""
-        return UAutomaton(self.g.full(), self.counters)
+        return UAutomaton(self.g.full())
 
     def letter(self, u):
         """The letter u reads: its g-state's set of positive atoms."""
@@ -479,7 +486,7 @@ class DiamondChecker:
 
     `shortcut` names the step that decided the last emptiness query
     or valuation search without the witness-bound product: the
-    counter-free product ("counter-free") or a pump certificate
+    counter-free check ("counter-free") or a pump certificate
     ("pump"), or is None.  `bound_used` is the uniform bound at which
     the last emptiness query was decided, or the box top of the last
     valuation search; None when one of those steps decided, and for a
@@ -547,26 +554,27 @@ class DiamondChecker:
             succ[i] = row
         return nodes, succ
 
-    def _product(self, chain, u_aut, bounds):
-        """Reachable product of the counter automaton `u_aut` with the
-        chain, as (nodes, succ, number of initial nodes); a node is
+    def _product(self, chain, bounds):
+        """Reachable product of `self.u` with the chain, one counter per
+        bound, as (nodes, succ, number of initial nodes); a node is
         (chain state, automaton state, counters).  The product builds
         the tableau's block of each state's atom mask, and its nodes
-        count in `stats["product_nodes"]`.
+        count in `stats["product_nodes"]`.  With no bounds it is the
+        pair product.
 
         A counter is the length of the current marked-but-unsatisfied
         streak of its bounded eventuality; a run dies the moment a
         streak would exceed the bound.  A run's first state is entered
         with every counter at zero.
         """
-        par, k, g = u_aut.par, u_aut.k, u_aut.g
+        par, k, g = self.u.par, self.u.k, self.g
         steps = chain.successors
         amasks = [g.atom_mask(l) for l in chain.labels]
         # Every block is built before the rows are sized.  rows[s][u]:
         # the successors of u that read s's letter, each with its
         # parametric flags.
         blocks = [g.block(a) for a in amasks]
-        rows = [u_aut.row(a) for a in amasks]
+        rows = [self.u.row(a) for a in amasks]
 
         def flagged(targets):
             return [(u2, par[u2 // k]) for u2 in targets]
@@ -595,7 +603,7 @@ class DiamondChecker:
                 targets = rows[t][u]
                 if targets is None:
                     targets = rows[t][u] = flagged(
-                        u_aut.reading(u, amasks[t]))
+                        self.u.reading(u, amasks[t]))
                 out += moves(t, targets, counters)
             return out
 
@@ -692,28 +700,45 @@ class DiamondChecker:
     def check_pos(self, chain, valuation):
         """Is the satisfaction probability positive at this valuation?"""
         self.stats["queries"] += 1
-        return self._holds(chain, "pos", self.u, self._bounds(valuation))
+        return self._holds(chain, "pos",
+                           self._product(chain, self._bounds(valuation)))
 
     def check_as1(self, chain, valuation):
         """Is the satisfaction probability one at this valuation?"""
         self.stats["queries"] += 1
-        return self._holds(chain, "as1", self.u, self._bounds(valuation))
+        return self._holds(chain, "as1",
+                           self._product(chain, self._bounds(valuation)))
 
-    def _holds(self, chain, threshold, u_aut, bounds):
-        """Does `u_aut` at `bounds` accept with probability > 0 ("pos")
-        or 1 ("as1")?
+    def _accepting(self, nodes, succ):
+        """The accepting SCCs of a product, in SCC order: cyclic (an
+        acyclic one is never complete: the chain always moves on, and
+        the automaton cannot follow inside it), with a Buchi node of
+        `self.u`, and with a node in each variable's parametric set.  A
+        counter product's cyclic SCCs meet the last: a cycle returns to
+        its counters, so it resets each one, entering that set."""
+        k, par = self.u.k, self.u.par
+        scc = markov._tarjan(len(nodes), succ)
+        return [comp for ci, comp in enumerate(scc.components)
+                if scc.has_cycle[ci]
+                and any(self.u.is_buchi(nodes[i][1]) for i in comp)
+                and all(any(par[nodes[i][1] // k][x] for i in comp)
+                        for x in range(len(self.u.var_names)))]
 
-        "pos" asks whether some cyclic accepting product SCC is complete
-        (`_complete`).  "as1" first tracks the product nodes alive along
-        each chain path, on least-counter sets (`_least_subsets`, with
-        images not restricted): a path with no node left refutes
-        almost-sure satisfaction outright, before any completeness
-        check.  Otherwise every recurrent behavior, a bottom component
-        of the tracking graph, must offer a node at or below a node of
-        a complete accepting SCC K: same chain state, same U-state and
-        counters <= pointwise.  Only those SCCs are checked, each at most
-        once and in SCC order, and the first complete one settles that
-        component.
+    def _holds(self, chain, threshold, product):
+        """Does the product (`_product`) accept with probability > 0
+        ("pos") or 1 ("as1")?
+
+        "pos" asks whether some accepting product SCC (`_accepting`) is
+        complete (`_complete`).  "as1" first tracks the product nodes
+        alive along each chain path, on least-counter sets
+        (`_least_subsets`, with images not restricted): a path with no
+        node left refutes almost-sure satisfaction outright, before any
+        completeness check.  Otherwise every recurrent behavior, a
+        bottom component of the tracking graph, must offer a node at or
+        below a node of a complete accepting SCC K: same chain state,
+        same U-state and counters <= pointwise.  Only those SCCs are
+        checked, each at most once and in SCC order, and the first
+        complete one settles that component.
 
         Why this gives the verdicts of plain sets, where a bottom
         component counts K when one of its sets meets K.  X is a set of
@@ -751,19 +776,14 @@ class DiamondChecker:
         Plain membership is not enough: p lies below n, but need not lie
         in K.
         """
-        nodes, succ, n_initial = self._product(chain, u_aut, bounds)
+        nodes, succ, n_initial = product
         if threshold == "as1":
             tracking = self._least_subsets(
                 chain, nodes, succ, [(chain.init, range(n_initial))], None,
                 "tracking graph")
             if tracking is None:
                 return False
-        scc = markov._tarjan(len(nodes), succ)
-        # An acyclic component is never complete: the chain always
-        # moves on, and the automaton cannot follow inside it.
-        accepting = [comp for ci, comp in enumerate(scc.components)
-                     if scc.has_cycle[ci]
-                     and any(u_aut.is_buchi(nodes[i][1]) for i in comp)]
+        accepting = self._accepting(nodes, succ)
         if threshold == "pos":
             return any(self._complete(chain, nodes, succ, comp)
                        for comp in accepting)
@@ -816,17 +836,8 @@ class DiamondChecker:
         at N0 is false, `emptiness` and `min_set` ask the pump
         (`_pump`) on this same product before the witness bound.
         """
-        product = self._pair_product(chain)
+        product = _within_cap(self._product, chain, [])
         return None if product is None else len(product[0])
-
-    def _pair_product(self, chain):
-        """The product `pairs` counts, or None past the node cap."""
-        try:
-            return self._product(chain, self.u, [])
-        except TableauLimitError:
-            raise
-        except ResourceLimitError:
-            return None
 
     def _pump(self, chain, threshold, product):
         """Does a pump certificate prove V>0 ("pos") or V=1 ("as1")
@@ -870,12 +881,13 @@ class DiamondChecker:
           the counter product survives: its tracking graph (`_holds`)
           dies at v, and V=1 misses every v.
         - "pos".  A complete accepting SCC K of the counter product at v
-          projects into one cyclic accepting SCC D of P: its projection
-          is strongly connected and keeps its U-states.  The chain
-          states K visits are closed under chain steps, since K can
-          follow each of them (`_complete`), and strongly connected: a
-          bottom SCC B of the chain, all of whose states D visits, and K
-          has a node at every state of B.  For each such D and B, T is
+          projects into one accepting SCC D of P (`_accepting`): its
+          projection is strongly connected and keeps its U-states and
+          their parametric flags.  The chain states K visits are closed
+          under chain steps, since K can follow each of them
+          (`_complete`), and strongly connected: a bottom SCC B of the
+          chain, all of whose states D visits, and K has a node at every
+          state of B.  For each such D and B, T is
           built from one fibre (s, D's pairs at s), s in B, with images
           kept in D.  K's runs project into D, so a pump there gives a
           chain word from s that no run inside K follows from K's nodes
@@ -899,26 +911,17 @@ class DiamondChecker:
         budget = [PUMP_BUDGET]
 
         def pump(start, inside):
-            try:
-                return self._pump_walks(chain, nodes, succ, resets, start,
-                                        inside, budget)
-            except TableauLimitError:
-                raise
-            except ResourceLimitError:
-                return None
+            return _within_cap(self._pump_walks, chain, nodes, succ, resets,
+                               start, inside, budget)
 
         if threshold == "as1":
             found = [pump([(chain.init, range(n_initial))], None)]
         else:
             found = []
-            scc = markov._tarjan(len(nodes), succ)
             chain_scc = markov.scc_decompose(chain)
             bottoms = [sorted(chain_scc.components[ci])
                        for ci in chain_scc.bottom_components()]
-            for ci, comp in enumerate(scc.components):
-                if not scc.has_cycle[ci] or not any(
-                        self.u.is_buchi(nodes[i][1]) for i in comp):
-                    continue
+            for comp in self._accepting(nodes, succ):
                 fibres = {}
                 for i in comp:
                     fibres.setdefault(nodes[i][0], []).append(i)
@@ -1014,46 +1017,36 @@ class DiamondChecker:
                 queue.append(nxt)
         return None
 
-    def _counter_free_empty(self, chain, threshold):
-        """Does the counter-free automaton prove V>0 (or V=1) empty?
-
-        That automaton is the checker's tableau with `acc_b + acc_p` as
-        Buchi sets and no counters.  A counter counts a streak outside
-        its `acc_p` set, so a run the counter product accepts at v visits
-        each such set at least once every v(x) + 1 states and is
-        accepted here too: this language contains the one at every v,
-        and probability zero (below one) proves V>0 (V=1) empty.  It is
-        exactly phi with every F[<=x] read as F: a marked F[<=x] psi
-        stays marked until psi holds, which its Buchi set forces, and
-        the NNF formula is positive in an unmarked one.
-
-        False without parameters (the witness query asks the same) or
-        when its product passes the node cap.  Its nodes count in
-        `stats["product_nodes"]`, not in `stats["queries"]`.
-        """
-        empty = False
-        if self.user_names:
-            free = UAutomaton(self.g, counters=False)
-            try:
-                empty = not self._holds(chain, threshold, free, [])
-            except TableauLimitError:
-                raise
-            except ResourceLimitError:
-                pass
-        self.shortcut = "counter-free" if empty else None
-        return empty
-
     def _witness_bound(self, chain, threshold, top, pairs):
         """The step `emptiness` and `min_set` share: (n, oracle), with n
         the uniform bound to ask V>0 ("pos") or V=1 ("as1") at, None when
         V is proved empty, and oracle(point) asking each point once.
 
-        The counter-free product is asked first.  Then, with `pairs`,
-        the point at N0 when N0 < `top`: in V, n is N0; not in V, a pump
-        certificate on the same pair product (`_pump`) proves V empty.
-        Otherwise n is `top`.  With parameters `bound_used` is n.
+        With parameters, one pair product serves three steps: the
+        counter-free check (`_holds` on it; probability zero, or below
+        one, proves V>0, or V=1, empty, with `shortcut` "counter-free"),
+        then, with `pairs` and N0 < `top`, the point at N0 (in V: n is
+        N0) and a pump certificate (`_pump`: V is empty).  Otherwise, or
+        past the node cap, n is `top`.  With parameters `bound_used` is n.
+
+        The counter-free check is exact.  It asks phi with every F[<=x]
+        read as F, which phi[v] implies at every v (the NNF formula is
+        monotone in its bounds; Kupferman, Piterman and Vardi, 2009):
+        the tableau runs that visit every `acc_b` and `acc_p` set
+        infinitely often, since a marked F[<=x] psi stays marked until
+        psi holds, which its `acc_p` set forces, and the formula is
+        positive in an unmarked one.  `self.u` is unambiguous (the
+        tableau is, and its index is deterministic), and a cyclic SCC
+        with a node at index 0 in the first `acc_b` set meets every
+        `acc_b` set: a cycle through that node moves the index through
+        every value, and leaves index i only from the i-th set.  So
+        `_accepting` keeps the SCCs that meet every generalized set, the
+        acceptance of a product SCC under generalized Buchi conditions
+        (Couvreur, Saheb and Sutre, 2003).  `_complete` and the tracking
+        graph read acceptance only through which SCCs are accepting, so
+        their proofs carry over unchanged.
         """
-        self.bound_used = self.certificate = None
+        self.bound_used = self.certificate = self.shortcut = None
         check = self.check_pos if threshold == "pos" else self.check_as1
         answers = {}
 
@@ -1064,23 +1057,24 @@ class DiamondChecker:
             return answers[point]
 
         n = top
-        if self._counter_free_empty(chain, threshold):
+        product = self.user_names and _within_cap(self._product, chain, [])
+        if product and _within_cap(self._holds, chain, threshold,
+                                   product) is False:
             n = None
-        elif pairs:
-            product = self._pair_product(chain)
-            n0 = None if product is None else len(product[0])
-            if n0 is not None and n0 < top:
-                if oracle((n0,) * len(self.user_names)):
-                    n = n0
-                elif self._pump(chain, threshold, product):
-                    n = None
+            self.shortcut = "counter-free"
+        elif product and pairs and len(product[0]) < top:
+            n0 = len(product[0])
+            if oracle((n0,) * len(self.user_names)):
+                n = n0
+            elif self._pump(chain, threshold, product):
+                n = None
         if self.user_names:
             self.bound_used = n
         return n, oracle
 
     def emptiness(self, chain, threshold):
         """True iff V>0 ("pos") or V=1 ("as1") is empty: with parameters,
-        `_witness_bound` asks the counter-free product, N0 and the pump;
+        `_witness_bound` asks the counter-free check, N0 and the pump;
         when none decides, V is nonempty iff it holds the point at vbar,
         the witness bound.  `bound_used` is None when no bound decided.
         """
@@ -1118,10 +1112,10 @@ class DiamondChecker:
     def member(self, chain, threshold, valuation):
         """Is `valuation` in V>0 ("pos") or V=1 ("as1")?  V is upward
         closed, and nonempty iff it holds the uniform point at vbar, so
-        a valuation at or above vbar in every variable asks that point
-        instead, at a bounded cost."""
+        a valuation at or above vbar in every variable is in V exactly
+        when V is not empty (`emptiness`)."""
         n = self.vbar(chain)
         if all(valuation[x] >= n for x in self.user_names):
-            valuation = dict.fromkeys(self.user_names, n)
+            return not self.emptiness(chain, threshold)
         check = self.check_pos if threshold == "pos" else self.check_as1
         return check(chain, valuation)

@@ -20,7 +20,7 @@ v(x) = m * |phi| (constant bounds unfolded) is a witness valuation.
 
 Almost-sure queries use the general product checker, but not at one
 bound.  Emptiness of V=1 (`check`) is `DiamondChecker.emptiness`: the
-counter-free product, then the uniform point at N0, then a pump
+counter-free check, then the uniform point at N0, then a pump
 certificate, then the point at vbar = m * |phi| * 2^|phi|.  The
 minimal valuations of V=1 (`minset`) are `DiamondChecker.min_set` in
 the box {0..m * |phi|}^k; `min_set_fx` serves V>0 only.  That this box

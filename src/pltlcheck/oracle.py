@@ -156,9 +156,10 @@ def _const(f):
 def eval_lasso(word, phi):
     """Exact verdict of a variable-free NNF formula on stem + loop^omega.
 
-    Subformulas are evaluated over the finitely many positions of the
-    lasso graph; until/eventually use least fixpoints, release/always
-    greatest fixpoints, and bounded operators walk their window.
+    Each subformula gets a table over the finitely many positions of the
+    lasso graph, children first, so no call nests per nesting level;
+    until/eventually use least fixpoints, release/always greatest
+    fixpoints, and bounded operators walk their window.
     """
     stem = [frozenset(p) for p in word.stem]
     loop = [frozenset(p) for p in word.loop]
@@ -166,37 +167,32 @@ def eval_lasso(word, phi):
     n = len(letters)
     succ = list(range(1, n)) + [len(stem)]
 
-    def table(f):
+    def table(f, kids):
         if isinstance(f, Atom):
             return [f.name in l for l in letters]
         if isinstance(f, NegAtom):
             return [f.name not in l for l in letters]
         if isinstance(f, And):
-            a, b = table(f.left), table(f.right)
-            return [x and y for x, y in zip(a, b)]
+            return [x and y for x, y in zip(*kids)]
         if isinstance(f, Or):
-            a, b = table(f.left), table(f.right)
-            return [x or y for x, y in zip(a, b)]
+            return [x or y for x, y in zip(*kids)]
         if isinstance(f, Next):
-            a = table(f.child)
-            return [a[succ[i]] for i in range(n)]
+            return [kids[0][succ[i]] for i in range(n)]
         if isinstance(f, Until):
-            return _lfp(table(f.left), table(f.right))
+            return _lfp(*kids)
         if isinstance(f, Eventually):
-            return _lfp([True] * n, table(f.child))
+            return _lfp([True] * n, kids[0])
         if isinstance(f, Release):
-            return _gfp(table(f.left), table(f.right))
+            return _gfp(*kids)
         if isinstance(f, Always):
-            return _gfp([False] * n, table(f.child))
+            return _gfp([False] * n, kids[0])
         if isinstance(f, BoundedEventually):
             c = _const(f)
-            a = table(f.child)
-            return [_window_any(a, i, c) for i in range(n)]
+            return [_window_any(kids[0], i, c) for i in range(n)]
         if isinstance(f, BoundedAlways):
             c = _const(f)
-            a = table(f.child)
-            return [not _window_any([not x for x in a], i, c)
-                    for i in range(n)]
+            a = [not x for x in kids[0]]
+            return [not _window_any(a, i, c) for i in range(n)]
         raise FormulaError("unsupported node %r" % (f,))
 
     def _lfp(hold, target):
@@ -231,7 +227,11 @@ def eval_lasso(word, phi):
             j = succ[j]
         return False
 
-    return table(phi)[0]
+    tables = {}
+    for f in subformulas(phi, postorder=True):
+        if id(f) not in tables:
+            tables[id(f)] = table(f, [tables[id(c)] for c in children(f)])
+    return tables[id(phi)][0]
 
 
 def sample_lower_bound(chain, phi, samples, horizon, seed):

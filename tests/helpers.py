@@ -500,12 +500,14 @@ def reference_min_val_pos_buchi(chain, name):
     return None
 
 
-def reference_holds(checker, chain, threshold, u_aut, bounds,
-                    max_nodes=None):
+def reference_holds(checker, chain, threshold, bounds, max_nodes=None):
     """`DiamondChecker._holds` with its subset constructions over plain
     frozensets of product nodes, which keep every node alive: no
     least-counter reduction, and a bottom tracking component counts an
-    accepting SCC when one of its sets meets it.
+    accepting SCC when one of its sets meets it.  An SCC is accepting
+    when it is cyclic, holds a Buchi node and holds a node in each
+    variable's parametric set; with no `bounds` that reads the pair
+    product as the formula with every F[<=x] read as F.
 
     The product and its SCCs come from the checker.  Returns the verdict
     and, per completeness graph in SCC order and then per tracking
@@ -513,14 +515,19 @@ def reference_holds(checker, chain, threshold, u_aut, bounds,
     where an empty image stopped the graph.  A subset graph past
     `max_nodes` nodes raises ResourceLimitError.
     """
-    nodes, succ, n_initial = checker._product(chain, u_aut, bounds)
+    u = checker.u
+    nodes, succ, n_initial = checker._product(chain, bounds)
     scc = _tarjan(len(nodes), succ)
     graphs = []
     good = set()
     for ci, comp in enumerate(scc.components):
         if not scc.has_cycle[ci]:
             continue
-        if not any(u_aut.is_buchi(nodes[i][1]) for i in comp):
+        if not any(u.is_buchi(nodes[i][1]) for i in comp):
+            continue
+        flags = [u.par[nodes[i][1] // u.k] for i in comp]
+        if not all(any(f[x] for f in flags)
+                   for x in range(len(u.var_names))):
             continue
         fiber = {}
         for i in comp:
@@ -560,7 +567,7 @@ def reference_pump_kills(checker, chain, threshold, v):
     run inside K from K's nodes there.
     """
     nodes, succ, n_initial = checker._product(
-        chain, checker.u, [v] * len(checker.u.var_names))
+        chain, [v] * len(checker.u.var_names))
     rounds = (checker.pairs(chain) + 1) * (v + 2)
 
     def dies(alive, inside, pi, gamma):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import until_chain
-from pltlcheck import cli, diamond, markov
+from pltlcheck import cli, diamond, fixtures, markov
 from pltlcheck.formula import parse_formula
 from pltlcheck.markov import parse_chain
 
@@ -157,8 +157,12 @@ def test_oracle_gen3sat_many_clauses(tmp_path):
     # GeneralizedBuchi at =1 has a closed form and no checker.
     ("G F[<=x] a & G F[<=y] a", "=1", False),
 ])
-def test_member_at_or_above_vbar_asks_vbar(coin, monkeypatch, formula,
-                                           threshold, engine):
+def test_member_at_or_above_vbar_answers_emptiness(coin, monkeypatch,
+                                                   formula, threshold,
+                                                   engine):
+    # V is upward closed and nonempty iff it holds the point at vbar, so
+    # a valuation at or above vbar in every variable is answered by
+    # `emptiness`: the same points asked, the opposite verdict.
     asked = []
     for name in ("check_pos", "check_as1"):
         def record(self, chain, valuation, real=getattr(
@@ -166,9 +170,13 @@ def test_member_at_or_above_vbar_asks_vbar(coin, monkeypatch, formula,
             asked.append({x: valuation[x] for x in self.user_names})
             return real(self, chain, valuation)
         monkeypatch.setattr(diamond.DiamondChecker, name, record)
+    chain = parse_chain(COIN)
     checker = diamond.DiamondChecker(parse_formula(formula))
     names = checker.user_names
-    n = checker.vbar(parse_chain(COIN))
+    n = checker.vbar(chain)
+    empty = checker.emptiness(chain, "pos" if threshold == ">0" else "as1")
+    expected = ("member: %s" % ("false" if empty else "true"),
+                list(asked) if engine else [])
 
     def member(values):
         del asked[:]
@@ -178,17 +186,31 @@ def test_member_at_or_above_vbar_asks_vbar(coin, monkeypatch, formula,
         assert code == 0
         return out.splitlines()[-1], list(asked)
 
-    top = dict.fromkeys(names, n)
-    verdict, at_top = member([n] * len(names))
-    assert at_top == ([top] if engine else [])
-    # Every value at or above vbar: the point at vbar is asked.
-    for values in ([10 ** 8] * len(names),
+    for values in ([n] * len(names), [10 ** 8] * len(names),
                    [n] + [10 ** 8] * (len(names) - 1)):
-        assert member(values) == (verdict, at_top)
+        assert member(values) == expected
     # A value below vbar is asked as it is.
     low = [10 ** 8] * (len(names) - 1) + [n - 1]
     _, at_low = member(low)
     assert at_low == ([dict(zip(names, low))] if engine else [])
+
+
+@pytest.mark.parametrize("threshold", [">0", "=1"])
+def test_huge_member_answers_from_emptiness(tmp_path, threshold):
+    # Both values lie far above vbar = 1,419,264, so `emptiness` answers:
+    # the point at N0 = 519 is in V, with 135,474 product nodes in all.
+    # Asking the point at vbar instead passes the node cap.
+    path = tmp_path / "traffic.dtmc"
+    path.write_text(fixtures.chain_text(fixtures.traffic_chain()))
+    code, out, err = _run([
+        "member", "--chain", str(path), "--formula",
+        "G (!r | F[<=x] (g U b)) & F[<=y] G !r", "--threshold", threshold,
+        "--valuation", "x=10000000,y=10000000",
+        "--max-product-nodes", "200000"])
+    assert (code, err) == (0, "")
+    assert out == ("fragment: Diamond\nthreshold: %s\n"
+                   "valuation: x=10000000,y=10000000\nmember: true\n"
+                   % threshold)
 
 
 def test_exit_parse_error(coin):
@@ -424,7 +446,7 @@ def test_tableau_cap_counts_the_masks_the_chain_emits(coin, tmp_path):
     argv = ["check", "--chain", coin, "--formula", text]
     code, out, err = _run(argv)
     assert code == 0, err
-    assert out == ("fragment: Diamond\nthreshold: >0\nproduct-nodes: 760\n"
+    assert out == ("fragment: Diamond\nthreshold: >0\nproduct-nodes: 726\n"
                    "shortcut: counter-free\nverdict: empty\n")
     path = tmp_path / "aut.txt"
     code, out, err = _run(argv + ["--emit-automaton", str(path)])
@@ -473,9 +495,8 @@ def test_exit_tableau_too_large(coin):
 ])
 def test_tableau_cap_builds_the_failing_block_once(coin, monkeypatch,
                                                    threshold, text):
-    # The counter-free step is the first product to read a mask past the
-    # state cap; the pair count and the witness product do not build it
-    # again.
+    # The pair product is the first product to read a mask past the
+    # state cap; the witness product does not build it again.
     builds = []
     real = diamond.GAutomaton.block
 

@@ -12,8 +12,7 @@ from helpers import (
 )
 from pltlcheck import diamond
 from pltlcheck.diamond import (
-    PUMP_BUDGET, DiamondChecker, ResourceLimitError, UAutomaton,
-    format_automaton,
+    PUMP_BUDGET, DiamondChecker, ResourceLimitError, format_automaton,
 )
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import (
@@ -21,7 +20,7 @@ from pltlcheck.formula import (
     _map, closure, parse_formula, size, strip_params, substitute, to_nnf,
     variables,
 )
-from pltlcheck.markov import MarkovChain, _tarjan, parse_chain
+from pltlcheck.markov import MarkovChain, parse_chain
 from pltlcheck.oracle import (
     CERTAIN_FALSE, LassoWord, eval_lasso, eval_prefix, gen_3sat_fixture,
     sample_lower_bound,
@@ -205,7 +204,7 @@ def test_stats_accumulate():
     assert ck.stats["product_nodes"] > 0
 
 
-def _subset_graphs(ck, chain, threshold, u_aut, bounds):
+def _subset_graphs(ck, chain, threshold, bounds):
     """`ck._holds` and the subset nodes of its subset graphs, in the
     shape `reference_holds` returns."""
     graphs = []
@@ -217,7 +216,7 @@ def _subset_graphs(ck, chain, threshold, u_aut, bounds):
         return found
     ck._explore = explore
     try:
-        return ck._holds(chain, threshold, u_aut, bounds), graphs
+        return ck._holds(chain, threshold, ck._product(chain, bounds)), graphs
     finally:
         del ck._explore
 
@@ -230,7 +229,7 @@ def _counts(holds):
                      for what, found in graphs]
 
 
-def _assert_tracking_matches(ck, chain, u_aut, bounds, got, expected):
+def _assert_tracking_matches(ck, chain, bounds, got, expected):
     """The checker's `_subset_graphs` result `got` against the plain
     `reference_holds` result `expected`: equal verdicts, the tracking
     graph stopped by an empty image in both or in neither, and its
@@ -242,34 +241,30 @@ def _assert_tracking_matches(ck, chain, u_aut, bounds, got, expected):
     for found, ref in zip(tracking, plain):
         assert (found is None) == (ref is None), (chain.rows, chain.labels)
         if found is not None:
-            nodes = ck._product(chain, u_aut, bounds)[0]
+            nodes = ck._product(chain, bounds)[0]
             assert set(found) == {(s, reference_least(nodes, alive))
                                   for s, alive in ref}
 
 
-def _completeness(ck, chain, u_aut, bounds):
-    """Is each cyclic accepting product SCC complete?  In SCC order, as
+def _completeness(ck, chain, bounds):
+    """Is each accepting product SCC complete?  In SCC order, as
     `reference_holds` lists its completeness graphs."""
-    nodes, succ, _ = ck._product(chain, u_aut, bounds)
-    scc = _tarjan(len(nodes), succ)
+    nodes, succ, _ = ck._product(chain, bounds)
     return [ck._complete(chain, nodes, succ, comp)
-            for ci, comp in enumerate(scc.components)
-            if scc.has_cycle[ci]
-            and any(u_aut.is_buchi(nodes[i][1]) for i in comp)]
+            for comp in ck._accepting(nodes, succ)]
 
 
-def _assert_subsets_match_reference(ck, chain, u_aut, bounds, max_nodes=None):
+def _assert_subsets_match_reference(ck, chain, bounds, max_nodes=None):
     # At both thresholds equal verdicts, and a tracking graph that dies
     # in both or in neither and is the image of the reference's plain
     # one under least; and every accepting SCC complete exactly when
     # the reference's completeness graph meets no empty image.  The
     # reference's subset graphs are capped at `max_nodes`.
     for threshold in ("pos", "as1"):
-        got = _subset_graphs(ck, chain, threshold, u_aut, bounds)
-        expected = reference_holds(ck, chain, threshold, u_aut, bounds,
-                                   max_nodes)
-        _assert_tracking_matches(ck, chain, u_aut, bounds, got, expected)
-    assert _completeness(ck, chain, u_aut, bounds) == [
+        got = _subset_graphs(ck, chain, threshold, bounds)
+        expected = reference_holds(ck, chain, threshold, bounds, max_nodes)
+        _assert_tracking_matches(ck, chain, bounds, got, expected)
+    assert _completeness(ck, chain, bounds) == [
         n is not None for what, n in expected[1]
         if what == "completeness graph"], (chain.rows, chain.labels)
 
@@ -282,19 +277,19 @@ def _assert_subsets_match_reference(ck, chain, u_aut, bounds, max_nodes=None):
        st.integers(0, 2 ** 32 - 1))
 def test_subset_bitsets_match_frozenset_reference(phi, sides, valuation,
                                                   seed):
-    # Both thresholds, with the counter automaton at a small valuation
-    # and with the counter-free automaton: equal verdicts, and the
-    # tracking graph the least-counter image of the plain one, or
-    # stopped by an empty image in both.  Each side adds F[<=x], F[<=y] or F[<=z]
-    # of its own formula, so that most examples have variables.
+    # Both thresholds, with the counter product at a small valuation
+    # and with the pair product, whose accepting SCCs must meet every
+    # parametric set: equal verdicts, and the tracking graph the
+    # least-counter image of the plain one, or stopped by an empty image
+    # in both.  Each side adds F[<=x], F[<=y] or F[<=z] of its own
+    # formula, so that most examples have variables.
     for x, (op, psi) in zip("xyz", sides):
         phi = op(phi, BoundedEventually(VarBound(x), psi))
     c = random_chain(random.Random(seed), max_states=4)
     try:
         ck = DiamondChecker(phi, max_product_nodes=1000)
-        free = UAutomaton(ck.g, counters=False)
-        _assert_subsets_match_reference(ck, c, ck.u, ck._bounds(valuation))
-        _assert_subsets_match_reference(ck, c, free, [])
+        _assert_subsets_match_reference(ck, c, ck._bounds(valuation))
+        _assert_subsets_match_reference(ck, c, [])
     except ResourceLimitError:
         assume(False)
 
@@ -318,7 +313,7 @@ def test_least_counter_sets_match_reference_up_to_40(phi, op, psi, valuation,
     c = random_chain(random.Random(seed), max_states=4)
     try:
         ck = DiamondChecker(phi, max_product_nodes=2000)
-        _assert_subsets_match_reference(ck, c, ck.u, ck._bounds(valuation),
+        _assert_subsets_match_reference(ck, c, ck._bounds(valuation),
                                         max_nodes=2000)
     except ResourceLimitError:
         assume(False)
@@ -361,12 +356,11 @@ def test_least_counter_sets_on_six_state_chain(text, small, large):
     ck = DiamondChecker(parse_formula(text))
     for threshold in ("pos", "as1"):
         _assert_tracking_matches(
-            ck, c, ck.u, small,
-            _subset_graphs(ck, c, threshold, ck.u, small),
-            reference_holds(ck, c, threshold, ck.u, small))
-    assert _completeness(ck, c, ck.u, small) == [True]
+            ck, c, small, _subset_graphs(ck, c, threshold, small),
+            reference_holds(ck, c, threshold, small))
+    assert _completeness(ck, c, small) == [True]
     for bounds, nodes in large.items():
-        assert _counts(_subset_graphs(ck, c, "pos", ck.u, list(bounds))) == (
+        assert _counts(_subset_graphs(ck, c, "pos", list(bounds))) == (
             True, [("completeness graph", nodes)])
 
 
@@ -377,10 +371,10 @@ def test_no_initial_product_node_refutes_as1():
     ck = DiamondChecker(parse_formula("a & F[<=x] a"))
     for threshold, check in (("pos", ck.check_pos), ("as1", ck.check_as1)):
         assert not check(c, {"x": 2})
-        got = _subset_graphs(ck, c, threshold, ck.u, [2])
+        got = _subset_graphs(ck, c, threshold, [2])
         assert got == (False, [] if threshold == "pos"
                        else [("tracking graph", None)])
-        assert got == reference_holds(ck, c, threshold, ck.u, [2])
+        assert got == reference_holds(ck, c, threshold, [2])
 
 
 def test_chain_state_without_product_node():
@@ -396,10 +390,10 @@ def test_chain_state_without_product_node():
     assert not ck.check_pos(c, {}) and not ck.check_as1(c, {})
     for threshold, graph in (("pos", "completeness graph"),
                              ("as1", "tracking graph")):
-        got = _subset_graphs(ck, c, threshold, ck.u, [])
+        got = _subset_graphs(ck, c, threshold, [])
         assert got == (False, [(graph, None)])
         _assert_tracking_matches(
-            ck, c, ck.u, [], got, reference_holds(ck, c, threshold, ck.u, []))
+            ck, c, [], got, reference_holds(ck, c, threshold, []))
 
 
 def test_subset_images_span_several_bytes():
@@ -411,9 +405,9 @@ def test_subset_images_span_several_bytes():
                            {2: half, 3: half}, {3: Fraction(1)}],
                     [{"a"}, set(), set(), {"b"}])
     ck = DiamondChecker(parse_formula("G (!a | F[<=x] b)"))
-    nodes = ck._product(c, ck.u, [40])[0]
+    nodes = ck._product(c, [40])[0]
     assert max(sum(n[0] == s for n in nodes) for s in range(4)) > 16
-    _assert_subsets_match_reference(ck, c, ck.u, [40])
+    _assert_subsets_match_reference(ck, c, [40])
 
 
 def _assert_matches_reference(ck):
@@ -550,17 +544,41 @@ def test_counter_free_step_falls_through():
     assert ck.shortcut is None and ck.stats["queries"] == 1
 
 
-def test_counter_free_step_over_the_node_cap_falls_through():
-    # The counter-free automaton cycles through the parametric set as a
-    # Buchi set too, so its product (6 nodes) is larger than the witness
-    # product (3).  Only the pair product (3 pairs) and the product at
-    # N0 = 3, which is in V, count.
+def test_pair_product_over_the_node_cap_falls_through():
+    # The pair product (4 pairs) passes the cap of 3, so neither the
+    # counter-free check, N0 nor the pump runs, and the search asks its
+    # box top first: the products at x = 1 (3 nodes) and x = 0 (2).
     one = Fraction(1)
     c = MarkovChain(2, 0, [{1: one}, {0: one}], [{"a", "b"}, {"a", "c"}])
-    ck = DiamondChecker(parse_formula("G (F[<=x] a & F b)"), max_product_nodes=4)
-    assert not ck.emptiness(c, "pos")
-    assert ck.shortcut is None and ck.stats["product_nodes"] == 3 + 3
-    assert ck.bound_used == ck.pairs(c) == 3
+    ck = DiamondChecker(parse_formula("F[<=x] G a"), max_product_nodes=3)
+    assert list(ck.min_set(c, "pos", bound=1).points) == [(0,)]
+    assert ck.shortcut is None and ck.bound_used == 1
+    assert ck.stats["product_nodes"] == 3 + 2 and ck.stats["queries"] == 2
+
+
+@pytest.mark.parametrize("text, threshold", [
+    ("F[<=x] a", "pos"), ("F[<=x] a", "as1"),
+    ("G (!a | F[<=x] b)", "as1"), ("G F[<=x] a & G F[<=y] b", "pos"),
+])
+def test_witness_bound_builds_one_pair_product(monkeypatch, text, threshold):
+    # The counter-free check, N0 and the pump read one product without
+    # counters, in an emptiness query and in a one-variable min_set.
+    built = []
+    product = DiamondChecker._product
+
+    def counted(self, chain, bounds):
+        built.append(list(bounds))
+        return product(self, chain, bounds)
+    monkeypatch.setattr(DiamondChecker, "_product", counted)
+    c = _response_chain()
+    phi = parse_formula(text)
+    calls = [lambda ck: ck.emptiness(c, threshold)]
+    if len(variables(phi)) == 1:
+        calls.append(lambda ck: ck.min_set(c, threshold))
+    for call in calls:
+        built.clear()
+        call(DiamondChecker(phi))
+        assert built.count([]) == 1, built
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -597,13 +615,14 @@ def test_counter_free_step_agrees_with_witness_bound(seed, fx):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(nnf_formulas(max_leaves=6), st.integers(0, 2 ** 32 - 1))
 def test_counter_free_step_matches_stripped_formula(phi, seed):
-    # The step runs on the checker's own tableau.  The reference is the
-    # formula with every F[<=x] read as F, checked by a checker of its
-    # own.  The step's cap is ten times the reference's, so an example
-    # too large for the step (whose cap hit reads as "not empty") is
-    # dropped at the reference's cap first.  A formula without a
-    # variable (the step is then skipped) is put under F[<=x] rather
-    # than rejected, which would trip the too-much-filtering check.
+    # The step is `_holds` on the checker's pair product, whose
+    # accepting SCCs must meet every parametric set.  The reference is
+    # the formula with every F[<=x] read as F, checked by a checker of
+    # its own.  The step's cap is ten times the reference's, so an
+    # example is dropped at the reference's cap first.  A formula
+    # without a variable (the step is then skipped) is put under F[<=x]
+    # rather than rejected, which would trip the too-much-filtering
+    # check.
     if not variables(phi):
         phi = BoundedEventually(VarBound("x"), phi)
     nnf = to_nnf(phi)
@@ -613,8 +632,8 @@ def test_counter_free_step_matches_stripped_formula(phi, seed):
         ref = DiamondChecker(strip_params(nnf), max_product_nodes=2000)
         for threshold, check in (("pos", ref.check_pos),
                                  ("as1", ref.check_as1)):
-            expected = not check(c, {})
-            assert ck._counter_free_empty(c, threshold) == expected, \
+            expected = check(c, {})
+            assert ck._holds(c, threshold, ck._product(c, [])) == expected, \
                 (phi, threshold, c.rows)
     except ResourceLimitError:
         assume(False)
@@ -802,7 +821,7 @@ def test_pump_certifies_dying_subset_graphs():
     c = MarkovChain(2, 0, [{0: half, 1: half}, {1: Fraction(1)}],
                     [{"b"}, {"a"}])
     ck = DiamondChecker(parse_formula("F[<=x] a & G b"))
-    product = ck._product(c, ck.u, [])
+    product = ck._product(c, [])
     for threshold, walks in (("as1", [((0, 1, 1), ())]), ("pos", [])):
         assert ck._pump(c, threshold, product)
         assert ck.certificate == walks and ck.shortcut == "pump"

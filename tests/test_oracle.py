@@ -10,7 +10,8 @@ from helpers import (
 from pltlcheck import diamond, fx, oracle
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import (
-    FormulaError, parse_formula, substitute, to_nnf, variables,
+    Always, Atom, Eventually, FormulaError, Next, parse_formula, substitute,
+    to_nnf, variables,
 )
 from pltlcheck.oracle import (
     CERTAIN_FALSE, CERTAIN_TRUE, UNKNOWN, LassoWord, brute_force_min_set,
@@ -44,6 +45,26 @@ def test_eval_lasso_basics():
     word2 = LassoWord((), (frozenset({"a", "b"}),))
     assert eval_lasso(word2, _f("a U b"))
     assert eval_lasso(word2, _f("G[<=3] a"))
+
+
+def test_eval_lasso_of_a_deep_formula():
+    # 5,000 nested operators, built without the parser, are far deeper
+    # than the interpreter's recursion limit.  On (a, {})^omega the a's
+    # lie at even positions: X^n a holds for even n, G F X^n a always
+    # and G X^n a never; F a holds everywhere, and so does every G and F
+    # stacked over it.
+    word = LassoWord((), (frozenset({"a"}), frozenset()))
+    for n in (4999, 5000):
+        phi = Atom("a")
+        for _ in range(n):
+            phi = Next(phi)
+        assert eval_lasso(word, phi) == (n % 2 == 0)
+        assert eval_lasso(word, Always(Eventually(phi)))
+        assert not eval_lasso(word, Always(phi))
+    phi = Atom("a")
+    for i in range(5000):
+        phi = (Eventually, Always)[i % 2](phi)
+    assert eval_lasso(word, phi)
 
 
 def test_lasso_requires_loop():
