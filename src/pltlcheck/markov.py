@@ -4,8 +4,11 @@ Provides the chain data model, a line-oriented text parser, SCC/BSCC
 decomposition, graph distances, and exact reachability probabilities.
 Bounded ones step integer vectors against P scaled by the lcm D of its
 denominators, so Pr(reach within n) = y_n / D**n with no gcd per step;
-unbounded ones solve a sparse linear system by elimination on dict rows
-with Markowitz pivoting.  Every probability returned is a
+the states are numbered into slots once per walk, all targets in one,
+and each group of rows of one width is stepped by one generated
+comprehension.  Unbounded ones fix the states of value 0 and 1 by graph
+analysis and solve a sparse linear system over the rest by elimination
+on dict rows with Markowitz pivoting.  Every probability returned is a
 `fractions.Fraction`, so comparisons (= 1, > 0, >= p) are exact.
 
 `_check_row` decides whether a row is a distribution.  `MarkovChain`
@@ -17,8 +20,11 @@ checked rows without a second check.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 
 class ChainError(ValueError):
@@ -33,9 +39,12 @@ class ResourceLimitError(Exception):
 # The most work one walk of `reach_steps` may do.  Step n costs the
 # row entries stepped times the bits of the scale to the n, plus
 # STEP_OVERHEAD per row entry, stepped state and target, and once per
-# step.  So a walk to n costs about entries * n^2: either part alone
-# reaches the cap in two to four seconds on a 2-core x86 machine, and
-# n = 300 on a 200-state chain costs under a hundredth of it.
+# step.  So a walk to n costs about entries * n^2.  On a 2-core x86
+# machine the growing part reaches the cap in about two seconds (the
+# coin chain to n = 131,000), the fixed part alone in about a tenth of
+# one (a deterministic 1,000-state ring, whose numbers never grow, to
+# n = 2,438), and n = 300 from the initial state of a 200-state chain
+# costs under a hundredth of it.
 MAX_STEP_WORK = 2 * 10 ** 10
 STEP_OVERHEAD = 4096
 
@@ -447,18 +456,24 @@ def reachable_states(chain, source=None, avoid=()):
     return seen
 
 
-def states_reaching(chain, targets):
-    """All states with some path into `targets` (backward closure)."""
-    pred = [set() for _ in range(chain.m)]
-    for s in range(chain.m):
-        for t in chain.successors(s):
-            pred[t].add(s)
+def states_reaching(chain, targets, avoid=()):
+    """All states with some path into `targets` (backward closure).
+
+    The states in `avoid` are left out, so a path enters none of them
+    before it reaches a target.
+    """
+    if not targets:
+        return set()
+    pred = [[] for _ in range(chain.m)]
+    for s, row in enumerate(chain.rows):
+        for t in row:
+            pred[t].append(s)
     seen = set(targets)
     frontier = list(targets)
     while frontier:
         t = frontier.pop()
         for s in pred[t]:
-            if s not in seen:
+            if s not in seen and s not in avoid:
                 seen.add(s)
                 frontier.append(s)
     return seen
@@ -495,17 +510,24 @@ def _step_work(n, work):
 def reach_steps(chain, targets, source=None, steps=None):
     """The bounded-reachability values for n = 0, 1, 2, ..., on integers.
 
-    Yields (y, d) with d = D**n, where D is the lcm of the denominators
-    in the rows stepped: Pr_s(reach `targets` within n steps) is
-    y[s] / d.  Stepping multiplies and adds integers only, so no step
-    normalises a fraction.  Without a `source` every state is stepped.
-    With one, only the states that `source` reaches before a target
-    are, since its probability depends on them alone; y is 0 at the
-    other non-target states.  Each y is a new list, never changed.
+    Returns (slot, walk).  `walk` yields (y, d) with d = D**n, where D is
+    the lcm of the denominators in the rows stepped: Pr_s(reach
+    `targets` within n steps) is y[slot[s]] / d.  Stepping multiplies
+    and adds integers only, so no step normalises a fraction.  Without
+    a `source` every state is stepped.  With one, only the states that
+    `source` reaches before a target are, since its probability depends
+    on them alone; `slot` maps the targets and the stepped states, and
+    every other state has value 0.  Each y is a new list, never changed.
+
+    All targets share slot 0, whose value is d.  The stepped states
+    follow, grouped by the width of their row once its target entries
+    are merged into one, and each group is stepped by one comprehension
+    from `_kernel`, so no step makes a Python call per row.
 
     A walk past `MAX_STEP_WORK` raises ResourceLimitError at the step
     that passes it; given the number of `steps` the caller will take,
-    before the first step when they would pass it.
+    here, before the walk starts, when they would pass it.  The work
+    counts every row entry, merged or not.
     """
     targets = set(targets)
     if source is None:
@@ -514,35 +536,72 @@ def reach_steps(chain, targets, source=None, steps=None):
         free = sorted(reachable_states(chain, source, targets) - targets)
     scale = math.lcm(*(p.denominator for s in free
                        for p in chain.rows[s].values()))
-    rows = [(s, [(t, p.numerator * (scale // p.denominator))
-                 for t, p in chain.rows[s].items()]) for s in free]
-    entries = sum(len(row) for _, row in rows)
-    fixed = STEP_OVERHEAD * (1 + len(targets) + len(rows) + entries)
+    entries = sum(len(chain.rows[s]) for s in free)
+    fixed = STEP_OVERHEAD * (1 + len(targets) + len(free) + entries)
     # d = scale**n has at most n * (scale - 1).bit_length() + 1 bits.
     grow = entries * (scale - 1).bit_length()
     if steps is not None:
         _step_work(steps, steps * fixed + grow * steps * (steps + 1) // 2)
-    y = [1 if s in targets else 0 for s in range(chain.m)]
-    d = 1
-    n = work = 0
-    while True:
-        yield y, d
-        n += 1
-        work += fixed + grow * n
-        _step_work(n, work)
-        d *= scale
-        nxt = [0] * chain.m
-        for t in targets:
-            nxt[t] = d
-        for s, row in rows:
-            nxt[s] = sum([w * y[t] for t, w in row])
-        y = nxt
+    # Each stepped row as {successor: integer weight}, its targets
+    # merged under the key None.
+    merged = []
+    for s in free:
+        row = {}
+        for t, p in chain.rows[s].items():
+            if t in targets:
+                t = None
+            row[t] = row.get(t, 0) + p.numerator * (scale // p.denominator)
+        merged.append((len(row), s, row))
+    merged.sort(key=itemgetter(0))
+    slot = dict.fromkeys(targets, 0)
+    slot.update((s, i) for i, (_, s, _) in enumerate(merged, 1))
+    groups = []
+    for width, group in itertools.groupby(merged, itemgetter(0)):
+        # A successor is a target (key None, slot 0) or a stepped state.
+        rows = [tuple(v for t, w in row.items() for v in (slot.get(t, 0), w))
+                for _, _, row in group]
+        groups.append((_kernel(width), rows))
+
+    def walk():
+        y = [1] + [0] * len(merged)
+        d = 1
+        n = work = 0
+        while True:
+            yield y, d
+            n += 1
+            work += fixed + grow * n
+            _step_work(n, work)
+            d *= scale
+            nxt = [d]
+            for kernel, rows in groups:
+                nxt += kernel(y, rows)
+            y = nxt
+
+    return slot, walk()
+
+
+@functools.cache
+def _kernel(width):
+    """The step of rows of `width` entries: y, rows -> one value per row,
+    its weights times the y of its slots, where a row is the flat tuple
+    (slot, weight, slot, weight, ...).  Generated once per width seen in
+    the process, as `collections.namedtuple` generates its methods; the
+    sum nests as a balanced tree, so a wide row compiles without deep
+    recursion."""
+    def total(j, k):
+        if k - j == 1:
+            return "w%d * y[i%d]" % (j, j)
+        return "(%s + %s)" % (total(j, (j + k) // 2), total((j + k) // 2, k))
+    names = ", ".join("i%d, w%d" % (j, j) for j in range(width))
+    return eval("lambda y, rows: [%s for %s in rows]"
+                % (total(0, width), names))
 
 
 def bounded_reach_vector(chain, targets, n):
     """Per-state probabilities of reaching `targets` within n steps."""
-    y, d = _nth(reach_steps(chain, targets, steps=n), n)
-    return [Fraction(v, d) for v in y]
+    slot, walk = reach_steps(chain, targets, steps=n)
+    y, d = _nth(walk, n)
+    return [Fraction(y[slot[s]], d) for s in range(chain.m)]
 
 
 def bounded_reach_prob(chain, targets, n):
@@ -554,14 +613,16 @@ def bounded_reach_prob(chain, targets, n):
     if n < 0:
         raise ChainError("step bound must be a natural number")
     try:
-        y, d = _nth(reach_steps(chain, targets, chain.init, n), n)
+        slot, walk = reach_steps(chain, targets, chain.init, n)
     except ResourceLimitError:
-        # Raised before the first step, so no work is lost.
+        # Raised before the walk starts, so no work is lost.
         last = settling_step(chain, targets, chain.init)
         if last is None or last >= n:
             raise
-        y, d = _nth(reach_steps(chain, targets, chain.init, last), last)
-    return Fraction(y[chain.init], d)
+        n = last
+        slot, walk = reach_steps(chain, targets, chain.init, n)
+    y, d = _nth(walk, n)
+    return Fraction(y[slot[chain.init]], d)
 
 
 def settling_step(chain, targets, source):
@@ -591,24 +652,32 @@ def _nth(steps, n):
 def unbounded_reach_vector(chain, targets):
     """Per-state probabilities of eventually reaching `targets`.
 
-    States that cannot reach the target get 0; for the rest the sparse
-    system x_s - sum_t P(s,t) x_t = P(s, targets) is solved exactly.
+    Graph analysis fixes the states whose value is 0 or 1 before any
+    arithmetic (Baier and Katoen, 2008, section 10.1): 0 where no path
+    reaches a target, 1 where no path reaches such a 0-state before a
+    target.  The sparse system x_s - sum_t P(s,t) x_t = P(s, to a target
+    or 1-state) is solved exactly over the states left, those strictly
+    between 0 and 1; when every bottom component holds a target there
+    are none.
     """
     targets = set(targets)
-    unknowns = states_reaching(chain, targets) - targets
+    reaching = states_reaching(chain, targets)
+    zero = set(range(chain.m)) - reaching
+    unknowns = states_reaching(chain, zero, avoid=targets) - zero
     rows, rhs = {}, {}
     for s in sorted(unknowns):
         row = {s: Fraction(1)}
         b = Fraction(0)
         for t, p in chain.rows[s].items():
-            if t in targets:
-                b += p
-            elif t in unknowns:
+            if t in unknowns:
                 row[t] = row.get(t, 0) - p
+            elif t in reaching:
+                b += p
         rows[s], rhs[s] = row, b
     result = [Fraction(0)] * chain.m
-    for s in targets:
-        result[s] = Fraction(1)
+    one = Fraction(1)
+    for s in reaching:
+        result[s] = one
     for s, v in _solve(rows, rhs).items():
         result[s] = v
     return result
@@ -624,9 +693,9 @@ def _solve(rows, rhs):
     `rows` maps each unknown to its sparse row, which holds its own
     diagonal entry.  Each step eliminates the unknown whose row and
     column have the fewest other entries (Markowitz, 1957), pivoting on
-    the diagonal.  A reachability system with its 0-states removed is
-    a nonsingular M-matrix, and so is every Schur complement of it, so
-    no diagonal pivot vanishes.  Both arguments are consumed.
+    the diagonal.  A reachability system with its 0- and 1-states
+    removed is a nonsingular M-matrix, and so is every Schur complement
+    of it, so no diagonal pivot vanishes.  Both arguments are consumed.
     """
     cols = {v: set() for v in rows}
     for v, row in rows.items():

@@ -76,14 +76,15 @@ def min_val_geq(chain, name, p):
 def _first_step_geq(chain, targets, p, last=None):
     """Least n (at most `last`, when given) with mu_n >= p, or None.
 
-    Walks n upward; mu_n = y[init] / d, so each step compares two
-    integers.  Without `last` the caller must know that some n works.
-    With it, a walk to `last` past the stepping cap raises before the
-    first step.
+    Walks n upward; mu_n = y[slot[init]] / d, so each step compares
+    two integers.  Without `last` the caller must know that some n
+    works.  With it, a walk to `last` past the stepping cap raises
+    before the first step.
     """
-    for n, (y, d) in enumerate(markov.reach_steps(chain, targets,
-                                                  chain.init, last)):
-        if y[chain.init] * p.denominator >= p.numerator * d:
+    slot, walk = markov.reach_steps(chain, targets, chain.init, last)
+    i = slot[chain.init]
+    for n, (y, d) in enumerate(walk):
+        if y[i] * p.denominator >= p.numerator * d:
             return n
         if n == last:
             return None

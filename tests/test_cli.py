@@ -646,6 +646,24 @@ def test_prob_past_stepping_cap_exits_3_before_stepping(coin):
                    + STEPPING_CAP)
 
 
+def test_minset_geq_stops_on_stepping_cap_at_the_counted_step(tmp_path,
+                                                              monkeypatch):
+    # The walk of minset has no step count, so the cap stops it at the
+    # step that passes it.  The row of state 0 has two a-successors,
+    # stepped as one entry but counted as two: n = 7, as when each was
+    # stepped on its own (counting one would give n = 9).
+    path = tmp_path / "split.dtmc"
+    path.write_text("states 3\ninit 0\ntrans 0 0 1/2\ntrans 0 1 1/4\n"
+                    "trans 0 2 1/4\ntrans 1 1 1\ntrans 2 2 1\n"
+                    "label 1 a\nlabel 2 a\n")
+    monkeypatch.setattr(markov, "MAX_STEP_WORK", 200000)
+    code, out, err = _run(["minset", "--chain", str(path), "--formula",
+                           "F[<=x] a", "--threshold", ">=999/1000"])
+    assert (code, out) == (3, "")
+    assert err == ("resource limit: exact stepping to n = 7 exceeds the "
+                   "stepping cap of 200000 work units\n")
+
+
 # mu_n rises to 1/2 and never meets it.
 HALF = ("states 3\ninit 0\ntrans 0 0 1/2\ntrans 0 1 1/4\n"
         "trans 0 2 1/4\ntrans 1 1 1\ntrans 2 2 1\nlabel 1 a\n")

@@ -11,7 +11,7 @@ from helpers import (
     reference_bounded_reach_vector, reference_min_val_geq,
     reference_unbounded_reach_vector,
 )
-from pltlcheck import reach
+from pltlcheck import markov, reach
 from pltlcheck.fixtures import chain_text, coin_chain
 from pltlcheck.markov import (
     ChainError, ChainParseError, MarkovChain, all_pairs_distance,
@@ -148,8 +148,10 @@ def coprime_chains(draw):
     primes = draw(st.permutations(ODD_PRIMES))
     rows = []
     for q in primes[:m]:
+        # At most q - 1 distinct cuts split q, so a row of denominator
+        # q has at most q successors.
         succ = draw(st.lists(st.integers(0, m - 1), min_size=1,
-                             max_size=min(3, m), unique=True))
+                             max_size=min(6, m, q), unique=True))
         cuts = sorted(draw(st.lists(st.integers(1, q - 1),
                                     min_size=len(succ) - 1,
                                     max_size=len(succ) - 1, unique=True)))
@@ -168,6 +170,7 @@ THRESHOLDS = st.sampled_from(["limit", "step", Fraction(1, 2),
                               Fraction(9, 10)])
 
 THIRDS = [{0: Fraction(2, 3), 1: Fraction(1, 3)}, {1: Fraction(1)}]
+FIVE = {t: Fraction(w, 11) for t, w in enumerate((1, 2, 3, 4, 1))}
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -179,6 +182,13 @@ THIRDS = [{0: Fraction(2, 3), 1: Fraction(1, 3)}, {1: Fraction(1)}]
 # State 2 is unreachable from the initial state 0.
 @example(MarkovChain(3, 0, THIRDS + [{0: Fraction(3, 5), 2: Fraction(2, 5)}],
                      [set(), {"a"}, set()]), 40, "step")
+# The initial state has five successors, two of them targets, which
+# the stepper merges into one entry.
+@example(MarkovChain(5, 0, [FIVE, {1: Fraction(1)},
+                            {0: Fraction(2, 5), 2: Fraction(3, 5)},
+                            {0: Fraction(1, 3), 3: Fraction(2, 3)},
+                            {4: Fraction(1)}],
+                     [set(), {"a"}, {"a"}, set(), set()]), 40, "limit")
 def test_numerics_match_fraction_references(chain, n, threshold):
     targets = chain.states_with("a")
     bounded = bounded_reach_vector(chain, targets, n)
@@ -222,3 +232,53 @@ def test_settling_step_is_where_mu_stops_changing(seed):
     limit = unbounded_reach_prob(chain, targets)
     assert bounded_reach_prob(chain, targets, n) == limit
     assert n == 0 or bounded_reach_prob(chain, targets, n - 1) < limit
+
+
+def _solve_calls(monkeypatch):
+    """The unknowns of each call to `markov._solve`, in call order."""
+    calls = []
+    solve = markov._solve
+
+    def spy(rows, rhs):
+        calls.append(set(rows))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(markov, "_solve", spy)
+    return calls
+
+
+# Every bottom component holds an a-state: every value is 1.
+ALL_BOTTOMS_HIT = MarkovChain(
+    5, 0, [{1: Fraction(1, 2), 2: Fraction(1, 2)},
+           {1: Fraction(1, 3), 3: Fraction(2, 3)},
+           {0: Fraction(1, 2), 2: Fraction(1, 2)},
+           {4: Fraction(1)}, {3: Fraction(1)}],
+    [set(), set(), set(), set(), {"a"}])
+
+# State 1 is the a-state, 2 reaches it surely, 4 never: states 0 and 3
+# lie strictly between, at 5/6 and 1/2.
+MIXED = MarkovChain(
+    5, 0, [{1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)},
+           {1: Fraction(1)}, {1: Fraction(1, 2), 2: Fraction(1, 2)},
+           {2: Fraction(1, 4), 3: Fraction(1, 2), 4: Fraction(1, 4)},
+           {4: Fraction(1)}],
+    [set(), {"a"}, set(), set(), set()])
+
+
+@pytest.mark.parametrize("chain", [coin_chain(), ALL_BOTTOMS_HIT],
+                         ids=["coin", "all-bottoms-hit"])
+def test_limit_one_solves_nothing(chain, monkeypatch):
+    calls = _solve_calls(monkeypatch)
+    targets = chain.states_with("a")
+    assert unbounded_reach_vector(chain, targets) == [1] * chain.m
+    assert reach.min_val_geq(chain, "a", Fraction(1, 2)) is not None
+    assert calls and all(not unknowns for unknowns in calls)
+
+
+def test_solve_gets_only_the_states_strictly_between(monkeypatch):
+    calls = _solve_calls(monkeypatch)
+    vector = unbounded_reach_vector(MIXED, {1})
+    assert vector == reference_unbounded_reach_vector(MIXED, {1})
+    assert vector == [Fraction(5, 6), 1, 1, Fraction(1, 2), 0]
+    assert reach.min_val_geq(MIXED, "a", Fraction(5, 6)) is None
+    assert calls == [{0, 3}, {0, 3}]
