@@ -212,12 +212,10 @@ class Report:
 
 def _maybe_emit(args, checker):
     if getattr(args, "emit_automaton", None) and checker is not None:
-        # One full build serves both texts; past the tableau cap it
-        # exits 3 before the file is opened.
-        u = checker.u.full()
-        text = [diamond.format_automaton(a) for a in (u.g, u)]
+        # Past the tableau cap it exits 3 before the file is opened.
+        text = diamond.format_automaton(checker.g)
         with open(args.emit_automaton, "w") as fh:
-            fh.write("".join(text))
+            fh.write(text)
 
 
 def _read_query(args, rep):

@@ -1,20 +1,20 @@
 """General checker for parametric formulas with bounded-eventually.
 
 The pipeline follows the tableau route: consistent subsets of the
-formula closure give an unambiguous generalized automaton, a round-robin
-index removes the multiple Buchi sets, and per-variable counters enforce
-the parametric bounds at a concrete valuation.  Qualitative verdicts
-against a chain come from SCC analysis of the synchronous product: a
-positive probability needs a reachable complete accepting SCC, and
-probability one additionally needs every bottom behavior of the chain to
-be covered by one.
+formula closure give an unambiguous generalized automaton, and
+per-variable counters enforce the parametric bounds at a concrete
+valuation.  Qualitative verdicts against a chain come from SCC analysis
+of the synchronous product, with generalized acceptance read SCC by SCC:
+a positive probability needs a reachable complete SCC that meets every
+acceptance set, and probability one additionally needs every bottom
+behavior of the chain to be covered by one.
 
 The tableau is built from local constraints (Gerth, Peled, Vardi and
 Wolper, 1995), one atom mask at a time, the first time a product reads
 that mask: one children-first pass over the closure yields the mask's
 states, and one (mask, value) constraint on closure bits per state
-picks its successors in each mask.  The round-robin automaton derives
-its successors from those when a product asks for them, filtered by the
+picks its successors in each mask.  A product derives a state's
+successors from those when it first asks for them, filtered by the
 letter the chain reads next, so a query pays for the letters it reads.
 
 Every product is with a chain, built by one routine (`_product`) and
@@ -30,14 +30,14 @@ a subset node is a chain state with the product nodes alive there, and
 it steps along each chain transition to the image of those nodes, taken
 from the product's successor lists.  Completeness restricts images to
 its SCC; tracking does not.  Both keep only the least-counter nodes of
-each set: per U-state, those whose counters are Pareto-minimal
+each set: per tableau state, those whose counters are Pareto-minimal
 (counter subsumption; Abdulla, Chen, Holik, Mayr and Vojnar, 2010).  A
 plain set at the witness bound holds every counter value; a least one,
-a few nodes per U-state.  `_complete` and `_holds` prove the reduction
-exact.  A probability-one query builds the tracking graph first, and
-checks completeness only when it does not die, and only for the
-accepting SCCs with a node at or above a node of a bottom component's
-sets.
+a few nodes per tableau state.  `_complete` and `_holds` prove the
+reduction exact.  A probability-one query builds the tracking graph
+first, and checks completeness only when it does not die, and only for
+the accepting SCCs with a node at or above a node of a bottom
+component's sets.
 
 Emptiness is decided in three steps over one automaton and one product
 without counters, the pair product.  The NNF formula is monotone in its
@@ -51,20 +51,20 @@ product at the uniform witness bound run.  All three steps are exact.
 
 The witness bound, and the top of the valuation search's box, is the
 paper's vbar = m * |phi| * 2^|phi|, a pigeonhole count over (chain
-state, automaton state) pairs.  N0, the number of those pairs the
-chain can reach (`pairs`), is asked first where a true answer settles
-the query: V is upward closed, so the uniform point at N0 in V proves
-V nonempty, and with one variable it bounds the search box at N0.  A
-false answer at N0 proves nothing, since no proof yet shows that N0
-can replace vbar.  The query then asks the pump (`_pump`) on the same
-pair product: a loop of chain steps along which every run of the
-counter product, at every valuation, goes ever longer without
-resetting some counter, so the runs die and V is empty.  That is the
-limitedness question of distance automata (Hashiguchi, 1982), checked
-on single loops, the first level of a stabilisation (Kirsten, 2005).
-Only without a certificate does the query go on at vbar.  Products at
-N0 are far smaller: 3 to 8 pairs against 640 for G (!a | F[<=x] b) on
-four-state chains.
+state, tableau state) pairs.  N0, the number of those pairs the chain
+can reach (the pair product's size), is asked first where a true answer
+settles the query: V is upward closed, so the uniform point at N0 in V
+proves V nonempty, and with one variable it bounds the search box at
+N0.  A false answer at N0 proves nothing, since no proof yet shows that
+N0 can replace vbar (`_witness_bound`).  The query then asks the pump
+(`_pump`) on the same pair product: a loop of chain steps along which
+every run of the counter product, at every valuation, goes ever longer
+without resetting some counter, so the runs die and V is empty.  That
+is the limitedness question of distance automata (Hashiguchi, 1982),
+checked on single loops, the first level of a stabilisation (Kirsten,
+2005).  Only without a certificate does the query go on at vbar.
+Products at N0 are far smaller: 3 to 8 pairs against 640 for
+G (!a | F[<=x] b) on four-state chains.
 """
 
 from __future__ import annotations
@@ -181,6 +181,7 @@ class GAutomaton:
         self.masks, self.states, self.letters, self.wants = [], [], [], []
         self.par, self.initial = [], []
         self._blocks = {}
+        self._rows = {}
 
     def block(self, amask):
         """Atom mask `amask`'s states as (ids, initial ids, buckets),
@@ -248,14 +249,26 @@ class GAutomaton:
                 by_value.setdefault(self.masks[q] & mask, []).append(q)
         return by_value.get(value, ())
 
-    def successors(self, q):
-        """State q's successors among the states built so far."""
-        return sorted(t for a in self._blocks
-                      for t in self.targets(self.wants[q], a))
+    def reading(self, q, amask):
+        """State q's successors of atom mask `amask`, in state order."""
+        return list(self.targets(self.wants[q], amask))
+
+    def row(self, amask):
+        """A cache for the successors of each state reading `amask`,
+        indexed by state and as long as `n`; None where unfilled."""
+        row = self._rows.setdefault(amask, [])
+        row += [None] * (self.n - len(row))
+        return row
+
+    @property
+    def n(self):
+        return len(self.masks)
 
     @property
     def succ(self):
-        return [self.successors(q) for q in range(len(self.masks))]
+        """Each state's successors among the states built so far."""
+        return [sorted(t for a in self._blocks for t in self.targets(w, a))
+                for w in self.wants]
 
     def atom_mask(self, letter):
         """The atom mask of a letter, a set of atom names."""
@@ -374,104 +387,21 @@ def _pumps(x, relation, full):
     return full not in masks.values()
 
 
-class UAutomaton:
-    """Round-robin degeneralization of a GAutomaton's Buchi sets `acc_b`;
-    its parametric sets `acc_p` ignore the index.
-
-    States are (g-state, index) pairs flattened to integers u = q * k +
-    i; the single Buchi set is the first generalized set at index 0.
-    Nothing is stored per U-state, and the U-states are those of the
-    g-states built so far.  `letter(u)`, `is_buchi(u)` and the index
-    after u are read off q and i when asked for, and `par[q]` holds
-    g-state q's parametric flags, one per variable in `var_names`.
-    Successor lists are derived from the tableau's constraints when
-    asked for, all of them by `successors(u)` or only those reading one
-    atom mask by `reading(u, amask)`, which builds that mask's block.
-    """
-
-    def __init__(self, g):
-        self.g = g
-        self.var_names = g.var_names
-        self._sets = [f for _, f in g.acc_b]
-        self.k = max(1, len(self._sets))
-        self.par = g.par
-        self._rows = {}
-
-    @property
-    def n(self):
-        return len(self.g.masks) * self.k
-
-    @property
-    def initial(self):
-        return [q0 * self.k for q0 in self.g.initial]
-
-    def full(self):
-        """This automaton over the tableau's `full()`."""
-        return UAutomaton(self.g.full())
-
-    def letter(self, u):
-        """The letter u reads: its g-state's set of positive atoms."""
-        return self.g.letters[u // self.k]
-
-    def is_buchi(self, u):
-        """Is u in the single Buchi set?  With no Buchi set, every u at
-        index 0 is."""
-        q, i = divmod(u, self.k)
-        return i == 0 and (not self._sets or q in self._sets[0])
-
-    def _index_after(self, u):
-        """The index a run moves to when it leaves u."""
-        q, i = divmod(u, self.k)
-        return (i + 1) % self.k if self._sets and q in self._sets[i] else i
-
-    def successors(self, u):
-        """All successors of u among the built states, in state order."""
-        k, i2 = self.k, self._index_after(u)
-        return [q2 * k + i2 for q2 in self.g.successors(u // k)]
-
-    def reading(self, u, amask):
-        """The successors of u whose letter has atom mask `amask`, in
-        state order."""
-        k, i2, g = self.k, self._index_after(u), self.g
-        return [q2 * k + i2 for q2 in g.targets(g.wants[u // k], amask)]
-
-    def row(self, amask):
-        """A cache for the successors of each u reading `amask`, indexed
-        by u and as long as `n`; None where unfilled."""
-        row = self._rows.setdefault(amask, [])
-        row += [None] * (self.n - len(row))
-        return row
-
-
-def format_automaton(aut):
-    """Plain-text adjacency dump of a G- or U-automaton.  An on-demand
-    automaton is dumped from its `full()`, so the text numbers states by
-    (atom mask, operator mask) whichever masks were built before."""
-    if hasattr(aut, "full"):
-        aut = aut.full()
-    lines = []
-    if hasattr(aut, "states"):
-        lines.append("g-automaton states=%d" % len(aut.states))
-        lines.append("initial %s" % " ".join(map(str, aut.initial)))
-        for label, f in aut.acc_b:
-            lines.append("buchi [%s] %s" % (label, " ".join(map(str, sorted(f)))))
-        for x, f in aut.acc_p:
-            lines.append("parametric %s %s" % (x, " ".join(map(str, sorted(f)))))
-        letters = aut.letters
-        succ = aut.succ
-    else:
-        lines.append("u-automaton states=%d round-robin=%d" % (aut.n, aut.k))
-        lines.append("initial %s" % " ".join(map(str, aut.initial)))
-        lines.append("buchi %s" % " ".join(
-            str(u) for u in range(aut.n) if aut.is_buchi(u)))
-        for i, x in enumerate(aut.var_names):
-            lines.append("parametric %s %s" % (x, " ".join(
-                str(u) for u in range(aut.n) if aut.par[u // aut.k][i])))
-        letters = list(map(aut.letter, range(aut.n)))
-        succ = map(aut.successors, range(aut.n))
-    for u, targets in enumerate(succ):
+def format_automaton(g):
+    """Plain-text adjacency dump of a tableau, from its `full()`: the
+    text numbers states by (atom mask, operator mask) whichever masks
+    were built before."""
+    g = g.full()
+    lines = ["g-automaton states=%d" % len(g.states),
+             "initial %s" % " ".join(map(str, g.initial))]
+    for label, f in g.acc_b:
+        lines.append("buchi [%s] %s" % (label, " ".join(map(str, sorted(f)))))
+    for x, f in g.acc_p:
+        lines.append("parametric %s %s" % (x, " ".join(map(str, sorted(f)))))
+    for q, targets in enumerate(g.succ):
         for t in targets:
-            lines.append("edge %d {%s} %d" % (u, ",".join(sorted(letters[u])), t))
+            lines.append("edge %d {%s} %d"
+                         % (q, ",".join(sorted(g.letters[q])), t))
     return "\n".join(lines) + "\n"
 
 
@@ -505,7 +435,9 @@ class DiamondChecker:
         self.user_names = variables(phi)
         self.max_product_nodes = max_product_nodes
         self.g = GAutomaton(renamed)
-        self.u = UAutomaton(self.g)
+        # Only an alias: the benchmark's tracer (perfbench/spans.py)
+        # reads the automaton size as `u.n`.
+        self.u = self.g
         self.stats = {"product_nodes": 0, "queries": 0}
         self.shortcut = None
         self.bound_used = None
@@ -515,7 +447,7 @@ class DiamondChecker:
         assign = valuation.assignment if hasattr(valuation, "assignment") \
             else dict(valuation)
         bounds = []
-        for fresh in self.u.var_names:
+        for fresh in self.g.var_names:
             user = self.fresh_to_user[fresh]
             if user not in assign:
                 raise FragmentError("valuation misses variable %r" % user)
@@ -555,33 +487,32 @@ class DiamondChecker:
         return nodes, succ
 
     def _product(self, chain, bounds):
-        """Reachable product of `self.u` with the chain, one counter per
-        bound, as (nodes, succ, number of initial nodes); a node is
-        (chain state, automaton state, counters).  The product builds
-        the tableau's block of each state's atom mask, and its nodes
-        count in `stats["product_nodes"]`.  With no bounds it is the
-        pair product.
+        """Reachable product of the tableau `self.g` with the chain, one
+        counter per bound, as (nodes, succ, number of initial nodes); a
+        node is (chain state, tableau state, counters).  The product
+        builds the tableau's block of each state's atom mask, and its
+        nodes count in `stats["product_nodes"]`.  With no bounds it is
+        the pair product.
 
         A counter is the length of the current marked-but-unsatisfied
         streak of its bounded eventuality; a run dies the moment a
         streak would exceed the bound.  A run's first state is entered
         with every counter at zero.
         """
-        par, k, g = self.u.par, self.u.k, self.g
-        steps = chain.successors
+        g, par, steps = self.g, self.g.par, chain.successors
         amasks = [g.atom_mask(l) for l in chain.labels]
-        # Every block is built before the rows are sized.  rows[s][u]:
-        # the successors of u that read s's letter, each with its
+        # Every block is built before the rows are sized.  rows[s][q]:
+        # the successors of q that read s's letter, each with its
         # parametric flags.
         blocks = [g.block(a) for a in amasks]
-        rows = [self.u.row(a) for a in amasks]
+        rows = [g.row(a) for a in amasks]
 
         def flagged(targets):
-            return [(u2, par[u2 // k]) for u2 in targets]
+            return [(q2, par[q2]) for q2 in targets]
 
         def moves(s, targets, counters):
             out = []
-            for u2, marks in targets:
+            for q2, marks in targets:
                 nxt = []
                 for mark, c, v in zip(marks, counters, bounds):
                     c = 0 if mark else c + 1
@@ -589,21 +520,19 @@ class DiamondChecker:
                         break
                     nxt.append(c)
                 else:
-                    out.append((s, u2, tuple(nxt)))
+                    out.append((s, q2, tuple(nxt)))
             return out
 
-        initial = moves(chain.init,
-                        flagged([q * k for q in blocks[chain.init][1]]),
+        initial = moves(chain.init, flagged(blocks[chain.init][1]),
                         (0,) * len(bounds))
 
         def successors(node):
-            s, u, counters = node
+            s, q, counters = node
             out = []
             for t in steps(s):
-                targets = rows[t][u]
+                targets = rows[t][q]
                 if targets is None:
-                    targets = rows[t][u] = flagged(
-                        self.u.reading(u, amasks[t]))
+                    targets = rows[t][q] = flagged(g.reading(q, amasks[t]))
                 out += moves(t, targets, counters)
             return out
 
@@ -622,11 +551,11 @@ class DiamondChecker:
         A subset node (s, X) steps, for each chain successor t of s, to
         (t, least(img_t(X))), where img_t(X) holds the successors at t
         of X's nodes: only those in the set `inside`, unless it is
-        None.  least(Y) keeps, per U-state u, only the nodes (t, u, c)
-        of Y whose counter vector c is Pareto-minimal among Y's nodes
-        with that u.  At the witness bound a plain set holds every
-        counter value from 0 to the bound; a least one, a few nodes per
-        U-state.  The start sets are reduced too.
+        None.  least(Y) keeps, per tableau state q, only the nodes
+        (t, q, c) of Y whose counter vector c is Pareto-minimal among
+        Y's nodes with that q.  At the witness bound a plain set can hold
+        every counter value from 0 to the bound; a least one, a few
+        nodes per tableau state.  The start sets are reduced too.
         """
         steps = chain.successors
 
@@ -635,10 +564,10 @@ class DiamondChecker:
             state, as a frozenset."""
             fronts = {}
             for j in found:
-                _, u, c = nodes[j]
-                front = fronts.get(u)
+                _, q, c = nodes[j]
+                front = fronts.get(q)
                 if front is None:
-                    fronts[u] = [j]
+                    fronts[q] = [j]
                 elif not any(_leq(nodes[k][2], c) for k in front):
                     front[:] = [k for k in front
                                 if not _leq(c, nodes[k][2])] + [j]
@@ -678,17 +607,18 @@ class DiamondChecker:
 
         Why least-counter sets are exact here, with D the component: a
         cycle that returns to one product node resets every counter,
-        since a counter only grows between resets.  Take (s, u, c) and
-        (s, u, c') in D with c <= c'.  A D-run from c' along a chain
-        word w is shadowed by a run from c through the same U-states
-        (the shadow step of `_holds`), whose counters stay <= and so
-        within the bounds.  Each node (t, u2, d) of the shadow run lies
-        in D: it is entered from D, and following a D-cycle through the
-        run's (t, u2, d') from it resets every counter, so it lands on
-        (t, u2, d') itself.  So every node of img_w(X) has one of
-        img_w(least X) at the same U-state below it, least(img_w(least
-        X)) = least(img_w(X)), and by induction over w the reduced
-        graph reaches the empty set exactly when the plain one does.
+        since a counter only grows between resets.  Take (s, q, c) and
+        (s, q, c') in D with c <= c'.  A D-run from c' along a chain
+        word w is shadowed by a run from c through the same tableau
+        states (the shadow step of `_holds`), whose counters stay <= and
+        so within the bounds.  Each node (t, q2, d) of the shadow run
+        lies in D: it is entered from D, and following a D-cycle through
+        the run's (t, q2, d') from it resets every counter, so it lands
+        on (t, q2, d') itself.  So every node of img_w(X) has one of
+        img_w(least X) at the same tableau state below it,
+        least(img_w(least X)) = least(img_w(X)), and by induction over w
+        the reduced graph reaches the empty set exactly when the plain
+        one does.
         """
         fibers = {}
         for i in comp:
@@ -712,17 +642,46 @@ class DiamondChecker:
     def _accepting(self, nodes, succ):
         """The accepting SCCs of a product, in SCC order: cyclic (an
         acyclic one is never complete: the chain always moves on, and
-        the automaton cannot follow inside it), with a Buchi node of
-        `self.u`, and with a node in each variable's parametric set.  A
-        counter product's cyclic SCCs meet the last: a cycle returns to
-        its counters, so it resets each one, entering that set."""
-        k, par = self.u.k, self.u.par
+        the automaton cannot follow inside it), and meeting every `acc_b`
+        and `acc_p` set of the tableau: generalized Buchi acceptance read
+        SCC by SCC (Couvreur, Saheb and Sutre, 2003).  A counter
+        product's cyclic SCCs meet every `acc_p` set: a cycle returns to
+        its counters, so it resets each one, entering that set.
+
+        No verdict differs from a product over the round-robin
+        degeneralization U, whose states (q, i) move the index i to
+        i + 1 mod k on leaving a state of the i-th of k `acc_b` sets,
+        and whose one Buchi set is the first set at index 0.  Dropping
+        the index maps U-product nodes (s, (q, i), c) to (s, q, c) and
+        edges to edges, and every edge lifts from every index.
+
+        - A complete U-SCC K with a Buchi node projects into an SCC D
+          that meets every set: a cycle through the Buchi node moves
+          the index through every value, leaving index i only from the
+          i-th set.  K's chain states form a bottom SCC of the chain,
+          so D visits no other, and K's runs project into D: D is
+          complete.
+        - Conversely, let D be complete and accepting here, and B a
+          bottom SCC of the reachable U-nodes over D, with D's edges
+          lifted.  Every D-path lifts from a node of B and stays in B,
+          so B projects onto D, follows every chain word D follows, and
+          is complete; and a D-walk through the i-th set moves the index
+          from i to i + 1, so B holds a Buchi node.
+        - The tracking sets of `_holds` project step by step, so their
+          bottom components correspond, as with least-counter sets
+          there.  A set meeting D at n holds a lift of n, from which a
+          lifted D-walk reaches such a B: a bottom component meets a
+          complete accepting SCC exactly when its projection does.
+        """
+        sets = [f for _, f in self.g.acc_b + self.g.acc_p]
         scc = markov._tarjan(len(nodes), succ)
-        return [comp for ci, comp in enumerate(scc.components)
-                if scc.has_cycle[ci]
-                and any(self.u.is_buchi(nodes[i][1]) for i in comp)
-                and all(any(par[nodes[i][1] // k][x] for i in comp)
-                        for x in range(len(self.u.var_names)))]
+        accepting = []
+        for ci, comp in enumerate(scc.components):
+            if scc.has_cycle[ci]:
+                states = {nodes[i][1] for i in comp}
+                if all(not f.isdisjoint(states) for f in sets):
+                    accepting.append(comp)
+        return accepting
 
     def _holds(self, chain, threshold, product):
         """Does the product (`_product`) accept with probability > 0
@@ -736,23 +695,25 @@ class DiamondChecker:
         completeness check.  Otherwise every recurrent behavior, a
         bottom component of the tracking graph, must offer a node at or
         below a node of a complete accepting SCC K: same chain state,
-        same U-state and counters <= pointwise.  Only those SCCs are
-        checked, each at most once and in SCC order, and the first
-        complete one settles that component.
+        same tableau state and counters <= pointwise.  Only those SCCs
+        are checked, each at most once and in SCC order, and the first
+        complete one settles that component.  `_accepting` reads
+        generalized acceptance off each SCC, and shows why no
+        degeneralization is needed.
 
         Why this gives the verdicts of plain sets, where a bottom
         component counts K when one of its sets meets K.  X is a set of
         product nodes at one chain state, img_t the step to chain
         successor t, and least as in `_least_subsets`.
 
-        - Shadow step.  Take product nodes (s, u, c) and (s, u, c') with
-          c <= c'.  For every edge (s, u, c') -> (t, u2, d') there is an
-          edge (s, u, c) -> (t, u2, d) with d <= d'.  Both moves read
-          the same letter and enter the same u2.  A counter resets where
-          u2's flag is set; otherwise c_i + 1 <= c'_i + 1 <= bound.
+        - Shadow step.  Take product nodes (s, q, c) and (s, q, c') with
+          c <= c'.  For every edge (s, q, c') -> (t, q2, d') there is an
+          edge (s, q, c) -> (t, q2, d) with d <= d'.  Both moves read
+          the same letter and enter the same q2.  A counter resets where
+          q2's flag is set; otherwise c_i + 1 <= c'_i + 1 <= bound.
         - Images commute with least.  By the shadow step every node of
-          img_t(X) has a node of img_t(least X) at its U-state below
-          it.  So least(img_t(least X)) = least(img_t(X)), and
+          img_t(X) has a node of img_t(least X) at its tableau state
+          below it.  So least(img_t(least X)) = least(img_t(X)), and
           img_t(least X) is empty exactly when img_t(X) is.  The
           reduced tracking graph is therefore the image of the plain one
           under X -> least(X), and it dies exactly when the plain one
@@ -787,13 +748,13 @@ class DiamondChecker:
         if threshold == "pos":
             return any(self._complete(chain, nodes, succ, comp)
                        for comp in accepting)
-        # tops[s, u]: (k, counters) of each node of accepting SCC k at
-        # chain state s and U-state u.
+        # tops[s, q]: (k, counters) of each node of accepting SCC k at
+        # chain state s and tableau state q.
         tops = {}
         for k, comp in enumerate(accepting):
             for i in comp:
-                s, u, c = nodes[i]
-                tops.setdefault((s, u), []).append((k, c))
+                s, q, c = nodes[i]
+                tops.setdefault((s, q), []).append((k, c))
         complete = {}
         d_nodes, d_succ = tracking
         d_scc = markov._tarjan(len(d_nodes), d_succ)
@@ -801,8 +762,8 @@ class DiamondChecker:
             below = set()
             for j in set().union(*[d_nodes[i][1]
                                    for i in d_scc.components[ci]]):
-                s, u, c = nodes[j]
-                below.update(k for k, top in tops.get((s, u), ())
+                s, q, c = nodes[j]
+                below.update(k for k, top in tops.get((s, q), ())
                              if k not in below and _leq(c, top))
             for k in sorted(below):
                 if k not in complete:
@@ -818,31 +779,10 @@ class DiamondChecker:
         """The paper's uniform witness bound m * |phi| * 2^|phi|."""
         return chain.m * self.base_size * 2 ** self.base_size
 
-    def pairs(self, chain):
-        """N0, the number of (chain state, U-state) pairs the chain can
-        reach, or None when their product passes the node cap.
-
-        It is the product of `self.u` with the chain at no counters:
-        counters only kill runs, so every node (s, u, c) of a counter
-        product lies on one of these pairs.  Its nodes count in
-        `stats["product_nodes"]`, not in `stats["queries"]`.
-
-        N0 is only ever asked where a true answer is exact.  Whether a
-        false one is, whether v in V implies min(v, N0) in V, is open.
-        Cutting a repeated pair out of a long streak works on a finite
-        path at a uniform bound; a streak inside a bottom component
-        cannot be cut, and with two variables at different bounds a cut
-        can join two short streaks into one too long.  Where the answer
-        at N0 is false, `emptiness` and `min_set` ask the pump
-        (`_pump`) on this same product before the witness bound.
-        """
-        product = _within_cap(self._product, chain, [])
-        return None if product is None else len(product[0])
-
     def _pump(self, chain, threshold, product):
         """Does a pump certificate prove V>0 ("pos") or V=1 ("as1")
-        empty at every valuation?  `product` is the pair product of
-        `pairs`.  On success `shortcut` is "pump" and `certificate`
+        empty at every valuation?  `product` is the pair product, the
+        one `_witness_bound` counts N0 on.  On success `shortcut` is "pump" and `certificate`
         lists the certificate's chain walks (pi, gamma), one for "as1"
         and one per certified fibre for "pos".
 
@@ -882,18 +822,17 @@ class DiamondChecker:
           dies at v, and V=1 misses every v.
         - "pos".  A complete accepting SCC K of the counter product at v
           projects into one accepting SCC D of P (`_accepting`): its
-          projection is strongly connected and keeps its U-states and
-          their parametric flags.  The chain states K visits are closed
-          under chain steps, since K can follow each of them
+          projection is strongly connected and keeps its tableau states
+          and their parametric flags.  The chain states K visits are
+          closed under chain steps, since K can follow each of them
           (`_complete`), and strongly connected: a bottom SCC B of the
           chain, all of whose states D visits, and K has a node at every
-          state of B.  For each such D and B, T is
-          built from one fibre (s, D's pairs at s), s in B, with images
-          kept in D.  K's runs project into D, so a pump there gives a
-          chain word from s that no run inside K follows from K's nodes
-          at s: K is not complete.  A certified fibre for every such B
-          of every D leaves no complete accepting SCC at any v, and V>0
-          is empty.
+          state of B.  For each such D and B, T is built from one fibre
+          (s, D's pairs at s), s in B, with images kept in D.  K's runs
+          project into D, so a pump there gives a chain word from s that
+          no run inside K follows from K's nodes at s: K is not
+          complete.  A certified fibre for every such B of every D
+          leaves no complete accepting SCC at any v, and V>0 is empty.
 
         The unions per (x, y) lose nothing: the argument reads only the
         union over each SCC's edges, and relations compose as R_gd(x, z)
@@ -905,9 +844,9 @@ class DiamondChecker:
         or a subset graph past the node cap, is no certificate.
         """
         nodes, succ, n_initial = product
-        k, par = self.u.k, self.u.par
-        resets = [sum(f << i for i, f in enumerate(par[u // k]))
-                  for _, u, _ in nodes]
+        par = self.g.par
+        resets = [sum(f << i for i, f in enumerate(par[q]))
+                  for _, q, _ in nodes]
         budget = [PUMP_BUDGET]
 
         def pump(start, inside):
@@ -983,7 +922,7 @@ class DiamondChecker:
         closure over (subset node, transfer relation from tau's set),
         inside tau's SCC.  A relation is a set of (x, y, reset mask)
         with one entry per (x, y)."""
-        full = (1 << len(self.u.var_names)) - 1
+        full = (1 << len(self.g.var_names)) - 1
         x = t_nodes[tau][1]
         here = component_of[tau]
         start = tau, frozenset((a, a, 0) for a in x)
@@ -1017,7 +956,7 @@ class DiamondChecker:
                 queue.append(nxt)
         return None
 
-    def _witness_bound(self, chain, threshold, top, pairs):
+    def _witness_bound(self, chain, threshold, top, ask_n0):
         """The step `emptiness` and `min_set` share: (n, oracle), with n
         the uniform bound to ask V>0 ("pos") or V=1 ("as1") at, None when
         V is proved empty, and oracle(point) asking each point once.
@@ -1025,7 +964,7 @@ class DiamondChecker:
         With parameters, one pair product serves three steps: the
         counter-free check (`_holds` on it; probability zero, or below
         one, proves V>0, or V=1, empty, with `shortcut` "counter-free"),
-        then, with `pairs` and N0 < `top`, the point at N0 (in V: n is
+        then, with `ask_n0` and N0 < `top`, the point at N0 (in V: n is
         N0) and a pump certificate (`_pump`: V is empty).  Otherwise, or
         past the node cap, n is `top`.  With parameters `bound_used` is n.
 
@@ -1035,16 +974,24 @@ class DiamondChecker:
         the tableau runs that visit every `acc_b` and `acc_p` set
         infinitely often, since a marked F[<=x] psi stays marked until
         psi holds, which its `acc_p` set forces, and the formula is
-        positive in an unmarked one.  `self.u` is unambiguous (the
-        tableau is, and its index is deterministic), and a cyclic SCC
-        with a node at index 0 in the first `acc_b` set meets every
-        `acc_b` set: a cycle through that node moves the index through
-        every value, and leaves index i only from the i-th set.  So
-        `_accepting` keeps the SCCs that meet every generalized set, the
-        acceptance of a product SCC under generalized Buchi conditions
-        (Couvreur, Saheb and Sutre, 2003).  `_complete` and the tracking
-        graph read acceptance only through which SCCs are accepting, so
-        their proofs carry over unchanged.
+        positive in an unmarked one.  The tableau is unambiguous, and
+        `_accepting` keeps the SCCs that meet every set, the acceptance
+        of a product SCC under generalized Buchi conditions (Couvreur,
+        Saheb and Sutre, 2003).  `_complete` and the tracking graph read
+        acceptance only through which SCCs are accepting, so their
+        proofs carry over unchanged.
+
+        N0 is the size of the pair product: counters only kill runs, so
+        every node (s, q, c) of a counter product lies on one of its
+        (chain state, tableau state) pairs.  N0 is only ever asked where
+        a true answer is exact.  Whether a false one proves anything,
+        whether v in V implies min(v, N0) in V, is still open.  Cutting
+        a repeated pair out of a long streak works on a finite path at a
+        uniform bound; a streak inside a bottom component cannot be cut,
+        and with two variables at different bounds a cut can join two
+        short streaks into one too long.  So where the answer at N0 is
+        false, the pump (`_pump`) runs on the same product before the
+        witness bound.
         """
         self.bound_used = self.certificate = self.shortcut = None
         check = self.check_pos if threshold == "pos" else self.check_as1
@@ -1062,7 +1009,7 @@ class DiamondChecker:
                                    product) is False:
             n = None
             self.shortcut = "counter-free"
-        elif product and pairs and len(product[0]) < top:
+        elif product and ask_n0 and len(product[0]) < top:
             n0 = len(product[0])
             if oracle((n0,) * len(self.user_names)):
                 n = n0

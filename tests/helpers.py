@@ -231,15 +231,12 @@ def lasso_chain(word):
 
 
 def reference_tableau(phi):
-    """The G- and U-automata of a constant-free NNF formula, by brute
-    force: every closure subset is tested for consistency and every
-    ordered pair of states for an edge.
+    """The tableau of a constant-free NNF formula, by brute force: every
+    closure subset is tested for consistency and every ordered pair of
+    states for an edge.
 
-    Returns two namespaces with the attributes `format_automaton` reads;
-    the U one lists its successors in `succ` and `successors(u)`, and
-    like `UAutomaton` answers `letter(u)` and `is_buchi(u)` by call and
-    holds one tuple of parametric flags per g-state in `par`.  Only
-    small closures are practical.
+    Returns a namespace with the attributes `format_automaton` reads,
+    `full()` returning itself.  Only small closures are practical.
     """
     subs = closure(phi)
     names = atoms(phi)
@@ -285,7 +282,8 @@ def reference_tableau(phi):
         f = by_var[x]
         g.acc_p.append((x, frozenset(i for i, h in enumerate(states)
                                      if f not in h or f.child in h)))
-    return g, _reference_round_robin(g)
+    g.full = lambda: g
+    return g
 
 
 def _consistent(h, subs):
@@ -337,23 +335,71 @@ def _edge_ok(h, h2, temporal):
 
 
 def _reference_round_robin(g):
+    """The round-robin degeneralization of the tableau g: states (q, i)
+    flattened to q * k + i, the index i moving to i + 1 mod k when a run
+    leaves a state of the i-th of g's k Buchi sets, and one Buchi set,
+    the first set at index 0 (every state at index 0 with no set)."""
     k = max(1, len(g.acc_b))
-    n_g = len(g.states)
-    n = n_g * k
-    sets = [f for _, f in g.acc_b] or [frozenset(range(n_g))]
+    n = len(g.states) * k
+    sets = [f for _, f in g.acc_b] or [frozenset(range(len(g.states)))]
     succ = []
     for u in range(n):
         q, i = divmod(u, k)
         i2 = (i + 1) % k if q in sets[i] else i
         succ.append([q2 * k + i2 for q2 in g.succ[q]])
     return SimpleNamespace(
-        n=n, k=k, initial=[q0 * k for q0 in g.initial],
-        letter=[g.letters[u // k] for u in range(n)].__getitem__,
-        is_buchi=[u % k == 0 and u // k in sets[0]
-                  for u in range(n)].__getitem__,
-        var_names=[x for x, _ in g.acc_p],
-        par=[tuple(q in f for _, f in g.acc_p) for q in range(n_g)],
-        succ=succ, successors=succ.__getitem__)
+        k=k, initial=[q0 * k for q0 in g.initial], succ=succ,
+        buchi={u for u in range(0, n, k) if u // k in sets[0]})
+
+
+def reference_round_robin_holds(g, chain, threshold, bounds,
+                                max_nodes=None):
+    """Does the chain satisfy the formula of the brute-force tableau g
+    (`reference_tableau`) at `bounds`, one per variable of g's `acc_p`,
+    with probability > 0 ("pos") or 1 ("as1")?
+
+    Decided on the product of the chain with g's round-robin
+    degeneralization: nodes (chain state, state u, counters), a run's
+    counters entered at zero, and an SCC accepting when it is cyclic and
+    holds a node of the one Buchi set; plain subset sets as in
+    `reference_holds`.  More than `max_nodes` product or subset nodes
+    raise ResourceLimitError.
+    """
+    rr = _reference_round_robin(g)
+    names = frozenset(atoms(g.formula))
+    par = [tuple(q in f for _, f in g.acc_p) for q in range(len(g.states))]
+
+    def entered(s, targets, counters):
+        out = []
+        for u in targets:
+            q = u // rr.k
+            if g.letters[q] != names & frozenset(chain.labels[s]):
+                continue
+            c = tuple(0 if f else c + 1 for f, c in zip(par[q], counters))
+            if all(a <= b for a, b in zip(c, bounds)):
+                out.append((s, u, c))
+        return out
+
+    nodes = entered(chain.init, rr.initial, (0,) * len(bounds))
+    n_initial = len(nodes)
+    index = {n: i for i, n in enumerate(nodes)}
+    succ = []
+    for s, u, c in nodes:
+        row = []
+        for t in chain.successors(s):
+            for node in entered(t, rr.succ[u], c):
+                if node not in index:
+                    if max_nodes is not None and len(nodes) >= max_nodes:
+                        raise ResourceLimitError(
+                            "reference product past %d nodes" % max_nodes)
+                    index[node] = len(nodes)
+                    nodes.append(node)
+                row.append(index[node])
+        succ.append(row)
+    return _reference_verdict(
+        chain, threshold, nodes, succ, n_initial,
+        lambda comp: any(nodes[i][1] in rr.buchi for i in comp),
+        max_nodes)[0]
 
 
 def reference_reach_steps(chain, targets):
@@ -505,9 +551,9 @@ def reference_holds(checker, chain, threshold, bounds, max_nodes=None):
     frozensets of product nodes, which keep every node alive: no
     least-counter reduction, and a bottom tracking component counts an
     accepting SCC when one of its sets meets it.  An SCC is accepting
-    when it is cyclic, holds a Buchi node and holds a node in each
-    variable's parametric set; with no `bounds` that reads the pair
-    product as the formula with every F[<=x] read as F.
+    when it is cyclic and meets every Buchi and every parametric set of
+    the tableau; with no `bounds` that reads the pair product as the
+    formula with every F[<=x] read as F.
 
     The product and its SCCs come from the checker.  Returns the verdict
     and, per completeness graph in SCC order and then per tracking
@@ -515,19 +561,28 @@ def reference_holds(checker, chain, threshold, bounds, max_nodes=None):
     where an empty image stopped the graph.  A subset graph past
     `max_nodes` nodes raises ResourceLimitError.
     """
-    u = checker.u
     nodes, succ, n_initial = checker._product(chain, bounds)
+    return _reference_verdict(
+        chain, threshold, nodes, succ, n_initial,
+        lambda comp: _meets_every_set(checker.g, nodes, comp), max_nodes)
+
+
+def _meets_every_set(g, nodes, comp):
+    """Do the product nodes `comp` meet each `acc_b` and `acc_p` set of
+    the tableau g?"""
+    return all(any(nodes[i][1] in f for i in comp)
+               for _, f in g.acc_b + g.acc_p)
+
+
+def _reference_verdict(chain, threshold, nodes, succ, n_initial, accepting,
+                       max_nodes):
+    """`reference_holds` on the product (nodes, succ, n_initial), whose
+    cyclic SCCs are accepting where `accepting(comp)` says so."""
     scc = _tarjan(len(nodes), succ)
     graphs = []
     good = set()
     for ci, comp in enumerate(scc.components):
-        if not scc.has_cycle[ci]:
-            continue
-        if not any(u.is_buchi(nodes[i][1]) for i in comp):
-            continue
-        flags = [u.par[nodes[i][1] // u.k] for i in comp]
-        if not all(any(f[x] for f in flags)
-                   for x in range(len(u.var_names))):
+        if not scc.has_cycle[ci] or not accepting(comp):
             continue
         fiber = {}
         for i in comp:
@@ -567,8 +622,8 @@ def reference_pump_kills(checker, chain, threshold, v):
     run inside K from K's nodes there.
     """
     nodes, succ, n_initial = checker._product(
-        chain, [v] * len(checker.u.var_names))
-    rounds = (checker.pairs(chain) + 1) * (v + 2)
+        chain, [v] * len(checker.g.var_names))
+    rounds = (len(checker._product(chain, [])[0]) + 1) * (v + 2)
 
     def dies(alive, inside, pi, gamma):
         word = list(pi) + list(gamma) * rounds
@@ -590,8 +645,8 @@ def reference_pump_kills(checker, chain, threshold, v):
             set(range(n_initial)), range(len(nodes)), pi, gamma)
     scc = _tarjan(len(nodes), succ)
     for ci, comp in enumerate(scc.components):
-        if not scc.has_cycle[ci] or not any(
-                checker.u.is_buchi(nodes[i][1]) for i in comp):
+        if not scc.has_cycle[ci] or not _meets_every_set(
+                checker.g, nodes, comp):
             continue
         states = {nodes[i][0] for i in comp}
         if any(t not in states for s in states for t in chain.successors(s)):
@@ -604,9 +659,9 @@ def reference_pump_kills(checker, chain, threshold, v):
 
 
 def reference_least(nodes, alive):
-    """The nodes (s, u, c) of `alive`, indices into the product's
-    `nodes`, with no other node of `alive` at the same U-state and
-    counters <= c pointwise."""
+    """The nodes (s, q, c) of `alive`, indices into the product's
+    `nodes`, with no other node of `alive` at the same tableau state q
+    and counters <= c pointwise."""
     by_u = {}
     for j in alive:
         by_u.setdefault(nodes[j][1], []).append(nodes[j][2])

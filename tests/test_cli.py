@@ -198,7 +198,7 @@ def test_member_at_or_above_vbar_answers_emptiness(coin, monkeypatch,
 @pytest.mark.parametrize("threshold", [">0", "=1"])
 def test_huge_member_answers_from_emptiness(tmp_path, threshold):
     # Both values lie far above vbar = 1,419,264, so `emptiness` answers:
-    # the point at N0 = 519 is in V, with 135,474 product nodes in all.
+    # the point at N0 = 324 is in V, with 52,553 product nodes in all.
     # Asking the point at vbar instead passes the node cap.
     path = tmp_path / "traffic.dtmc"
     path.write_text(fixtures.chain_text(fixtures.traffic_chain()))
@@ -307,7 +307,8 @@ def test_emit_automaton(coin, tmp_path):
                        "--emit-automaton", str(path)])
     assert code == 0
     text = path.read_text()
-    assert "g-automaton" in text and "u-automaton" in text
+    # One automaton, the tableau.
+    assert text.startswith("g-automaton") and text.count("automaton") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -446,7 +447,7 @@ def test_tableau_cap_counts_the_masks_the_chain_emits(coin, tmp_path):
     argv = ["check", "--chain", coin, "--formula", text]
     code, out, err = _run(argv)
     assert code == 0, err
-    assert out == ("fragment: Diamond\nthreshold: >0\nproduct-nodes: 726\n"
+    assert out == ("fragment: Diamond\nthreshold: >0\nproduct-nodes: 85\n"
                    "shortcut: counter-free\nverdict: empty\n")
     path = tmp_path / "aut.txt"
     code, out, err = _run(argv + ["--emit-automaton", str(path)])
@@ -465,8 +466,7 @@ def test_emit_automaton_numbers_every_mask_in_order(tmp_path, monkeypatch):
                      "label 0 b\nlabel 1 a\n")
     text = "F[<=x] a & G F b"
     fresh = diamond.DiamondChecker(parse_formula(text))
-    expected = (diamond.format_automaton(fresh.g)
-                + diamond.format_automaton(fresh.u))
+    expected = diamond.format_automaton(fresh.g)
     path = tmp_path / "aut.txt"
     made = _capture_checkers(monkeypatch)
     code, out, err = _run(["check", "--chain", str(chain), "--formula", text,

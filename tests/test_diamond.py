@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from helpers import (
     lasso_chain, nnf_formulas, random_chain, random_diamond_formula,
     random_fx_formula, random_letters, reference_holds, reference_least,
-    reference_pump_kills, reference_tableau, until_chain,
+    reference_pump_kills, reference_round_robin_holds, reference_tableau,
+    until_chain,
 )
 from pltlcheck import diamond
 from pltlcheck.diamond import (
@@ -16,7 +17,8 @@ from pltlcheck.diamond import (
 )
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import (
-    Always, And, BoundedEventually, Eventually, Or, Release, Until, VarBound,
+    Always, And, Atom, BoundedEventually, Eventually, NegAtom, Or, Release,
+    Until, VarBound,
     _map, closure, parse_formula, size, strip_params, substitute, to_nnf,
     variables,
 )
@@ -181,11 +183,9 @@ def test_monotone_in_valuation():
 def test_format_automaton():
     ck = DiamondChecker(parse_formula("F[<=x] a"))
     g_dump = format_automaton(ck.g)
-    u_dump = format_automaton(ck.u)
     assert g_dump.startswith("g-automaton states=")
     assert "parametric" in g_dump
-    assert u_dump.startswith("u-automaton states=")
-    assert "edge" in u_dump
+    assert "edge" in g_dump
 
 
 def test_resource_limit():
@@ -302,11 +302,11 @@ def test_subset_bitsets_match_frozenset_reference(phi, sides, valuation,
 def test_least_counter_sets_match_reference_up_to_40(phi, op, psi, valuation,
                                                      seed):
     # At valuations up to 40 the plain subset sets hold dozens of
-    # counter values per U-state and the least-counter ones a few: equal
-    # verdicts, and tracking graphs equal up to least, at both
+    # counter values per tableau state and the least-counter ones a few:
+    # equal verdicts, and tracking graphs equal up to least, at both
     # thresholds.  The F[<=x] side
     # gives every example a counter; y adds a second one in some.  The
-    # plain sets grow exponentially with the valuation, so the
+    # plain sets can grow exponentially with the valuation, so the
     # reference's subset graphs are capped like the product, and an
     # example past either cap is discarded.
     phi = op(phi, BoundedEventually(VarBound("x"), psi))
@@ -320,7 +320,7 @@ def test_least_counter_sets_match_reference_up_to_40(phi, op, psi, valuation,
 
 
 # A 6-state chain on which `!a U F[<=x] (a U b)` has a complete accepting
-# SCC whose plain completeness sets hold every counter value up to x.
+# SCC whose plain completeness graph grows with x.
 SIX_STATES = """states 6
 init 4
 label 0 a
@@ -343,25 +343,27 @@ trans 5 2 2/3
 """
 
 
-@pytest.mark.parametrize("text, small, large", [
-    ("!a U F[<=x] (a U b)", [15], {(28,): 87, (34,): 102}),
-    ("!a U (F[<=x] (a U b) & F[<=y] (a U b))", [8, 8], {(28, 20): 67}),
+@pytest.mark.parametrize("text, bounds, plain", [
+    ("!a U F[<=x] (a U b)", [[15], [28], [34]], [44, 83, 101]),
+    ("!a U (F[<=x] (a U b) & F[<=y] (a U b))", [[8, 8], [28, 20]], [23, 83]),
 ])
-def test_least_counter_sets_on_six_state_chain(text, small, large):
-    # With one counter the plain completeness graph has 14,696 nodes at
-    # x = 15 and grows too fast to build at x = 28; on least-counter
-    # sets it grows by about one node per unit of x.  With two, each
-    # U-state keeps a Pareto front of counter vectors.
+def test_least_counter_sets_on_six_state_chain(text, bounds, plain):
+    # The plain completeness graph grows by about three nodes per unit
+    # of x; the least-counter one keeps 5 nodes at every bound.  With
+    # two counters each tableau state keeps a Pareto front of counter
+    # vectors.
     c = parse_chain(SIX_STATES)
     ck = DiamondChecker(parse_formula(text))
-    for threshold in ("pos", "as1"):
-        _assert_tracking_matches(
-            ck, c, small, _subset_graphs(ck, c, threshold, small),
-            reference_holds(ck, c, threshold, small))
-    assert _completeness(ck, c, small) == [True]
-    for bounds, nodes in large.items():
-        assert _counts(_subset_graphs(ck, c, "pos", list(bounds))) == (
-            True, [("completeness graph", nodes)])
+    for small, n in zip(bounds, plain):
+        for threshold in ("pos", "as1"):
+            _assert_tracking_matches(
+                ck, c, small, _subset_graphs(ck, c, threshold, small),
+                reference_holds(ck, c, threshold, small))
+        assert _completeness(ck, c, small) == [True]
+        assert _counts(reference_holds(ck, c, "pos", small)) == (
+            True, [("completeness graph", n)])
+        assert _counts(_subset_graphs(ck, c, "pos", small)) == (
+            True, [("completeness graph", 5)])
 
 
 def test_no_initial_product_node_refutes_as1():
@@ -399,7 +401,7 @@ def test_chain_state_without_product_node():
 def test_subset_images_span_several_bytes():
     # At x = 40 the product holds dozens of nodes per chain state, so
     # the plain subsets are wide and the least-counter ones hold a few
-    # nodes per U-state.
+    # nodes per tableau state.
     half = Fraction(1, 2)
     c = MarkovChain(4, 0, [{1: half, 2: half}, {3: Fraction(1)},
                            {2: half, 3: half}, {3: Fraction(1)}],
@@ -414,19 +416,17 @@ def _assert_matches_reference(ck):
     # The checker builds no atom mask until a product asks for one;
     # full() builds them all in mask order on its own tableau.
     assert ck.g.states == [] and ck.g.full() is ck.g
-    g, u = reference_tableau(ck.g.formula)
+    g = reference_tableau(ck.g.formula)
     for attr in ("states", "letters", "initial", "succ", "acc_b", "acc_p"):
         assert getattr(ck.g, attr) == getattr(g, attr), attr
-    assert ck.u.n == u.n
-    assert [ck.u.successors(x) for x in range(ck.u.n)] == u.succ
+    assert ck.g.n == len(g.states)
     assert format_automaton(ck.g) == format_automaton(g)
-    assert format_automaton(ck.u) == format_automaton(u)
     letters = sorted(set(g.letters), key=ck.g.atom_mask)
-    if len(letters) * u.n <= 20000:
-        for x in range(u.n):
+    if len(letters) * ck.g.n <= 20000:
+        for q in range(ck.g.n):
             for letter in letters:
-                assert ck.u.reading(x, ck.g.atom_mask(letter)) == \
-                    [y for y in u.succ[x] if u.letter(y) == letter]
+                assert ck.g.reading(q, ck.g.atom_mask(letter)) == \
+                    [y for y in g.succ[q] if g.letters[y] == letter]
 
 
 @pytest.mark.parametrize("text", [
@@ -455,7 +455,7 @@ def test_blocks_built_on_demand_match_full_build(phi, data):
     g = ck.g
     assume(len(closure(g.formula)) <= 10)
     full = diamond.GAutomaton(g.formula).full()
-    ref, ref_u = reference_tableau(g.formula)
+    ref = reference_tableau(g.formula)
     n_masks = 2 ** len(g.names)
     asked = data.draw(st.lists(st.integers(0, n_masks - 1), min_size=1,
                                max_size=n_masks + 2))
@@ -482,13 +482,68 @@ def test_blocks_built_on_demand_match_full_build(phi, data):
                     [q in theirs for q in ref_ids] == \
                     [q in want for q in ref_ids], (attr, x)
     assert len(g.states) == len(canonical)
-    k = ck.u.k
-    for x in range(ck.u.n):
+    for q in range(g.n):
         for amask in set(asked):
-            got = [canonical[y // k] * k + y % k
-                   for y in ck.u.reading(x, amask)]
-            assert got == [y for y in ref_u.succ[canonical[x // k] * k + x % k]
-                           if g.atom_mask(ref_u.letter(y)) == amask]
+            got = [canonical[y] for y in g.reading(q, amask)]
+            assert got == [y for y in ref.succ[canonical[q]]
+                           if g.atom_mask(ref.letters[y]) == amask]
+
+
+def _random_two_set_formula(rng):
+    """A formula with one F[<=x] and two or three U, R, F or G over it."""
+    def lit():
+        name = rng.choice("ab")
+        return Atom(name) if rng.random() < 0.7 else NegAtom(name)
+
+    def temporal(sub):
+        op = rng.choice([Until, Release, Eventually, Always])
+        if op in (Until, Release):
+            return op(lit(), sub) if rng.random() < 0.5 else op(sub, lit())
+        return op(sub)
+
+    def junction(f):
+        return rng.choice([And, Or])(f, lit()) if rng.random() < 0.4 else f
+
+    phi = BoundedEventually(VarBound("x"),
+                            junction(rng.choice([lit(), temporal(lit())])))
+    for _ in range(rng.randint(2, 3)):
+        if rng.random() < 0.7:
+            phi = junction(temporal(phi))
+        else:
+            phi = rng.choice([And, Or])(phi, temporal(lit()))
+    return phi
+
+
+def test_generalized_acceptance_matches_round_robin_reference():
+    # The engine reads generalized acceptance off each product SCC; the
+    # reference degeneralizes the brute-force tableau with a round-robin
+    # index, accepts on a Buchi node and keeps plain subset sets.  With
+    # two or more Buchi sets: member agrees with the reference at
+    # x = 0, 1, 2, 4, and emptiness agrees with the minimum, in V when
+    # V is nonempty and with x one below it out.
+    rng = random.Random(28)
+    cases = empties = 0
+    while cases < 80:
+        phi = _random_two_set_formula(rng)
+        chain = random_chain(rng, max_states=4, label_p=0.3)
+        ck = DiamondChecker(phi)
+        if len(ck.g.acc_b) < 2:
+            continue
+        g = reference_tableau(ck.g.formula)
+        for threshold in ("pos", "as1"):
+            for x in (0, 1, 2, 4):
+                assert ck.member(chain, threshold, {"x": x}) == \
+                    reference_round_robin_holds(g, chain, threshold, [x]), \
+                    (phi, chain.rows, chain.labels, threshold, x)
+            if ck.emptiness(chain, threshold):
+                empties += 1
+                continue
+            (v,), = ck.min_set(chain, threshold)
+            assert reference_round_robin_holds(g, chain, threshold, [v])
+            assert v == 0 or not reference_round_robin_holds(
+                g, chain, threshold, [v - 1]), (phi, threshold, v)
+        cases += 1
+    assert 40 < empties < 120
 
 
 def test_closure_cap_checked_before_unfolding(monkeypatch):
@@ -535,7 +590,8 @@ def test_counter_free_step_falls_through():
         return check(chain, valuation)
     ck.check_as1 = spy
     assert ck.emptiness(c, "as1")
-    assert asked == [ck.pairs(c)] and ck.stats["queries"] == 2
+    assert asked == [len(ck._product(c, [])[0])]
+    assert ck.stats["queries"] == 2
     assert ck.shortcut == "pump" and ck.bound_used is None
     assert ck.certificate == [((0,), (0,))]
     # Without parameters there is nothing to strip.
@@ -693,7 +749,7 @@ def test_response_min_set_asks_the_pair_count_first(monkeypatch):
     # the pump's budget spent, the box top vbar is asked.
     c = _response_chain()
     phi = parse_formula("G (!a | F[<=x] b)")
-    n0 = DiamondChecker(phi).pairs(c)
+    n0 = len(DiamondChecker(phi)._product(c, [])[0])
     assert n0 < 640
     cases = (("pos", [(2,)], n0, None, PUMP_BUDGET),
              ("as1", [], None, "pump", PUMP_BUDGET),
@@ -788,10 +844,11 @@ def test_pump_never_runs_when_n0_is_in_v(monkeypatch, formula, threshold,
     monkeypatch.setattr(DiamondChecker, "_pump", pump)
     ck = DiamondChecker(parse_formula(formula))
     assert not ck.emptiness(chain, threshold)
-    assert ck.bound_used == ck.pairs(chain) < ck.vbar(chain)
+    n0 = len(ck._product(chain, [])[0])
+    assert ck.bound_used == n0 < ck.vbar(chain)
     if len(ck.user_names) == 1:
         assert len(ck.min_set(chain, threshold)) == 1
-        assert ck.bound_used == ck.pairs(chain)
+        assert ck.bound_used == n0
 
 
 def test_spent_pump_budget_falls_through_to_vbar(monkeypatch):
