@@ -71,21 +71,21 @@ def _build_parser():
         sp.add_argument("--formula-file", help="file containing the formula")
         sp.add_argument("--format", choices=("text", "machine"),
                         default="text")
-        sp.add_argument("--max-product-nodes", type=_node_cap,
-                        default=diamond.DEFAULT_MAX_PRODUCT_NODES)
-        sp.add_argument("--emit-automaton", metavar="PATH")
 
-    for name, handler in (("check", _run_check), ("minset", _run_minset)):
+    def query(name, handler):
+        """A parser for a command that may run the general engine."""
         sp = sub.add_parser(name)
         common(sp, handler)
         sp.add_argument("--threshold", default=">0",
                         help='one of ">0", "=1", ">=p" (p rational)')
-    sub.choices["check"].add_argument("--witness", action="store_true")
+        sp.add_argument("--max-product-nodes", type=_node_cap,
+                        default=diamond.DEFAULT_MAX_PRODUCT_NODES)
+        sp.add_argument("--emit-automaton", metavar="PATH")
+        return sp
 
-    sp = sub.add_parser("member")
-    common(sp, _run_member)
-    sp.add_argument("--threshold", default=">0")
-    sp.add_argument("--valuation", required=True)
+    query("check", _run_check).add_argument("--witness", action="store_true")
+    query("minset", _run_minset)
+    query("member", _run_member).add_argument("--valuation", required=True)
 
     sp = sub.add_parser("prob")
     common(sp, _run_prob)
@@ -211,7 +211,7 @@ class Report:
 
 
 def _maybe_emit(args, checker):
-    if getattr(args, "emit_automaton", None) and checker is not None:
+    if args.emit_automaton and checker is not None:
         # Past the tableau cap it exits 3 before the file is opened.
         text = diamond.format_automaton(checker.g)
         with open(args.emit_automaton, "w") as fh:

@@ -100,13 +100,13 @@ class GAutomaton:
     """Generalized automaton over consistent closure subsets: a tableau,
     built one atom mask at a time.
 
-    A state holds one literal per atom and the closure members true
-    there.  As in Gerth, Peled, Vardi and Wolper (1995), states and
-    edges come from local constraints; no closure subset and no pair of
-    states is ever tested.  `block(a)` builds the states of atom mask a
-    (bit i for `names[i]`) the first time a product asks for it, and
-    states are numbered in the order they are built.  `full()` builds
-    every mask in mask order, which orders states by (atom mask,
+    A state is its closure mask: bit `bits[f]` is set where closure
+    member f holds.  As in Gerth, Peled, Vardi and Wolper (1995),
+    states and edges come from local constraints; no closure subset and
+    no pair of states is ever tested.  `block(a)` builds the states of
+    atom mask a (bit i for `names[i]`) the first time a product asks for
+    it, and states are numbered in the order they are built.  `full()`
+    builds every mask in mask order, which orders states by (atom mask,
     operator mask).
 
     States: for each atom mask, one children-first pass over the
@@ -121,11 +121,13 @@ class GAutomaton:
     all.  That is one (mask, value) pair per state, `wants[q]`;
     `targets(want, a)` lists the states of mask a that meet it.
 
-    `acc_b` holds one state set per until/release-like subformula;
-    `acc_p` one per parameter variable, in the formula's variable order,
-    and `par[q]` state q's flags in those.  They, `initial` and `succ`
-    cover the states built so far.  The letter of a state is its set of
-    positive atoms: every atom of the formula is decided in every state.
+    `acc_b` holds one acceptance condition per until/release-like
+    subformula, `acc_p` one per parameter variable, in the formula's
+    variable order: (label, pending bit, done bit), whose set holds the
+    states that `accepts`; `par[q]` is state q's flags in the `acc_p`
+    sets.  `par`, `initial` and `succ` cover the states built so far.
+    The letter of a state is its set of positive atoms: every atom of
+    the formula is decided in every state.
     """
 
     def __init__(self, phi):
@@ -150,35 +152,28 @@ class GAutomaton:
         bit = {f: 1 << i for i, f in enumerate(nonlits)}
         lits = [f for f in subs if isinstance(f, (Atom, NegAtom))]
         bit.update((f, 1 << (len(nonlits) + i)) for i, f in enumerate(lits))
-        self._bit = bit
+        self.bits = bit
+        # Each atom's (positive, negative) literal bits; 0 off the closure.
+        self._literals = [(bit.get(Atom(a), 0), bit.get(NegAtom(a), 0))
+                          for a in names]
+        self._top = bit[phi]
         self._rules = [(bit[f],) + _local_rule(f, bit) for f in nonlits]
-        # States are unions of these sets, whose members keep their
-        # hashes: a formula's own hash walks its whole tree.
-        self._singles = [(bit[f], frozenset((f,))) for f in nonlits]
         # A unary operator's child is both its first and its last.
         self._steps = [(type(f), bit[f], bit[children(f)[0]],
                         bit[children(f)[-1]])
                        for f in nonlits if not isinstance(f, (And, Or))]
-        # An acceptance set holds the states whose `pending` bit is off
-        # or whose `done` bit is on: (pending, done, set) per set.
-        self.acc_b, self.acc_p, self._acc = [], [], []
+        self.acc_b = []
         for f in subs:
             if isinstance(f, (Until, Eventually)):
-                bits = bit[f], bit[children(f)[-1]]
+                self.acc_b.append((f, bit[f], bit[children(f)[-1]]))
             elif isinstance(f, (Release, Always)):
-                bits = bit[children(f)[-1]], bit[f]
-            else:
-                continue
-            self.acc_b.append((f, set()))
-            self._acc.append(bits + (self.acc_b[-1][1],))
+                self.acc_b.append((f, bit[children(f)[-1]], bit[f]))
         by_var = {f.bound.name: f for f in subs
                   if isinstance(f, BoundedEventually)}
         self.var_names = variables(phi)
-        for x in self.var_names:
-            self.acc_p.append((x, set()))
-            self._acc.append((bit[by_var[x]], bit[by_var[x].child],
-                              self.acc_p[-1][1]))
-        self.masks, self.states, self.letters, self.wants = [], [], [], []
+        self.acc_p = [(x, bit[by_var[x]], bit[by_var[x].child])
+                      for x in self.var_names]
+        self.states, self.letters, self.wants = [], [], []
         self.par, self.initial = [], []
         self._blocks = {}
         self._rows = {}
@@ -190,11 +185,8 @@ class GAutomaton:
         blk = self._blocks.get(amask)
         if blk is not None:
             return blk
-        bit = self._bit
-        true = {a for i, a in enumerate(self.names) if amask >> i & 1}
-        literals = [Atom(a) if a in true else NegAtom(a) for a in self.names]
-        found = [sum(bit[f] for f in literals if f in bit)]
-        literals = frozenset(literals)
+        found = [sum(pos if amask >> i & 1 else neg
+                     for i, (pos, neg) in enumerate(self._literals))]
         for b, need, forced, free in self._rules:
             if forced is all:
                 found = [h | b if h & need == need else h for h in found]
@@ -202,24 +194,21 @@ class GAutomaton:
                 found = [h | b if h & need else h for h in found]
             if free:
                 found += [h | b for h in found if not h & b]
-                if len(self.masks) + len(found) > MAX_TABLEAU_STATES:
+                if len(self.states) + len(found) > MAX_TABLEAU_STATES:
                     raise TableauLimitError(
                         "tableau too large: more than %d states"
                         % MAX_TABLEAU_STATES)
         found.sort()
-        letter = frozenset(true)
-        ids = range(len(self.masks), len(self.masks) + len(found))
-        for q, h in enumerate(found, len(self.masks)):
-            self.masks.append(h)
-            self.states.append(literals.union(
-                *[f for b, f in self._singles if h & b]))
-            self.letters.append(letter)
-            self.wants.append(_successor_constraint(h, self._steps))
-            for pending, done, members in self._acc:
-                if not h & pending or h & done:
-                    members.add(q)
-            self.par.append(tuple(q in f for _, f in self.acc_p))
-        initial = [q for q in ids if self.masks[q] & bit[self.formula]]
+        letter = frozenset(a for i, a in enumerate(self.names)
+                           if amask >> i & 1)
+        ids = range(len(self.states), len(self.states) + len(found))
+        self.states += found
+        self.letters += [letter] * len(found)
+        self.wants += [_successor_constraint(h, self._steps) for h in found]
+        self.par += [tuple(accepts(h, pending, done)
+                           for _, pending, done in self.acc_p)
+                     for h in found]
+        initial = [q for q, h in zip(ids, found) if h & self._top]
         self.initial += initial
         blk = self._blocks[amask] = ids, initial, {}
         return blk
@@ -246,7 +235,7 @@ class GAutomaton:
         if by_value is None:
             by_value = buckets[mask] = {}
             for q in ids:
-                by_value.setdefault(self.masks[q] & mask, []).append(q)
+                by_value.setdefault(self.states[q] & mask, []).append(q)
         return by_value.get(value, ())
 
     def reading(self, q, amask):
@@ -262,7 +251,7 @@ class GAutomaton:
 
     @property
     def n(self):
-        return len(self.masks)
+        return len(self.states)
 
     @property
     def succ(self):
@@ -281,6 +270,12 @@ def check_depth(depth):
     if operators > MAX_CLOSURE:
         raise ResourceLimitError("closure too large: %d nested operators"
                                  % operators)
+
+
+def accepts(h, pending, done):
+    """Is state mask h in the acceptance set of the condition (label,
+    `pending`, `done`): its pending bit off or its done bit on?"""
+    return not h & pending or bool(h & done)
 
 
 def _local_rule(f, bit):
@@ -394,10 +389,12 @@ def format_automaton(g):
     g = g.full()
     lines = ["g-automaton states=%d" % len(g.states),
              "initial %s" % " ".join(map(str, g.initial))]
-    for label, f in g.acc_b:
-        lines.append("buchi [%s] %s" % (label, " ".join(map(str, sorted(f)))))
-    for x, f in g.acc_p:
-        lines.append("parametric %s %s" % (x, " ".join(map(str, sorted(f)))))
+    for form, conditions in (("buchi [%s] ", g.acc_b),
+                             ("parametric %s ", g.acc_p)):
+        for label, pending, done in conditions:
+            lines.append(form % (label,) + " ".join(
+                str(q) for q, h in enumerate(g.states)
+                if accepts(h, pending, done)))
     for q, targets in enumerate(g.succ):
         for t in targets:
             lines.append("edge %d {%s} %d"
@@ -444,14 +441,14 @@ class DiamondChecker:
         self.certificate = None
 
     def _bounds(self, valuation):
-        assign = valuation.assignment if hasattr(valuation, "assignment") \
-            else dict(valuation)
+        """The bound of each tableau variable at `valuation`, a
+        `Valuation` or a dict over the user's variable names."""
         bounds = []
         for fresh in self.g.var_names:
             user = self.fresh_to_user[fresh]
-            if user not in assign:
+            if user not in valuation:
                 raise FragmentError("valuation misses variable %r" % user)
-            bounds.append(assign[user])
+            bounds.append(valuation[user])
         return bounds
 
     def _explore(self, initial, successors, what):
@@ -673,13 +670,14 @@ class DiamondChecker:
           lifted D-walk reaches such a B: a bottom component meets a
           complete accepting SCC exactly when its projection does.
         """
-        sets = [f for _, f in self.g.acc_b + self.g.acc_p]
+        g = self.g
         scc = markov._tarjan(len(nodes), succ)
         accepting = []
         for ci, comp in enumerate(scc.components):
             if scc.has_cycle[ci]:
-                states = {nodes[i][1] for i in comp}
-                if all(not f.isdisjoint(states) for f in sets):
+                masks = {g.states[nodes[i][1]] for i in comp}
+                if all(any(accepts(h, pending, done) for h in masks)
+                       for _, pending, done in g.acc_b + g.acc_p):
                     accepting.append(comp)
         return accepting
 

@@ -596,15 +596,13 @@ def substitute(phi, val):
     `val` may be a Valuation or a plain dict of naturals; it must assign
     every variable of phi.
     """
-    assign = val.assignment if hasattr(val, "assignment") else val
-
     def bind(f):
         if not _has_var_bound(f):
             return f
-        if f.bound.name not in assign:
+        if f.bound.name not in val:
             raise FormulaError("valuation does not assign variable %r"
                                % f.bound.name)
-        return BoundedEventually(ConstBound(assign[f.bound.name]), f.child)
+        return BoundedEventually(ConstBound(val[f.bound.name]), f.child)
 
     return _map(phi, bind)
 

@@ -196,9 +196,9 @@ def _pareto_front(chain, phi, names, bound, max_nodes):
     return found, path
 
 
-def _uniform_bound(chain, phi):
-    """m * |phi|, with phi's constant bounds unfolded."""
-    return chain.m * unfolded_size(to_nnf(phi))
+def _uniform_bound(chain, nnf):
+    """m * |phi|, with the NNF formula's constant bounds unfolded."""
+    return chain.m * unfolded_size(nnf)
 
 
 def emptiness_pos_fx(chain, phi,
@@ -211,11 +211,11 @@ def emptiness_pos_fx(chain, phi,
     m * |phi|.  More than `max_nodes` search nodes raise
     diamond.ResourceLimitError.
     """
-    _, path = _pareto_front(chain, strip_params(to_nnf(phi)), (), 0,
-                            max_nodes)
+    nnf = to_nnf(phi)
+    _, path = _pareto_front(chain, strip_params(nnf), (), 0, max_nodes)
     if path is None:
         return True, None, None
-    vbar = _uniform_bound(chain, phi)
+    vbar = _uniform_bound(chain, nnf)
     return False, {x: vbar for x in variables(phi)}, path
 
 
@@ -223,7 +223,7 @@ def emptiness_as1_fx(chain, phi, checker=None):
     """True iff V=1 is empty, decided at the uniform valuation."""
     if checker is None:
         checker = diamond.DiamondChecker(phi)
-    vbar = _uniform_bound(chain, phi)
+    vbar = _uniform_bound(chain, to_nnf(phi))
     return not checker.check_as1(chain, {x: vbar for x in variables(phi)})
 
 
@@ -235,5 +235,5 @@ def min_set_fx(chain, phi, max_nodes=diamond.DEFAULT_MAX_PRODUCT_NODES):
     # Every countdown step of a constant bound is a node of its own,
     # so the depth the general engine refuses is refused here too.
     diamond.check_depth(unfolded_depth(nnf))
-    bound = _uniform_bound(chain, phi)
+    bound = _uniform_bound(chain, nnf)
     return _pareto_front(chain, nnf, variables(nnf), bound, max_nodes)[0]

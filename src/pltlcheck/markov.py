@@ -6,9 +6,10 @@ Bounded ones step integer vectors against P scaled by the lcm D of its
 denominators, so Pr(reach within n) = y_n / D**n with no gcd per step;
 the states are numbered into slots once per walk, all targets in one,
 and each group of rows of one width is stepped by one generated
-comprehension.  Unbounded ones fix the states of value 0 and 1 by graph
-analysis and solve a sparse linear system over the rest by elimination
-on dict rows with Markowitz pivoting.  Every probability returned is a
+comprehension, or past `MAX_KERNEL_WIDTH` by one plain one.  Unbounded
+ones fix the states of value 0 and 1 by graph analysis and solve a
+sparse linear system over the rest by elimination on dict rows with
+Markowitz pivoting.  Every probability returned is a
 `fractions.Fraction`, so comparisons (= 1, > 0, >= p) are exact.
 
 `_check_row` decides whether a row is a distribution.  `MarkovChain`
@@ -24,7 +25,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 
 
 class ChainError(ValueError):
@@ -47,6 +48,11 @@ class ResourceLimitError(Exception):
 # costs under a hundredth of it.
 MAX_STEP_WORK = 2 * 10 ** 10
 STEP_OVERHEAD = 4096
+# The widest rows `_kernel` generates a step for.  Generating one costs
+# about 70 us plus 6 us per entry, all 16 about 2 ms (x86-64, Python
+# 3.11); for a row of 20,000 entries it took 0.3-0.5 s, more than a
+# hundred steps of that row.  Wider rows are stepped by `_step_wide`.
+MAX_KERNEL_WIDTH = 16
 
 
 class ChainParseError(ChainError):
@@ -522,7 +528,7 @@ def reach_steps(chain, targets, source=None, steps=None):
     All targets share slot 0, whose value is d.  The stepped states
     follow, grouped by the width of their row once its target entries
     are merged into one, and each group is stepped by one comprehension
-    from `_kernel`, so no step makes a Python call per row.
+    from `_kernel`, so no step makes a Python call per narrow row.
 
     A walk past `MAX_STEP_WORK` raises ResourceLimitError at the step
     that passes it; given the number of `steps` the caller will take,
@@ -560,7 +566,8 @@ def reach_steps(chain, targets, source=None, steps=None):
         # A successor is a target (key None, slot 0) or a stepped state.
         rows = [tuple(v for t, w in row.items() for v in (slot.get(t, 0), w))
                 for _, _, row in group]
-        groups.append((_kernel(width), rows))
+        groups.append((_kernel(width) if width <= MAX_KERNEL_WIDTH
+                       else _step_wide, rows))
 
     def walk():
         y = [1] + [0] * len(merged)
@@ -585,16 +592,18 @@ def _kernel(width):
     """The step of rows of `width` entries: y, rows -> one value per row,
     its weights times the y of its slots, where a row is the flat tuple
     (slot, weight, slot, weight, ...).  Generated once per width seen in
-    the process, as `collections.namedtuple` generates its methods; the
-    sum nests as a balanced tree, so a wide row compiles without deep
-    recursion."""
-    def total(j, k):
-        if k - j == 1:
-            return "w%d * y[i%d]" % (j, j)
-        return "(%s + %s)" % (total(j, (j + k) // 2), total((j + k) // 2, k))
+    the process, as `collections.namedtuple` generates its methods, for
+    widths up to `MAX_KERNEL_WIDTH`."""
+    total = " + ".join("w%d * y[i%d]" % (j, j) for j in range(width))
     names = ", ".join("i%d, w%d" % (j, j) for j in range(width))
-    return eval("lambda y, rows: [%s for %s in rows]"
-                % (total(0, width), names))
+    return eval("lambda y, rows: [%s for %s in rows]" % (total, names))
+
+
+def _step_wide(y, rows):
+    """The step `_kernel(width)` returns, for rows of any width, with no
+    code generated."""
+    return [sum(map(mul, row[1::2], map(y.__getitem__, row[::2])))
+            for row in rows]
 
 
 def bounded_reach_vector(chain, targets, n):

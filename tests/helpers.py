@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
-from pltlcheck.diamond import ResourceLimitError
+from pltlcheck.diamond import ResourceLimitError, accepts
 from pltlcheck.formula import (
     Always, And, Atom, BoundedAlways, BoundedEventually, ConstBound,
     Eventually, NegAtom, Next, Or, Release, Until, VarBound, atoms, children,
@@ -235,8 +235,8 @@ def reference_tableau(phi):
     closure subset is tested for consistency and every ordered pair of
     states for an edge.
 
-    Returns a namespace with the attributes `format_automaton` reads,
-    `full()` returning itself.  Only small closures are practical.
+    Returns a namespace with the attributes of `decoded_tableau`.  Only
+    small closures are practical.
     """
     subs = closure(phi)
     names = atoms(phi)
@@ -282,8 +282,41 @@ def reference_tableau(phi):
         f = by_var[x]
         g.acc_p.append((x, frozenset(i for i, h in enumerate(states)
                                      if f not in h or f.child in h)))
-    g.full = lambda: g
     return g
+
+
+def reference_automaton_text(g):
+    """`diamond.format_automaton`'s text for the brute-force tableau g."""
+    lines = ["g-automaton states=%d" % len(g.states),
+             "initial %s" % " ".join(map(str, g.initial))]
+    lines += ["buchi [%s] %s" % (f, " ".join(map(str, sorted(members))))
+              for f, members in g.acc_b]
+    lines += ["parametric %s %s" % (x, " ".join(map(str, sorted(members))))
+              for x, members in g.acc_p]
+    lines += ["edge %d {%s} %d" % (q, ",".join(sorted(g.letters[q])), t)
+              for q, targets in enumerate(g.succ) for t in targets]
+    return "\n".join(lines) + "\n"
+
+
+def decoded_tableau(g):
+    """The tableau g of a `DiamondChecker` as `reference_tableau` holds
+    it: each closure mask read back into the closure members it sets
+    plus one literal per atom, and each acceptance condition into its
+    label and the states it accepts."""
+    states = [frozenset({f for f, b in g.bits.items() if h & b}.union(
+        Atom(a) if a in letter else NegAtom(a) for a in g.names))
+        for h, letter in zip(g.states, g.letters)]
+    return SimpleNamespace(
+        formula=g.formula, states=states, letters=g.letters,
+        initial=g.initial, succ=g.succ, acc_b=_decoded_sets(g, g.acc_b),
+        acc_p=_decoded_sets(g, g.acc_p))
+
+
+def _decoded_sets(g, conditions):
+    """(label, the states of g it accepts) per acceptance condition."""
+    return [(label, frozenset(q for q, h in enumerate(g.states)
+                              if accepts(h, pending, done)))
+            for label, pending, done in conditions]
 
 
 def _consistent(h, subs):
@@ -564,14 +597,15 @@ def reference_holds(checker, chain, threshold, bounds, max_nodes=None):
     nodes, succ, n_initial = checker._product(chain, bounds)
     return _reference_verdict(
         chain, threshold, nodes, succ, n_initial,
-        lambda comp: _meets_every_set(checker.g, nodes, comp), max_nodes)
+        _meets_every_set(checker.g, nodes), max_nodes)
 
 
-def _meets_every_set(g, nodes, comp):
-    """Do the product nodes `comp` meet each `acc_b` and `acc_p` set of
-    the tableau g?"""
-    return all(any(nodes[i][1] in f for i in comp)
-               for _, f in g.acc_b + g.acc_p)
+def _meets_every_set(g, nodes):
+    """A test of whether product nodes `comp` meet each `acc_b` and
+    `acc_p` set of the tableau g, as built so far."""
+    sets = [f for _, f in _decoded_sets(g, g.acc_b + g.acc_p)]
+    return lambda comp: all(any(nodes[i][1] in f for i in comp)
+                            for f in sets)
 
 
 def _reference_verdict(chain, threshold, nodes, succ, n_initial, accepting,
@@ -644,9 +678,9 @@ def reference_pump_kills(checker, chain, threshold, v):
         return pi[0] == chain.init and dies(
             set(range(n_initial)), range(len(nodes)), pi, gamma)
     scc = _tarjan(len(nodes), succ)
+    meets = _meets_every_set(checker.g, nodes)
     for ci, comp in enumerate(scc.components):
-        if not scc.has_cycle[ci] or not _meets_every_set(
-                checker.g, nodes, comp):
+        if not scc.has_cycle[ci] or not meets(comp):
             continue
         states = {nodes[i][0] for i in comp}
         if any(t not in states for s in states for t in chain.successors(s)):

@@ -19,6 +19,21 @@ with open(GOLDEN) as fh:
     GOLDEN_ARGVS = [row["argv"] for _, row in sorted(json.load(fh).items())]
 
 CHECK = ["check", "--chain", "{coin}", "--formula", "F[<=x] a"]
+PROB = ["prob", "--chain", "{coin}", "--formula", "F[<=x] a", "--valuation",
+        "x=3"]
+
+# Only check, minset and member may run the general engine, so only they
+# take its node cap and its automaton dump.
+ENGINE_OPTIONS_ELSEWHERE = [
+    PROB + ["--emit-automaton", "{aut}", "--max-product-nodes", "5"],
+    PROB + ["--max-product-nodes", "5"],
+    ["oracle", "sample", "--chain", "{coin}", "--formula", "F b",
+     "--emit-automaton", "{aut}"],
+    ["oracle", "sample", "--chain", "{coin}", "--formula", "F b",
+     "--max-product-nodes", "5"],
+    ["oracle", "lasso-eval", "--formula", "F a", "--loop", "a",
+     "--emit-automaton", "{aut}", "--max-product-nodes", "5"],
+]
 
 MALFORMED = [
     [],
@@ -47,7 +62,7 @@ MALFORMED = [
      "--samples", "5", "--horizon", "4"],
     ["oracle", "sample", "--chain", "{coin}", "--bogus"],
     ["oracle"],
-]
+] + ENGINE_OPTIONS_ELSEWHERE
 
 
 def _run(argv, tmpdir):
@@ -68,6 +83,15 @@ def test_run_parses_as_the_full_parser(argv, tmp_path, monkeypatch):
     direct = _run(argv, str(tmp_path))
     monkeypatch.setattr(cli, "DIRECT_COMMANDS", ())
     assert _run(argv, str(tmp_path)) == direct
+
+
+@pytest.mark.parametrize("argv", ENGINE_OPTIONS_ELSEWHERE,
+                         ids=[" ".join(a) for a in ENGINE_OPTIONS_ELSEWHERE])
+def test_engine_options_are_refused_elsewhere(argv, tmp_path):
+    code, out, err = _run(argv, str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "error: unrecognized arguments: " in err
+    assert not (tmp_path / "aut.txt").exists()
 
 
 def test_direct_namespace_equals_the_full_parsers():

@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    lasso_chain, nnf_formulas, random_chain, random_diamond_formula,
-    random_fx_formula, random_letters, reference_holds, reference_least,
+    decoded_tableau, lasso_chain, nnf_formulas, random_chain,
+    random_diamond_formula, random_fx_formula, random_letters,
+    reference_automaton_text, reference_holds, reference_least,
     reference_pump_kills, reference_round_robin_holds, reference_tableau,
     until_chain,
 )
@@ -17,8 +18,8 @@ from pltlcheck.diamond import (
 )
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import (
-    Always, And, Atom, BoundedEventually, Eventually, NegAtom, Or, Release,
-    Until, VarBound,
+    Always, And, Atom, BoundedEventually, Eventually, FragmentError, NegAtom,
+    Or, Release, Until, VarBound,
     _map, closure, parse_formula, size, strip_params, substitute, to_nnf,
     variables,
 )
@@ -27,7 +28,7 @@ from pltlcheck.oracle import (
     CERTAIN_FALSE, LassoWord, eval_lasso, eval_prefix, gen_3sat_fixture,
     sample_lower_bound,
 )
-from pltlcheck.valuation import bisection_min_set
+from pltlcheck.valuation import Valuation, bisection_min_set
 
 
 def _line(labels):
@@ -193,6 +194,15 @@ def test_resource_limit():
     ck = DiamondChecker(parse_formula("F[<=x] a"), max_product_nodes=1)
     with pytest.raises(ResourceLimitError):
         ck.check_pos(c, {"x": 5})
+
+
+def test_bounds_read_a_valuation_as_a_dict():
+    # x is renamed apart into one tableau variable per occurrence.
+    ck = DiamondChecker(parse_formula("F[<=x] a & G F[<=x] b"))
+    assert ck._bounds(Valuation({"x": 2})) == ck._bounds({"x": 2}) == [2, 2]
+    for empty in (Valuation({}), {}):
+        with pytest.raises(FragmentError, match="misses variable 'x'"):
+            ck._bounds(empty)
 
 
 def test_stats_accumulate():
@@ -417,10 +427,11 @@ def _assert_matches_reference(ck):
     # full() builds them all in mask order on its own tableau.
     assert ck.g.states == [] and ck.g.full() is ck.g
     g = reference_tableau(ck.g.formula)
+    mine = decoded_tableau(ck.g)
     for attr in ("states", "letters", "initial", "succ", "acc_b", "acc_p"):
-        assert getattr(ck.g, attr) == getattr(g, attr), attr
+        assert getattr(mine, attr) == getattr(g, attr), attr
     assert ck.g.n == len(g.states)
-    assert format_automaton(ck.g) == format_automaton(g)
+    assert format_automaton(ck.g) == reference_automaton_text(g)
     letters = sorted(set(g.letters), key=ck.g.atom_mask)
     if len(letters) * ck.g.n <= 20000:
         for q in range(ck.g.n):
@@ -454,7 +465,8 @@ def test_blocks_built_on_demand_match_full_build(phi, data):
     ck = DiamondChecker(phi)
     g = ck.g
     assume(len(closure(g.formula)) <= 10)
-    full = diamond.GAutomaton(g.formula).full()
+    full_g = diamond.GAutomaton(g.formula).full()
+    full = decoded_tableau(full_g)
     ref = reference_tableau(g.formula)
     n_masks = 2 ** len(g.names)
     asked = data.draw(st.lists(st.integers(0, n_masks - 1), min_size=1,
@@ -462,12 +474,12 @@ def test_blocks_built_on_demand_match_full_build(phi, data):
     canonical = {}
     for amask in asked:
         ids = g.block(amask)[0]
-        full_ids = full.block(amask)[0]
         ref_ids = [q for q, letter in enumerate(ref.letters)
                    if g.atom_mask(letter) == amask]
-        assert list(full_ids) == ref_ids
+        assert list(full_g.block(amask)[0]) == ref_ids
         canonical.update(zip(ids, ref_ids))
-        for mine, theirs in ((g, full), (g, ref)):
+        mine = decoded_tableau(g)
+        for theirs in (full, ref):
             for attr in ("states", "letters"):
                 assert [getattr(mine, attr)[q] for q in ids] == \
                     [getattr(theirs, attr)[q] for q in ref_ids], attr
@@ -475,10 +487,11 @@ def test_blocks_built_on_demand_match_full_build(phi, data):
             [q in full.initial for q in ref_ids] == \
             [q in ref.initial for q in ref_ids]
         for attr in ("acc_b", "acc_p"):
-            for (x, mine), (_, theirs), (y, want) in zip(
-                    getattr(g, attr), getattr(full, attr), getattr(ref, attr)):
+            for (x, got), (_, theirs), (y, want) in zip(
+                    getattr(mine, attr), getattr(full, attr),
+                    getattr(ref, attr)):
                 assert x == y
-                assert [q in mine for q in ids] == \
+                assert [q in got for q in ids] == \
                     [q in theirs for q in ref_ids] == \
                     [q in want for q in ref_ids], (attr, x)
     assert len(g.states) == len(canonical)

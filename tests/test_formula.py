@@ -2,12 +2,13 @@ import pytest
 
 from pltlcheck.formula import (
     Always, And, Atom, BoundedAlways, BoundedEventually, ConstBound,
-    Eventually, FragmentClass, MAX_FORMULA_DEPTH, NegAtom, Next, Or,
-    ParseError, Release, Until, VarBound, atoms, classify, closure,
+    Eventually, FormulaError, FragmentClass, MAX_FORMULA_DEPTH, NegAtom,
+    Next, Or, ParseError, Release, Until, VarBound, atoms, classify, closure,
     genbuchi_pairs, nesting_depth, parse_formula, rename_apart,
     rewrite_constant_bounds, size, strip_params, substitute, to_nnf,
     variables,
 )
+from pltlcheck.valuation import Valuation
 
 
 def test_parse_atoms_and_connectives():
@@ -153,6 +154,10 @@ def test_substitute():
     phi = parse_formula("F[<=x] a")
     assert substitute(phi, {"x": 3}) == BoundedEventually(ConstBound(3),
                                                           Atom("a"))
+    assert substitute(phi, Valuation({"x": 3})) == substitute(phi, {"x": 3})
+    for empty in (Valuation({}), {}):
+        with pytest.raises(FormulaError, match="does not assign"):
+            substitute(phi, empty)
 
 
 def test_classify():

@@ -207,6 +207,33 @@ def test_numerics_match_fraction_references(chain, n, threshold):
             == reference_min_val_geq(chain, "a", threshold))
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_rows_wider_than_the_kernels_step_exactly(seed):
+    # Every chain has rows past MAX_KERNEL_WIDTH, once their targets are
+    # merged: those are stepped with no generated kernel.
+    rng = random.Random(seed)
+    m = rng.randint(markov.MAX_KERNEL_WIDTH + 2, 3 * markov.MAX_KERNEL_WIDTH)
+    rows = []
+    for s in range(m):
+        width = rng.choice([1, 2, rng.randint(1, m),
+                            rng.randint(markov.MAX_KERNEL_WIDTH + 1, m)])
+        weights = [rng.randint(1, 9) for _ in range(width)]
+        rows.append({t: Fraction(w, sum(weights)) for t, w in
+                     zip(rng.sample(range(m), width), weights)})
+    labels = [{"a"} if s == m - 1 or rng.random() < 0.1 else set()
+              for s in range(m)]
+    chain = MarkovChain(m, 0, rows, labels)
+    targets = chain.states_with("a")
+    assert any(len({t if t not in targets else None for t in row})
+               > markov.MAX_KERNEL_WIDTH
+               for s, row in enumerate(rows) if s not in targets)
+    for n in (0, 1, 2, 7):
+        want = reference_bounded_reach_vector(chain, targets, n)
+        assert bounded_reach_vector(chain, targets, n) == want
+        assert bounded_reach_prob(chain, targets, n) == want[chain.init]
+    assert markov._kernel.cache_info().currsize <= markov.MAX_KERNEL_WIDTH
+
+
 def _forward_chain(rng, m):
     """A random chain whose edges go to higher states, except that the
     last state and a few others loop on themselves."""
