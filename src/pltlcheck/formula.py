@@ -19,11 +19,17 @@ iterative, so a formula built in code may nest as deep as memory
 allows.  `subformulas` lists the nodes, `_map` rebuilds a formula
 top-down and keeps unchanged subtrees, and `to_nnf` is `_map` with one
 rule that moves a negation onto the dual operator.
+
+Nodes are immutable.  Each fixes its children tuple and its hash when
+it is built, the hash from its children's stored hashes, so hashing
+takes one step at any depth, and `==` walks two trees on a stack.  The
+text, the NNF and the variable names are computed at most once per
+node, when first asked: an NNF node is its own NNF, `variables` hands
+out a new list each call, and only a node whose text was asked keeps
+it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 
 MAX_CONSTANT_BOUND = 10**6
@@ -48,17 +54,43 @@ class FragmentError(FormulaError):
 # Bounds
 
 
-@dataclass(frozen=True)
 class VarBound:
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __eq__(self, other):
+        if type(other) is not VarBound:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((VarBound, self.name))
+
+    def __repr__(self):
+        return "VarBound(name=%r)" % (self.name,)
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class ConstBound:
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        if type(other) is not ConstBound:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((ConstBound, self.value))
+
+    def __repr__(self):
+        return "ConstBound(value=%r)" % (self.value,)
 
     def __str__(self):
         return str(self.value)
@@ -68,76 +100,166 @@ class ConstBound:
 # AST nodes.  After to_nnf, Not never appears; negation lives in NegAtom.
 
 
-@dataclass(frozen=True)
 class Formula:
+    """A formula node.  No code assigns to a node after construction,
+    which fixes its children `_kids` (left to right), its hash (from
+    its kind, its name or bound, and its children's stored hashes) and
+    whether it is in NNF.  `==` compares two trees on a stack and skips
+    a subtree the two share.  The text, the NNF and the variable names
+    are kept in `_text`, `_nnf` (True on a node that is its own NNF)
+    and `_vars`, each None until first asked."""
+
+    __slots__ = ("_kids", "_hash", "_nnf", "_text", "_vars")
+    # The constructor's arguments, the children last; repr prints them.
+    _fields = ()
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            f, g = stack.pop()
+            if f is g:
+                continue
+            if (f._hash != g._hash or type(f) is not type(g)
+                    or f._own() != g._own()):
+                return False
+            stack += zip(f._kids, g._kids)
+        return True
+
+    def _own(self):
+        """The node's field that is not a child, or None."""
+        return None
+
     def __str__(self):
-        return _fmt(self)
+        if self._text is None:
+            self._text = _fmt(self)
+        return self._text
+
+    def __repr__(self):
+        done = []
+        for f in subformulas(self, postorder=True):
+            k = len(f._kids)
+            args = [repr(f._own())] if len(f._fields) > k else []
+            args += done[len(done) - k:]
+            del done[len(done) - k:]
+            done.append("%s(%s)" % (type(f).__name__, ", ".join(
+                "%s=%s" % arg for arg in zip(f._fields, args))))
+        return done[0]
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
+class _Literal(Formula):
+    __slots__ = ("name",)
+    _fields = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+        self._kids = ()
+        self._hash = hash((type(self), name))
+        self._nnf = True
+        self._text = self._vars = None
+
+    def _own(self):
+        return self.name
 
 
-@dataclass(frozen=True)
-class NegAtom(Formula):
-    name: str
+class _Unary(Formula):
+    __slots__ = ("child",)
+    _fields = ("child",)
+
+    def __init__(self, child):
+        self.child = child
+        self._kids = (child,)
+        self._hash = hash((type(self), child._hash))
+        self._nnf = True if child._nnf is True else None
+        self._text = self._vars = None
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    child: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+        self._kids = (left, right)
+        self._hash = hash((type(self), left._hash, right._hash))
+        self._nnf = (True if left._nnf is True and right._nnf is True
+                     else None)
+        self._text = self._vars = None
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Bounded(Formula):
+    __slots__ = ("bound", "child")
+    _fields = ("bound", "child")
+
+    def __init__(self, bound, child):
+        self.bound = bound
+        self.child = child
+        self._kids = (child,)
+        self._hash = hash((type(self), bound, child._hash))
+        self._nnf = True if child._nnf is True else None
+        self._text = self._vars = None
+
+    def _own(self):
+        return self.bound
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Atom(_Literal):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    child: Formula
+class NegAtom(_Literal):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ()
+
+    def __init__(self, child):
+        super().__init__(child)
+        self._nnf = None
 
 
-@dataclass(frozen=True)
-class Release(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Always(Formula):
-    child: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eventually(Formula):
-    child: Formula
+class Next(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundedEventually(Formula):
-    bound: VarBound | ConstBound
-    child: Formula
+class Until(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundedAlways(Formula):
-    bound: ConstBound
-    child: Formula
+class Release(_Binary):
+    __slots__ = ()
+
+
+class Always(_Unary):
+    __slots__ = ()
+
+
+class Eventually(_Unary):
+    __slots__ = ()
+
+
+class BoundedEventually(_Bounded):
+    __slots__ = ()
+
+
+class BoundedAlways(_Bounded):
+    __slots__ = ()
 
 
 _PREC = {
@@ -189,11 +311,7 @@ def _fmt(phi):
 
 def children(f):
     """The immediate subformulas of f, left to right."""
-    if isinstance(f, (Atom, NegAtom)):
-        return ()
-    if isinstance(f, (And, Or, Until, Release)):
-        return (f.left, f.right)
-    return (f.child,)
+    return f._kids
 
 
 def rebuild(f, kids):
@@ -213,7 +331,7 @@ def subformulas(phi, postorder=False):
         f = stack.pop()
         out.append(f)
         # Postorder is the reverse of a right-to-left preorder.
-        stack += children(f) if postorder else children(f)[::-1]
+        stack += f._kids if postorder else f._kids[::-1]
     return out[::-1] if postorder else out
 
 
@@ -225,7 +343,7 @@ def _map(phi, fn):
     order, stack = [], [phi]
     while stack:
         f = fn(stack.pop())
-        kids = children(f)
+        kids = f._kids
         order.append((f, kids))
         stack += kids[::-1]
     # Reversed, the preorder lists every node after its subtrees, and a
@@ -260,14 +378,17 @@ def nesting_depth(phi):
     depth, level = 0, [phi]
     while level:
         depth += 1
-        level = [c for f in level for c in children(f)]
+        level = [c for f in level for c in f._kids]
     return depth
 
 
 def variables(phi):
-    """Parameter variable names occurring in phi, in syntactic order."""
-    return list(dict.fromkeys(f.bound.name for f in subformulas(phi)
-                              if _has_var_bound(f)))
+    """Parameter variable names occurring in phi, in syntactic order, as
+    a new list."""
+    if phi._vars is None:
+        phi._vars = tuple(dict.fromkeys(f.bound.name for f in subformulas(phi)
+                                        if _has_var_bound(f)))
+    return list(phi._vars)
 
 
 def atoms(phi):
@@ -284,15 +405,24 @@ _DIGITS = "0123456789"
 
 
 class _Lexer:
+    """Tokens of a formula text.  The token `peek` scans is kept until
+    `next` consumes it, so each token is scanned once."""
+
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self._token = None
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
     def peek(self):
+        if self._token is None:
+            self._token = self._scan()
+        return self._token
+
+    def _scan(self):
         self._skip_ws()
         if self.pos >= len(self.text):
             return ("eof", None, self.pos)
@@ -317,11 +447,13 @@ class _Lexer:
         raise ParseError("unexpected character %r" % c, start)
 
     def next(self):
-        kind, value, start = self.peek()
+        token = self.peek()
+        kind, value, start = token
         if kind != "eof":
             width = len(value) if kind in ("ident", "nat", "<=") else 1
             self.pos = start + width
-        return (kind, value, start)
+            self._token = None
+        return token
 
     def expect(self, kind):
         k, v, p = self.next()
@@ -440,9 +572,14 @@ def to_nnf(phi):
 
     Raises FragmentError when pushing a negation through a parametric
     bound would be required (that combination leaves the supported
-    fragment).
+    fragment).  An NNF formula is its own NNF; any other formula keeps
+    its NNF once computed.
     """
-    return _map(phi, _push_not)
+    if phi._nnf is True:
+        return phi
+    if phi._nnf is None:
+        phi._nnf = _map(phi, _push_not)
+    return phi._nnf
 
 
 _DUAL = {And: Or, Or: And, Until: Release, Release: Until,
@@ -467,7 +604,7 @@ def _push_not(f):
                 "negation of F[<=%s] %s is not expressible: the only "
                 "parametrized operator available is a bounded eventually"
                 % (f.bound, f.child))
-        dual, kids = _DUAL[type(f)], [Not(c) for c in children(f)]
+        dual, kids = _DUAL[type(f)], [Not(c) for c in f._kids]
         if isinstance(f, (BoundedEventually, BoundedAlways)):
             return dual(f.bound, *kids)
         return dual(*kids)
@@ -617,7 +754,7 @@ def unfolded_size(phi):
     """size(rewrite_constant_bounds(phi)), counted without unfolding."""
     sizes = []
     for f in subformulas(phi, postorder=True):
-        k = len(children(f))
+        k = len(f._kids)
         below = sum(sizes[len(sizes) - k:])
         del sizes[len(sizes) - k:]
         if isinstance(getattr(f, "bound", None), ConstBound):
@@ -633,7 +770,7 @@ def unfolded_depth(phi):
     unfolding."""
     depths = []
     for f in subformulas(phi, postorder=True):
-        k = len(children(f))
+        k = len(f._kids)
         below = max(depths[len(depths) - k:], default=0)
         del depths[len(depths) - k:]
         if isinstance(getattr(f, "bound", None), ConstBound):

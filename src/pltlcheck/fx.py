@@ -7,6 +7,14 @@ minimal valuations and membership of one valuation.  It runs over
 progression (Bacchus and Kabanza, 2000); constant bounds count down
 inside the obligations instead of being unfolded.
 
+Each obligation is numbered once per search, and a node's pending
+obligations are an int bit mask over those numbers.  The ways each
+subformula can hold at a letter form a meet table, built once per
+letter from one postorder walk of the formula and cut: a way goes when
+an earlier way asks no more.  A step joins the tables of the pending
+obligations.  Formula text enters only to order a mask's obligations,
+and each obligation's text is computed once.
+
 The minimal valuations of V>0 are the Pareto front of a multi-criteria
 path search, found by label setting (Martins, 1984).  Each pending
 F[<=x] psi carries its age, the number of steps since it had to hold;
@@ -35,87 +43,73 @@ from __future__ import annotations
 from collections import deque
 
 from .formula import (
-    And, Atom, BoundedEventually, ConstBound, Eventually, FragmentError,
-    NegAtom, Next, Or, strip_params, to_nnf, unfolded_depth, unfolded_size,
-    variables,
+    _FX_NODES, And, Atom, BoundedEventually, ConstBound, Eventually,
+    FragmentError, NegAtom, Next, Or, VarBound, strip_params, subformulas,
+    to_nnf, unfolded_depth, unfolded_size, variables,
 )
 from .valuation import MinimalSet
 from . import diamond
 
-# A way is (obligations, ages, needs): the set of formulas left for the
-# next position, the age there of each pending F[<=x] older than 0, and
-# the least value each variable needs.  Ways are never changed in place.
-_DONE = (frozenset(), {}, {})
+# A way is (obligations, ages, needs): the bit mask of the obligations
+# left for the next position, the age there of each pending F[<=x]
+# older than 0 (keyed by its number) and the least value each variable
+# needs.  Ways are never changed in place.
+_DONE = (0, {}, {})
 
 
 def _max_merge(a, b):
     """The entries of both dicts, the larger value where both have one."""
-    if not b:
-        return a
     out = dict(a)
     for k, n in b.items():
         out[k] = max(out.get(k, 0), n)
     return out
 
 
-def _join(v, w):
+def _both(v, w):
     """Both ways at once.  Two copies of one obligation merge into the
     older: its deadline is the earlier."""
-    return v[0] | w[0], _max_merge(v[1], w[1]), _max_merge(v[2], w[2])
+    return (v[0] | w[0], _max_merge(v[1], w[1]) if w[1] else v[1],
+            _max_merge(v[2], w[2]) if w[2] else v[2])
 
 
-def _meet(f, letter, age=0):
-    """The ways f can hold at a position labelled `letter`, `age` steps
-    after it had to hold.  Only a pending F[<=x] is ever older than 0:
-    every other obligation is due where it is met."""
-    if isinstance(f, Atom):
-        return [_DONE] if f.name in letter else []
-    if isinstance(f, NegAtom):
-        return [] if f.name in letter else [_DONE]
-    if isinstance(f, Or):
-        return _meet(f.left, letter) + _meet(f.right, letter)
-    if isinstance(f, And):
-        right = _meet(f.right, letter)
-        return [_join(a, b) for a in _meet(f.left, letter) for b in right]
-    if isinstance(f, Next):
-        return [(frozenset([f.child]), {}, {})]
-    if isinstance(f, Eventually):
-        return _meet(f.child, letter) + [(frozenset([f]), {}, {})]
-    if isinstance(f, BoundedEventually) and isinstance(f.bound, ConstBound):
-        c = f.bound.value
-        later = ([(frozenset([BoundedEventually(ConstBound(c - 1), f.child)]),
-                   {}, {})] if c else [])
-        return _meet(f.child, letter) + later
-    if isinstance(f, BoundedEventually):
-        # Waiting commits x to at least the next age, so discharging now
-        # with nothing left is a way below waiting.
-        x = f.bound.name
-        now = [(left, ages, _max_merge(need, {x: age}))
-               for left, ages, need in _meet(f.child, letter)]
-        return now + [(frozenset([f]), {f: age + 1}, {x: age + 1})]
-    raise FragmentError("formula is outside the next/eventually fragment")
-
-
-def _below(v, w):
+def _no_more(v, w):
     """Does way v ask no more than way w: fewer obligations, none older,
     and no larger need?"""
-    return (v[0] <= w[0]
-            and all(age <= w[1].get(f, 0) for f, age in v[1].items())
-            and all(n <= w[2].get(x, 0) for x, n in v[2].items()))
+    return (v[0] | w[0] == w[0]
+            and (not v[1] or all(age <= w[1].get(i, 0)
+                                 for i, age in v[1].items()))
+            and (not v[2] or all(n <= w[2].get(x, 0)
+                                 for x, n in v[2].items())))
 
 
-def _step(letter, pending):
-    """The minimal ways to meet every (formula, age) of `pending` at a
-    position labelled `letter`, fewest obligations first, in an order
-    fixed by the order of `pending`."""
-    ways = [_DONE]
-    for f, age in pending:
-        joined = [_join(w, m) for w in ways for m in _meet(f, letter, age)]
-        ways = []
-        for w in sorted(joined, key=lambda w: len(w[0])):
-            if not any(_below(v, w) for v in ways):
-                ways.append(w)
-    return ways
+def _cut(ways):
+    """`ways` without each way that some earlier way asks no more than.
+    Meet tables hold cut lists, and a step cuts its joins sorted by
+    size.  Cutting a meet list changes no step: if v comes before w and
+    asks no more, then for every way u, u joined with v asks no more
+    than u joined with w and is sorted before it, so the step drops the
+    latter anyway."""
+    if len(ways) < 2:
+        return ways
+    kept = []
+    for w in ways:
+        if not any(_no_more(v, w) for v in kept):
+            kept.append(w)
+    return kept
+
+
+def _size(way):
+    return way[0].bit_count()
+
+
+def _members(mask):
+    """The numbers of the bits set in `mask`."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _pareto_front(chain, phi, names, bound, max_nodes):
@@ -133,27 +127,117 @@ def _pareto_front(chain, phi, names, bound, max_nodes):
     offered replaces the antichains, the search is breadth-first, and
     it ends at the first label to finish, on a shortest path.  More
     than `max_nodes` labels raise diamond.ResourceLimitError.
+
+    Each obligation is numbered when first met, and a node's pending
+    formulas are a bit mask over those numbers, read in the order of
+    their text.  One walk of phi lists its distinct subformulas,
+    children first; at each letter met, the ways of all of them are
+    built once, in that order, and those of a pending (obligation, age)
+    are read off them.
     """
     found = MinimalSet(names)
-    # (chain state, pending formulas) -> MinimalSet of labels; None
-    # with no names, where the key alone marks the node as seen.
+    formulas, number = [], {}  # the obligations, by number
+    nodes = list(dict.fromkeys(subformulas(phi, postorder=True)))
+    place = {f: k for k, f in enumerate(nodes)}
+    at = []     # obligation number -> its place in `nodes`, or None
+    tables = {}  # letter -> the ways of each node of `nodes` there
+    rows = {}   # letter -> {(obligation number, age): its ways there}
+    # (chain state, pending mask) -> MinimalSet of labels; None with no
+    # names, where the key alone marks the node as seen.
     labels = {}
-    order = {}  # pending formulas -> them sorted by text
+    order = {}  # pending mask -> its obligation numbers, sorted by text
+    succ = {}   # chain state -> its successors, sorted
     queue = deque()
     count = 0
     path = None
 
+    def bit(f):
+        i = number.get(f)
+        if i is None:
+            i = number[f] = len(formulas)
+            formulas.append(f)
+            at.append(place.get(f))
+        return 1 << i
+
+    def later(f):
+        """The way that leaves node f for the next position, if any.
+        Only a pending F[<=x] is ever older than 0: every other
+        obligation is due where it is met."""
+        kind = type(f)
+        if kind is Next:
+            return (bit(f.child), {}, {})
+        if kind is Eventually:
+            return (bit(f), {}, {})
+        if kind is BoundedEventually and type(f.bound) is VarBound:
+            return (bit(f), {number[f]: 1}, {f.bound.name: 1})
+        if kind is BoundedEventually and f.bound.value:
+            # Constant bounds count down instead of being unfolded.
+            return (bit(BoundedEventually(ConstBound(f.bound.value - 1),
+                                          f.child)), {}, {})
+        return None
+
+    steps = []
+    for f in nodes:
+        kind = type(f)
+        if kind not in _FX_NODES:
+            raise FragmentError(
+                "formula is outside the next/eventually fragment")
+        steps.append((kind, f, [place[c] for c in f._kids], later(f)))
+
+    def table(letter):
+        """The ways of every node of `nodes` at `letter`."""
+        meets = []
+        for kind, f, kids, then in steps:
+            if kind is Atom:
+                ways = [_DONE] if f.name in letter else []
+            elif kind is NegAtom:
+                ways = [] if f.name in letter else [_DONE]
+            elif kind is Or:
+                ways = meets[kids[0]] + meets[kids[1]]
+            elif kind is And:
+                right = meets[kids[1]]
+                ways = [_both(a, b) for a in meets[kids[0]] for b in right]
+            elif kind is Next:
+                ways = [then]
+            else:
+                # F, F[<=x] and F[<=c]: the child now, or f later.  At
+                # age 0, discharging F[<=x] now needs only x >= 0.
+                ways = meets[kids[0]] + [then] if then else meets[kids[0]]
+            meets.append(_cut(ways))
+        return meets
+
+    def meet(i, age, meets):
+        """The ways of pending obligation i, `age` steps after it had to
+        hold, from the ways of the nodes of `nodes`."""
+        f = formulas[i]
+        if at[i] is None:  # a countdown that is no subformula of phi
+            now, then = meets[place[f.child]], later(f)
+            return _cut(now + [then]) if then else now
+        if not age:
+            return meets[at[i]]
+        # Waiting commits x to at least the next age, so discharging now
+        # with nothing left is a way below waiting.
+        x = f.bound.name
+        return _cut([(left, ages, _max_merge(need, {x: age}))
+                     for left, ages, need in meets[place[f.child]]]
+                    + [(1 << i, {i: age + 1}, {x: age + 1})])
+
     def offer(s, left, ages, need, back):
         nonlocal count
-        if left not in order:
-            # Sorted, so that the labels do not depend on hashing.
-            order[left] = tuple(sorted(left, key=str))
-        label = (tuple(ages.get(f, 0) for f in order[left])
-                 if ages else (0,) * len(left)) + need
+        ids = order.get(left)
+        if ids is None:
+            # Sorted by text, so that the labels do not depend on the
+            # numbering.  A formula keeps its text once computed.
+            ids = _members(left)
+            if len(ids) > 1:
+                ids.sort(key=lambda i: str(formulas[i]))
+            ids = order[left] = tuple(ids)
+        label = (tuple(ages.get(i, 0) for i in ids)
+                 if ages else (0,) * len(ids)) + need
         if names:
             kept = labels.get((s, left))
             if kept is None:
-                kept = labels[s, left] = MinimalSet(order[left] + found.names)
+                kept = labels[s, left] = MinimalSet(ids + found.names)
             if not kept.insert(label):
                 return
         elif (s, left) in labels:
@@ -166,22 +250,44 @@ def _pareto_front(chain, phi, names, bound, max_nodes):
                 "product exceeds %d nodes" % max_nodes)
         queue.append((s, left, label, back))
 
-    offer(chain.init, frozenset([phi]), {}, (0,) * len(names), None)
+    offer(chain.init, bit(phi), {}, (0,) * len(names), None)
     while queue:
         entry = queue.popleft()
         s, left, label, _ = entry
-        need = label[len(left):]
+        ids = order[left]
+        need = label[len(ids):]
         if names and (label not in labels[s, left].points
                       or found.member(need)):
             continue  # replaced by a better label, or above a found point
-        pending = zip(order[left], label[:len(left)])
-        for rest, older, more in _step(chain.labels[s], pending):
+        letter = chain.labels[s]
+        row = rows.get(letter)
+        if row is None:
+            row = rows[letter] = {}
+            tables[letter] = table(letter)
+        # The minimal ways to meet every pending (obligation, age) here,
+        # fewest obligations first, in an order fixed by `ids`.
+        ways = [_DONE]
+        for key in zip(ids, label):
+            meets = row.get(key)
+            if meets is None:
+                meets = row[key] = meet(*key, tables[letter])
+            if len(ways) == 1 and len(meets) == 1:
+                ways = [_both(ways[0], meets[0])]
+                continue
+            ways = _cut(sorted([_both(w, m) for w in ways for m in meets],
+                               key=_size))
+            if not ways:
+                break
+        for rest, older, more in ways:
             need2 = (tuple(max(n, more.get(x, 0)) for x, n in zip(names, need))
                      if more else need)
             if max(need2, default=0) > bound or names and found.member(need2):
                 continue
             if rest:
-                for t in sorted(chain.successors(s)):
+                nexts = succ.get(s)
+                if nexts is None:
+                    nexts = succ[s] = sorted(chain.successors(s))
+                for t in nexts:
                     offer(t, rest, older, need2, entry)
                 continue
             found.insert(need2)

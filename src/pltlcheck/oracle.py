@@ -11,7 +11,6 @@ is known from propositional satisfiability.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .formula import (
@@ -36,15 +35,27 @@ class OracleInputError(ValueError):
     """Malformed input to an oracle: a lasso, a sampling horizon or a CNF."""
 
 
-@dataclass(frozen=True)
 class LassoWord:
     """The ultimately periodic word stem + loop repeated forever."""
-    stem: tuple
-    loop: tuple
 
-    def __post_init__(self):
-        if not self.loop:
+    __slots__ = ("stem", "loop")
+
+    def __init__(self, stem, loop):
+        if not loop:
             raise OracleInputError("lasso loop must be nonempty")
+        self.stem = stem
+        self.loop = loop
+
+    def __eq__(self, other):
+        if type(other) is not LassoWord:
+            return NotImplemented
+        return (self.stem, self.loop) == (other.stem, other.loop)
+
+    def __hash__(self):
+        return hash((self.stem, self.loop))
+
+    def __repr__(self):
+        return "LassoWord(stem=%r, loop=%r)" % (self.stem, self.loop)
 
 
 def _not3(v):

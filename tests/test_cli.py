@@ -1,4 +1,6 @@
 import io
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -722,3 +724,17 @@ def test_internal_value_error_propagates(coin, monkeypatch):
     monkeypatch.setattr(cli.reach, "min_val_pos", broken)
     with pytest.raises(ValueError, match="engine bug"):
         _run(["check", "--chain", coin, "--formula", "F[<=x] a"])
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Every command pays for what importing the CLI imports; -S keeps
+    # site customisations out of the count.
+    import pltlcheck
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(pltlcheck.__file__)))
+    code = ("import sys, pltlcheck.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout == "[]\n"

@@ -112,6 +112,23 @@ def test_deep_formulas_are_walked_without_recursion():
         "a", "!a").replace("|", "&")
 
 
+def test_deep_formulas_hash_and_compare_without_recursion():
+    # Each node fixes its hash from its children's, so a node 3,000
+    # levels deep hashes in one step, and two copies built apart are
+    # compared on a stack.
+    def conjunction():
+        phi = Eventually(Atom("a"))
+        for _ in range(3000):
+            phi = And(phi, Eventually(Atom("a")))
+        return phi
+    phi, psi = conjunction(), conjunction()
+    assert phi is not psi
+    assert hash(phi) == hash(psi)
+    assert phi == psi
+    assert phi != And(psi, Atom("a"))
+    assert repr(phi).startswith("And(left=And(left=And(")
+
+
 def test_nnf_rejects_negated_parametric():
     from pltlcheck.formula import FormulaError
     with pytest.raises(FormulaError):

@@ -4,8 +4,9 @@ Random NNF formulas over the atoms a, b and the variables x, y are
 checked on random ultimately periodic words with `oracle.eval_lasso`,
 which evaluates the semantics directly and shares no code with the
 rewrites.  `unfolded_size` and `unfolded_depth` are checked against the
-size and the nesting depth of the unfolded formula.  `derandomize=True`
-makes every run draw the same examples.
+size and the nesting depth of the unfolded formula, and the facts a
+node keeps (hash, NNF, variables, repr) against fresh computations.
+`derandomize=True` makes every run draw the same examples.
 """
 
 from hypothesis import given, settings
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 
 from helpers import nnf_formulas
 from pltlcheck.formula import (
-    Not, nesting_depth, parse_formula, rename_apart, rewrite_constant_bounds,
-    size, strip_params, substitute, to_nnf, unfolded_depth, unfolded_size,
+    Atom, ConstBound, NegAtom, Not, VarBound, children,
+    nesting_depth, parse_formula, rename_apart, rewrite_constant_bounds,
+    size, strip_params, subformulas, substitute, to_nnf, unfolded_depth,
+    unfolded_size, variables,
 )
 from pltlcheck.oracle import LassoWord, eval_lasso
 
@@ -79,3 +82,62 @@ def test_unfolded_size_counts_the_unfolding(phi):
 @given(FORMULAS)
 def test_unfolded_depth_counts_the_unfolding(phi):
     assert unfolded_depth(phi) == nesting_depth(rewrite_constant_bounds(phi))
+
+
+@PROPERTY
+@given(FORMULAS)
+def test_two_parses_are_equal_with_equal_hashes(phi):
+    text = str(Not(phi))
+    first, second = parse_formula(text), parse_formula(text)
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+
+
+@PROPERTY
+@given(FORMULAS)
+def test_nnf_is_kept(phi):
+    # A negated variable bound has no NNF.
+    negated = Not(strip_params(phi))
+    nnf = to_nnf(negated)
+    assert to_nnf(negated) is nnf
+    assert to_nnf(nnf) is nnf
+    assert to_nnf(phi) is phi
+
+
+@PROPERTY
+@given(FORMULAS)
+def test_variables_hands_out_a_fresh_list(phi):
+    names = variables(phi)
+    expected = list(names)
+    names.append("changed")
+    assert variables(phi) == expected
+    assert variables(phi) is not variables(phi)
+
+
+def _dataclass_repr(phi):
+    """repr as the frozen dataclasses printed it: class name, then each
+    field as name=repr(value), children last."""
+    kind = type(phi).__name__
+    if isinstance(phi, (Atom, NegAtom)):
+        return "%s(name=%r)" % (kind, phi.name)
+    kids = [_dataclass_repr(c) for c in children(phi)]
+    if hasattr(phi, "bound"):
+        bound = phi.bound
+        if isinstance(bound, VarBound):
+            text = "VarBound(name=%r)" % bound.name
+        else:
+            assert isinstance(bound, ConstBound)
+            text = "ConstBound(value=%r)" % bound.value
+        return "%s(bound=%s, child=%s)" % (kind, text, kids[0])
+    if len(kids) == 1:
+        return "%s(child=%s)" % (kind, kids[0])
+    return "%s(left=%s, right=%s)" % (kind, kids[0], kids[1])
+
+
+@PROPERTY
+@given(FORMULAS)
+def test_repr_keeps_the_field_form(phi):
+    for f in (phi, Not(phi)):
+        assert repr(f) == _dataclass_repr(f)
+    assert all(repr(f) == _dataclass_repr(f) for f in subformulas(phi))

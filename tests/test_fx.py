@@ -15,8 +15,8 @@ from pltlcheck.diamond import (
 )
 from pltlcheck.fixtures import chain_text, coin_chain, traffic_chain
 from pltlcheck.formula import (
-    And, BoundedEventually, Or, VarBound, parse_formula, size, strip_params,
-    to_nnf, unfolded_size, variables,
+    And, Atom, BoundedEventually, Eventually, Or, VarBound, parse_formula,
+    size, strip_params, to_nnf, unfolded_size, variables,
 )
 from pltlcheck.markov import MarkovChain
 from pltlcheck.oracle import CERTAIN_TRUE, eval_prefix
@@ -142,6 +142,36 @@ def test_emptiness_pos_coin():
     # The witness path trace satisfies the parameter-free formula.
     prefix = [c.labels[s] for s in path]
     assert eval_prefix(prefix, to_nnf(strip_params(phi))) == CERTAIN_TRUE
+
+
+def test_emptiness_pos_of_a_deep_conjunction():
+    # A left-nested F a & F a & ... of 3,001 conjuncts, built in code
+    # past the parser's depth cap: every copy of F a is one obligation.
+    phi = Eventually(Atom("a"))
+    for _ in range(3000):
+        phi = And(phi, Eventually(Atom("a")))
+    assert fx.emptiness_pos_fx(coin_chain(), phi) == (False, {}, [0, 1])
+
+
+def test_met_conjuncts_join_once(monkeypatch):
+    # Forty eventualities all met at the first letter: each may also
+    # wait, but waiting asks more, so each meet holds one way and the
+    # conjunction joins 39 times, not 2^40.
+    joins, both = [], fx._both
+
+    def counted(v, w):
+        joins.append(1)
+        if len(joins) > 1000:
+            raise AssertionError("ways multiply")
+        return both(v, w)
+    monkeypatch.setattr(fx, "_both", counted)
+    names = ["c%d" % i for i in range(40)]
+    phi = Eventually(Atom(names[0]))
+    for name in names[1:]:
+        phi = And(phi, Eventually(Atom(name)))
+    chain = MarkovChain(1, 0, [{0: Fraction(1)}], [set(names)])
+    assert fx.emptiness_pos_fx(chain, phi) == (False, {}, [0])
+    assert len(joins) < 100
 
 
 def test_emptiness_pos_unreachable():
