@@ -27,8 +27,8 @@ def gap_of_bscc(chain, component, name):
     the label, math.inf when the component has an a-free cycle.
     """
     free = {s for s in component if name not in chain.labels[s]}
-    runs = markov.longest_runs(free, chain.successors)
-    return math.inf if runs is None else max(runs.values(), default=0)
+    run = markov.longest_run(free, chain.successors)
+    return math.inf if run is None else run
 
 
 def _reachable_bsccs(chain):

@@ -72,8 +72,8 @@ from __future__ import annotations
 from .formula import (
     And, Always, Atom, BoundedAlways, BoundedEventually, Eventually,
     FragmentError, NegAtom, Next, Not, Or, Release, Until, atoms, children,
-    closure, nesting_depth, rename_apart, rewrite_constant_bounds, size,
-    subformulas, to_nnf, unfolded_depth, variables,
+    closure, rename_apart, rewrite_constant_bounds, size, subformulas, to_nnf,
+    unfolded_depth, variables,
 )
 from . import markov
 from .markov import ResourceLimitError
@@ -136,9 +136,6 @@ class GAutomaton:
                 raise FragmentError("constant always must be unfolded first")
             if isinstance(f, Not):
                 raise FragmentError("unsupported node %r" % (f,))
-        # d nested operators are d distinct closure members; checked
-        # first, so closure() never hashes a deep unfolded formula.
-        check_depth(nesting_depth(phi))
         subs = closure(phi)
         names = atoms(phi)
         nonlits = [f for f in subs if not isinstance(f, (Atom, NegAtom))]

@@ -325,10 +325,9 @@ def emptiness_pos_fx(chain, phi,
     return False, {x: vbar for x in variables(phi)}, path
 
 
-def emptiness_as1_fx(chain, phi, checker=None):
+def emptiness_as1_fx(chain, phi):
     """True iff V=1 is empty, decided at the uniform valuation."""
-    if checker is None:
-        checker = diamond.DiamondChecker(phi)
+    checker = diamond.DiamondChecker(phi)
     vbar = _uniform_bound(chain, to_nnf(phi))
     return not checker.check_as1(chain, {x: vbar for x in variables(phi)})
 

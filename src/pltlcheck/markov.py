@@ -310,21 +310,20 @@ def _checked_rows(m, rows):
 class SccDecomposition:
     """SCCs of the support digraph, listed in topological order.
 
-    `component_of[s]` is the index of the component containing s; edges in
-    the condensation only go from lower to higher indices.
+    `component_of[s]` is the index of the component containing s; edges
+    between components only go from lower to higher indices.
+    `bottom[i]` says that no edge leaves component i, and `has_cycle[i]`
+    that it holds a cycle (a self-loop counts).
     """
 
-    def __init__(self, components, component_of, condensation, has_cycle):
+    def __init__(self, components, component_of, bottom, has_cycle):
         self.components = components
         self.component_of = component_of
-        self.condensation = condensation
+        self.bottom = bottom
         self.has_cycle = has_cycle
 
-    def is_bottom(self, i):
-        return not self.condensation[i]
-
     def bottom_components(self):
-        return [i for i in range(len(self.components)) if self.is_bottom(i)]
+        return [i for i, b in enumerate(self.bottom) if b]
 
 
 def scc_decompose(chain):
@@ -383,63 +382,56 @@ def _tarjan(n, succ):
     for i, comp in enumerate(components):
         for s in comp:
             component_of[s] = i
-    condensation = [set() for _ in components]
     has_cycle = [len(c) > 1 for c in components]
+    bottom = [True] * len(components)
     for s in range(n):
         for t in succ[s]:
             if component_of[s] != component_of[t]:
-                condensation[component_of[s]].add(component_of[t])
+                bottom[component_of[s]] = False
             elif s == t:
                 has_cycle[component_of[s]] = True
-    return SccDecomposition(components, component_of, condensation, has_cycle)
+    return SccDecomposition(components, component_of, bottom, has_cycle)
 
 
-def dag_order(vertices, successors):
-    """Reverse topological order of the subgraph induced by `vertices`.
+def longest_run(vertices, successors):
+    """The most vertices on a path inside the set `vertices`: 0 when it
+    is empty, None when it holds a cycle (a self-loop counts).
 
     `successors(v)` lists the targets of v's edges; those outside
-    `vertices` are ignored.  Every vertex comes after all of its
-    successors.  Returns None when the subgraph has a cycle (a self-loop
-    counts).
+    `vertices` are ignored.  One iterative depth-first pass: a vertex's
+    run is fixed when the search leaves it, one more than the best run
+    among its successors, and an edge to a vertex still on the search
+    path closes a cycle.
     """
-    vertices = set(vertices)
-    on_path = {}  # vertex -> True while on the DFS path, False once done
-    order = []
-    for root in sorted(vertices):
-        if root in on_path:
+    runs = {}  # vertex -> None while on the search path, then its run
+    longest = 0
+    for root in vertices:
+        if root in runs:
             continue
-        on_path[root] = True
-        stack = [(root, iter(successors(root)))]
+        runs[root] = None
+        stack = [[root, iter(successors(root)), 0]]
         while stack:
-            v, todo = stack[-1]
-            for w in todo:
+            top = stack[-1]
+            for w in top[1]:
                 if w not in vertices:
                     continue
-                if w not in on_path:
-                    on_path[w] = True
-                    stack.append((w, iter(successors(w))))
+                if w not in runs:
+                    runs[w] = None
+                    stack.append([w, iter(successors(w)), 0])
                     break
-                if on_path[w]:
+                run = runs[w]
+                if run is None:
                     return None
+                if run > top[2]:
+                    top[2] = run
             else:
                 stack.pop()
-                on_path[v] = False
-                order.append(v)
-    return order
-
-
-def longest_runs(vertices, successors):
-    """Per vertex v of the set `vertices`, the most vertices on a path
-    from v inside the set, or None when the set holds a cycle (a
-    self-loop counts).  `successors` is as for `dag_order`."""
-    order = dag_order(vertices, successors)
-    if order is None:
-        return None
-    runs = {}
-    for v in order:
-        runs[v] = 1 + max((runs[w] for w in successors(v) if w in vertices),
-                          default=0)
-    return runs
+                run = runs[top[0]] = top[2] + 1
+                if stack and run > stack[-1][2]:
+                    stack[-1][2] = run
+                if run > longest:
+                    longest = run
+    return longest
 
 
 def reachable_states(chain, source=None, avoid=()):
@@ -636,20 +628,17 @@ def bounded_reach_prob(chain, targets, n):
 
 def settling_step(chain, targets, source):
     """A step n from which Pr_source(reach `targets` within n) stays
-    constant, or None when none is known.  It is 0 when the source is a
-    target or reaches none; otherwise the most states on a path from
-    the source through the non-target states that reach a target, or
-    None when those states hold a cycle: a path into a target is never
-    longer than that."""
+    constant, or None when none is known.  It is the most states on a
+    path from the source through the non-target states that reach a
+    target, or None when those states hold a cycle: a path into a
+    target is never longer than that.  That region is empty, so the
+    step is 0, when the source is a target or reaches none."""
     targets = set(targets)
-    if source in targets:
-        return 0
     region = ((reachable_states(chain, source, targets) - targets)
               & states_reaching(chain, targets))
-    if source not in region:
-        return 0
-    runs = longest_runs(region, chain.successors)
-    return None if runs is None else runs[source]
+    # Each region state is reached from the source through the region,
+    # so the longest run through the region starts at the source.
+    return longest_run(region, chain.successors)
 
 
 def _nth(steps, n):

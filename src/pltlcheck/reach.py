@@ -41,15 +41,15 @@ def min_val_as1(chain, name):
     then the longest path into the a-states.
     """
     targets = chain.states_with(name)
-    if chain.init in targets:
-        return 0
-    # Non-target states reachable without first entering a target.
+    # Non-target states reachable without first entering a target; none
+    # when the initial state is a target.
     region = markov.reachable_states(chain, chain.init, targets) - targets
     # Every region state steps into the region or a target, so the
     # answer is the most states on a path through the region from the
-    # initial state; none when the region has a cycle.
-    runs = markov.longest_runs(region, chain.successors)
-    return None if runs is None else runs[chain.init]
+    # initial state; none when the region has a cycle.  Each region
+    # state is reached from there through the region, so that path is
+    # the longest in the region.
+    return markov.longest_run(region, chain.successors)
 
 
 def min_val_geq(chain, name, p):

@@ -14,7 +14,7 @@ from pltlcheck.formula import (
 )
 from pltlcheck.markov import (
     _MAX_EXPONENT, ChainError, ChainParseError, MarkovChain, _brief, _nat,
-    _quote, _tarjan,
+    _quote,
 )
 from pltlcheck.valuation import ValuationError
 
@@ -588,9 +588,10 @@ def reference_holds(checker, chain, threshold, bounds, max_nodes=None):
     the tableau; with no `bounds` that reads the pair product as the
     formula with every F[<=x] read as F.
 
-    The product and its SCCs come from the checker.  Returns the verdict
-    and, per completeness graph in SCC order and then per tracking
-    graph, (what, its subset nodes (s, alive)), with None for the nodes
+    The product comes from the checker, its SCCs from `reference_sccs`.
+    Returns the verdict and, per completeness graph by the SCCs' least
+    nodes and then per tracking graph, (what, its subset nodes
+    (s, alive)), with None for the nodes
     where an empty image stopped the graph.  A subset graph past
     `max_nodes` nodes raises ResourceLimitError.
     """
@@ -612,11 +613,10 @@ def _reference_verdict(chain, threshold, nodes, succ, n_initial, accepting,
                        max_nodes):
     """`reference_holds` on the product (nodes, succ, n_initial), whose
     cyclic SCCs are accepting where `accepting(comp)` says so."""
-    scc = _tarjan(len(nodes), succ)
     graphs = []
     good = set()
-    for ci, comp in enumerate(scc.components):
-        if not scc.has_cycle[ci] or not accepting(comp):
+    for comp, cyclic, _ in reference_sccs(len(nodes), succ):
+        if not cyclic or not accepting(comp):
             continue
         fiber = {}
         for i in comp:
@@ -638,9 +638,9 @@ def _reference_verdict(chain, threshold, nodes, succ, n_initial, accepting,
     if found is None:
         return False, graphs
     d_nodes, d_succ = found
-    scc = _tarjan(len(d_nodes), d_succ)
-    return all(any(d_nodes[i][1] & good for i in scc.components[ci])
-               for ci in scc.bottom_components()), graphs
+    return all(any(d_nodes[i][1] & good for i in comp)
+               for comp, _, bottom in reference_sccs(len(d_nodes), d_succ)
+               if bottom), graphs
 
 
 def reference_pump_kills(checker, chain, threshold, v):
@@ -677,10 +677,9 @@ def reference_pump_kills(checker, chain, threshold, v):
         (pi, gamma), = walks
         return pi[0] == chain.init and dies(
             set(range(n_initial)), range(len(nodes)), pi, gamma)
-    scc = _tarjan(len(nodes), succ)
     meets = _meets_every_set(checker.g, nodes)
-    for ci, comp in enumerate(scc.components):
-        if not scc.has_cycle[ci] or not meets(comp):
+    for comp, cyclic, _ in reference_sccs(len(nodes), succ):
+        if not cyclic or not meets(comp):
             continue
         states = {nodes[i][0] for i in comp}
         if any(t not in states for s in states for t in chain.successors(s)):
@@ -690,6 +689,55 @@ def reference_pump_kills(checker, chain, threshold, v):
                 for pi, gamma in walks):
             return False
     return True
+
+
+def reference_sccs(n, succ):
+    """The strongly connected components of the digraph on 0..n-1 with
+    an edge v -> w for each w in succ[v], listed by their least vertex.
+    Each is (members, cyclic, bottom): a frozenset, whether it holds a
+    cycle (a self-loop counts), and whether no edge leaves it.
+
+    Iterative Kosaraju: one depth-first pass lists the vertices as they
+    finish; then, latest finished first, each vertex not yet placed
+    collects the vertices that reach it over edges not yet placed.
+    """
+    order, seen = [], [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, todo = stack[-1]
+            for w in todo:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                stack.pop()
+                order.append(v)
+    pred = [[] for _ in range(n)]
+    for v in range(n):
+        for w in succ[v]:
+            pred[w].append(v)
+    placed = [False] * n
+    out = []
+    for root in reversed(order):
+        if placed[root]:
+            continue
+        placed[root] = True
+        members = [root]
+        for v in members:
+            for w in pred[v]:
+                if not placed[w]:
+                    placed[w] = True
+                    members.append(w)
+        comp = frozenset(members)
+        out.append((comp,
+                    len(comp) > 1 or any(v in succ[v] for v in comp),
+                    all(w in comp for v in comp for w in succ[v])))
+    return sorted(out, key=lambda c: min(c[0]))
 
 
 def reference_least(nodes, alive):

@@ -257,11 +257,11 @@ def _assert_tracking_matches(ck, chain, bounds, got, expected):
 
 
 def _completeness(ck, chain, bounds):
-    """Is each accepting product SCC complete?  In SCC order, as
-    `reference_holds` lists its completeness graphs."""
+    """Is each accepting product SCC complete?  By the SCCs' least
+    nodes, as `reference_holds` lists its completeness graphs."""
     nodes, succ, _ = ck._product(chain, bounds)
     return [ck._complete(chain, nodes, succ, comp)
-            for comp in ck._accepting(nodes, succ)]
+            for comp in sorted(ck._accepting(nodes, succ), key=min)]
 
 
 def _assert_subsets_match_reference(ck, chain, bounds, max_nodes=None):

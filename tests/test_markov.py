@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     coin_chain_text, ergodicity_coefficient, random_chain,
-    reference_bounded_reach_vector, reference_min_val_geq,
+    reference_bounded_reach_vector, reference_min_val_geq, reference_sccs,
     reference_unbounded_reach_vector,
 )
 from pltlcheck import markov, reach
 from pltlcheck.fixtures import chain_text, coin_chain
 from pltlcheck.markov import (
     ChainError, ChainParseError, MarkovChain, all_pairs_distance,
-    bounded_reach_prob, bounded_reach_vector, dag_order, distances_from,
+    bounded_reach_prob, bounded_reach_vector, distances_from, longest_run,
     parse_chain, reachable_states, scc_decompose, settling_step,
     states_reaching, transient_matrix, unbounded_reach_prob,
     unbounded_reach_vector,
@@ -124,15 +124,97 @@ def test_transient_matrix_and_ergodicity():
         ergodicity_coefficient([])
 
 
-def test_dag_order():
+def test_longest_run():
     succ = {0: [1, 2], 1: [3], 2: [3], 3: [3]}.get
-    order = dag_order({0, 1, 2}, succ)
     # Vertex 3 lies outside, so its self-loop does not count.
-    assert sorted(order) == [0, 1, 2]
-    assert order.index(0) > order.index(1) and order.index(0) > order.index(2)
-    assert dag_order({0, 1, 2, 3}, succ) is None
-    assert dag_order({1, 2}, {1: [2], 2: [1]}.get) is None
-    assert dag_order(set(), succ) == []
+    assert longest_run({0, 1, 2}, succ) == 2
+    assert longest_run({0, 1, 2, 3}, succ) is None
+    assert longest_run({1, 2}, {1: [2], 2: [1]}.get) is None
+    assert longest_run(set(), succ) == 0
+    # A longer branch found after a shorter one.
+    branches = {0: [1, 2], 1: [], 2: [3], 3: []}.get
+    assert longest_run({0, 1, 2, 3}, branches) == 3
+
+
+@st.composite
+def digraphs(draw, max_vertices=6):
+    """Successor lists of a digraph on 0..n-1, self-loops and isolated
+    vertices included."""
+    n = draw(st.integers(0, max_vertices))
+    if not n:
+        return []
+    return draw(st.lists(st.lists(st.integers(0, n - 1), unique=True),
+                         min_size=n, max_size=n))
+
+
+def _reaches(succ):
+    """Per vertex v, the vertices some path from v reaches, v itself
+    included."""
+    out = []
+    for v in range(len(succ)):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        out.append(seen)
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(digraphs())
+def test_tarjan_matches_mutual_reachability(succ):
+    # Components are the classes of mutual reachability, listed so that
+    # edges between them go to higher indices; a component is bottom
+    # when no edge leaves it and cyclic when an edge stays inside it.
+    # The test references' own SCC routine must agree as well.
+    n = len(succ)
+    reach = _reaches(succ)
+    scc = markov._tarjan(n, succ)
+    classes = {frozenset(w for w in reach[v] if v in reach[w])
+               for v in range(n)}
+    assert sorted(scc.components, key=min) == sorted(classes, key=min)
+    expected = []
+    for i, comp in enumerate(scc.components):
+        assert all(scc.component_of[v] == i for v in comp)
+        out = {scc.component_of[w] for v in comp for w in succ[v]} - {i}
+        assert all(j > i for j in out)
+        cyclic = any(w in comp for v in comp for w in succ[v])
+        assert scc.bottom[i] == (not out)
+        assert scc.has_cycle[i] == cyclic
+        expected.append((comp, cyclic, not out))
+    assert scc.bottom_components() == [
+        i for i, (_, _, bottom) in enumerate(expected) if bottom]
+    assert reference_sccs(n, succ) == sorted(expected, key=lambda c: min(c[0]))
+
+
+def _brute_longest_run(vertices, succ):
+    """Most vertices on a simple path inside `vertices`, or None when
+    an edge from a path's end back into the path closes a cycle, by
+    enumerating every simple path."""
+    best, cyclic = 0, False
+    paths = [(v,) for v in vertices]
+    while paths:
+        path = paths.pop()
+        best = max(best, len(path))
+        for w in succ[path[-1]]:
+            if w in path:
+                cyclic = True
+            elif w in vertices:
+                paths.append(path + (w,))
+    return None if cyclic else best
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(digraphs(), st.data())
+def test_longest_run_matches_simple_paths(succ, data):
+    # A drawn subset of the vertices: edges leaving it are ignored, and
+    # a cycle inside it, a self-loop too, gives None.
+    vertices = data.draw(st.sets(st.sampled_from(range(len(succ))))
+                         if succ else st.just(set()))
+    assert longest_run(vertices, succ.__getitem__) == _brute_longest_run(
+        vertices, succ)
 
 
 # Each row of a drawn chain has its own odd prime denominator, so the
