@@ -4,27 +4,29 @@ Its formulas are co-safe: a valuation v is in V>0 iff some finite chain
 path satisfies phi[v].  One search answers emptiness of V>0, its
 minimal valuations and membership of one valuation.  It runs over
 (chain state, pending obligations) pairs, stepped by formula
-progression (Bacchus and Kabanza, 2000); constant bounds count down
-inside the obligations instead of being unfolded.
+progression (Bacchus and Kabanza, 2000).
 
-Each obligation is numbered once per search, and a node's pending
-obligations are an int bit mask over those numbers.  The ways each
-subformula can hold at a letter form a meet table, built once per
-letter from one postorder walk of the formula and cut: a way goes when
-an earlier way asks no more.  A step joins the tables of the pending
-obligations.  Formula text enters only to order a mask's obligations,
-and each obligation's text is computed once.
+Every obligation is a node of phi: its distinct subformulas are
+numbered by their place in one postorder walk, children first, and a
+pair's pending obligations are an int bit mask over those numbers,
+read in ascending order.  The ways each subformula can hold at a
+letter form a meet table, built once per letter from that walk and
+cut: a way goes when an earlier way asks no more.  A step joins the
+tables of the pending obligations.  The search builds no formula and
+reads no formula text.
 
 The minimal valuations of V>0 are the Pareto front of a multi-criteria
 path search, found by label setting (Martins, 1984).  Each pending
-F[<=x] psi carries its age, the number of steps since it had to hold;
-discharging it at age a needs x >= a, and so does keeping it pending
-until age a.  Per pair, only the Pareto-minimal (ages, needs) labels
-are kept.  Going round a cycle only raises ages, so Dickson's lemma
-makes the search finite.  Emptiness runs the search on the
-parameter-free formula with no variables, where it is breadth-first:
-the first path to finish is a shortest witness path, and
-v(x) = m * |phi| (constant bounds unfolded) is a witness valuation.
+F[<=x] psi or F[<=c] psi carries its age, the number of steps since it
+had to hold.  Discharging F[<=x] psi at age a needs x >= a, and so does
+keeping it pending until age a; F[<=c] psi may be kept pending only
+until age c, so a constant bound is never unfolded.  Per pair, only
+the Pareto-minimal (ages, needs) labels are kept, so a waiting F[<=c]
+is put out by its younger self.  Dickson's lemma makes the search
+finite.  Emptiness runs the search on the parameter-free formula with
+no variables, where it is breadth-first: the first path to finish is a
+shortest witness path, and v(x) = m * |phi| (constant bounds unfolded)
+is a witness valuation.
 
 Almost-sure queries use the general product checker, but not at one
 bound.  Emptiness of V=1 (`check`) is `DiamondChecker.emptiness`: the
@@ -43,17 +45,17 @@ from __future__ import annotations
 from collections import deque
 
 from .formula import (
-    _FX_NODES, And, Atom, BoundedEventually, ConstBound, Eventually,
-    FragmentError, NegAtom, Next, Or, VarBound, strip_params, subformulas,
-    to_nnf, unfolded_depth, unfolded_size, variables,
+    _FX_NODES, And, Atom, BoundedEventually, Eventually, FragmentError,
+    NegAtom, Next, Or, VarBound, strip_params, subformulas, to_nnf,
+    unfolded_size, variables,
 )
 from .valuation import MinimalSet
 from . import diamond
 
 # A way is (obligations, ages, needs): the bit mask of the obligations
-# left for the next position, the age there of each pending F[<=x]
-# older than 0 (keyed by its number) and the least value each variable
-# needs.  Ways are never changed in place.
+# left for the next position, the age there of each pending bounded
+# eventually older than 0 (keyed by its number) and the least value
+# each variable needs.  Ways are never changed in place.
 _DONE = (0, {}, {})
 
 
@@ -116,73 +118,62 @@ def _pareto_front(chain, phi, names, bound, max_nodes):
     """Minimal valuations of V>0 within {0..bound}^d by label setting,
     and the chain path of the first label to finish (None if none does).
 
-    The labels of a node form an antichain over its pending formulas
-    (their ages) and then `names` (their needs; a pending F[<=x] of age
-    a already needs x >= a).  A label that needs more than `bound`
-    cannot reach a point of the box, and one whose needs are above a
-    found point cannot reach a new minimal point: both are dropped.
-    Labels are expanded first in, first out, each entry linked to the
-    one it came from.  With no `names` (phi then has no variables, so
-    no ages) a node holds at most one label: a plain set of the nodes
-    offered replaces the antichains, the search is breadth-first, and
-    it ends at the first label to finish, on a shortest path.  More
-    than `max_nodes` labels raise diamond.ResourceLimitError.
+    The labels of a pair (chain state, pending mask) form an antichain
+    over its pending formulas (their ages) and then `names` (their
+    needs; a pending F[<=x] of age a already needs x >= a).  A label
+    that needs more than `bound` cannot reach a point of the box, and
+    one whose needs are above a found point cannot reach a new minimal
+    point: both are dropped.  Labels are expanded first in, first out,
+    each entry linked to the one it came from.  With no `names` the
+    search is breadth-first and ends at the first label to finish, on a
+    shortest path: a label there also counts its steps, so that only a
+    label met no later can put it out.  With no bounded eventually in
+    phi every label is all zeros, a pair holds at most one label, and a
+    plain set of the pairs offered replaces the antichains.  More than
+    `max_nodes` labels raise diamond.ResourceLimitError.
 
-    Each obligation is numbered when first met, and a node's pending
-    formulas are a bit mask over those numbers, read in the order of
-    their text.  One walk of phi lists its distinct subformulas,
-    children first; at each letter met, the ways of all of them are
-    built once, in that order, and those of a pending (obligation, age)
-    are read off them.
+    Obligation k is nodes[k], the k-th distinct subformula of phi in
+    one postorder walk, children first.  At each letter met, the ways
+    of all of them are built once, in that order, and those of a
+    pending (obligation, age) are read off them.
     """
     found = MinimalSet(names)
-    formulas, number = [], {}  # the obligations, by number
     nodes = list(dict.fromkeys(subformulas(phi, postorder=True)))
     place = {f: k for k, f in enumerate(nodes)}
-    at = []     # obligation number -> its place in `nodes`, or None
+    timed = any(type(f) is BoundedEventually for f in nodes)
     tables = {}  # letter -> the ways of each node of `nodes` there
     rows = {}   # letter -> {(obligation number, age): its ways there}
     # (chain state, pending mask) -> MinimalSet of labels; None with no
-    # names, where the key alone marks the node as seen.
+    # bounded eventually, where the key alone marks the pair as seen.
     labels = {}
-    order = {}  # pending mask -> its obligation numbers, sorted by text
+    order = {}  # pending mask -> its obligation numbers, ascending
     succ = {}   # chain state -> its successors, sorted
     queue = deque()
     count = 0
     path = None
 
-    def bit(f):
-        i = number.get(f)
-        if i is None:
-            i = number[f] = len(formulas)
-            formulas.append(f)
-            at.append(place.get(f))
-        return 1 << i
-
-    def later(f):
-        """The way that leaves node f for the next position, if any.
-        Only a pending F[<=x] is ever older than 0: every other
-        obligation is due where it is met."""
+    def later(k, f):
+        """The way that leaves f, node k, for the next position, if any.
+        Only a pending bounded eventually is ever older than 0: every
+        other obligation is due where it is met."""
         kind = type(f)
         if kind is Next:
-            return (bit(f.child), {}, {})
+            return (1 << place[f.child], {}, {})
         if kind is Eventually:
-            return (bit(f), {}, {})
+            return (1 << k, {}, {})
         if kind is BoundedEventually and type(f.bound) is VarBound:
-            return (bit(f), {number[f]: 1}, {f.bound.name: 1})
+            return (1 << k, {k: 1}, {f.bound.name: 1})
         if kind is BoundedEventually and f.bound.value:
-            # Constant bounds count down instead of being unfolded.
-            return (bit(BoundedEventually(ConstBound(f.bound.value - 1),
-                                          f.child)), {}, {})
+            return (1 << k, {k: 1}, {})
         return None
 
     steps = []
-    for f in nodes:
+    for k, f in enumerate(nodes):
         kind = type(f)
         if kind not in _FX_NODES:
             raise FragmentError(
                 "formula is outside the next/eventually fragment")
-        steps.append((kind, f, [place[c] for c in f._kids], later(f)))
+        steps.append((kind, f, [place[c] for c in f._kids], later(k, f)))
 
     def table(letter):
         """The ways of every node of `nodes` at `letter`."""
@@ -206,38 +197,39 @@ def _pareto_front(chain, phi, names, bound, max_nodes):
             meets.append(_cut(ways))
         return meets
 
-    def meet(i, age, meets):
-        """The ways of pending obligation i, `age` steps after it had to
+    def meet(k, age, meets):
+        """The ways of pending obligation k, `age` steps after it had to
         hold, from the ways of the nodes of `nodes`."""
-        f = formulas[i]
-        if at[i] is None:  # a countdown that is no subformula of phi
-            now, then = meets[place[f.child]], later(f)
-            return _cut(now + [then]) if then else now
         if not age:
-            return meets[at[i]]
-        # Waiting commits x to at least the next age, so discharging now
-        # with nothing left is a way below waiting.
-        x = f.bound.name
-        return _cut([(left, ages, _max_merge(need, {x: age}))
-                     for left, ages, need in meets[place[f.child]]]
-                    + [(1 << i, {i: age + 1}, {x: age + 1})])
+            return meets[k]
+        f = nodes[k]
+        now = meets[place[f.child]]
+        if type(f.bound) is VarBound:
+            # Waiting commits x to at least the next age, so discharging
+            # now with nothing left is a way below waiting.
+            x = f.bound.name
+            return _cut([(left, ages, _max_merge(need, {x: age}))
+                         for left, ages, need in now]
+                        + [(1 << k, {k: age + 1}, {x: age + 1})])
+        if age >= f.bound.value:
+            return now  # F[<=c] may wait only while its age is below c
+        return _cut(now + [(1 << k, {k: age + 1}, {})])
 
     def offer(s, left, ages, need, back):
         nonlocal count
         ids = order.get(left)
         if ids is None:
-            # Sorted by text, so that the labels do not depend on the
-            # numbering.  A formula keeps its text once computed.
-            ids = _members(left)
-            if len(ids) > 1:
-                ids.sort(key=lambda i: str(formulas[i]))
-            ids = order[left] = tuple(ids)
+            ids = order[left] = tuple(_members(left))
         label = (tuple(ages.get(i, 0) for i in ids)
                  if ages else (0,) * len(ids)) + need
-        if names:
+        if timed:
+            if not names:
+                # Breadth-first: a label counts its steps, so that only
+                # a label met no later than itself can put it out.
+                label += (back[2][-1] + 1 if back else 0,)
             kept = labels.get((s, left))
             if kept is None:
-                kept = labels[s, left] = MinimalSet(ids + found.names)
+                kept = labels[s, left] = MinimalSet(range(len(label)))
             if not kept.insert(label):
                 return
         elif (s, left) in labels:
@@ -250,13 +242,13 @@ def _pareto_front(chain, phi, names, bound, max_nodes):
                 "product exceeds %d nodes" % max_nodes)
         queue.append((s, left, label, back))
 
-    offer(chain.init, bit(phi), {}, (0,) * len(names), None)
+    offer(chain.init, 1 << place[phi], {}, (0,) * len(names), None)
     while queue:
         entry = queue.popleft()
         s, left, label, _ = entry
         ids = order[left]
-        need = label[len(ids):]
-        if names and (label not in labels[s, left].points
+        need = label[len(ids):len(ids) + len(names)]
+        if timed and (label not in labels[s, left].points
                       or found.member(need)):
             continue  # replaced by a better label, or above a found point
         letter = chain.labels[s]
@@ -337,8 +329,5 @@ def min_set_fx(chain, phi, max_nodes=diamond.DEFAULT_MAX_PRODUCT_NODES):
     label-setting search without a membership oracle.  More than
     `max_nodes` labels raise diamond.ResourceLimitError."""
     nnf = to_nnf(phi)
-    # Every countdown step of a constant bound is a node of its own,
-    # so the depth the general engine refuses is refused here too.
-    diamond.check_depth(unfolded_depth(nnf))
     bound = _uniform_bound(chain, nnf)
     return _pareto_front(chain, nnf, variables(nnf), bound, max_nodes)[0]

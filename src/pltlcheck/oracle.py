@@ -10,6 +10,7 @@ is known from propositional satisfiability.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -170,7 +171,9 @@ def eval_lasso(word, phi):
     Each subformula gets a table over the finitely many positions of the
     lasso graph, children first, so no call nests per nesting level;
     until/eventually use least fixpoints, release/always greatest
-    fixpoints, and bounded operators walk their window.
+    fixpoints, and a bounded operator compares its bound with each
+    position's distance to the next position where its child holds
+    (or fails, for G[<=c]).
     """
     stem = [frozenset(p) for p in word.stem]
     loop = [frozenset(p) for p in word.loop]
@@ -199,11 +202,10 @@ def eval_lasso(word, phi):
             return _gfp([False] * n, kids[0])
         if isinstance(f, BoundedEventually):
             c = _const(f)
-            return [_window_any(kids[0], i, c) for i in range(n)]
+            return [d <= c for d in _distances(kids[0])]
         if isinstance(f, BoundedAlways):
             c = _const(f)
-            a = [not x for x in kids[0]]
-            return [not _window_any(a, i, c) for i in range(n)]
+            return [d > c for d in _distances([not x for x in kids[0]])]
         raise FormulaError("unsupported node %r" % (f,))
 
     def _lfp(hold, target):
@@ -230,13 +232,15 @@ def eval_lasso(word, phi):
                     changed = True
         return out
 
-    def _window_any(a, i, c):
-        j = i
-        for _ in range(c + 1):
-            if a[j]:
-                return True
-            j = succ[j]
-        return False
+    def _distances(a):
+        """Per position, the steps to the next position where `a` holds
+        (infinite if none).  The first backward pass is exact on the
+        stem and at the loop's entry; the second carries the entry's
+        distance round the rest of the loop."""
+        out = [math.inf] * n
+        for i in [*range(n - 1, -1, -1), *range(n - 1, len(stem), -1)]:
+            out[i] = 0 if a[i] else out[succ[i]] + 1
+        return out
 
     tables = {}
     for f in subformulas(phi, postorder=True):

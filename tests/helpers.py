@@ -163,19 +163,19 @@ def nnf_formulas(max_leaves, names="xy", var_shapes=True):
     return st.recursive(literals, extend, max_leaves=max_leaves)
 
 
-def fx_formulas(depth):
+def fx_formulas(depth, top=3):
     """Hypothesis strategy: formulas of the next/eventually fragment over
     the atoms a, b, nested up to `depth` operators, with variable bounds
-    x, y (shared between occurrences) and constant bounds 0..3."""
+    x, y (shared between occurrences) and constant bounds 0..top."""
     from hypothesis import strategies as st
 
     literals = (st.builds(Atom, st.sampled_from("ab"))
                 | st.builds(NegAtom, st.sampled_from("ab")))
     if depth == 0:
         return literals
-    sub = fx_formulas(depth - 1)
+    sub = fx_formulas(depth - 1, top)
     bound = (st.builds(VarBound, st.sampled_from("xy"))
-             | st.builds(ConstBound, st.integers(0, 3)))
+             | st.builds(ConstBound, st.integers(0, top)))
     return (literals | st.builds(BoundedEventually, bound, sub)
             | st.builds(Next, sub) | st.builds(Eventually, sub)
             | st.builds(And, sub, sub) | st.builds(Or, sub, sub))

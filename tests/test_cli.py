@@ -358,16 +358,28 @@ def test_formula_at_depth_limit(coin):
 
 @pytest.mark.parametrize("argv", [
     ["check", "--formula", "F[<=x] a & X G[<=2000] a"],
-    ["minset", "--formula", "F[<=5000] a & F[<=x] a"],
+    # At "=1" FX goes to the general engine, which unfolds the bound.
+    ["minset", "--formula", "F[<=5000] a & F[<=x] a", "--threshold", "=1"],
     # The cap is checked before the bound is unfolded, so this exits at
     # once instead of building two million nodes first.
-    ["minset", "--formula", "F[<=1000000] a & F[<=x] a"],
+    ["minset", "--formula", "F[<=1000000] a & F[<=x] a",
+     "--threshold", "=1"],
 ], ids=["check-unfolded-always", "minset-unfolded-eventually",
         "minset-unfolded-million"])
 def test_exit_unfolded_closure_too_large(argv, coin):
     code, out, err = _run(argv + ["--chain", coin])
     assert code == 3, err
     assert out == "" and err.startswith("resource limit: closure too large")
+
+
+@pytest.mark.parametrize("bound", [5000, 1000000])
+def test_fx_minset_ages_a_deep_constant_bound(bound, coin):
+    # At ">0" the FX search gives F[<=c] an age instead of unfolding it.
+    code, out, err = _run(["minset", "--chain", coin, "--formula",
+                           "F[<=%d] a & F[<=x] a" % bound])
+    assert code == 0, err
+    assert out == ("fragment: FX\nthreshold: >0\ncardinality: 1\n"
+                   "minimal: x=1\n")
 
 
 def test_nine_untils_reach_the_node_cap(coin):

@@ -3,7 +3,7 @@ import random
 import time
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -14,9 +14,11 @@ from pltlcheck.diamond import (
     DEFAULT_MAX_PRODUCT_NODES, DiamondChecker, ResourceLimitError,
 )
 from pltlcheck.fixtures import chain_text, coin_chain, traffic_chain
+from pltlcheck import formula
 from pltlcheck.formula import (
-    And, Atom, BoundedEventually, Eventually, Or, VarBound, parse_formula,
-    size, strip_params, to_nnf, unfolded_size, variables,
+    And, Atom, BoundedEventually, ConstBound, Eventually, Or, VarBound,
+    parse_formula, rewrite_constant_bounds, size, strip_params, to_nnf,
+    unfolded_size, variables,
 )
 from pltlcheck.markov import MarkovChain
 from pltlcheck.oracle import CERTAIN_TRUE, eval_prefix
@@ -113,6 +115,23 @@ def test_witness_paths_satisfy_formula():
     assert nonempty > 100
 
 
+def test_witness_path_of_a_constant_bound_is_shortest():
+    # F (a & F[<=5] b) holds on 0 2 3 4 8 9, where the a at 2 starts the
+    # window.  On the longer route 0 1 5 6 7 8 9 the a comes two steps
+    # later, so at 8 its window is younger, and that label reaches 8
+    # while the older one still waits in the queue.  The younger label
+    # must not put out the older: it is one step behind.
+    one, half = Fraction(1), Fraction(1, 2)
+    rows = [{1: half, 2: half}, {5: one}, {3: one}, {4: one}, {8: one},
+            {6: one}, {7: one}, {8: one}, {9: one}, {9: one}]
+    labels = [set(), set(), {"a"}, set(), set(), set(), {"a"}, set(),
+              set(), {"b"}]
+    chain = MarkovChain(10, 0, rows, labels)
+    phi = parse_formula("F (a & F[<=5] b)")
+    for f in (phi, rewrite_constant_bounds(phi)):
+        assert fx.emptiness_pos_fx(chain, f)[2] == [0, 2, 3, 4, 8, 9], f
+
+
 def test_witness_path_breaks_ties_by_state_number():
     half, one = Fraction(1, 2), Fraction(1)
     c = MarkovChain(3, 0, [{2: half, 1: half}, {1: one}, {2: one}],
@@ -151,6 +170,66 @@ def test_emptiness_pos_of_a_deep_conjunction():
     for _ in range(3000):
         phi = And(phi, Eventually(Atom("a")))
     assert fx.emptiness_pos_fx(coin_chain(), phi) == (False, {}, [0, 1])
+
+
+def test_deep_constant_bound_ages():
+    # A pending F[<=c] carries its age like F[<=x]; on the coin chain b
+    # never holds, and waiting at age a is put out by the younger self
+    # met one step before.
+    c = coin_chain()
+    assert fx.emptiness_pos_fx(c, parse_formula("F[<=1000000] b & F[<=x] a"),
+                               max_nodes=100) == (True, None, None)
+    ms = fx.min_set_fx(c, parse_formula("F[<=1000000] a & F[<=x] a"))
+    assert list(ms) == [(1,)]
+
+
+def test_search_builds_no_formula_and_reads_no_text(monkeypatch):
+    phi = to_nnf(parse_formula("F[<=3] (a & X F[<=x] b) | X F[<=2] !a"))
+    chain = random_chain(random.Random(7), max_states=4)
+    expected = fx.min_set_fx(chain, phi)
+
+    def refuse(*args):
+        raise AssertionError("the search built or printed a formula")
+    for kind in (formula._Literal, formula._Unary, formula._Binary,
+                 formula._Bounded):
+        monkeypatch.setattr(kind, "__init__", refuse)
+    monkeypatch.setattr(formula.Formula, "__str__", refuse)
+    monkeypatch.setattr(formula.Formula, "__repr__", refuse)
+    assert fx.min_set_fx(chain, phi) == expected
+
+
+def _unfolded_answers(chain, phi):
+    """Verdict, witness valuation, witness-path length and minimal set."""
+    empty, val, path = fx.emptiness_pos_fx(chain, phi)
+    return empty, val, path and len(path), fx.min_set_fx(chain, phi)
+
+
+def _constant_bound(c, op, child, other):
+    """F[<=c] child, alone or joined by op to other."""
+    f = BoundedEventually(ConstBound(c), child)
+    return op(f, other) if op else f
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.builds(_constant_bound, st.integers(0, 6),
+                 st.sampled_from((None, And, Or)),
+                 fx_formulas(2, top=6), fx_formulas(2, top=6)),
+       st.integers(0, 2 ** 32 - 1)
+       | st.lists(st.sets(st.sampled_from("ab")), min_size=1, max_size=8))
+# Two routes reach one pair with F[<=1] b at different ages: the pair
+# must keep both labels.
+@example(parse_formula("F (a & X F[<=1] b)"), 2175)
+# Two copies of F[<=2] b meet at 1; the older sets the deadline.
+@example(parse_formula("F[<=2] b & F (a & F[<=2] b)"),
+         [set(), {"a"}, set(), {"b"}])
+def test_ages_match_the_unfolding(phi, source):
+    # rewrite_constant_bounds spells F[<=c] as c nested X: no age, and
+    # no code shared with the ages.  A word read once, into a sink,
+    # fixes where each letter comes; a random chain offers choices.
+    chain = (random_chain(random.Random(source), max_states=4)
+             if isinstance(source, int) else _line(source))
+    assert _unfolded_answers(chain, phi) == _unfolded_answers(
+        chain, rewrite_constant_bounds(phi))
 
 
 def test_met_conjuncts_join_once(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,8 @@ from helpers import (
 from pltlcheck import diamond, fx, oracle
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import (
-    Always, Atom, Eventually, FormulaError, Next, parse_formula, substitute,
-    to_nnf, variables,
+    Always, Atom, BoundedAlways, BoundedEventually, ConstBound, Eventually,
+    FormulaError, Next, parse_formula, substitute, to_nnf, variables,
 )
 from pltlcheck.oracle import (
     CERTAIN_FALSE, CERTAIN_TRUE, UNKNOWN, LassoWord, brute_force_min_set,
@@ -65,6 +66,44 @@ def test_eval_lasso_of_a_deep_formula():
     for i in range(5000):
         phi = (Eventually, Always)[i % 2](phi)
     assert eval_lasso(word, phi)
+
+
+def _letter(word, i):
+    """Letter i of stem + loop^omega."""
+    if i < len(word.stem):
+        return word.stem[i]
+    return word.loop[(i - len(word.stem)) % len(word.loop)]
+
+
+def test_bounded_windows_match_the_plain_walk():
+    # X^k F[<=c] a and X^k G[<=c] a read the window of positions k..k+c,
+    # walked here letter by letter; c runs past the loop and round it.
+    rng = random.Random(52)
+    for _ in range(500):
+        word = LassoWord(random_letters(rng, ("a",), rng.randint(0, 4)),
+                         random_letters(rng, ("a",), rng.randint(1, 4)))
+        n = len(word.stem) + len(word.loop)
+        c, k = rng.randint(0, 2 * n + 1), rng.randint(0, n)
+        window = ["a" in _letter(word, i) for i in range(k, k + c + 1)]
+        for op, expected in ((BoundedEventually, any(window)),
+                             (BoundedAlways, all(window))):
+            phi = op(ConstBound(c), Atom("a"))
+            for _ in range(k):
+                phi = Next(phi)
+            assert eval_lasso(word, phi) == expected, (word, op, c, k)
+
+
+def test_eval_lasso_of_a_long_loop():
+    # A 10,000-letter loop with one a, at its end: each window costs one
+    # pass over the loop, not c + 1 steps per position.
+    word = LassoWord((), (frozenset(),) * 9999 + (frozenset({"a"}),))
+    start = time.perf_counter()
+    assert not eval_lasso(word, _f("F[<=100000] b"))
+    assert eval_lasso(word, _f("G[<=100000] !b"))
+    assert eval_lasso(word, _f("F[<=9999] a"))
+    assert not eval_lasso(word, _f("F[<=9998] a"))
+    assert not eval_lasso(word, _f("X G[<=9998] !a"))
+    assert time.perf_counter() - start < 1
 
 
 def test_lasso_requires_loop():
