@@ -16,9 +16,10 @@ and so is nesting deeper than MAX_FORMULA_DEPTH levels.
 
 Only the parser recurses, within that cap; every other pass is
 iterative, so a formula built in code may nest as deep as memory
-allows.  `subformulas` lists the nodes, `_map` rebuilds a formula
-top-down and keeps unchanged subtrees, and `to_nnf` is `_map` with one
-rule that moves a negation onto the dual operator.
+allows.  `subformulas` lists the nodes, `fold` values each node from
+its children's values, `_map` rebuilds a formula top-down and keeps
+unchanged subtrees, and `to_nnf` is `_map` with one rule that moves a
+negation onto the dual operator.
 
 Nodes are immutable.  Each fixes its children tuple and its hash when
 it is built, the hash from its children's stored hashes, so hashing
@@ -138,19 +139,15 @@ class Formula:
 
     def __str__(self):
         if self._text is None:
-            self._text = _fmt(self)
+            self._text = fold(self, _fmt)[0]
         return self._text
 
     def __repr__(self):
-        done = []
-        for f in subformulas(self, postorder=True):
-            k = len(f._kids)
-            args = [repr(f._own())] if len(f._fields) > k else []
-            args += done[len(done) - k:]
-            del done[len(done) - k:]
-            done.append("%s(%s)" % (type(f).__name__, ", ".join(
-                "%s=%s" % arg for arg in zip(f._fields, args))))
-        return done[0]
+        def node(f, kids):
+            own = [repr(f._own())] if len(f._fields) > len(kids) else []
+            return "%s(%s)" % (type(f).__name__, ", ".join(
+                "%s=%s" % arg for arg in zip(f._fields, own + kids)))
+        return fold(self, node)
 
 
 class _Literal(Formula):
@@ -274,39 +271,29 @@ _TEXT = {Or: "|", And: "&", Until: "U", Release: "R", Not: "!", Next: "X ",
          BoundedAlways: "G", Atom: "", NegAtom: "!"}
 
 
-def _fmt(phi):
-    """The text of phi, built children first: each finished node's text
-    is kept with its precedence, and a parent brackets a child that
-    binds looser than the parent asks."""
-    if isinstance(phi, Atom):
-        return phi.name
-    done = []
-    for f in subformulas(phi, postorder=True):
-        kind = type(f)
-        if kind is Atom or kind is NegAtom:
-            done.append((_TEXT[kind] + f.name, 9))
-        elif kind in _PREC:
-            prec = _PREC[kind]
-            right, rp = done.pop()
-            left, lp = done.pop()
-            # U and R group to the right.  A nested & or | of the same
-            # kind is bracketed on either side, so the text parses back
-            # to the same tree.
-            if lp <= prec:
-                left = "(%s)" % left
-            if rp < prec or rp == prec and kind in (And, Or):
-                right = "(%s)" % right
-            done.append(("%s %s %s" % (left, _TEXT[kind], right), prec))
-        else:
-            child, cp = done.pop()
-            if cp < 9:
-                child = "(%s)" % child
-            if kind is BoundedEventually or kind is BoundedAlways:
-                child = "%s[<=%s] %s" % (_TEXT[kind], f.bound, child)
-            else:
-                child = _TEXT[kind] + child
-            done.append((child, 9))
-    return done[0][0]
+def _fmt(f, kids):
+    """f's text and precedence from its children's: a child that binds
+    looser than f asks is bracketed."""
+    kind = type(f)
+    if kind is Atom or kind is NegAtom:
+        return _TEXT[kind] + f.name, 9
+    if kind in _PREC:
+        prec = _PREC[kind]
+        (left, lp), (right, rp) = kids
+        # U and R group to the right.  A nested & or | of the same kind
+        # is bracketed on either side, so the text parses back to the
+        # same tree.
+        if lp <= prec:
+            left = "(%s)" % left
+        if rp < prec or rp == prec and kind in (And, Or):
+            right = "(%s)" % right
+        return "%s %s %s" % (left, _TEXT[kind], right), prec
+    (child, cp), = kids
+    if cp < 9:
+        child = "(%s)" % child
+    if kind is BoundedEventually or kind is BoundedAlways:
+        return "%s[<=%s] %s" % (_TEXT[kind], f.bound, child), 9
+    return _TEXT[kind] + child, 9
 
 
 def children(f):
@@ -333,6 +320,18 @@ def subformulas(phi, postorder=False):
         # Postorder is the reverse of a right-to-left preorder.
         stack += f._kids if postorder else f._kids[::-1]
     return out[::-1] if postorder else out
+
+
+def fold(phi, fn):
+    """phi's value, computed children first: fn(f, values) gets a node
+    and its children's values, left to right, and is called once per
+    distinct node object, so a subtree shared by reference is valued
+    once.  Iterative, like `subformulas`."""
+    done = {}
+    for f in subformulas(phi, postorder=True):
+        if id(f) not in done:
+            done[id(f)] = fn(f, [done[id(c)] for c in f._kids])
+    return done[id(phi)]
 
 
 def _map(phi, fn):
@@ -752,33 +751,25 @@ def closure(phi):
 
 def unfolded_size(phi):
     """size(rewrite_constant_bounds(phi)), counted without unfolding."""
-    sizes = []
-    for f in subformulas(phi, postorder=True):
-        k = len(f._kids)
-        below = sum(sizes[len(sizes) - k:])
-        del sizes[len(sizes) - k:]
+    def count(f, kids):
+        below = sum(kids)
         if isinstance(getattr(f, "bound", None), ConstBound):
             # c unfoldings, each an operator, a next and a child copy.
-            sizes.append(f.bound.value * (below + 2) + below)
-        else:
-            sizes.append(below + 1)
-    return sizes[0]
+            return f.bound.value * (below + 2) + below
+        return below + 1
+    return fold(phi, count)
 
 
 def unfolded_depth(phi):
     """nesting_depth(rewrite_constant_bounds(phi)), counted without
     unfolding."""
-    depths = []
-    for f in subformulas(phi, postorder=True):
-        k = len(f._kids)
-        below = max(depths[len(depths) - k:], default=0)
-        del depths[len(depths) - k:]
+    def count(f, kids):
+        below = max(kids, default=0)
         if isinstance(getattr(f, "bound", None), ConstBound):
             # Each of the c unfoldings adds an operator over a next.
-            depths.append(below + 2 * f.bound.value)
-        else:
-            depths.append(below + 1)
-    return depths[0]
+            return below + 2 * f.bound.value
+        return below + 1
+    return fold(phi, count)
 
 
 def strip_params(phi):

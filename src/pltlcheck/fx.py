@@ -46,7 +46,7 @@ from collections import deque
 
 from .formula import (
     _FX_NODES, And, Atom, BoundedEventually, Eventually, FragmentError,
-    NegAtom, Next, Or, VarBound, strip_params, subformulas, to_nnf,
+    NegAtom, Next, Or, VarBound, closure, strip_params, to_nnf,
     unfolded_size, variables,
 )
 from .valuation import MinimalSet
@@ -138,7 +138,7 @@ def _pareto_front(chain, phi, names, bound, max_nodes):
     pending (obligation, age) are read off them.
     """
     found = MinimalSet(names)
-    nodes = list(dict.fromkeys(subformulas(phi, postorder=True)))
+    nodes = closure(phi)
     place = {f: k for k, f in enumerate(nodes)}
     timed = any(type(f) is BoundedEventually for f in nodes)
     tables = {}  # letter -> the ways of each node of `nodes` there

@@ -693,7 +693,10 @@ def _solve(rows, rhs):
     column have the fewest other entries (Markowitz, 1957), pivoting on
     the diagonal.  A reachability system with its 0- and 1-states
     removed is a nonsingular M-matrix, and so is every Schur complement
-    of it, so no diagonal pivot vanishes.  Both arguments are consumed.
+    of it, so no diagonal pivot vanishes.  Nor does any entry: the
+    pivot row's off-diagonal entries are negative, so an update takes
+    a positive f * a off each entry, and an off-diagonal one stays
+    negative, a diagonal one positive.  Both arguments are consumed.
     """
     cols = {v: set() for v in rows}
     for v, row in rows.items():
@@ -712,13 +715,8 @@ def _solve(rows, rhs):
             other = rows[r]
             f = other.pop(v)
             for c, a in row.items():
-                value = other.get(c, 0) - f * a
-                if value:
-                    other[c] = value
-                    cols[c].add(r)
-                else:
-                    other.pop(c, None)
-                    cols[c].discard(r)
+                other[c] = other.get(c, 0) - f * a
+                cols[c].add(r)
             rhs[r] -= f * b
         eliminated.append((v, row, b))
     x = {}

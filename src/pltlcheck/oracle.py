@@ -15,9 +15,9 @@ import random
 from fractions import Fraction
 
 from .formula import (
-    And, Atom, Always, BoundedAlways, BoundedEventually, ConstBound,
-    Eventually, FormulaError, NegAtom, Next, Or, Release, Until, VarBound,
-    children, subformulas, variables,
+    And, Atom, Always, BoundedAlways, BoundedEventually, Eventually,
+    FormulaError, NegAtom, Next, Or, Release, Until, VarBound, fold,
+    variables,
 )
 from .markov import ChainError, MarkovChain
 from .valuation import MinimalSet
@@ -26,7 +26,6 @@ CERTAIN_TRUE = "certainly-true"
 CERTAIN_FALSE = "certainly-false"
 UNKNOWN = "unknown"
 
-MAX_LASSO_CONSTANT = 10 ** 5
 # Letters one `sample` run may draw, samples times horizon: a run at the
 # cap takes a few seconds and holds one horizon-long prefix at a time.
 MAX_SAMPLE_LETTERS = 10 ** 6
@@ -89,14 +88,10 @@ def eval_prefix(prefix, phi):
     prefix = [frozenset(p) for p in prefix]
     if not prefix:
         return UNKNOWN
-    tables = {}
-    for f in subformulas(phi, postorder=True):
-        if id(f) not in tables:
-            tables[id(f)] = _prefix_table(f, prefix, tables)
-    return tables[id(phi)][0]
+    return fold(phi, lambda f, kids: _prefix_table(f, kids, prefix))[0]
 
 
-def _prefix_table(f, prefix, tables):
+def _prefix_table(f, kids, prefix):
     """f's verdicts at positions 0..n of the prefix, the last one past
     its end, from its children's tables."""
     n = len(prefix)
@@ -104,7 +99,6 @@ def _prefix_table(f, prefix, tables):
         hit = CERTAIN_TRUE if isinstance(f, Atom) else CERTAIN_FALSE
         miss = _not3(hit)
         return [hit if f.name in p else miss for p in prefix] + [UNKNOWN]
-    kids = [tables[id(c)] for c in children(f)]
     if isinstance(f, (And, Or)):
         op = _and3 if isinstance(f, And) else _or3
         return [op(a, b) for a, b in zip(*kids)]
@@ -159,9 +153,6 @@ def _window(child, c, decisive):
 def _const(f):
     if isinstance(f.bound, VarBound):
         raise FormulaError("formula must be variable-free; substitute first")
-    if f.bound.value > MAX_LASSO_CONSTANT:
-        raise FormulaError("constant bound %d exceeds the evaluator cap"
-                           % f.bound.value)
     return f.bound.value
 
 
@@ -242,11 +233,7 @@ def eval_lasso(word, phi):
             out[i] = 0 if a[i] else out[succ[i]] + 1
         return out
 
-    tables = {}
-    for f in subformulas(phi, postorder=True):
-        if id(f) not in tables:
-            tables[id(f)] = table(f, [tables[id(c)] for c in children(f)])
-    return tables[id(phi)][0]
+    return fold(phi, table)[0]
 
 
 def sample_lower_bound(chain, phi, samples, horizon, seed):

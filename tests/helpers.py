@@ -166,7 +166,9 @@ def nnf_formulas(max_leaves, names="xy", var_shapes=True):
 def fx_formulas(depth, top=3):
     """Hypothesis strategy: formulas of the next/eventually fragment over
     the atoms a, b, nested up to `depth` operators, with variable bounds
-    x, y (shared between occurrences) and constant bounds 0..top."""
+    x, y (shared between occurrences) and constant bounds 0..top.  A
+    bound 1..top is drawn as often as a variable bound, and 0 as often
+    again."""
     from hypothesis import strategies as st
 
     literals = (st.builds(Atom, st.sampled_from("ab"))
@@ -174,11 +176,13 @@ def fx_formulas(depth, top=3):
     if depth == 0:
         return literals
     sub = fx_formulas(depth - 1, top)
-    bound = (st.builds(VarBound, st.sampled_from("xy"))
-             | st.builds(ConstBound, st.integers(0, top)))
-    return (literals | st.builds(BoundedEventually, bound, sub)
-            | st.builds(Next, sub) | st.builds(Eventually, sub)
-            | st.builds(And, sub, sub) | st.builds(Or, sub, sub))
+    bounded = [st.builds(BoundedEventually, bound, sub) for bound in (
+        st.builds(VarBound, st.sampled_from("xy")),
+        st.builds(ConstBound, st.integers(1, top)),
+        st.just(ConstBound(0)))]
+    return st.one_of(literals, *bounded, st.builds(Next, sub),
+                     st.builds(Eventually, sub), st.builds(And, sub, sub),
+                     st.builds(Or, sub, sub))
 
 
 def reference_first_hits(chain, props):

@@ -133,6 +133,52 @@ def test_oracle_lasso_eval():
     assert "verdict: false" in out
 
 
+@pytest.mark.parametrize("formula, valuation, bound, past", [
+    ("F[<=100001] b", "", 100001, None),
+    ("F[<=100001] b", "", 100001, 0),
+    ("F[<=100001] b", "", 100001, 1),
+    ("F[<=x] b", "x=200000", 200000, None),
+    ("F[<=x] b", "x=200000", 200000, 0),
+    ("F[<=x] b", "x=200000", 200000, 1),
+    ("F[<=1000000] b", "", 10 ** 6, None),
+    ("F[<=1000000] b", "", 10 ** 6, 0),
+])
+def test_oracle_lasso_eval_takes_any_parsed_bound(formula, valuation, bound,
+                                                  past):
+    # Stem letters 0..bound + past, the last one b, then a forever; with
+    # past None, no b at all.  Each window is one pass over the lasso,
+    # so no bound the parser accepts is refused.
+    stem = "" if past is None else ";" * (bound + past) + "b"
+    code, out, err = _run(["oracle", "lasso-eval", "--formula", formula,
+                           "--valuation", valuation, "--stem", stem,
+                           "--loop", "a"])
+    assert (code, err) == (0, "")
+    letters = stem.split(";") if stem else []
+    walk = any("b" in (letters[i] if i < len(letters) else "a")
+               for i in range(bound + 1))
+    assert out == "verdict: %s\n" % ("true" if walk else "false")
+
+
+@pytest.mark.parametrize("first_b", [200000, 200001])
+def test_oracle_sample_takes_a_large_valuation(tmp_path, first_b):
+    # One path through states 0..first_b, where b holds for good: the
+    # only sample is that path, and F[<=200000] b is decided on its
+    # 200,002-letter prefix.
+    lines = ["states %d" % (first_b + 1), "init 0", "label %d b" % first_b]
+    lines += ["trans %d %d 1" % (s, min(s + 1, first_b))
+              for s in range(first_b + 1)]
+    path = tmp_path / "line.dtmc"
+    path.write_text("\n".join(lines) + "\n")
+    horizon = 200002
+    code, out, err = _run(["oracle", "sample", "--chain", str(path),
+                           "--formula", "F[<=x] b", "--valuation", "x=200000",
+                           "--samples", "1", "--horizon", str(horizon)])
+    assert (code, err) == (0, "")
+    # Position i of the path is state min(i, first_b).
+    walk = any(min(i, first_b) == first_b for i in range(200000 + 1))
+    assert "certain-fraction: %d" % walk in out.splitlines()
+
+
 def test_oracle_gen3sat(tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text(DIMACS)

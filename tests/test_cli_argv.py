@@ -8,12 +8,11 @@ must be the same.
 
 import io
 import json
-import os
 
 import pytest
 
 from pltlcheck import cli
-from test_cli_golden import CHAINS, GOLDEN
+from test_cli_golden import GOLDEN, input_paths
 
 with open(GOLDEN) as fh:
     GOLDEN_ARGVS = [row["argv"] for _, row in sorted(json.load(fh).items())]
@@ -66,11 +65,7 @@ MALFORMED = [
 
 
 def _run(argv, tmpdir):
-    paths = {"aut": os.path.join(tmpdir, "aut.txt")}
-    for name, text in CHAINS.items():
-        paths[name] = os.path.join(tmpdir, name + ".dtmc")
-        with open(paths[name], "w") as fh:
-            fh.write(text)
+    paths = input_paths(tmpdir)
     out, err = io.StringIO(), io.StringIO()
     code = cli.run([a.format(**paths) for a in argv], out=out, err=err)
     return code, out.getvalue(), err.getvalue()

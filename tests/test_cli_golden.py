@@ -125,20 +125,46 @@ def _cases():
                    "--valuation", "x=1"]))
     cases.append(("error-check-parse",
                   ["check", "--chain", "{coin}", "--formula", "F[<=x a"]))
+    cases.append(("error-check-formula-and-formula-file",
+                  ["check", "--chain", "{coin}", "--formula",
+                   FORMULAS["Diamond"][0], "--formula-file", "{formula}"]))
+    for name, threshold in (("zero-denominator", ">=1/0"),
+                            ("above-one", ">=3/2"), ("unknown", ">2")):
+        cases.append(("error-check-threshold-" + name,
+                      ["check", "--chain", "{coin}", "--formula", "F[<=x] a",
+                       "--threshold", threshold]))
+    cases.append(("error-prob-missing-variable",
+                  ["prob", "--chain", "{coin}", "--formula", "F[<=x] a",
+                   "--valuation", "y=3"]))
+    # The file holds FORMULAS["Diamond"][0]: the same transcript as
+    # check-coin-Diamond->0.
+    cases.append(("check-formula-file-coin-Diamond->0",
+                  ["check", "--chain", "{coin}", "--formula-file",
+                   "{formula}", "--threshold", ">0"]))
     return cases
 
 
 CASES = _cases()
 
 
-def _transcript(argv, tmpdir):
-    from pltlcheck import cli
+def input_paths(tmpdir):
+    """The file each {name} of an argv names, in tmpdir: the chains and
+    the formula file are written, the automaton path is not."""
     paths = {}
     for name, text in CHAINS.items():
         paths[name] = os.path.join(tmpdir, name + ".dtmc")
         with open(paths[name], "w") as fh:
             fh.write(text)
+    paths["formula"] = os.path.join(tmpdir, "formula.txt")
+    with open(paths["formula"], "w") as fh:
+        fh.write(FORMULAS["Diamond"][0] + "\n")
     paths["aut"] = os.path.join(tmpdir, "aut.txt")
+    return paths
+
+
+def _transcript(argv, tmpdir):
+    from pltlcheck import cli
+    paths = input_paths(tmpdir)
     if os.path.exists(paths["aut"]):
         os.remove(paths["aut"])
     argv = [a.format(**paths) for a in argv]
@@ -166,6 +192,13 @@ def test_cli_transcript(case_id, argv, tmp_path, golden):
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(c[0] for c in CASES)
+
+
+def test_formula_file_reads_like_formula(golden):
+    def transcript(case_id):
+        return {k: v for k, v in golden[case_id].items() if k != "argv"}
+    assert transcript("check-formula-file-coin-Diamond->0") == \
+        transcript("check-coin-Diamond->0")
 
 
 if __name__ == "__main__":
