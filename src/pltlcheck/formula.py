@@ -1,14 +1,19 @@
 """Parametric LTL formulas: AST, parser, normal forms, fragment classification.
 
-The concrete syntax is ASCII and whitespace-insensitive:
+The concrete syntax is whitespace-insensitive (any str.isspace
+character separates tokens):
 
     phi ::= ident | "!" phi | "(" phi ")" | phi "&" phi | phi "|" phi
           | "X" phi | "F" phi | "G" phi | phi "U" phi | phi "R" phi
           | "F[<=" ident "]" phi | "F[<=" nat "]" phi | "G[<=" nat "]" phi
 
 Precedence: unary (!, X, F, G, bounded) > U, R (right-associative) > & > |.
-Identifiers match [a-z][a-zA-Z0-9_]*; the temporal operator letters X, F, G,
-U, R are uppercase and therefore never collide with proposition names.
+An identifier is a word, a run of letters, digits and _ (Unicode ones
+too: str.isalnum() or _), whose first character is lowercase
+(str.islower()): `a`, `req_1`, `é` and `aΩ` are identifiers.  The
+temporal operator letters X, F, G, U, R are uppercase and therefore
+never begin one.  A natural is ASCII digits; any other character is a
+parse error.
 
 Only upper bounds are supported as subscripts.  Parametric bounds are
 admitted on F only; a parametric bound on G is rejected at parse time,
@@ -31,6 +36,8 @@ it.
 """
 
 from __future__ import annotations
+
+import re
 
 
 MAX_CONSTANT_BOUND = 10**6
@@ -400,64 +407,45 @@ def atoms(phi):
 # Parser
 
 
-_DIGITS = "0123456789"
+# One token after any whitespace: a bracket, a connective or "<=", an
+# operator letter, a natural, a word, any other character, or the end.
+# \s and \w are str.isspace and "str.isalnum() or _" on every code point.
+_TOKEN = re.compile(r"\s*(?:(?P<sym>[!()&|\[\]]|<=)|(?P<op>[XFGUR])"
+                    r"|(?P<nat>[0-9]+)|(?P<ident>\w+)|(?P<bad>\S)"
+                    r"|(?P<eof>\Z))")
 
 
 class _Lexer:
-    """Tokens of a formula text.  The token `peek` scans is kept until
-    `next` consumes it, so each token is scanned once."""
+    """Tokens of a formula text, each `_TOKEN`'s match where the last
+    one ended.  The token `peek` matches is kept until `next` consumes
+    it, so each token is matched once, and only when first asked."""
 
     def __init__(self, text):
         self.text = text
         self.pos = 0
-        self._token = None
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self._token = self._end = None
 
     def peek(self):
         if self._token is None:
-            self._token = self._scan()
+            m = _TOKEN.match(self.text, self.pos)
+            kind = m.lastgroup
+            value, start = m[kind], m.start(kind)
+            # A word is an identifier only from a lowercase letter.
+            if kind == "bad" or kind == "ident" and not value[0].islower():
+                raise ParseError("unexpected character %r" % value[0], start)
+            self._token = (value if kind == "sym" else kind, value, start)
+            self._end = m.end()
         return self._token
-
-    def _scan(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("eof", None, self.pos)
-        c = self.text[self.pos]
-        start = self.pos
-        if c in "!()&|[]":
-            return (c, c, start)
-        if self.text.startswith("<=", self.pos):
-            return ("<=", "<=", start)
-        if c in "XFGUR":
-            return ("op", c, start)
-        if c.islower():
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            return ("ident", self.text[self.pos:j], start)
-        if c in _DIGITS:
-            j = self.pos
-            while j < len(self.text) and self.text[j] in _DIGITS:
-                j += 1
-            return ("nat", self.text[self.pos:j], start)
-        raise ParseError("unexpected character %r" % c, start)
 
     def next(self):
         token = self.peek()
-        kind, value, start = token
-        if kind != "eof":
-            width = len(value) if kind in ("ident", "nat", "<=") else 1
-            self.pos = start + width
-            self._token = None
+        self.pos, self._token = self._end, None
         return token
 
     def expect(self, kind):
         k, v, p = self.next()
         if k != kind:
-            raise ParseError("expected %r, found %r" % (kind, v if v else "end of input"), p)
+            raise ParseError("expected %r, found %r" % (kind, v or "end of input"), p)
         return v, p
 
 
@@ -537,6 +525,11 @@ def _parse_bound(lx, op, pos):
     return bound
 
 
+# F and G: the node without a bound and the node with one.
+_EVENTUALLY_ALWAYS = {"F": (Eventually, BoundedEventually),
+                      "G": (Always, BoundedAlways)}
+
+
 def _parse_unary(lx, depth):
     kind, value, pos = lx.next()
     if kind == "!":
@@ -550,16 +543,13 @@ def _parse_unary(lx, depth):
     if kind == "op":
         if value == "X":
             return Next(_parse_unary(lx, _deeper(depth, pos)))
-        if value == "F":
-            bound = _parse_bound(lx, "F", pos)
+        if value in _EVENTUALLY_ALWAYS:
+            plain, bounded = _EVENTUALLY_ALWAYS[value]
+            bound = _parse_bound(lx, value, pos)
             child = _parse_unary(lx, _deeper(depth, pos))
-            return BoundedEventually(bound, child) if bound is not None else Eventually(child)
-        if value == "G":
-            bound = _parse_bound(lx, "G", pos)
-            child = _parse_unary(lx, _deeper(depth, pos))
-            return BoundedAlways(bound, child) if bound is not None else Always(child)
+            return plain(child) if bound is None else bounded(bound, child)
         raise ParseError("operator %r needs a left operand" % value, pos)
-    raise ParseError("expected a formula, found %r" % (value if value else "end of input"), pos)
+    raise ParseError("expected a formula, found %r" % (value or "end of input"), pos)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ is known from propositional satisfiability.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -285,8 +286,7 @@ def brute_force_min_set(chain, phi, bound, oracle):
     if (bound + 1) ** d > MAX_SCAN_POINTS:
         raise ValueError("scan box exceeds %d points" % MAX_SCAN_POINTS)
     out = MinimalSet(names)
-    from .valuation import iter_box
-    for point in iter_box((0,) * d, (bound,) * d):
+    for point in itertools.product(range(bound + 1), repeat=d):
         if out.member(point):
             continue
         if oracle(dict(zip(names, point))):

@@ -70,23 +70,6 @@ def parse_valuation(text):
     return Valuation(assignment)
 
 
-def iter_box(lo, hi):
-    """Yield all integer points of the box [lo, hi] in lexicographic order."""
-    if any(l > h for l, h in zip(lo, hi)):
-        return
-    point = list(lo)
-    d = len(lo)
-    while True:
-        yield tuple(point)
-        i = d - 1
-        while i >= 0 and point[i] == hi[i]:
-            point[i] = lo[i]
-            i -= 1
-        if i < 0:
-            return
-        point[i] += 1
-
-
 class MinimalSet:
     """Antichain of pointwise-minimal tuples, kept in lexicographic order.
 

@@ -32,6 +32,15 @@ def coin_chain_text():
     )
 
 
+def response_chain_text():
+    """The four-state chain of CI's response query G (!a | F[<=x] b),
+    on which V>0 and V=1 are empty and a pump certificate shows it."""
+    return ("states 4\ninit 0\nlabel 0 a\nlabel 1 b\ntrans 0 3 1\n"
+            "trans 1 0 3/7\ntrans 1 1 3/7\ntrans 1 3 1/7\n"
+            "trans 2 0 1/3\ntrans 2 2 2/3\ntrans 3 1 3/7\n"
+            "trans 3 2 3/7\ntrans 3 3 1/7\n")
+
+
 def valuation_leq(a, b):
     """Pointwise order of two Valuations over the same names."""
     if a.names != b.names:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import until_chain
+from helpers import response_chain_text, until_chain
 from pltlcheck import cli, diamond, fixtures, markov
 from pltlcheck.formula import parse_formula
 from pltlcheck.markov import parse_chain
@@ -345,6 +345,23 @@ def test_exit_out_of_memory(coin, monkeypatch):
                     "--threshold", "=1"], out, err)
     assert code == 3 and out.getvalue() == ""
     assert err.getvalue() == "resource limit: out of memory\n"
+
+
+def test_spent_pump_budget_answers_the_response_query_at_vbar(
+        tmp_path, monkeypatch):
+    # CI's response query at "=1": the pump settles it on the 32-node
+    # pair product; with the loop search ended at its first new state,
+    # the product at vbar = 4 * 5 * 2^5 gives the same verdict.
+    path = tmp_path / "response.dtmc"
+    path.write_text(response_chain_text())
+    argv = ["check", "--chain", str(path), "--formula", "G (!a | F[<=x] b)",
+            "--threshold", "=1"]
+    head = "fragment: Diamond\nthreshold: =1\n"
+    assert _run(argv) == (0, head + "product-nodes: 32\nshortcut: pump\n"
+                          "verdict: empty\n", "")
+    monkeypatch.setattr(diamond, "PUMP_BUDGET", 1)
+    assert _run(argv) == (0, head + "bound: 640\nproduct-nodes: 1956\n"
+                          "verdict: empty\n", "")
 
 
 def test_emit_automaton(coin, tmp_path):

@@ -125,6 +125,10 @@ def _cases():
                    "--valuation", "x=1"]))
     cases.append(("error-check-parse",
                   ["check", "--chain", "{coin}", "--formula", "F[<=x a"]))
+    # A lowercase character that is no letter or digit is no identifier.
+    for name, formula in (("", "\u24d0"), ("-in-bound", "F[<=\u24d0] a")):
+        cases.append(("error-check-parse-unexpected-character" + name,
+                      ["check", "--chain", "{coin}", "--formula", formula]))
     cases.append(("error-check-formula-and-formula-file",
                   ["check", "--chain", "{coin}", "--formula",
                    FORMULAS["Diamond"][0], "--formula-file", "{formula}"]))

@@ -10,7 +10,7 @@ from helpers import (
     random_diamond_formula, random_fx_formula, random_letters,
     reference_automaton_text, reference_holds, reference_least,
     reference_pump_kills, reference_round_robin_holds, reference_tableau,
-    until_chain,
+    response_chain_text, until_chain,
 )
 from pltlcheck import diamond
 from pltlcheck.diamond import (
@@ -877,6 +877,65 @@ def test_spent_pump_budget_falls_through_to_vbar(monkeypatch):
     assert ck.shortcut is None and ck.certificate is None
     assert ck.bound_used == ck.vbar(c) and ck.stats["queries"] == 2
     assert len(ck.min_set(c, "as1")) == 0 and ck.bound_used == ck.vbar(c)
+
+
+def _small_pump_draw(rng):
+    """G l, l U r or l & G r of at most five nodes, every bound x."""
+    while True:
+        left = random_diamond_formula(rng, size_budget=2)
+        right = random_diamond_formula(rng, size_budget=2)
+        phi = rng.choice((Always(left), Until(left, right),
+                          And(left, Always(right))))
+        phi = _map(phi, lambda f: BoundedEventually(VarBound("x"), f.child)
+                   if isinstance(f, BoundedEventually) else f)
+        if variables(phi) and size(phi) <= 5:
+            return phi
+
+
+def test_pump_verdicts_match_vbar_with_the_budget_spent(monkeypatch):
+    # Each query the pump settles is asked again with PUMP_BUDGET at 1,
+    # which ends the loop search at its first new state.  A query the
+    # pump then leaves open is answered at the witness bound vbar and
+    # must get the same verdict and minimal set there.  The queries are
+    # CI's response query and seeded formulas of at most five nodes on
+    # chains of at most four states, so vbar <= 4 * 5 * 2^5 = 640; one
+    # whose product passes 20,000 nodes is dropped.  CI's X^5 and X^6
+    # queries are left out: their products at vbar hold 275,031 and
+    # 1,230,043 nodes.
+    rng = random.Random(35)
+    queries = [(parse_formula("G (!a | F[<=x] b)"),
+                parse_chain(response_chain_text()))]
+    queries += [(_small_pump_draw(rng), random_chain(rng, max_states=4))
+                for _ in range(200)]
+
+    def ask(phi, c, threshold, budget):
+        monkeypatch.setattr(diamond, "PUMP_BUDGET", budget)
+        ck = DiamondChecker(phi, max_product_nodes=20000)
+        empty = ck.emptiness(c, threshold)
+        shortcut, bound = ck.shortcut, ck.bound_used
+        minimal = ck.min_set(c, threshold)
+        assert (ck.shortcut, ck.bound_used) == (shortcut, bound)
+        return empty, minimal, shortcut, bound, ck.vbar(c)
+
+    compared = []
+    for phi, c in queries:
+        for threshold in ("pos", "as1"):
+            try:
+                empty, minimal, shortcut, _, _ = ask(phi, c, threshold,
+                                                     PUMP_BUDGET)
+                if shortcut != "pump":
+                    continue
+                got = ask(phi, c, threshold, 1)
+            except ResourceLimitError:
+                continue
+            if got[2] == "pump":
+                continue
+            assert got[3] == got[4] <= 640
+            assert got[:2] == (empty, minimal), \
+                (phi, threshold, c.rows, c.labels, c.init)
+            compared.append((str(phi), threshold))
+    assert ("G (!a | F[<=x] b)", "as1") in compared
+    assert len(compared) >= 40, len(compared)
 
 
 def test_pump_certifies_dying_subset_graphs():

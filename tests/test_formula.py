@@ -51,6 +51,16 @@ def test_parse_bounded():
     assert parts[2] == BoundedAlways(ConstBound(2), Atom("c"))
 
 
+def test_parse_unicode_identifiers():
+    # An identifier starts with a lowercase character and goes on with
+    # letters, digits or _, Unicode ones included.
+    assert parse_formula("F[<=x] \u00e9") == \
+        BoundedEventually(VarBound("x"), Atom("\u00e9"))
+    assert parse_formula("a\u03a9 & req_1") == \
+        And(Atom("a\u03a9"), Atom("req_1"))
+    assert parse_formula("F[<=\u00e9] a").bound == VarBound("\u00e9")
+
+
 def test_parse_errors():
     for bad in ("", "a &", "(a", "F[<=] a", "G[<=x] a", "a b", "U a"):
         with pytest.raises(ParseError):

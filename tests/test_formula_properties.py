@@ -4,17 +4,21 @@ Random NNF formulas over the atoms a, b and the variables x, y are
 checked on random ultimately periodic words with `oracle.eval_lasso`,
 which evaluates the semantics directly and shares no code with the
 rewrites.  `unfolded_size` and `unfolded_depth` are checked against the
-size and the nesting depth of the unfolded formula, and the facts a
-node keeps (hash, NNF, variables, repr) against fresh computations.
+size and the nesting depth of the unfolded formula, the facts a node
+keeps (hash, NNF, variables, repr) against fresh computations, and the
+parser's messages against the text they point into.
 `derandomize=True` makes every run draw the same examples.
 """
+
+import ast
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import nnf_formulas
 from pltlcheck.formula import (
-    Atom, ConstBound, NegAtom, Not, VarBound, children,
+    Atom, ConstBound, NegAtom, Not, ParseError, VarBound, children,
     nesting_depth, parse_formula, rename_apart, rewrite_constant_bounds,
     size, strip_params, subformulas, substitute, to_nnf, unfolded_depth,
     unfolded_size, variables,
@@ -141,3 +145,30 @@ def test_repr_keeps_the_field_form(phi):
     for f in (phi, Not(phi)):
         assert repr(f) == _dataclass_repr(f)
     assert all(repr(f) == _dataclass_repr(f) for f in subformulas(phi))
+
+
+# Tokens, near-tokens and characters that are lowercase but no letter or
+# digit (U+24D0, U+0345), so no identifier can start there.
+TEXTS = st.lists(st.one_of(
+    st.sampled_from(["a", "x1", "\u00e9", "\u24d0", "\u0345", "F", "G",
+                     "X", "U", "[<=", "[", "]", "<", "(", ")", "!", "&",
+                     "|", "3", " ", "\t"]),
+    st.characters()), max_size=12).map("".join)
+
+
+@PROPERTY
+@given(TEXTS)
+def test_parse_errors_name_the_text_at_their_position(text):
+    try:
+        parse_formula(text)
+    except ParseError as e:
+        rest = text[e.position:]
+        m = re.search(r"(trailing input|found|unexpected character) (.*) "
+                      r"\(at position \d+\)$", str(e))
+        if m is None:
+            return
+        value = ast.literal_eval(m[2])
+        if value == "end of input" and m[1] == "found":
+            assert not rest.strip()
+        else:
+            assert value and rest.startswith(value)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,30 @@ def test_row_sum_validation():
         MarkovChain(1, 0, [{0: Fraction(1, 2)}], [set()])
     with pytest.raises(ChainError):
         MarkovChain(2, 0, [{0: Fraction(1)}, {}], [set(), set()])
+
+
+def test_blank_and_comment_lines_between_directives_are_skipped():
+    text = ("states 2\ninit 0\nlabel 1 a\n"
+            "trans 0 0 1/2\ntrans 0 1 1/2\ntrans 1 1 1\n")
+    padded = "".join(line + "\n\n   \n# note\n\t# trans 0 0 1\n"
+                     for line in text.splitlines())
+    plain, spaced = parse_chain(text), parse_chain(padded)
+    assert (spaced.m, spaced.init, spaced.rows, spaced.labels) == \
+        (plain.m, plain.init, plain.rows, plain.labels)
+
+
+@pytest.mark.parametrize("m,init,rows,labels,message", [
+    (0, 0, [], [], "chain needs at least one state"),
+    (2, 2, [{0: Fraction(1)}, {1: Fraction(1)}], [set(), set()],
+     "initial state 2 out of range"),
+    (2, 0, [{0: Fraction(1)}], [set(), set()],
+     "rows/labels must cover all 2 states"),
+    (2, 0, [{0: Fraction(1)}, {1: Fraction(1)}], [set()],
+     "rows/labels must cover all 2 states"),
+])
+def test_chain_constructor_errors(m, init, rows, labels, message):
+    with pytest.raises(ChainError, match="^%s$" % re.escape(message)):
+        MarkovChain(m, init, rows, labels)
 
 
 def test_scc_decomposition():

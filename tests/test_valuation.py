@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import valuation_leq
 from pltlcheck.valuation import (
-    MinimalSet, Valuation, ValuationError, bisection_min_set, iter_box,
+    MinimalSet, Valuation, ValuationError, bisection_min_set,
     parse_valuation,
 )
 
@@ -34,12 +35,6 @@ def test_parse_valuation_errors():
             parse_valuation(bad)
 
 
-def test_iter_box_lex_order():
-    pts = list(iter_box((0, 0), (1, 2)))
-    assert pts == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    assert list(iter_box((2,), (1,))) == []
-
-
 def test_minimal_set_insert_and_member():
     ms = MinimalSet(("x", "y"))
     assert ms.insert((2, 3))
@@ -59,7 +54,7 @@ def test_minimal_set_insert_and_member():
 
 def _reference_min_set(oracle, lo, hi):
     out = []
-    for p in iter_box(lo, hi):
+    for p in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
         if oracle(p) and not any(all(a <= b for a, b in zip(q, p))
                                  for q in out):
             out.append(p)
