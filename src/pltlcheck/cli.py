@@ -23,8 +23,7 @@ import types
 from . import buchi, diamond, fixtures, fx, markov, oracle, reach
 from .formula import (
     FormulaError, FragmentClass, FragmentError, ParseError, classify,
-    genbuchi_pairs, parse_formula, substitute, to_nnf, unfolded_size,
-    variables,
+    genbuchi_pairs, parse_formula, substitute, to_nnf, variables,
 )
 from .markov import _MAX_EXPONENT, ChainError, parse_chain, read_fraction
 from .oracle import LassoWord, OracleInputError
@@ -333,9 +332,8 @@ ROUTES = {
     (_F.FX, "pos"): Route(
         lambda q: fx.min_set_fx(q.chain, q.phi, q.args.max_product_nodes),
         _fx_check),
-    # The box m * |phi|, constant bounds unfolded (see `fx`).
     (_F.FX, "as1"): _GENERAL._replace(min_set=lambda q: _engine(q).min_set(
-        q.chain, "as1", q.chain.m * unfolded_size(q.phi))),
+        q.chain, "as1", fx._uniform_bound(q.chain, q.phi))),
     (_F.DIAMOND, "pos"): _GENERAL,
     (_F.DIAMOND, "as1"): _GENERAL,
 }

@@ -1,13 +1,14 @@
 """General checker for parametric formulas with bounded-eventually.
 
 The pipeline follows the tableau route: consistent subsets of the
-formula closure give an unambiguous generalized automaton, and
-per-variable counters enforce the parametric bounds at a concrete
-valuation.  Qualitative verdicts against a chain come from SCC analysis
-of the synchronous product, with generalized acceptance read SCC by SCC:
-a positive probability needs a reachable complete SCC that meets every
-acceptance set, and probability one additionally needs every bottom
-behavior of the chain to be covered by one.
+formula closure give an unambiguous generalized automaton, and counters
+enforce the bounds, a variable's at a concrete valuation and a
+constant's as written, never unfolded.  Qualitative verdicts against a
+chain come from SCC analysis of the synchronous product, with
+generalized acceptance read SCC by SCC: a positive probability needs a
+reachable complete SCC that meets every acceptance set, and probability
+one additionally needs every bottom behavior of the chain to be covered
+by one.
 
 The tableau is built from local constraints (Gerth, Peled, Vardi and
 Wolper, 1995), one atom mask at a time, the first time a product reads
@@ -21,8 +22,7 @@ Every product is with a chain, built by one routine (`_product`) and
 explored lazily from the initial configurations, so only the reachable
 part is ever materialized.  A single word needs no path of its own: a
 lasso word is the chain with one successor per position, on which
-Pr(phi) > 0 exactly when the word satisfies phi.  The closure cap is
-checked on the nesting depth before constant bounds are unfolded.
+Pr(phi) > 0 exactly when the word satisfies phi.
 
 Completeness of a product SCC and the almost-sure tracking are subset
 constructions over the product, run by one routine (`_least_subsets`):
@@ -40,31 +40,30 @@ the accepting SCCs with a node at or above a node of a bottom
 component's sets.
 
 Emptiness is decided in three steps over one automaton and one product
-without counters, the pair product.  The NNF formula is monotone in its
-bounds, so phi[v] implies phi with every F[<=x] read as F (Kupferman,
-Piterman and Vardi, 2009).  The pair product asks that formula first,
-with each variable's parametric set as one more condition on its
-accepting SCCs: probability zero proves V>0 empty, and below one proves
-V=1 empty.  When that does not decide, the same product counts N0 and
-looks for a pump certificate (below), and only without one does the
+without the variables' counters, the pair product.  The NNF formula is
+monotone in its bounds, so phi[v] implies phi with every F[<=x] read as
+F (Kupferman, Piterman and Vardi, 2009).  The pair product asks that
+formula first, with each variable's parametric set as one more condition
+on its accepting SCCs: probability zero proves V>0 empty, and below one
+proves V=1 empty.  When that does not decide, the same product counts N0
+and looks for a pump certificate (below), and only without one does the
 product at the uniform witness bound run.  All three steps are exact.
 
 The witness bound, and the top of the valuation search's box, is the
 paper's vbar = m * |phi| * 2^|phi|, a pigeonhole count over (chain
-state, tableau state) pairs.  N0, the number of those pairs the chain
-can reach (the pair product's size), is asked first where a true answer
-settles the query: V is upward closed, so the uniform point at N0 in V
-proves V nonempty, and with one variable it bounds the search box at
-N0.  A false answer at N0 proves nothing, since no proof yet shows that
-N0 can replace vbar (`_witness_bound`).  The query then asks the pump
-(`_pump`) on the same pair product: a loop of chain steps along which
-every run of the counter product, at every valuation, goes ever longer
-without resetting some counter, so the runs die and V is empty.  That
-is the limitedness question of distance automata (Hashiguchi, 1982),
-checked on single loops, the first level of a stabilisation (Kirsten,
-2005).  Only without a certificate does the query go on at vbar.
-Products at N0 are far smaller: 3 to 8 pairs against 640 for
-G (!a | F[<=x] b) on four-state chains.
+state, tableau state) pairs.  N0, the pair product's size, is asked
+first where a true answer settles the query: V is upward closed, so the
+uniform point at N0 in V proves V nonempty, and with one variable it
+bounds the search box at N0.  A false answer at N0 proves nothing, since
+no proof yet shows that N0 can replace vbar (`_witness_bound`).  The
+query then asks the pump (`_pump`) on the same pair product: a loop of
+chain steps along which every run of the counter product, at every
+valuation, goes ever longer without resetting some counter, so the runs
+die and V is empty.  That is the limitedness question of distance
+automata (Hashiguchi, 1982), checked on single loops, the first level of
+a stabilisation (Kirsten, 2005).  Only without a certificate does the
+query go on at vbar.  Products at N0 are far smaller: 3 to 8 pairs
+against 640 for G (!a | F[<=x] b) on four-state chains.
 """
 
 from __future__ import annotations
@@ -72,8 +71,7 @@ from __future__ import annotations
 from .formula import (
     And, Always, Atom, BoundedAlways, BoundedEventually, Eventually,
     FragmentError, NegAtom, Next, Not, Or, Release, Until, atoms, children,
-    closure, rename_apart, rewrite_constant_bounds, size, subformulas, to_nnf,
-    unfolded_depth, variables,
+    closure, rename_apart, size, subformulas, to_nnf, variables,
 )
 from . import markov
 from .markov import ResourceLimitError
@@ -111,31 +109,37 @@ class GAutomaton:
 
     States: for each atom mask, one children-first pass over the
     closure.  An And or Or member is fixed by its children; an Until,
-    Release, F or F[<=x] member is forced in when its discharge holds
-    (the right side; both sides; the child) and free otherwise; X and G
-    members are always free.  A mask's states are sorted by operator bits.
+    Release, F or F[<=k] member is forced in when its discharge holds
+    (the right side; both sides; the child) and free otherwise; X, G and
+    G[<=c] members are always free.  A mask's states are sorted by
+    operator bits.
 
     Edges: a state's temporal members fix some closure bits of every
     successor: X its child, U/R/F/G themselves unless discharged here,
-    F[<=x] itself while pending.  They may also leave no successor at
-    all.  That is one (mask, value) pair per state, `wants[q]`;
-    `targets(want, a)` lists the states of mask a that meet it.
+    F[<=k] itself while pending.  They may also leave no successor at
+    all, as G[<=c] does without its child.  That is one (mask, value)
+    pair per state, `wants[q]`; `targets(want, a)` lists the states of
+    mask a that meet it.
 
     `acc_b` holds one acceptance condition per until/release-like
-    subformula, `acc_p` one per parameter variable, in the formula's
-    variable order: (label, pending bit, done bit), whose set holds the
-    states that `accepts`; `par[q]` is state q's flags in the `acc_p`
-    sets.  `par`, `initial` and `succ` cover the states built so far.
-    The letter of a state is its set of positive atoms: every atom of
-    the formula is decided in every state.
+    subformula, `acc_p` one per F[<=k] member, the constants' first
+    (labelled by the member, bounded by `const_bounds`), then the
+    variables' in the formula's variable order: (label, pending bit,
+    done bit), whose set holds the states that `accepts`; `par[q]` is
+    state q's flags in the `acc_p` sets.  `always` holds (bit, child
+    bit, c) per G[<=c] member (`_always_step`).  `par`, `initial` and
+    `succ` cover the states built so far.  The letter of a state is its
+    set of positive atoms: every atom of the formula is decided in every
+    state.
     """
 
     def __init__(self, phi):
         for f in subformulas(phi):
-            if isinstance(f, BoundedAlways):
-                raise FragmentError("constant always must be unfolded first")
             if isinstance(f, Not):
                 raise FragmentError("unsupported node %r" % (f,))
+            if isinstance(f, BoundedAlways) and f.bound.value > MAX_CLOSURE:
+                raise ResourceLimitError("G bound too large: G[<=%d] above %d"
+                                         % (f.bound.value, MAX_CLOSURE))
         subs = closure(phi)
         names = atoms(phi)
         nonlits = [f for f in subs if not isinstance(f, (Atom, NegAtom))]
@@ -165,11 +169,15 @@ class GAutomaton:
                 self.acc_b.append((f, bit[f], bit[children(f)[-1]]))
             elif isinstance(f, (Release, Always)):
                 self.acc_b.append((f, bit[children(f)[-1]], bit[f]))
-        by_var = {f.bound.name: f for f in subs
-                  if isinstance(f, BoundedEventually)}
+        by_label = {getattr(f.bound, "name", f): f for f in subs
+                    if isinstance(f, BoundedEventually)}
+        consts = [f for f in by_label if isinstance(f, BoundedEventually)]
         self.var_names = variables(phi)
-        self.acc_p = [(x, bit[by_var[x]], bit[by_var[x].child])
-                      for x in self.var_names]
+        self.const_bounds = [f.bound.value for f in consts]
+        self.acc_p = [(k, bit[by_label[k]], bit[by_label[k].child])
+                      for k in consts + self.var_names]
+        self.always = [(bit[f], bit[f.child], f.bound.value) for f in subs
+                       if isinstance(f, BoundedAlways)]
         self.states, self.letters, self.wants = [], [], []
         self.par, self.initial = [], []
         self._blocks = {}
@@ -261,18 +269,33 @@ class GAutomaton:
         return sum(1 << i for i, a in enumerate(self.names) if a in letter)
 
 
-def check_depth(depth):
-    """Refuse a formula nested `depth` levels deep beyond the closure cap."""
-    operators = depth - 1
-    if operators > MAX_CLOSURE:
-        raise ResourceLimitError("closure too large: %d nested operators"
-                                 % operators)
-
-
 def accepts(h, pending, done):
     """Is state mask h in the acceptance set of the condition (label,
     `pending`, `done`): its pending bit off or its done bit on?"""
     return not h & pending or bool(h & done)
+
+
+def _always_step(h, counters, always, nxt):
+    """Enter state mask h: append to `nxt`, the F[<=k] counters entered,
+    the (r, w) counters of each G[<=c] member (bit, child bit, c) of
+    `always`, which follow those in `counters`.  False when the run dies.
+
+    r counts the further positions that still owe the child: c where
+    the member holds, else one less, down to 0.  w is the age of the
+    oldest open claim that the child fails within c positions: a claim
+    opens where the member is left out while the child holds, and all
+    close where it fails.  A run dies entering a state without the child
+    while r > 0, when w passes c, or when it asserts the member while a
+    claim is open.  With the tableau's rule, the member holds exactly
+    where G[<=c] does, and for both counters smaller is better.
+    """
+    rest = counters[len(nxt):]
+    for (member, child, c), r, w in zip(always, rest[::2], rest[1::2]):
+        claim = h & child and not h & member
+        if r and not h & child or w and h & member or claim and w >= c:
+            return False
+        nxt += (c if h & member else max(r - 1, 0), w + 1 if claim else 0)
+    return True
 
 
 def _local_rule(f, bit):
@@ -330,8 +353,12 @@ def _successor_constraint(h, steps):
                     return None
                 continue
             target, want = b, now
+        elif kind is BoundedAlways:
+            if now and not h & right:
+                return None
+            continue
         else:
-            # F[<=x] is one-directional: a pending bound keeps
+            # F[<=k] is one-directional: a pending bound keeps
             # propagating until it is discharged, and the product
             # counters kill any streak that outlives the bound.  A
             # successor may carry the mark unasked; such runs only ever
@@ -422,10 +449,7 @@ class DiamondChecker:
     def __init__(self, phi, max_product_nodes=DEFAULT_MAX_PRODUCT_NODES):
         nnf = to_nnf(phi)
         self.base_size = size(nnf)
-        # Counted before unfolding: a bound up to 10^6 would otherwise
-        # be unfolded in full only to exceed the closure cap.
-        check_depth(unfolded_depth(nnf))
-        renamed, self.fresh_to_user = rename_apart(rewrite_constant_bounds(nnf))
+        renamed, self.fresh_to_user = rename_apart(nnf)
         self.user_names = variables(phi)
         self.max_product_nodes = max_product_nodes
         self.g = GAutomaton(renamed)
@@ -481,19 +505,23 @@ class DiamondChecker:
         return nodes, succ
 
     def _product(self, chain, bounds):
-        """Reachable product of the tableau `self.g` with the chain, one
-        counter per bound, as (nodes, succ, number of initial nodes); a
-        node is (chain state, tableau state, counters).  The product
-        builds the tableau's block of each state's atom mask, and its
-        nodes count in `stats["product_nodes"]`.  With no bounds it is
-        the pair product.
+        """Reachable product of the tableau `self.g` with the chain, as
+        (nodes, succ, number of initial nodes); a node is (chain state,
+        tableau state, counters).  The product builds the tableau's
+        block of each state's atom mask, and its nodes count in
+        `stats["product_nodes"]`.
 
-        A counter is the length of the current marked-but-unsatisfied
-        streak of its bounded eventuality; a run dies the moment a
-        streak would exceed the bound.  A run's first state is entered
-        with every counter at zero.
+        The counters are one per F[<=c] member, bounded by c, one per
+        variable, bounded by `bounds` (none in the pair product), and
+        two per G[<=c] member (`_always_step`).  An F[<=k] counter is
+        the length of the current marked-but-unsatisfied streak of its
+        bounded eventuality; a run dies the moment a streak would exceed
+        the bound.  A run's first state is entered with every counter at
+        zero.
         """
         g, par, steps = self.g, self.g.par, chain.successors
+        states, always = g.states, g.always
+        bounds = g.const_bounds + list(bounds)
         amasks = [g.atom_mask(l) for l in chain.labels]
         # Every block is built before the rows are sized.  rows[s][q]:
         # the successors of q that read s's letter, each with its
@@ -514,11 +542,13 @@ class DiamondChecker:
                         break
                     nxt.append(c)
                 else:
-                    out.append((s, q2, tuple(nxt)))
+                    if not always or _always_step(states[q2], counters,
+                                                  always, nxt):
+                        out.append((s, q2, tuple(nxt)))
             return out
 
         initial = moves(chain.init, flagged(blocks[chain.init][1]),
-                        (0,) * len(bounds))
+                        (0,) * (len(bounds) + 2 * len(always)))
 
         def successors(node):
             s, q, counters = node
@@ -535,27 +565,27 @@ class DiamondChecker:
         return nodes, succ, len(initial)
 
     def _least_subsets(self, chain, nodes, succ, start, inside, what,
-                       empty=False):
+                       pump=False):
         """The subset construction over the product, on least-counter
         sets: the graph of subset nodes (chain state s, a set of node
         indices at s) reachable from `start`, as `_explore` returns it,
-        or None when some image is empty.  With `empty`, an empty image
-        is a subset node like any other.
+        or None when some image is empty.  With `pump`, an empty image
+        is a subset node like any other, and every set is kept whole.
 
         A subset node (s, X) steps, for each chain successor t of s, to
         (t, least(img_t(X))), where img_t(X) holds the successors at t
         of X's nodes: only those in the set `inside`, unless it is
         None.  least(Y) keeps, per tableau state q, only the nodes
         (t, q, c) of Y whose counter vector c is Pareto-minimal among
-        Y's nodes with that q.  At the witness bound a plain set can hold
-        every counter value from 0 to the bound; a least one, a few
-        nodes per tableau state.  The start sets are reduced too.
+        Y's nodes with that q.  The start sets are reduced too.
         """
         steps = chain.successors
 
         def least(found):
             """least(X) of the node indices `found`, all at one chain
             state, as a frozenset."""
+            if pump:
+                return frozenset(found)
             fronts = {}
             for j in found:
                 _, q, c = nodes[j]
@@ -581,7 +611,7 @@ class DiamondChecker:
             for t in steps(s):
                 found = images.get(t)
                 if found is None:
-                    if not empty:
+                    if not pump:
                         return None
                     found = ()
                 out.append((t, least(found)))
@@ -599,17 +629,16 @@ class DiamondChecker:
         inside the component; the component is complete exactly when
         the empty image is unreachable.
 
-        Why least-counter sets are exact here, with D the component: a
-        cycle that returns to one product node resets every counter,
-        since a counter only grows between resets.  Take (s, q, c) and
-        (s, q, c') in D with c <= c'.  A D-run from c' along a chain
-        word w is shadowed by a run from c through the same tableau
-        states (the shadow step of `_holds`), whose counters stay <= and
-        so within the bounds.  Each node (t, q2, d) of the shadow run
-        lies in D: it is entered from D, and following a D-cycle through
-        the run's (t, q2, d') from it resets every counter, so it lands
-        on (t, q2, d') itself.  So every node of img_w(X) has one of
-        img_w(least X) at the same tableau state below it,
+        Why least-counter sets are exact here, with D the component.
+        Take (s, q, c) and (s, q, c') in D with c <= c'.  A D-run from
+        c' along a chain word w is shadowed by a run from c through the
+        same tableau states (the shadow step of `_holds`), whose
+        counters stay <= and so within the bounds.  Each node (t, q2, d)
+        of the shadow run lies in D: it is entered from D, and following
+        a D-cycle through the run's (t, q2, d') from it lands on
+        (t, q2, d') itself (the cycle step of `_holds`).  So every node
+        of img_w(X) has one of img_w(least X) at the same tableau state
+        below it,
         least(img_w(least X)) = least(img_w(X)), and by induction over w
         the reduced graph reaches the empty set exactly when the plain
         one does.
@@ -638,9 +667,9 @@ class DiamondChecker:
         acyclic one is never complete: the chain always moves on, and
         the automaton cannot follow inside it), and meeting every `acc_b`
         and `acc_p` set of the tableau: generalized Buchi acceptance read
-        SCC by SCC (Couvreur, Saheb and Sutre, 2003).  A counter
-        product's cyclic SCCs meet every `acc_p` set: a cycle returns to
-        its counters, so it resets each one, entering that set.
+        SCC by SCC (Couvreur, Saheb and Sutre, 2003).  A cyclic SCC
+        meets the `acc_p` set of each counter its product keeps: a cycle
+        returns to its counters, so it resets each one, entering it.
 
         No verdict differs from a product over the round-robin
         degeneralization U, whose states (q, i) move the index i to
@@ -704,8 +733,16 @@ class DiamondChecker:
         - Shadow step.  Take product nodes (s, q, c) and (s, q, c') with
           c <= c'.  For every edge (s, q, c') -> (t, q2, d') there is an
           edge (s, q, c) -> (t, q2, d) with d <= d'.  Both moves read
-          the same letter and enter the same q2.  A counter resets where
-          q2's flag is set; otherwise c_i + 1 <= c'_i + 1 <= bound.
+          the same letter and enter the same q2.  An F[<=k] counter
+          resets where q2's flag is set; otherwise c_i + 1 <= c'_i + 1
+          <= bound.  A G[<=c] member's r and w (`_always_step`) step
+          alike: each is set to a value q2 fixes or moves by the same
+          monotone rule, and each way to die from c dies from c' too.
+        - Cycle step.  A path of tableau states that takes counters c'
+          back to c' takes every c <= c' to c' too.  Each counter not 0
+          all along it is set on it to a value a state fixes (F[<=k] and
+          w to 0, r to c; else F[<=k] and w only grow, r only falls),
+          and from there the two runs agree.
         - Images commute with least.  By the shadow step every node of
           img_t(X) has a node of img_t(least X) at its tableau state
           below it.  So least(img_t(least X)) = least(img_t(X)), and
@@ -722,9 +759,9 @@ class DiamondChecker:
         - Same SCCs get checked.  If a plain set X meets K at n, then
           least(X) holds some p <= n.  Conversely, let p be in least(X)
           with p <= n in K.  Follow a K-cycle through n along chain word
-          w: a cycle resets every counter, so p's shadow lands exactly
-          on n.  Then n is in img_w(X), which is a set of the same plain
-          bottom component.
+          w: by the cycle step, p's shadow lands exactly on n.  Then n
+          is in img_w(X), which is a set of the same plain bottom
+          component.
         - Conclusion.  Each component checks the same accepting SCCs as
           with plain sets, each at most once, so every verdict is
           unchanged.
@@ -771,22 +808,23 @@ class DiamondChecker:
         return True
 
     def vbar(self, chain):
-        """The paper's uniform witness bound m * |phi| * 2^|phi|."""
+        """The paper's uniform witness bound m * |phi| * 2^|phi|: |phi|
+        is the size of the NNF formula the tableau is built on."""
         return chain.m * self.base_size * 2 ** self.base_size
 
     def _pump(self, chain, threshold, product):
         """Does a pump certificate prove V>0 ("pos") or V=1 ("as1")
         empty at every valuation?  `product` is the pair product, the
-        one `_witness_bound` counts N0 on.  On success `shortcut` is "pump" and `certificate`
-        lists the certificate's chain walks (pi, gamma), one for "as1"
-        and one per certified fibre for "pos".
+        one `_witness_bound` counts N0 on.  On success `shortcut` is
+        "pump" and `certificate` lists the certificate's chain walks
+        (pi, gamma), one for "as1" and one per certified fibre for "pos".
 
-        P is the pair product: the counter product with no counters, so
-        every run of the counter product at any valuation v projects to
-        a P-path along the same chain word.  T is the subset
-        construction over P (`_least_subsets`, where least keeps every
-        node, P having no counters): a subset node (s, X) steps along
-        each chain edge s -> t to t and the P-successors of X at t.
+        P is the pair product: the counter product without the
+        variables' counters, so every run of the counter product at any
+        valuation v projects to a P-path along the same chain word.  T
+        is the plain subset construction over P (`_least_subsets`, with
+        every set kept whole): a subset node (s, X) steps along each
+        chain edge s -> t to t and the P-successors of X at t.
         Walks pi and gamma are chain words: pi leads through T from the
         start node to a node tau = (s, X), and gamma from tau back to
         tau.
@@ -839,8 +877,8 @@ class DiamondChecker:
         or a subset graph past the node cap, is no certificate.
         """
         nodes, succ, n_initial = product
-        par = self.g.par
-        resets = [sum(f << i for i, f in enumerate(par[q]))
+        par, skip = self.g.par, len(self.g.const_bounds)
+        resets = [sum(f << i for i, f in enumerate(par[q])) >> skip
                   for _, q, _ in nodes]
         budget = [PUMP_BUDGET]
 
@@ -964,22 +1002,22 @@ class DiamondChecker:
         past the node cap, n is `top`.  With parameters `bound_used` is n.
 
         The counter-free check is exact.  It asks phi with every F[<=x]
-        read as F, which phi[v] implies at every v (the NNF formula is
-        monotone in its bounds; Kupferman, Piterman and Vardi, 2009):
-        the tableau runs that visit every `acc_b` and `acc_p` set
-        infinitely often, since a marked F[<=x] psi stays marked until
-        psi holds, which its `acc_p` set forces, and the formula is
-        positive in an unmarked one.  The tableau is unambiguous, and
-        `_accepting` keeps the SCCs that meet every set, the acceptance
-        of a product SCC under generalized Buchi conditions (Couvreur,
-        Saheb and Sutre, 2003).  `_complete` and the tracking graph read
-        acceptance only through which SCCs are accepting, so their
-        proofs carry over unchanged.
+        read as F and every constant bound kept, which phi[v] implies at
+        every v (the NNF formula is monotone in its bounds; Kupferman,
+        Piterman and Vardi, 2009): the tableau runs that visit every
+        `acc_b` and `acc_p` set infinitely often, since a marked F[<=x]
+        psi stays marked until psi holds, which its `acc_p` set forces,
+        and the formula is positive in an unmarked one.  The tableau is
+        unambiguous, and `_accepting` keeps the SCCs that meet every
+        set, the acceptance of a product SCC under generalized Buchi
+        conditions (Couvreur, Saheb and Sutre, 2003).  `_complete` and
+        the tracking graph read acceptance only through which SCCs are
+        accepting, so their proofs carry over unchanged.
 
         N0 is the size of the pair product: counters only kill runs, so
-        every node (s, q, c) of a counter product lies on one of its
-        (chain state, tableau state) pairs.  N0 is only ever asked where
-        a true answer is exact.  Whether a false one proves anything,
+        every node of a counter product, less its variables' counters,
+        is one of the pair product's.  N0 is only ever asked where a
+        true answer is exact.  Whether a false one proves anything,
         whether v in V implies min(v, N0) in V, is still open.  Cutting
         a repeated pair out of a long streak works on a finite path at a
         uniform bound; a streak inside a bottom component cannot be cut,

@@ -331,12 +331,16 @@ def subformulas(phi, postorder=False):
 
 def fold(phi, fn):
     """phi's value, computed children first: fn(f, values) gets a node
-    and its children's values, left to right, and is called once per
-    distinct node object, so a subtree shared by reference is valued
-    once.  Iterative, like `subformulas`."""
-    done = {}
-    for f in subformulas(phi, postorder=True):
-        if id(f) not in done:
+    and its children's values, left to right.  Each distinct node object
+    is opened once, pushed back under its children, and valued when it
+    comes up again, however often it occurs.  Iterative."""
+    done, opened, stack = {}, set(), [phi]
+    while stack:
+        f = stack.pop()
+        if id(f) not in opened:
+            opened.add(id(f))
+            stack += (f,) + f._kids[::-1]
+        elif id(f) not in done:
             done[id(f)] = fn(f, [done[id(c)] for c in f._kids])
     return done[id(phi)]
 
@@ -376,16 +380,6 @@ def _has_var_bound(f):
 def size(phi):
     """Node count of the AST."""
     return len(subformulas(phi))
-
-
-def nesting_depth(phi):
-    """Nodes on the longest root-to-leaf path (1 for a literal), counted
-    level by level without recursion."""
-    depth, level = 0, [phi]
-    while level:
-        depth += 1
-        level = [c for f in level for c in f._kids]
-    return depth
 
 
 def variables(phi):
@@ -600,27 +594,6 @@ def _push_not(f):
     return f
 
 
-def rewrite_constant_bounds(phi):
-    """Unfold F[<=c] / G[<=c] into nested X; output is constant-bound free."""
-    def unfold(f):
-        # A zero bound is its child.  The result is not mapped again,
-        # only its children are, so every zero bound is dropped here.
-        while isinstance(getattr(f, "bound", None), ConstBound) \
-                and f.bound.value == 0:
-            f = f.child
-        if isinstance(f, Not):
-            raise FragmentError("cannot rewrite bounds under %r" % f)
-        if not isinstance(getattr(f, "bound", None), ConstBound):
-            return f
-        op = Or if isinstance(f, BoundedEventually) else And
-        out = f.child
-        for _ in range(f.bound.value):
-            out = op(f.child, Next(out))
-        return out
-
-    return _map(phi, unfold)
-
-
 def rename_apart(phi):
     """Rename parameter variables so each occurs exactly once.
 
@@ -705,8 +678,8 @@ def classify(phi):
     kinds = {type(f) for f in subformulas(phi)}
     if kinds <= _FX_NODES:
         return FragmentClass.FX
-    # Every node kind but Not; constant bounds are grammar-sanctioned
-    # and get unfolded later.
+    # Every node kind but Not; a constant bound is a counter of the
+    # general engine, like a variable one.
     if Not not in kinds:
         return FragmentClass.DIAMOND
     return FragmentClass.FULL
@@ -740,24 +713,13 @@ def closure(phi):
 
 
 def unfolded_size(phi):
-    """size(rewrite_constant_bounds(phi)), counted without unfolding."""
+    """The size of phi with F[<=c] psi unfolded to psi | X (... psi) and
+    G[<=c] psi to psi & X (... psi), c nexts each: counted, not built."""
     def count(f, kids):
         below = sum(kids)
         if isinstance(getattr(f, "bound", None), ConstBound):
             # c unfoldings, each an operator, a next and a child copy.
             return f.bound.value * (below + 2) + below
-        return below + 1
-    return fold(phi, count)
-
-
-def unfolded_depth(phi):
-    """nesting_depth(rewrite_constant_bounds(phi)), counted without
-    unfolding."""
-    def count(f, kids):
-        below = max(kids, default=0)
-        if isinstance(getattr(f, "bound", None), ConstBound):
-            # Each of the c unfoldings adds an operator over a next.
-            return below + 2 * f.bound.value
         return below + 1
     return fold(phi, count)
 

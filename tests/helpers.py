@@ -9,14 +9,47 @@ from types import SimpleNamespace
 from pltlcheck.diamond import ResourceLimitError, accepts
 from pltlcheck.formula import (
     Always, And, Atom, BoundedAlways, BoundedEventually, ConstBound,
-    Eventually, NegAtom, Next, Or, Release, Until, VarBound, atoms, children,
-    closure, variables,
+    Eventually, FragmentError, NegAtom, Next, Not, Or, Release, Until,
+    VarBound, _map, atoms, children, closure, variables,
 )
 from pltlcheck.markov import (
     _MAX_EXPONENT, ChainError, ChainParseError, MarkovChain, _brief, _nat,
     _quote,
 )
 from pltlcheck.valuation import ValuationError
+
+
+def rewrite_constant_bounds(phi):
+    """Unfold F[<=c] / G[<=c] into nested X; output is constant-bound
+    free.  The reference for every pass that reads a constant bound as
+    a counter or an age."""
+    def unfold(f):
+        # A zero bound is its child.  The result is not mapped again,
+        # only its children are, so every zero bound is dropped here.
+        while isinstance(getattr(f, "bound", None), ConstBound) \
+                and f.bound.value == 0:
+            f = f.child
+        if isinstance(f, Not):
+            raise FragmentError("cannot rewrite bounds under %r" % f)
+        if not isinstance(getattr(f, "bound", None), ConstBound):
+            return f
+        op = Or if isinstance(f, BoundedEventually) else And
+        out = f.child
+        for _ in range(f.bound.value):
+            out = op(f.child, Next(out))
+        return out
+
+    return _map(phi, unfold)
+
+
+def nesting_depth(phi):
+    """Nodes on the longest root-to-leaf path (1 for a literal), counted
+    level by level without recursion."""
+    depth, level = 0, [phi]
+    while level:
+        depth += 1
+        level = [c for f in level for c in children(f)]
+    return depth
 
 
 def coin_chain_text():
@@ -244,9 +277,11 @@ def lasso_chain(word):
 
 
 def reference_tableau(phi):
-    """The tableau of a constant-free NNF formula, by brute force: every
-    closure subset is tested for consistency and every ordered pair of
-    states for an edge.
+    """The tableau of an NNF formula, by brute force: every closure
+    subset is tested for consistency and every ordered pair of states
+    for an edge.  A constant F[<=c] member is read like F[<=x], with a
+    parametric set of its own before the variables' sets; a G[<=c]
+    member gives a state without its child no edge.
 
     Returns a namespace with the attributes of `decoded_tableau`.  Only
     small closures are practical.
@@ -289,12 +324,13 @@ def reference_tableau(phi):
         if member is not None:
             g.acc_b.append((f, frozenset(i for i, h in enumerate(states)
                                          if member(h))))
-    by_var = {f.bound.name: f for f in subs
-              if isinstance(f, BoundedEventually)}
-    for x in variables(phi):
-        f = by_var[x]
-        g.acc_p.append((x, frozenset(i for i, h in enumerate(states)
-                                     if f not in h or f.child in h)))
+    bounded = [f for f in subs if isinstance(f, BoundedEventually)]
+    by_var = {f.bound.name: f for f in bounded
+              if isinstance(f.bound, VarBound)}
+    labelled = [(f, f) for f in bounded if isinstance(f.bound, ConstBound)]
+    for label, f in labelled + [(x, by_var[x]) for x in variables(phi)]:
+        g.acc_p.append((label, frozenset(i for i, h in enumerate(states)
+                                         if f not in h or f.child in h)))
     return g
 
 
@@ -376,6 +412,9 @@ def _edge_ok(h, h2, temporal):
                 return False
         elif kind is Always:
             if now != (h[c] and later):
+                return False
+        elif kind is BoundedAlways:
+            if now and not h[c]:
                 return False
     return True
 

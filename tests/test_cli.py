@@ -419,20 +419,26 @@ def test_formula_at_depth_limit(coin):
     assert "minimum: 1" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", "--formula", "F[<=x] a & X G[<=2000] a"],
-    # At "=1" FX goes to the general engine, which unfolds the bound.
-    ["minset", "--formula", "F[<=5000] a & F[<=x] a", "--threshold", "=1"],
-    # The cap is checked before the bound is unfolded, so this exits at
-    # once instead of building two million nodes first.
-    ["minset", "--formula", "F[<=1000000] a & F[<=x] a",
-     "--threshold", "=1"],
-], ids=["check-unfolded-always", "minset-unfolded-eventually",
-        "minset-unfolded-million"])
-def test_exit_unfolded_closure_too_large(argv, coin):
-    code, out, err = _run(argv + ["--chain", coin])
-    assert code == 3, err
-    assert out == "" and err.startswith("resource limit: closure too large")
+@pytest.mark.parametrize("argv, code, expected", [
+    # At "=1" FX goes to the general engine, which gives the bound a
+    # counter: the parameter-free product (5,001 nodes) proves V=1
+    # empty.
+    (["minset", "--formula", "F[<=5000] a & F[<=x] a", "--threshold", "=1"],
+     0, "fragment: FX\nthreshold: =1\noracle-calls: 0\ncardinality: 0\n"),
+    (["check", "--formula", "F[<=x] a & X G[<=2000] a"],
+     3, "resource limit: G bound too large: G[<=2000] above 22\n"),
+    # The counter climbs to 10^6 on the coin's loop: the product passes
+    # a cap of 10^5 nodes instead.
+    (["minset", "--formula", "F[<=1000000] a & F[<=x] a",
+      "--threshold", "=1", "--max-product-nodes", "100000"],
+     3, "resource limit: product exceeds 100000 nodes\n"),
+], ids=["minset-eventually-5000", "check-always-2000",
+        "minset-eventually-million"])
+def test_general_engine_constant_bounds(argv, code, expected, coin):
+    got, out, err = _run(argv + ["--chain", coin])
+    assert got == code, err
+    assert (out if code == 0 else err) == expected
+    assert (err if code == 0 else out) == ""
 
 
 @pytest.mark.parametrize("bound", [5000, 1000000])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from helpers import (
     random_diamond_formula, random_fx_formula, random_letters,
     reference_automaton_text, reference_holds, reference_least,
     reference_pump_kills, reference_round_robin_holds, reference_tableau,
-    response_chain_text, until_chain,
+    response_chain_text, rewrite_constant_bounds, until_chain,
 )
 from pltlcheck import diamond
 from pltlcheck.diamond import (
@@ -18,8 +19,8 @@ from pltlcheck.diamond import (
 )
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import (
-    Always, And, Atom, BoundedEventually, Eventually, FragmentError, NegAtom,
-    Or, Release, Until, VarBound,
+    Always, And, Atom, BoundedAlways, BoundedEventually, ConstBound,
+    Eventually, FragmentError, NegAtom, Next, Or, Release, Until, VarBound,
     _map, closure, parse_formula, size, strip_params, substitute, to_nnf,
     variables,
 )
@@ -559,14 +560,112 @@ def test_generalized_acceptance_matches_round_robin_reference():
     assert 40 < empties < 120
 
 
-def test_closure_cap_checked_before_unfolding(monkeypatch):
-    # Unfolded, the bound would be 2 * 10^6 operators deep; the depth is
-    # counted without unfolding it.
-    def unfold(phi):
-        raise AssertionError("constant bound unfolded before the cap")
-    monkeypatch.setattr(diamond, "rewrite_constant_bounds", unfold)
-    with pytest.raises(ResourceLimitError, match="2000001 nested"):
-        DiamondChecker(parse_formula("F[<=1000000] a & F[<=x] a"))
+def _random_constant_formula(rng):
+    """A formula with at least one F[<=c] or G[<=c], c in 0..3, and at
+    least one of the variables x and y."""
+    def lit():
+        name = rng.choice("ab")
+        return Atom(name) if rng.random() < 0.7 else NegAtom(name)
+
+    def build(budget):
+        roll = rng.random()
+        if budget <= 1 or roll < 0.2:
+            return lit()
+        if roll < 0.5:
+            op = rng.choice([BoundedEventually, BoundedAlways])
+            return op(ConstBound(rng.randint(0, 3)), build(budget - 1))
+        if roll < 0.6:
+            return BoundedEventually(VarBound(rng.choice("xy")),
+                                     build(budget - 1))
+        if roll < 0.75:
+            return rng.choice([Next, Eventually, Always])(build(budget - 1))
+        half = (budget - 1) // 2 + 1
+        return rng.choice([And, Or, Until, Release])(build(half), build(half))
+
+    while True:
+        phi = build(5)
+        if not variables(phi):
+            phi = rng.choice([And, Or])(
+                phi, BoundedEventually(VarBound("x"), lit()))
+        if any(isinstance(f, (BoundedEventually, BoundedAlways))
+               and isinstance(f.bound, ConstBound)
+               for f in closure(phi)):
+            return phi
+
+
+def test_constant_bounds_match_the_unfolded_reference():
+    # The engine gives each constant bound counters; the reference
+    # unfolds it into nested X (`rewrite_constant_bounds`) and decides
+    # on the brute-force tableau of that formula, degeneralized, with
+    # plain subset sets: no counter code is shared.  At both thresholds,
+    # verdicts agree at the points of {0, 1, 3}^d, and the minimal
+    # valuations of the box {0..4}^d are the engine's minimal set's
+    # points in that box (V is upward closed, so a point of the box is
+    # minimal in it exactly when it is minimal in V).  Examples whose
+    # unfolded closure is too large for brute force are redrawn;
+    # products past the caps are skipped.
+    rng = random.Random(36)
+    cases = skipped = 0
+    while cases < 150:
+        ck = DiamondChecker(_random_constant_formula(rng),
+                            max_product_nodes=20000)
+        unfolded = rewrite_constant_bounds(ck.g.formula)
+        if len([f for f in closure(unfolded)
+                if not isinstance(f, (Atom, NegAtom))]) > 8:
+            continue
+        chain = random_chain(rng, max_states=3)
+        g = reference_tableau(unfolded)
+        phi, names = ck.g.formula, ck.user_names
+        fresh = [ck.fresh_to_user[x] for x, _ in g.acc_p]
+        cases += 1
+        try:
+            for threshold in ("pos", "as1"):
+                check = ck.check_pos if threshold == "pos" else ck.check_as1
+
+                def ref(point):
+                    at = dict(zip(names, point))
+                    return reference_round_robin_holds(
+                        g, chain, threshold, [at[x] for x in fresh], 20000)
+                for point in itertools.product((0, 1, 3), repeat=len(names)):
+                    assert check(chain, dict(zip(names, point))) == \
+                        ref(point), (phi, chain.rows, chain.labels, point)
+                got = ck.min_set(chain, threshold)
+                assert ck.emptiness(chain, threshold) == (not got.points)
+                expected = bisection_min_set(ref, (0,) * len(names),
+                                             (4,) * len(names), names)
+                assert [p for p in got if max(p) <= 4] == \
+                    expected.points, (phi, threshold, chain.rows,
+                                      chain.labels)
+        except ResourceLimitError:
+            skipped += 1
+    assert skipped < 15, skipped
+
+
+def test_constant_always_pair_product_within_vbar():
+    # |phi| = 5, so vbar = 4 * 5 * 2^5 = 640 on a four-state chain.  A
+    # tableau of the unfolded formula had 1,024 to 5,632 pairs on these
+    # chains; with G[<=9] b as counters, the parameter-free product is
+    # built on the formula that vbar is sized on, and stays within it.
+    ck = DiamondChecker(parse_formula("F[<=x] (a U G[<=9] b)"))
+    rng = random.Random(36)
+    sizes = []
+    while len(sizes) < 70:
+        c = random_chain(rng, max_states=4)
+        if c.m == 4:
+            assert ck.vbar(c) == 640
+            sizes.append(len(ck._product(c, [])[0]))
+    assert max(sizes) <= 640, max(sizes)
+
+
+def test_constant_bound_is_one_closure_member():
+    # Unfolded, the bound would be 2 * 10^6 operators deep; as a counter
+    # it is one member, bounded by its constant.
+    ck = DiamondChecker(parse_formula("F[<=1000000] a & F[<=x] a"))
+    assert [f for f in closure(ck.g.formula)
+            if not isinstance(f, (Atom, NegAtom))] == [
+        parse_formula("F[<=1000000] a"), parse_formula("F[<=x] a"),
+        ck.g.formula]
+    assert ck.g.const_bounds == [1000000]
 
 
 def test_counter_free_step_decides_gf3():

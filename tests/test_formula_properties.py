@@ -3,25 +3,25 @@
 Random NNF formulas over the atoms a, b and the variables x, y are
 checked on random ultimately periodic words with `oracle.eval_lasso`,
 which evaluates the semantics directly and shares no code with the
-rewrites.  `unfolded_size` and `unfolded_depth` are checked against the
-size and the nesting depth of the unfolded formula, the facts a node
-keeps (hash, NNF, variables, repr) against fresh computations, and the
-parser's messages against the text they point into.
+rewrites.  `unfolded_size` is checked against the size of the unfolded
+formula, the facts a node keeps (hash, NNF, variables, repr) against
+fresh computations, and the parser's messages against the text they
+point into.
 `derandomize=True` makes every run draw the same examples.
 """
 
 import ast
 import re
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import nnf_formulas
+from helpers import nnf_formulas, rewrite_constant_bounds
 from pltlcheck.formula import (
-    Atom, ConstBound, NegAtom, Not, ParseError, VarBound, children,
-    nesting_depth, parse_formula, rename_apart, rewrite_constant_bounds,
-    size, strip_params, subformulas, substitute, to_nnf, unfolded_depth,
-    unfolded_size, variables,
+    And, Atom, ConstBound, NegAtom, Not, ParseError, VarBound, children,
+    parse_formula, rename_apart, size, strip_params, subformulas, substitute,
+    to_nnf, unfolded_size, variables,
 )
 from pltlcheck.oracle import LassoWord, eval_lasso
 
@@ -82,10 +82,16 @@ def test_unfolded_size_counts_the_unfolding(phi):
     assert unfolded_size(phi) == size(rewrite_constant_bounds(phi))
 
 
-@PROPERTY
-@given(FORMULAS)
-def test_unfolded_depth_counts_the_unfolding(phi):
-    assert unfolded_depth(phi) == nesting_depth(rewrite_constant_bounds(phi))
+def test_fold_visits_a_shared_subtree_once():
+    # Thirty levels of And(f, f) share one node per level: 31 distinct
+    # nodes, 2^31 - 1 occurrences.  A walk over the occurrences would
+    # not finish.
+    phi = Atom("a")
+    for _ in range(30):
+        phi = And(phi, phi)
+    start = time.perf_counter()
+    assert unfolded_size(phi) == 2 ** 31 - 1
+    assert time.perf_counter() - start < 1
 
 
 @PROPERTY

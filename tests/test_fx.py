@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     fx_formulas, random_chain, random_fx_formula, reference_first_hits,
+    rewrite_constant_bounds,
 )
 from pltlcheck import cli, fx
 from pltlcheck.diamond import (
@@ -17,8 +18,7 @@ from pltlcheck.fixtures import chain_text, coin_chain, traffic_chain
 from pltlcheck import formula
 from pltlcheck.formula import (
     And, Atom, BoundedEventually, ConstBound, Eventually, Or, VarBound,
-    parse_formula, rewrite_constant_bounds, size, strip_params, to_nnf,
-    unfolded_size, variables,
+    parse_formula, size, strip_params, to_nnf, unfolded_size, variables,
 )
 from pltlcheck.markov import MarkovChain
 from pltlcheck.oracle import CERTAIN_TRUE, eval_prefix
