@@ -40,6 +40,10 @@ class UsageError(Exception):
     pass
 
 
+class InputFileError(Exception):
+    """An input file that is no UTF-8 text: a parse error."""
+
+
 def _node_cap(text):
     """The value of --max-product-nodes: an int of at least 1."""
     try:
@@ -139,14 +143,24 @@ def _read_formula(args):
     if args.formula:
         return parse_formula(args.formula)
     if args.formula_file:
-        with open(args.formula_file) as fh:
-            return parse_formula(fh.read())
+        return parse_formula(_read_text(args.formula_file))
     raise UsageError("a formula is required (--formula or --formula-file)")
 
 
 def _read_chain(args):
-    with open(args.chain) as fh:
-        return parse_chain(fh.read())
+    return parse_chain(_read_text(args.chain))
+
+
+def _read_text(path):
+    """The text of an input file, read as UTF-8 whatever the locale.
+    Read whole, a bad byte's offset in the decoder is its offset in the
+    file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputFileError("%s: byte 0x%02x at offset %d is not UTF-8"
+                             % (path, exc.object[exc.start], exc.start))
 
 
 def _parse_threshold(text):
@@ -425,8 +439,7 @@ def _run_oracle_lasso(args, rep):
 
 
 def _run_oracle_gen3sat(args, rep):
-    with open(args.cnf) as fh:
-        clauses, n_vars = oracle.parse_dimacs(fh.read())
+    clauses, n_vars = oracle.parse_dimacs(_read_text(args.cnf))
     chain, phi = oracle.gen_3sat_fixture(clauses, n_vars)
     rep.add("variables", n_vars)
     rep.add("clauses", len(clauses))
@@ -459,7 +472,7 @@ def run(argv, out=None, err=None):
         print("fragment error: %s" % exc, file=err)
         return EXIT_FRAGMENT
     except (ParseError, FormulaError, ChainError, ValuationError,
-            OracleInputError) as exc:
+            OracleInputError, InputFileError) as exc:
         print("parse error: %s" % exc, file=err)
         return EXIT_PARSE
     except diamond.ResourceLimitError as exc:

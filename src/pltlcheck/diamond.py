@@ -40,14 +40,15 @@ the accepting SCCs with a node at or above a node of a bottom
 component's sets.
 
 Emptiness is decided in three steps over one automaton and one product
-without the variables' counters, the pair product.  The NNF formula is
-monotone in its bounds, so phi[v] implies phi with every F[<=x] read as
-F (Kupferman, Piterman and Vardi, 2009).  The pair product asks that
-formula first, with each variable's parametric set as one more condition
-on its accepting SCCs: probability zero proves V>0 empty, and below one
-proves V=1 empty.  When that does not decide, the same product counts N0
-and looks for a pump certificate (below), and only without one does the
-product at the uniform witness bound run.  All three steps are exact.
+without the variable members' counters, the pair product.  The NNF
+formula is monotone in its bounds, so phi[v] implies phi with every
+F[<=x] read as F (Kupferman, Piterman and Vardi, 2009).  The pair
+product asks that formula first, with each variable member's parametric
+set as one more condition on its accepting SCCs: probability zero proves
+V>0 empty, and below one proves V=1 empty.  When that does not decide,
+the same product counts N0 and looks for a pump certificate (below),
+and only without one does the product at the uniform witness bound run.
+All three steps are exact.
 
 The witness bound, and the top of the valuation search's box, is the
 paper's vbar = m * |phi| * 2^|phi|, a pigeonhole count over (chain
@@ -69,9 +70,9 @@ against 640 for G (!a | F[<=x] b) on four-state chains.
 from __future__ import annotations
 
 from .formula import (
-    And, Always, Atom, BoundedAlways, BoundedEventually, Eventually,
-    FragmentError, NegAtom, Next, Not, Or, Release, Until, atoms, children,
-    closure, rename_apart, size, subformulas, to_nnf, variables,
+    And, Always, Atom, BoundedAlways, BoundedEventually, ConstBound,
+    Eventually, FragmentError, NegAtom, Next, Not, Or, Release, Until,
+    VarBound, atoms, children, closure, size, subformulas, to_nnf, variables,
 )
 from . import markov
 from .markov import ResourceLimitError
@@ -122,15 +123,17 @@ class GAutomaton:
     mask a that meet it.
 
     `acc_b` holds one acceptance condition per until/release-like
-    subformula, `acc_p` one per F[<=k] member, the constants' first
-    (labelled by the member, bounded by `const_bounds`), then the
-    variables' in the formula's variable order: (label, pending bit,
-    done bit), whose set holds the states that `accepts`; `par[q]` is
-    state q's flags in the `acc_p` sets.  `always` holds (bit, child
-    bit, c) per G[<=c] member (`_always_step`).  `par`, `initial` and
-    `succ` cover the states built so far.  The letter of a state is its
-    set of positive atoms: every atom of the formula is decided in every
-    state.
+    subformula, `acc_p` one per F[<=k] member: (label, pending bit,
+    done bit), whose set holds the states that `accepts`.  The constant
+    members come first, labelled by the member and bounded by
+    `const_bounds`; the variable members follow, labelled by their
+    variable, in the formula's variable order and then in closure
+    order, and `var_names` lists their variables, a repeated one once
+    per member.  `par[q]` is state q's flags in the `acc_p` sets.
+    `always` holds (bit, child bit, c) per G[<=c] member
+    (`_always_step`).  `par`, `initial` and `succ` cover the states
+    built so far.  The letter of a state is its set of positive atoms:
+    every atom of the formula is decided in every state.
     """
 
     def __init__(self, phi):
@@ -169,13 +172,14 @@ class GAutomaton:
                 self.acc_b.append((f, bit[f], bit[children(f)[-1]]))
             elif isinstance(f, (Release, Always)):
                 self.acc_b.append((f, bit[children(f)[-1]], bit[f]))
-        by_label = {getattr(f.bound, "name", f): f for f in subs
-                    if isinstance(f, BoundedEventually)}
-        consts = [f for f in by_label if isinstance(f, BoundedEventually)]
-        self.var_names = variables(phi)
+        bounded = [f for f in subs if isinstance(f, BoundedEventually)]
+        consts = [f for f in bounded if isinstance(f.bound, ConstBound)]
+        named = [f for x in variables(phi) for f in bounded
+                 if f.bound == VarBound(x)]
+        self.var_names = [f.bound.name for f in named]
         self.const_bounds = [f.bound.value for f in consts]
-        self.acc_p = [(k, bit[by_label[k]], bit[by_label[k].child])
-                      for k in consts + self.var_names]
+        self.acc_p = [(getattr(f.bound, "name", f), bit[f], bit[f.child])
+                      for f in consts + named]
         self.always = [(bit[f], bit[f.child], f.bound.value) for f in subs
                        if isinstance(f, BoundedAlways)]
         self.states, self.letters, self.wants = [], [], []
@@ -431,9 +435,8 @@ class DiamondChecker:
 
     One tableau serves every query, and grows by the atom masks each
     query's chain emits; each query explores the product with the chain
-    lazily.  Valuations are given over the formula's original
-    variable names; repeated names are renamed apart internally and the
-    shared bound is applied to every occurrence.
+    lazily.  Valuations are given over the formula's variable names,
+    and each variable's value bounds every member F[<=x] that names it.
 
     `shortcut` names the step that decided the last emptiness query
     or valuation search without the witness-bound product: the
@@ -449,10 +452,9 @@ class DiamondChecker:
     def __init__(self, phi, max_product_nodes=DEFAULT_MAX_PRODUCT_NODES):
         nnf = to_nnf(phi)
         self.base_size = size(nnf)
-        renamed, self.fresh_to_user = rename_apart(nnf)
         self.user_names = variables(phi)
         self.max_product_nodes = max_product_nodes
-        self.g = GAutomaton(renamed)
+        self.g = GAutomaton(nnf)
         # Only an alias: the benchmark's tracer (perfbench/spans.py)
         # reads the automaton size as `u.n`.
         self.u = self.g
@@ -462,15 +464,12 @@ class DiamondChecker:
         self.certificate = None
 
     def _bounds(self, valuation):
-        """The bound of each tableau variable at `valuation`, a
-        `Valuation` or a dict over the user's variable names."""
-        bounds = []
-        for fresh in self.g.var_names:
-            user = self.fresh_to_user[fresh]
-            if user not in valuation:
-                raise FragmentError("valuation misses variable %r" % user)
-            bounds.append(valuation[user])
-        return bounds
+        """The bound of each variable member of the tableau at
+        `valuation`, a `Valuation` or a dict over the variable names."""
+        for x in self.g.var_names:
+            if x not in valuation:
+                raise FragmentError("valuation misses variable %r" % x)
+        return [valuation[x] for x in self.g.var_names]
 
     def _explore(self, initial, successors, what):
         """Graph reachable from `initial` as (nodes, successor index lists).
@@ -512,12 +511,12 @@ class DiamondChecker:
         `stats["product_nodes"]`.
 
         The counters are one per F[<=c] member, bounded by c, one per
-        variable, bounded by `bounds` (none in the pair product), and
-        two per G[<=c] member (`_always_step`).  An F[<=k] counter is
-        the length of the current marked-but-unsatisfied streak of its
-        bounded eventuality; a run dies the moment a streak would exceed
-        the bound.  A run's first state is entered with every counter at
-        zero.
+        variable member, bounded by its entry of `bounds` (none in the
+        pair product), and two per G[<=c] member (`_always_step`).
+        An F[<=k] counter is the length of the current
+        marked-but-unsatisfied streak of its bounded eventuality; a run
+        dies the moment a streak would exceed the bound.  A run's first state is
+        entered with every counter at zero.
         """
         g, par, steps = self.g, self.g.par, chain.successors
         states, always = g.states, g.always
@@ -819,8 +818,8 @@ class DiamondChecker:
         "pump" and `certificate` lists the certificate's chain walks
         (pi, gamma), one for "as1" and one per certified fibre for "pos".
 
-        P is the pair product: the counter product without the
-        variables' counters, so every run of the counter product at any
+        P is the pair product: the counter product without the variable
+        members' counters, so every run of the counter product at any
         valuation v projects to a P-path along the same chain word.  T
         is the plain subset construction over P (`_least_subsets`, with
         every set kept whole): a subset node (s, X) steps along each
@@ -831,10 +830,11 @@ class DiamondChecker:
 
         A pump.  gamma's transfer relation R holds (x, y, m) for x, y in
         X when a P-path from x along gamma ends in y, m being the union,
-        over all such paths, of the variables reset on the way (those
-        whose parametric flag is set at a node the path enters).  gamma
-        pumps when, in the graph with an edge x -> y per entry, no
-        cyclic SCC has every variable in the union of its edges' masks.
+        over all such paths, of the variable members reset on the way
+        (those whose parametric flag is set at a node the path enters).
+        gamma pumps when, in the graph with an edge x -> y per entry, no
+        cyclic SCC has every variable member in the union of its edges'
+        masks.
 
         - A pump kills every run.  Fix v and let w be its largest value.
           A counter run along pi gamma^n projects to a P-path, at some
@@ -844,11 +844,12 @@ class DiamondChecker:
           x_0 ... x_n stays in an SCC of the graph while it takes edges
           inside it and never returns to one it left, so for n >=
           |X| (w + 2) it takes w + 1 consecutive edges inside one SCC C,
-          which is then cyclic.  Some variable i is in no mask of C's
-          edges: the run resets i in none of those w + 1 rounds, each at
-          least one step long, so counter i passes w >= v_i and the run
-          dies.  An empty subset node reached by pi (a graph that dies)
-          kills every run along pi outright.
+          which is then cyclic.  Some variable member F[<=x] is in no
+          mask of C's edges: the run resets its counter in none of those
+          w + 1 rounds, each at least one step long, so the counter
+          passes w >= v(x) and the run dies.  An empty subset node
+          reached by pi (a graph that dies) kills every run along pi
+          outright.
         - "as1".  T starts at (init, the initial pairs), so pi gamma^n
           is a chain path of positive probability along which no run of
           the counter product survives: its tracking graph (`_holds`)
@@ -1015,8 +1016,8 @@ class DiamondChecker:
         accepting, so their proofs carry over unchanged.
 
         N0 is the size of the pair product: counters only kill runs, so
-        every node of a counter product, less its variables' counters,
-        is one of the pair product's.  N0 is only ever asked where a
+        every node of a counter product, less its variable members'
+        counters, is one of the pair product's.  N0 is only ever asked where a
         true answer is exact.  Whether a false one proves anything,
         whether v in V implies min(v, N0) in V, is still open.  Cutting
         a repeated pair out of a long streak works on a finite path at a

@@ -594,36 +594,6 @@ def _push_not(f):
     return f
 
 
-def rename_apart(phi):
-    """Rename parameter variables so each occurs exactly once.
-
-    Returns (formula, mapping) where mapping sends each fresh name back
-    to the user-facing name it replaced.  Names that already occur once
-    are kept.
-    """
-    counts = {}
-    for f in subformulas(phi):
-        if _has_var_bound(f):
-            counts[f.bound.name] = counts.get(f.bound.name, 0) + 1
-    seen = {}
-    mapping = {}
-
-    def fresh(f):
-        if not _has_var_bound(f):
-            return f
-        name = f.bound.name
-        if counts[name] == 1:
-            mapping[name] = name
-            return f
-        k = seen.get(name, 0)
-        seen[name] = k + 1
-        new = "%s__%d" % (name, k)
-        mapping[new] = name
-        return BoundedEventually(VarBound(new), f.child)
-
-    return _map(phi, fresh), mapping
-
-
 # ---------------------------------------------------------------------------
 # Fragment classification
 

@@ -1,16 +1,14 @@
-"""Independent validation tools: prefix/lasso evaluation, sampling, scans.
+"""Independent validation tools: prefix/lasso evaluation and sampling.
 
 Everything here avoids the automata pipeline on purpose: the prefix and
-lasso evaluators work directly off the semantics, the sampler only
-certifies what a finite prefix already decides, and the brute-force scan
-exercises search logic against exhaustive enumeration.  The 3-SAT
-fixture generator produces chain/formula pairs whose emptiness verdict
-is known from propositional satisfiability.
+lasso evaluators work directly off the semantics, and the sampler only
+certifies what a finite prefix already decides.  The 3-SAT fixture
+generator produces chain/formula pairs whose emptiness verdict is known
+from propositional satisfiability.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -18,10 +16,8 @@ from fractions import Fraction
 from .formula import (
     And, Atom, Always, BoundedAlways, BoundedEventually, Eventually,
     FormulaError, NegAtom, Next, Or, Release, Until, VarBound, fold,
-    variables,
 )
-from .markov import ChainError, MarkovChain
-from .valuation import MinimalSet
+from .markov import MarkovChain
 
 CERTAIN_TRUE = "certainly-true"
 CERTAIN_FALSE = "certainly-false"
@@ -268,30 +264,6 @@ def sample_lower_bound(chain, phi, samples, horizon, seed):
         if eval_prefix(prefix, phi) == CERTAIN_TRUE:
             hits += 1
     return Fraction(hits, samples)
-
-
-MAX_SCAN_POINTS = 2 * 10 ** 6
-
-
-def brute_force_min_set(chain, phi, bound, oracle):
-    """Exhaustive minimal-valuation scan over {0..bound}^d.
-
-    `oracle(valuation_dict)` decides membership; every point of the box
-    is visited in lexicographic order unless already dominated.
-    """
-    names = variables(phi)
-    d = len(names)
-    if d == 0:
-        raise FormulaError("formula has no parameter variables")
-    if (bound + 1) ** d > MAX_SCAN_POINTS:
-        raise ValueError("scan box exceeds %d points" % MAX_SCAN_POINTS)
-    out = MinimalSet(names)
-    for point in itertools.product(range(bound + 1), repeat=d):
-        if out.member(point):
-            continue
-        if oracle(dict(zip(names, point))):
-            out.insert(point)
-    return out
 
 
 def gen_3sat_fixture(clauses, n_vars):

@@ -1,22 +1,23 @@
 """Seeded random generators and brute-force references shared by the
 test modules."""
 
+import itertools
 import math
-import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 from pltlcheck.diamond import ResourceLimitError, accepts
 from pltlcheck.formula import (
     Always, And, Atom, BoundedAlways, BoundedEventually, ConstBound,
-    Eventually, FragmentError, NegAtom, Next, Not, Or, Release, Until,
-    VarBound, _map, atoms, children, closure, variables,
+    Eventually, FormulaError, FragmentError, NegAtom, Next, Not, Or,
+    Release, Until, VarBound, _has_var_bound, _map, atoms, children,
+    closure, subformulas, variables,
 )
 from pltlcheck.markov import (
     _MAX_EXPONENT, ChainError, ChainParseError, MarkovChain, _brief, _nat,
     _quote,
 )
-from pltlcheck.valuation import ValuationError
+from pltlcheck.valuation import MinimalSet, ValuationError
 
 
 def rewrite_constant_bounds(phi):
@@ -40,6 +41,61 @@ def rewrite_constant_bounds(phi):
         return out
 
     return _map(phi, unfold)
+
+
+def rename_apart(phi):
+    """Rename parameter variables so each occurs exactly once.
+
+    Returns (formula, mapping) where mapping sends each fresh name back
+    to the user-facing name it replaced.  Names that already occur once
+    are kept.  The reference for the tableau's one counter per variable
+    member: renamed apart, every member has a variable of its own.
+    """
+    counts = {}
+    for f in subformulas(phi):
+        if _has_var_bound(f):
+            counts[f.bound.name] = counts.get(f.bound.name, 0) + 1
+    seen = {}
+    mapping = {}
+
+    def fresh(f):
+        if not _has_var_bound(f):
+            return f
+        name = f.bound.name
+        if counts[name] == 1:
+            mapping[name] = name
+            return f
+        k = seen.get(name, 0)
+        seen[name] = k + 1
+        new = "%s__%d" % (name, k)
+        mapping[new] = name
+        return BoundedEventually(VarBound(new), f.child)
+
+    return _map(phi, fresh), mapping
+
+
+MAX_SCAN_POINTS = 2 * 10 ** 6
+
+
+def brute_force_min_set(chain, phi, bound, oracle):
+    """Exhaustive minimal-valuation scan over {0..bound}^d.
+
+    `oracle(valuation_dict)` decides membership; every point of the box
+    is visited in lexicographic order unless already dominated.
+    """
+    names = variables(phi)
+    d = len(names)
+    if d == 0:
+        raise FormulaError("formula has no parameter variables")
+    if (bound + 1) ** d > MAX_SCAN_POINTS:
+        raise ValueError("scan box exceeds %d points" % MAX_SCAN_POINTS)
+    out = MinimalSet(names)
+    for point in itertools.product(range(bound + 1), repeat=d):
+        if out.member(point):
+            continue
+        if oracle(dict(zip(names, point))):
+            out.insert(point)
+    return out
 
 
 def nesting_depth(phi):
@@ -205,6 +261,31 @@ def nnf_formulas(max_leaves, names="xy", var_shapes=True):
     return st.recursive(literals, extend, max_leaves=max_leaves)
 
 
+def random_nnf_formula(rng, max_leaves):
+    """A seeded draw of the shapes `nnf_formulas(max_leaves,
+    var_shapes=False)` draws: NNF formulas over the atoms a, b with
+    every node kind, variable bounds x, y and constant bounds 0..3,
+    with at most `max_leaves` literals and three operators on any
+    path."""
+    def build(leaves, depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.4:
+            return rng.choice([Atom, NegAtom])(rng.choice("ab"))
+        if leaves > 1 and roll < 0.6:
+            return rng.choice([And, Or, Until, Release])(
+                build(1, depth - 1), build(leaves - 1, depth - 1))
+        op = rng.choice([Next, Eventually, Always, BoundedEventually,
+                         BoundedAlways])
+        child = build(leaves, depth - 1)
+        if op is BoundedEventually and rng.random() < 0.5:
+            return op(VarBound(rng.choice("xy")), child)
+        if op in (BoundedEventually, BoundedAlways):
+            return op(ConstBound(rng.randint(0, 3)), child)
+        return op(child)
+
+    return build(max_leaves, 3)
+
+
 def fx_formulas(depth, top=3):
     """Hypothesis strategy: formulas of the next/eventually fragment over
     the atoms a, b, nested up to `depth` operators, with variable bounds
@@ -279,9 +360,10 @@ def lasso_chain(word):
 def reference_tableau(phi):
     """The tableau of an NNF formula, by brute force: every closure
     subset is tested for consistency and every ordered pair of states
-    for an edge.  A constant F[<=c] member is read like F[<=x], with a
-    parametric set of its own before the variables' sets; a G[<=c]
-    member gives a state without its child no edge.
+    for an edge.  Every F[<=k] member has a parametric set of its own:
+    the constant members' first, labelled by the member, then each
+    variable's members in closure order, labelled by the variable.  A
+    G[<=c] member gives a state without its child no edge.
 
     Returns a namespace with the attributes of `decoded_tableau`.  Only
     small closures are practical.
@@ -325,10 +407,10 @@ def reference_tableau(phi):
             g.acc_b.append((f, frozenset(i for i, h in enumerate(states)
                                          if member(h))))
     bounded = [f for f in subs if isinstance(f, BoundedEventually)]
-    by_var = {f.bound.name: f for f in bounded
-              if isinstance(f.bound, VarBound)}
     labelled = [(f, f) for f in bounded if isinstance(f.bound, ConstBound)]
-    for label, f in labelled + [(x, by_var[x]) for x in variables(phi)]:
+    labelled += [(x, f) for x in variables(phi) for f in bounded
+                 if f.bound == VarBound(x)]
+    for label, f in labelled:
         g.acc_p.append((label, frozenset(i for i, h in enumerate(states)
                                          if f not in h or f.child in h)))
     return g

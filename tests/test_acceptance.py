@@ -11,8 +11,8 @@ import time
 from fractions import Fraction
 
 from helpers import (
-    ergodicity_coefficient, lasso_chain, random_chain, random_diamond_formula,
-    random_letters,
+    brute_force_min_set, ergodicity_coefficient, lasso_chain, random_chain,
+    random_diamond_formula, random_letters,
 )
 from pltlcheck import buchi, fx, reach
 from pltlcheck.diamond import DiamondChecker
@@ -26,8 +26,7 @@ from pltlcheck.markov import (
     transient_matrix,
 )
 from pltlcheck.oracle import (
-    LassoWord, brute_force_min_set, eval_lasso, gen_3sat_fixture,
-    sat_brute_force,
+    LassoWord, eval_lasso, gen_3sat_fixture, sat_brute_force,
 )
 from pltlcheck.valuation import bisection_min_set
 

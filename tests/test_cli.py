@@ -412,6 +412,24 @@ def test_exit_parse_error_inputs(argv, coin):
     assert out == "" and err.startswith("parse error: ")
 
 
+@pytest.mark.parametrize("flag, text, command", [
+    ("--chain", COIN, ["check", "--formula", "F[<=x] a"]),
+    ("--formula-file", "F[<=x] a\n", ["check", "--chain", "{coin}"]),
+    ("--cnf", DIMACS, ["oracle", "gen3sat"]),
+], ids=["chain", "formula-file", "cnf"])
+def test_exit_parse_error_non_utf8_file(flag, text, command, coin, tmp_path):
+    # The bytes ff fe end the file's last line: no UTF-8 text holds
+    # them, whatever the locale's encoding.
+    path = tmp_path / "input"
+    data = text.encode()
+    path.write_bytes(data[:-1] + b"\xff\xfe\n")
+    code, out, err = _run([a.replace("{coin}", coin) for a in command]
+                          + [flag, str(path)])
+    assert code == 4 and out == ""
+    assert err == "parse error: %s: byte 0xff at offset %d is not UTF-8\n" \
+        % (path, len(data) - 1)
+
+
 def test_formula_at_depth_limit(coin):
     text = "(" * 199 + "F[<=x] a" + ")" * 199
     code, out, err = _run(["check", "--chain", coin, "--formula", text])

@@ -4,12 +4,12 @@ from pltlcheck.formula import (
     Always, And, Atom, BoundedAlways, BoundedEventually, ConstBound,
     Eventually, FormulaError, FragmentClass, MAX_FORMULA_DEPTH, NegAtom,
     Next, Or, ParseError, Release, Until, VarBound, atoms, classify, closure,
-    genbuchi_pairs, parse_formula, rename_apart, size, strip_params,
-    substitute, to_nnf, variables,
+    genbuchi_pairs, parse_formula, size, strip_params, substitute, to_nnf,
+    variables,
 )
 from pltlcheck.valuation import Valuation
 
-from helpers import nesting_depth, rewrite_constant_bounds
+from helpers import nesting_depth, rename_apart, rewrite_constant_bounds
 
 
 def test_parse_atoms_and_connectives():

@@ -17,11 +17,11 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import nnf_formulas, rewrite_constant_bounds
+from helpers import nnf_formulas, rename_apart, rewrite_constant_bounds
 from pltlcheck.formula import (
     And, Atom, ConstBound, NegAtom, Not, ParseError, VarBound, children,
-    parse_formula, rename_apart, size, strip_params, subformulas, substitute,
-    to_nnf, unfolded_size, variables,
+    parse_formula, size, strip_params, subformulas, substitute, to_nnf,
+    unfolded_size, variables,
 )
 from pltlcheck.oracle import LassoWord, eval_lasso
 

@@ -6,18 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    nnf_formulas, random_chain, random_diamond_formula, random_letters,
+    brute_force_min_set, nnf_formulas, random_diamond_formula, random_letters,
 )
-from pltlcheck import diamond, fx, oracle
+from pltlcheck import diamond, fx
 from pltlcheck.fixtures import coin_chain
 from pltlcheck.formula import (
     Always, Atom, BoundedAlways, BoundedEventually, ConstBound, Eventually,
     FormulaError, Next, parse_formula, substitute, to_nnf, variables,
 )
 from pltlcheck.oracle import (
-    CERTAIN_FALSE, CERTAIN_TRUE, UNKNOWN, LassoWord, brute_force_min_set,
-    eval_lasso, eval_prefix, gen_3sat_fixture, parse_dimacs,
-    sample_lower_bound, sat_brute_force,
+    CERTAIN_FALSE, CERTAIN_TRUE, UNKNOWN, LassoWord, eval_lasso, eval_prefix,
+    gen_3sat_fixture, parse_dimacs, sample_lower_bound, sat_brute_force,
 )
 
 
