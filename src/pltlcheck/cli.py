@@ -151,6 +151,16 @@ def _read_chain(args):
     return parse_chain(_read_text(args.chain))
 
 
+def _read_valuation(args, names):
+    """The valuation of --valuation, which must assign every variable
+    in `names`."""
+    val = parse_valuation(args.valuation)
+    missing = [x for x in names if x not in val]
+    if missing:
+        raise UsageError("valuation misses variables: %s" % ", ".join(missing))
+    return val
+
+
 def _read_text(path):
     """The text of an input file, read as UTF-8 whatever the locale.
     Read whole, a bad byte's offset in the decoder is its offset in the
@@ -243,13 +253,7 @@ def _read_query(args, rep):
     kind, p = _parse_threshold(args.threshold)
     fragment = classify(phi)
     names = variables(phi)
-    val = None
-    if args.command == "member":
-        val = parse_valuation(args.valuation)
-        missing = [x for x in names if x not in val]
-        if missing:
-            raise UsageError("valuation misses variables: %s"
-                             % ", ".join(missing))
+    val = _read_valuation(args, names) if args.command == "member" else None
     rep.add("fragment", fragment)
     rep.add("threshold", args.threshold.strip())
     if val is not None:
@@ -394,12 +398,9 @@ def _run_prob(args, rep):
         raise FragmentError(
             "exact probabilities are only computed for single reachability "
             "formulas F[<=x] a")
-    val = parse_valuation(args.valuation)
-    name = phi.bound.name
-    if name not in val:
-        raise UsageError("valuation misses variable %r" % name)
+    val = _read_valuation(args, variables(phi))
     value = markov.bounded_reach_prob(chain, chain.states_with(phi.child.name),
-                                      val[name])
+                                      val[phi.bound.name])
     text = _fraction_text(value)
     rep.add("fragment", fragment)
     rep.add("valuation", val)
@@ -409,8 +410,7 @@ def _run_prob(args, rep):
 def _run_oracle_sample(args, rep):
     chain = _read_chain(args)
     phi = to_nnf(_read_formula(args))
-    val = parse_valuation(args.valuation)
-    ground = substitute(phi, val)
+    ground = substitute(phi, _read_valuation(args, variables(phi)))
     # A count below 1 is the sampler's parse error, not this cap's.
     letters = max(args.samples, 0) * max(args.horizon, 0)
     if letters > oracle.MAX_SAMPLE_LETTERS:
@@ -431,8 +431,7 @@ def _run_oracle_sample(args, rep):
 
 def _run_oracle_lasso(args, rep):
     phi = to_nnf(_read_formula(args))
-    val = parse_valuation(args.valuation)
-    ground = substitute(phi, val)
+    ground = substitute(phi, _read_valuation(args, variables(phi)))
     word = LassoWord(_parse_letters(args.stem), _parse_letters(args.loop))
     verdict = oracle.eval_lasso(word, ground)
     rep.answer("verdict", "true" if verdict else "false")

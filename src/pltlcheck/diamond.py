@@ -1091,12 +1091,14 @@ class DiamondChecker:
                                  (n,) * len(names), names)
 
     def member(self, chain, threshold, valuation):
-        """Is `valuation` in V>0 ("pos") or V=1 ("as1")?  V is upward
-        closed, and nonempty iff it holds the uniform point at vbar, so
-        a valuation at or above vbar in every variable is in V exactly
-        when V is not empty (`emptiness`)."""
+        """Is `valuation` v in V>0 ("pos") or V=1 ("as1")?  It asks the
+        point min(v, vbar) per variable, and `emptiness` answers at the
+        uniform point at vbar.  The cap is exact exactly when `min_set`'s
+        box {0..vbar}^d is: if every minimal point p is at most vbar in
+        each variable, p <= v iff p <= min(v, vbar)."""
         n = self.vbar(chain)
-        if all(valuation[x] >= n for x in self.user_names):
+        point = {x: min(valuation[x], n) for x in self.user_names}
+        if all(c == n for c in point.values()):
             return not self.emptiness(chain, threshold)
         check = self.check_pos if threshold == "pos" else self.check_as1
-        return check(chain, valuation)
+        return check(chain, point)

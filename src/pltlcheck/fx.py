@@ -23,10 +23,10 @@ keeping it pending until age a; F[<=c] psi may be kept pending only
 until age c, so a constant bound is never unfolded.  Per pair, only
 the Pareto-minimal (ages, needs) labels are kept, so a waiting F[<=c]
 is put out by its younger self.  Dickson's lemma makes the search
-finite.  Emptiness runs the search on the parameter-free formula with
-no variables, where it is breadth-first: the first path to finish is a
-shortest witness path, and v(x) = m * |phi| (constant bounds unfolded)
-is a witness valuation.
+finite: it needs no box and ends by itself.  Emptiness runs the search
+on the parameter-free formula with no variables, where it is
+breadth-first: the first path to finish is a shortest witness path,
+and v(x) = m * |phi| (constant bounds unfolded) is a witness valuation.
 
 Almost-sure queries use the general product checker, but not at one
 bound.  Emptiness of V=1 (`check`) is `DiamondChecker.emptiness`: the
@@ -114,16 +114,15 @@ def _members(mask):
     return out
 
 
-def _pareto_front(chain, phi, names, bound, max_nodes):
-    """Minimal valuations of V>0 within {0..bound}^d by label setting,
-    and the chain path of the first label to finish (None if none does).
+def _pareto_front(chain, phi, names, max_nodes):
+    """Minimal valuations of V>0 by label setting, and the chain path of
+    the first label to finish (None if none does).
 
     The labels of a pair (chain state, pending mask) form an antichain
     over its pending formulas (their ages) and then `names` (their
     needs; a pending F[<=x] of age a already needs x >= a).  A label
-    that needs more than `bound` cannot reach a point of the box, and
-    one whose needs are above a found point cannot reach a new minimal
-    point: both are dropped.  Labels are expanded first in, first out,
+    whose needs are above a found point cannot reach a new minimal
+    point, and is dropped.  Labels are expanded first in, first out,
     each entry linked to the one it came from.  With no `names` the
     search is breadth-first and ends at the first label to finish, on a
     shortest path: a label there also counts its steps, so that only a
@@ -273,7 +272,7 @@ def _pareto_front(chain, phi, names, bound, max_nodes):
         for rest, older, more in ways:
             need2 = (tuple(max(n, more.get(x, 0)) for x, n in zip(names, need))
                      if more else need)
-            if max(need2, default=0) > bound or names and found.member(need2):
+            if names and found.member(need2):
                 continue
             if rest:
                 nexts = succ.get(s)
@@ -310,7 +309,7 @@ def emptiness_pos_fx(chain, phi,
     diamond.ResourceLimitError.
     """
     nnf = to_nnf(phi)
-    _, path = _pareto_front(chain, strip_params(nnf), (), 0, max_nodes)
+    _, path = _pareto_front(chain, strip_params(nnf), (), max_nodes)
     if path is None:
         return True, None, None
     vbar = _uniform_bound(chain, nnf)
@@ -325,9 +324,8 @@ def emptiness_as1_fx(chain, phi):
 
 
 def min_set_fx(chain, phi, max_nodes=diamond.DEFAULT_MAX_PRODUCT_NODES):
-    """Minimal valuations of V>0 over {0..m*|phi|}^d, found by the
-    label-setting search without a membership oracle.  More than
-    `max_nodes` labels raise diamond.ResourceLimitError."""
+    """Minimal valuations of V>0, found by the label-setting search
+    without a membership oracle or a box.  More than `max_nodes` labels
+    raise diamond.ResourceLimitError."""
     nnf = to_nnf(phi)
-    bound = _uniform_bound(chain, nnf)
-    return _pareto_front(chain, nnf, variables(nnf), bound, max_nodes)[0]
+    return _pareto_front(chain, nnf, variables(nnf), max_nodes)[0]

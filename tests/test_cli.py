@@ -237,10 +237,31 @@ def test_member_at_or_above_vbar_answers_emptiness(coin, monkeypatch,
     for values in ([n] * len(names), [10 ** 8] * len(names),
                    [n] + [10 ** 8] * (len(names) - 1)):
         assert member(values) == expected
-    # A value below vbar is asked as it is.
+    # A value below vbar is asked as it is, and one above at vbar.
     low = [10 ** 8] * (len(names) - 1) + [n - 1]
     _, at_low = member(low)
-    assert at_low == ([dict(zip(names, low))] if engine else [])
+    capped = [n] * (len(names) - 1) + [n - 1]
+    assert at_low == ([dict(zip(names, capped))] if engine else [])
+
+
+def test_member_asks_no_value_above_vbar(coin, monkeypatch):
+    # x lies far above vbar and y below it: the point asked is (vbar, 1),
+    # whose product is small, not the one at x = 10^8.
+    formula = "F[<=x] G a & F[<=y] a"
+    n = diamond.DiamondChecker(parse_formula(formula)).vbar(parse_chain(COIN))
+    asked = []
+    real = diamond.DiamondChecker.check_pos
+
+    def record(self, chain, valuation):
+        asked.append(dict(valuation))
+        return real(self, chain, valuation)
+
+    monkeypatch.setattr(diamond.DiamondChecker, "check_pos", record)
+    code, out, err = _run(["member", "--chain", coin, "--formula", formula,
+                           "--valuation", "x=100000000,y=1"])
+    assert (code, err) == (0, "")
+    assert out.endswith("member: true\n")
+    assert asked == [{"x": n, "y": 1}]
 
 
 @pytest.mark.parametrize("threshold", [">0", "=1"])

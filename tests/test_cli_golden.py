@@ -140,6 +140,17 @@ def _cases():
     cases.append(("error-prob-missing-variable",
                   ["prob", "--chain", "{coin}", "--formula", "F[<=x] a",
                    "--valuation", "y=3"]))
+    # Every command that takes --valuation reads it the same way.
+    cases.append(("error-oracle-sample-missing-variable",
+                  ["oracle", "sample", "--chain", "{coin}", "--formula",
+                   "F[<=x] a"]))
+    cases.append(("error-oracle-lasso-eval-missing-variable",
+                  ["oracle", "lasso-eval", "--formula", "F[<=x] a & F[<=y] a",
+                   "--valuation", "y=1", "--loop", "a"]))
+    # x far above vbar = 768 is asked at vbar, so the product stays small.
+    cases.append(("member-above-vbar-coin-Diamond",
+                  ["member", "--chain", "{coin}", "--formula",
+                   "F[<=x] G a & F[<=y] a", "--valuation", "x=100000000,y=1"]))
     # The file holds FORMULAS["Diamond"][0]: the same transcript as
     # check-coin-Diamond->0.
     cases.append(("check-formula-file-coin-Diamond->0",

@@ -4,6 +4,10 @@ GeneralizedBuchi "=1" `member` tests the valuation against the one
 closed-form minimal set that `check` and `minset` also read; the general
 engine's `check_as1`, which answered it before, stays the reference.
 
+On every route whose `member` is the general engine's (Diamond,
+FX "=1", GeneralizedBuchi ">0"), `check`, `minset` and `member` agree
+on seeded draws, also at points past the route's box and past vbar.
+
 Every route calls its engine through the module attribute (or the
 general engine's method) when it runs, so a replaced attribute is the
 one called.
@@ -15,17 +19,21 @@ True` makes every run draw the same examples.
 
 import importlib
 import io
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_chain
+from helpers import random_chain, random_nnf_formula
 from pltlcheck import cli
 from pltlcheck.diamond import DiamondChecker
 from pltlcheck.fixtures import chain_text
-from pltlcheck.formula import parse_formula, to_nnf, variables
+from pltlcheck.formula import (
+    FragmentClass, classify, parse_formula, size, to_nnf, unfolded_size,
+    variables,
+)
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 
@@ -165,3 +173,95 @@ def test_formula_texts_exit_cleanly(coin_file, text, threshold):
         code, _, err = _run(argv + ["--chain", coin_file, "--formula", text,
                                     "--max-product-nodes", "2000"])
         assert code in EXIT_CODES, err
+
+
+def _two_variables(rng):
+    """Formula text of at most 5 nodes with F[<=x] and F[<=y]."""
+    def literal():
+        return rng.choice(("a", "b", "!a", "!b"))
+    if rng.random() < 0.5:
+        return "F[<=x] %s %s F[<=y] %s" % (literal(), rng.choice("UR"),
+                                           literal())
+    ops = ["F[<=x]", "F[<=y]"] + ([rng.choice(("G", "G[<=2]"))]
+                                  if rng.random() < 0.5 else [])
+    rng.shuffle(ops)
+    body = literal() if len(ops) == 3 else "(%s U %s)" % (literal(), literal())
+    return " ".join(ops + [body])
+
+
+def _engine_route(rng, chain):
+    """(formula text, threshold, box top) of a query on a route whose
+    `member` is the general engine's: Diamond at ">0" or "=1" over x
+    and y in {0..vbar}^k, FX at "=1" in {0..m*s}^k (constant bounds
+    unfolded), GeneralizedBuchi at ">0" in {0..m*d}^k."""
+    route = rng.choice((FragmentClass.DIAMOND, FragmentClass.FX,
+                        FragmentClass.GENERALIZED_BUCHI))
+    if route is FragmentClass.GENERALIZED_BUCHI:
+        d = rng.randint(2, 3)
+        text = " & ".join("G F[<=%s] %s" % (rng.choice("xy"), rng.choice("ab"))
+                          for _ in range(d))
+        return text, ">0", chain.m * d
+    while True:
+        if route is FragmentClass.DIAMOND and rng.random() < 0.5:
+            phi = to_nnf(parse_formula(_two_variables(rng)))
+        else:
+            phi = random_nnf_formula(rng, 3)
+        if variables(phi) and size(phi) <= 5 and classify(phi) is route:
+            break
+    if route is FragmentClass.FX:
+        return str(phi), "=1", chain.m * unfolded_size(phi)
+    return (str(phi), rng.choice((">0", "=1")),
+            DiamondChecker(phi).vbar(chain))
+
+
+def _minimal_points(report):
+    """The minimal valuations a `minset` report prints, as dicts."""
+    return [{name: int(value) for name, _, value in (
+                kv.partition("=") for kv in line[len("minimal: "):].split(","))}
+            for line in report.splitlines() if line.startswith("minimal: ")]
+
+
+def test_member_check_and_minset_agree_on_engine_routes(tmp_path):
+    # `check` is empty iff `minset` finds no minimal point, and `member`
+    # holds iff some minimal point is at or below the valuation, at
+    # every point built from 0, 1, B - 1, B, B + 1 and vbar + 1, with B
+    # the route's box top.  Draws with a query past the node cap are
+    # skipped and counted.
+    rng = random.Random(40)
+    path = tmp_path / "chain.dtmc"
+    compared = skipped = 0
+    seen = set()
+    for _ in range(100):
+        chain = random_chain(rng, max_states=3)
+        text, threshold, box = _engine_route(rng, chain)
+        phi = to_nnf(parse_formula(text))
+        names = variables(phi)
+        vbar = DiamondChecker(phi).vbar(chain)
+        values = sorted({0, 1, box - 1, box, box + 1, vbar + 1})
+        points = [dict(zip(names, p))
+                  for p in itertools.product(values, repeat=len(names))]
+        path.write_text(chain_text(chain))
+        base = ["--chain", str(path), "--formula", text, "--threshold",
+                threshold, "--max-product-nodes", "5000"]
+        check, minset, *members = [_run(argv) for argv in (
+            [["check"] + base, ["minset"] + base]
+            + [["member"] + base + ["--valuation", ",".join(
+                "%s=%d" % kv for kv in point.items())] for point in points])]
+        codes = {check[0], minset[0]} | {code for code, _, _ in members}
+        if 3 in codes:
+            skipped += 1
+            continue
+        assert codes == {0}, (text, threshold)
+        minimal = _minimal_points(minset[1])
+        assert check[1].endswith("verdict: %s\n" % (
+            "nonempty" if minimal else "empty")), (text, threshold)
+        for point, (_, out, _) in zip(points, members):
+            inside = any(all(low[x] <= point[x] for x in names)
+                         for low in minimal)
+            assert out.endswith("member: %s\n" % str(inside).lower()), (
+                text, threshold, point, minimal)
+            seen.add((classify(phi), threshold, inside))
+        compared += 1
+    assert compared >= 60, "%d draws skipped" % skipped
+    # Each of the four routes answered both ways.
+    assert len(seen) == 8

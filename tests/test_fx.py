@@ -324,6 +324,28 @@ def test_label_setting_matches_the_box_search(phi, seed):
     assert fx.min_set_fx(chain, phi) == expected
 
 
+def test_front_matches_the_general_engine_past_the_box():
+    # The label search has no box: a minimal point above m * |phi| is
+    # in its front, and in the general engine's over twice that box.
+    rng = random.Random(41)
+    compared = 0
+    for _ in range(150):
+        phi = random_fx_formula(rng, depth=3)
+        chain = random_chain(rng, max_states=3)
+        if not variables(phi):
+            phi = BoundedEventually(VarBound("x"), phi)
+        if len(variables(phi)) > 2:
+            continue
+        top = 2 * chain.m * unfolded_size(to_nnf(phi))
+        try:
+            expected = DiamondChecker(phi, 5000).min_set(chain, "pos", top)
+        except ResourceLimitError:
+            continue
+        assert fx.min_set_fx(chain, phi) == expected, (phi, chain_text(chain))
+        compared += 1
+    assert compared >= 80
+
+
 def test_front_on_lines():
     none, a = set(), {"a"}
     # Two nested windows of one bound share the distance 5: 3 + 2.
